@@ -12,6 +12,13 @@ The classification of orbits declares "finite" at the first arrival at
 running through the cycle of 0) is available separately via
 :meth:`DigitSystem.digit_stream`.
 
+For a constant digit set, orbit walks (digit sequences, expansions and
+the zero cycle) run T in the coordinates of the standard representation
+A = sum q_i w_i + sum r_i X^i: T shifts q with one carry and shifts the
+residue part r, so no quotient-ring normalisation happens per step.  The
+representation is unique, so the results equal those of stepping the
+elements themselves, which is how non-constant digit sets are walked.
+
 Digit systems are immutable after validation; orbit walks from
 different start elements are independent and deterministic.
 """
@@ -81,14 +88,17 @@ class PeriodicSetReport:
 class DigitSystem:
     """A validated digit system; build via :func:`validate_system`."""
 
-    def __init__(self, qring: QuotRing, digits: tuple, _lookup: dict):
+    def __init__(self, qring: QuotRing, digits: tuple, _lookup: dict, _carry: dict):
         self.qring = qring
         self.ring = qring.ring
         self.modulus = qring.modulus
         self.digits = digits
         self._lookup = _lookup
+        self._carry = _carry
         self.digits_constant = all(d.x_degree <= 0 for d in digits)
         self.k = max(self.qring.d, max((d.x_degree for d in digits), default=0))
+        # constant coefficients p_d, p_{d-1}, ..., p_1 of the basis w_0..w_{d-1}
+        self._basis_constants = tuple(reversed(self.modulus.coeffs[1:]))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -127,25 +137,50 @@ class DigitSystem:
     def digit_sequence(self, a: QuotElem, cap: int = DEFAULT_STEP_CAP) -> DigitSequence:
         if cap < 1:
             raise ValueError("cap must be at least 1")
-        seen: dict[QuotElem, int] = {}
+        return self._orbit(a, cap)
+
+    def _orbit(self, a: QuotElem, cap: int) -> DigitSequence:
+        """The orbit of ``a`` under T, followed until it reaches 0,
+        repeats a state or has taken ``cap`` steps (``cap`` may be 0).
+
+        Constant digit sets walk the standard representation (q, residue)
+        instead of the element; the representation is unique, so states
+        and elements correspond one to one and the result is the same.
+        """
+        if self.digits_constant:
+            rep = self.qring.standard_representation(a)
+            state, zero = (rep.q, rep.residue), ((self.ring.zero,) * self.qring.d, ())
+            advance = self._coordinate_advance
+        else:
+            state, zero, advance = a, self.qring.zero, self._element_advance
+        seen: dict = {}
         digits: list[QuotElem] = []
-        cur = a
         n = 0
         while True:
-            if cur.is_zero:
+            if state == zero:
                 return DigitSequence(tuple(digits), "finite", steps=n)
-            hit = seen.get(cur)
+            hit = seen.get(state)
             if hit is not None:
                 return DigitSequence(
                     tuple(digits), "eventually-periodic", preperiod=hit, period=n - hit
                 )
             if n == cap:
                 return DigitSequence(tuple(digits), "unknown", cap=cap)
-            seen[cur] = n
-            d = self.digit_of(cur)
+            seen[state] = n
+            d, state = advance(state)
             digits.append(d)
-            cur = self.qring.divide_by_x(cur - d)
             n += 1
+
+    def _element_advance(self, a: QuotElem) -> tuple:
+        d = self.digit_of(a)
+        return d, self.qring.divide_by_x(a - d)
+
+    def _coordinate_advance(self, state: tuple) -> tuple:
+        # the residue part sum r_i X^i is a plain shift under T; only its
+        # constant r_0 enters the carry
+        q, residue = state
+        r, q = self._carry_step(q, residue[0] if residue else self.ring.zero)
+        return self._lookup[r], (q, residue[1:])
 
     def expand(self, a: QuotElem, cap: int = DEFAULT_STEP_CAP) -> Expansion:
         seq = self.digit_sequence(a, cap)
@@ -169,22 +204,18 @@ class DigitSystem:
         return total
 
     def zero_cycle(self, cap: int = DEFAULT_STEP_CAP) -> ZeroCycle | None:
-        """Shortest digit string summing to 0, from the orbit of 0."""
+        """Shortest digit string summing to 0, from the orbit of 0.
+
+        0 = digit(0) + X*T(0), so the string is digit(0) followed by the
+        finite expansion of T(0), if T(0) reaches 0 within cap - 1 steps.
+        """
         if cap < 1:
             raise ValueError("cap must be at least 1")
-        seen = set()
-        digits: list[QuotElem] = []
-        cur = self.qring.zero
-        for _ in range(cap):
-            d = self.digit_of(cur)
-            digits.append(d)
-            cur = self.qring.divide_by_x(cur - d)
-            if cur.is_zero:
-                return ZeroCycle(tuple(digits))
-            if cur in seen:
-                return None
-            seen.add(cur)
-        return None
+        zero = self.qring.zero
+        seq = self._orbit(self.step(zero), cap - 1)
+        if seq.kind != "finite":
+            return None
+        return ZeroCycle((self.digit_of(zero),) + seq.digits)
 
     def periodic_set(
         self, seeds: Iterable[QuotElem], cap: int = DEFAULT_STEP_CAP
@@ -233,28 +264,33 @@ class DigitSystem:
     # -- the coordinate form of the dynamics -----------------------------
 
     def coordinate_step(self, coords: tuple) -> tuple:
-        """The shift-with-carry action on basis coordinates.
+        """The shift-with-carry action of T on basis coordinates.
 
-        Requires a constant digit set; the element sum(a_i w_i) has
-        constant coefficient sum(a_i p_{d-i}), whose digit determines
-        the exact division by p0 that yields the new last coordinate.
+        Requires a constant digit set.
         """
         if not self.digits_constant:
             raise ValueError("coordinate form requires a constant digit set")
+        if len(coords) != self.qring.d:
+            raise ValueError(f"expected {self.qring.d} coordinates")
         ring = self.ring
-        d = self.qring.d
-        if len(coords) != d:
-            raise ValueError(f"expected {d} coordinates")
-        pc = self.modulus.coeffs
-        p0 = self.qring.p0
-        c = ring.zero
-        for i, a in enumerate(coords):
-            c = ring.add(c, ring.mul(ring.coerce(a), pc[d - i]))
-        # c = r + q0*p0 and the digit e0 = r + q1*p0 share the residue r,
-        # so the new coordinate -(c - e0)/p0 equals q1 - q0
-        r, q0 = ring.canonical_residue(c, p0)
-        q1 = ring.canonical_residue(self._lookup[r].constant, p0)[1]
-        return tuple(coords[1:]) + (ring.sub(q1, q0),)
+        return self._carry_step(tuple(ring.coerce(a) for a in coords), ring.zero)[1]
+
+    def _carry_step(self, q: tuple, c0) -> tuple:
+        """One step of T on sum(q_i w_i) + c0 with c0 a constant, for a
+        constant digit set: the residue r of its digit and T's basis
+        coordinates, which are q shifted with one carry.
+
+        The constant coefficient c = c0 + sum(q_i p_{d-i}) = r + q0*p0 and
+        the digit e = r + q1*p0 share the residue r.  Since X*w_{d-1} = -p0,
+        (c - e)/X = (q1 - q0)*w_{d-1}, which becomes the new last coordinate.
+        """
+        ring = self.ring
+        add, mul = ring.add, ring.mul
+        c = c0
+        for a, p in zip(q, self._basis_constants):
+            c = add(c, mul(a, p))
+        r, q0 = ring.canonical_residue(c, self.qring.p0)
+        return r, q[1:] + (ring.sub(self._carry[r], q0),)
 
 
 def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
@@ -297,8 +333,9 @@ def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
             f"modulo {ring.format(p0)} has {expected}"
         )
     lookup: dict = {}
+    carry: dict = {}
     for d in normalized:
-        key = ring.canonical_residue(d.constant, p0)[0]
+        key, q1 = ring.canonical_residue(d.constant, p0)
         if key in lookup:
             violations.append(
                 f"digits {qring.format(lookup[key])} and {qring.format(d)} lie in the "
@@ -307,6 +344,7 @@ def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
             )
         else:
             lookup[key] = d
+            carry[key] = q1
     if violations:
         raise ValidationError(violations)
-    return DigitSystem(qring, tuple(normalized), lookup)
+    return DigitSystem(qring, tuple(normalized), lookup, carry)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
-from .rings import Ring
+from .rings import Ring, bounded_exponent
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,6 @@ class QuotRing:
         self.d = modulus.degree
         self.p0 = modulus.constant
         self.pd = modulus.lead
-        self.lead_residues = ring.residues(self.pd) if not ring.is_unit(self.pd) else None
         self._basis = None
 
     def __eq__(self, other) -> bool:
@@ -265,9 +264,6 @@ class QuotRing:
         while low and ring.is_zero(low[-1]):
             low.pop()
         return QuotElem(self, tuple(low), tuple(tail))
-
-    def from_poly(self, f: Poly) -> QuotElem:
-        return self.normalize(f)
 
     def to_poly(self, a: QuotElem) -> Poly:
         """The canonical (minimal-degree) representative in E[x]."""
@@ -510,9 +506,9 @@ def parse_poly(ring: Ring, text: str) -> Poly:
             rest = term[var_at + 1 :].strip()
             if rest.startswith("^"):
                 m = rest[1:].strip()
-                if not m.isdigit():
+                if not (m.isascii() and m.isdigit()):
                     raise ParseError("expected an exponent", text, offset + var_at + 1)
-                k = int(m)
+                k = bounded_exponent(m, text, offset + var_at + 1)
             elif rest:
                 raise ParseError("unexpected text after the variable", text, offset + var_at + 1)
             else:

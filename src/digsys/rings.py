@@ -28,6 +28,49 @@ from .errors import ParseError
 
 NEG_INF = float("-inf")
 
+# largest exponent a literal may write; parsers build dense coefficient
+# lists up to it, so larger ones are rejected before anything is allocated
+MAX_EXPONENT = 10**5
+
+# the first 13 primes; as Miller-Rabin bases they decide primality of
+# every n below _MR_LIMIT (Sorenson and Webster 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} cannot be decided exactly (limit {_MR_LIMIT})")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def bounded_exponent(digits: str, text: str, pos: int) -> int:
+    """The value of a decimal exponent; ParseError above MAX_EXPONENT."""
+    value = digits.lstrip("0") or "0"
+    if len(value) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
+        raise ParseError(f"exponent above the maximum {MAX_EXPONENT}", text, pos)
+    return int(value)
+
 
 def _round_half_down(num: int, den: int) -> int:
     """Nearest integer to num/den with ties toward -infinity; den > 0."""
@@ -244,13 +287,16 @@ class _Scanner:
         self.skip()
         return int(m.group())
 
-    def unsigned(self) -> int:
+    def digits(self) -> str:
         m = _re.compile(r"\d+").match(self.text, self.pos)
         if not m:
             raise self.error("expected digits")
         self.pos = m.end()
         self.skip()
-        return int(m.group())
+        return m.group()
+
+    def unsigned(self) -> int:
+        return int(self.digits())
 
     def sign(self) -> int:
         if self.peek() == "+":
@@ -522,7 +568,7 @@ class FpPolynomialRing(Ring):
     """Polynomials over the prime field F_p in the variable y."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}[y]"
@@ -628,7 +674,8 @@ class FpPolynomialRing(Ring):
                 k = 1
                 if sc.peek() == "^":
                     sc.take()
-                    k = sc.unsigned()
+                    at = sc.pos
+                    k = bounded_exponent(sc.digits(), sc.text, at)
                 term = FpPoly.make(self.p, [0] * k + [coeff])
             elif have_coeff:
                 term = FpPoly.make(self.p, (coeff,))

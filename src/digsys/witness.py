@@ -113,35 +113,6 @@ def seed_witnesses(system: DigitSystem, mode: str = "brunotte") -> frozenset:
     return frozenset(out)
 
 
-def _coordinate_step_fn(system: DigitSystem):
-    """Shift-with-carry form of v -> T(v + shift) on basis coordinates,
-    valid when all digits are constant.
-
-    With c = r + q0*p0 and the matching digit e0 = r + q1*p0, the exact
-    quotient (c - e0)/p0 is q0 - q1, so one division with remainder per
-    step suffices.
-    """
-    ring = system.ring
-    pc = system.modulus.coeffs
-    d = system.qring.d
-    p0 = pc[0]
-    digit_carry = {}
-    for e in system.digits:
-        r, q1 = ring.canonical_residue(e.constant, p0)
-        digit_carry[r] = q1
-    add, mul, sub = ring.add, ring.mul, ring.sub
-    res = ring.canonical_residue
-
-    def step(coords: tuple, shift) -> tuple:
-        c = shift
-        for i, a in enumerate(coords):
-            c = add(c, mul(a, pc[d - i]))
-        r, q0 = res(c, p0)
-        return coords[1:] + (sub(digit_carry[r], q0),)
-
-    return step
-
-
 def witness_closure(
     system: DigitSystem, seed, cap: int = DEFAULT_CLOSURE_CAP
 ) -> WitnessClosure:
@@ -183,7 +154,7 @@ def _coordinate_closure(system, seed, seed_coords, cap) -> WitnessClosure:
     # same loop in basis coordinates: seeds lie in the basis module and
     # T(v + e) stays inside it for constant digit sets
     ring = system.ring
-    step = _coordinate_step_fn(system)
+    step = system._carry_step
     shifts = [e.constant for e in system.digits]
     if not any(ring.is_zero(s) for s in shifts):
         shifts.append(ring.zero)
@@ -198,7 +169,7 @@ def _coordinate_closure(system, seed, seed_coords, cap) -> WitnessClosure:
         new = []
         for v in frontier:
             for s in shifts:
-                w = step(v, s)
+                w = step(v, s)[1]
                 if w not in elements:
                     elements.add(w)
                     new.append(w)

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from digsys import Fp, GaussianInt, ValidationError, Z, parse_poly, validate_system
+from digsys import Fp, GaussianInt, ValidationError, Z, ZI, parse_poly, validate_system
+from digsys.digits import DigitSequence, ZeroCycle
+from digsys.ffds import canonical_ff_digits
 
 from support import (
     example1,
@@ -15,6 +17,7 @@ from support import (
 )
 
 F2 = Fp(2)
+F3 = Fp(3)
 
 
 class TestValidation:
@@ -276,6 +279,96 @@ class TestCoordinateStep:
         with pytest.raises(ValueError):
             system.coordinate_step((0, 0))
 
+
+def element_sequence(system, a, cap):
+    """digit_sequence recomputed by stepping elements with system.step."""
+    seen = {}
+    digits = []
+    cur = a
+    n = 0
+    while True:
+        if cur.is_zero:
+            return DigitSequence(tuple(digits), "finite", steps=n)
+        if cur in seen:
+            return DigitSequence(
+                tuple(digits), "eventually-periodic", preperiod=seen[cur], period=n - seen[cur]
+            )
+        if n == cap:
+            return DigitSequence(tuple(digits), "unknown", cap=cap)
+        seen[cur] = n
+        digits.append(system.digit_of(cur))
+        cur = system.step(cur)
+        n += 1
+
+
+def element_zero_cycle(system, cap):
+    """zero_cycle recomputed by stepping elements from 0 with system.step."""
+    seen = {}
+    digits = []
+    cur = system.qring.zero
+    for _ in range(cap):
+        digits.append(system.digit_of(cur))
+        cur = system.step(cur)
+        if cur.is_zero:
+            return ZeroCycle(tuple(digits))
+        if cur in seen:
+            return None
+        seen[cur] = True
+    return None
+
+
+def constant_digit_systems():
+    ff = [
+        (F2, "(y+1)x^2+y*x+(y^2+1)"),
+        (F2, "(y^2+1)x^2+x+(y^2+y)"),
+        (F3, "y*x+(y^2+2)"),
+        (F3, "(y+1)x^3+2x+y"),
+    ]
+    return [
+        example1(),
+        example1_symmetric(),
+        validate_system(Z, parse_poly(Z, "3x+2"), [0, 1]),
+        validate_system(Z, parse_poly(Z, "x+2"), [1, 2]),
+        validate_system(Z, parse_poly(Z, "-2x^2+x+3"), [0, 1, 2]),
+        validate_system(Z, parse_poly(Z, "x^3+x+2"), [0, 1]),
+        gauss_example(),
+        validate_system(ZI, parse_poly(ZI, "2x^2+x+(2+i)"), range(5)),
+        example2(),
+    ] + [
+        validate_system(ring, parse_poly(ring, src), canonical_ff_digits(parse_poly(ring, src)))
+        for ring, src in ff
+    ]
+
+
+class TestCoordinateOrbitOracle:
+    """The coordinate walk of constant digit sets against element steps."""
+
+    def test_digit_sequence_matches_element_walk(self):
+        rng = random.Random(61)
+        kinds = set()
+        long_residues = 0
+        for system in constant_digit_systems():
+            assert system.digits_constant
+            q = system.qring
+            starts = [q.zero] + [rand_quot(rng, system, extra_degree=4) for _ in range(25)]
+            for a in starts:
+                if len(q.standard_representation(a).residue) > 1:
+                    long_residues += 1
+                for cap in (1, 2, 50):
+                    seq = system.digit_sequence(a, cap)
+                    assert seq == element_sequence(system, a, cap)
+                    kinds.add(seq.kind)
+        assert kinds == {"finite", "eventually-periodic", "unknown"}
+        assert long_residues > 20
+
+    def test_zero_cycle_matches_element_walk(self):
+        found = 0
+        for system in constant_digit_systems():
+            for cap in (1, 2, 3, 5, 50):
+                zc = system.zero_cycle(cap)
+                assert zc == element_zero_cycle(system, cap)
+                found += zc is not None and zc.period > 1
+        assert found > 0
 
 class TestSampledImplications:
     def test_fep_implies_pep_on_samples(self):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -49,9 +50,19 @@ class TestParsePoly:
         assert parse_poly(Z, "-(3)x + 1").coeffs == (1, -3)
         assert parse_poly(Z, "x + x").coeffs == (0, 2)
 
+    def test_huge_exponent_rejected_before_allocation(self):
+        start = time.perf_counter()
+        for src, ring in (("x^1000000000", Z), ("3x^1000000000+1", ZI), ("y^1000000000*x+1", F2)):
+            with pytest.raises(ParseError, match="exponent"):
+                parse_poly(ring, src)
+        assert time.perf_counter() - start < 1.0
+        assert parse_poly(Z, "x^100000").degree == 100000
+
     def test_errors(self):
         with pytest.raises(ParseError):
             parse_poly(Z, "x^")
+        with pytest.raises(ParseError):
+            parse_poly(Z, "x^²")
         with pytest.raises(ParseError):
             parse_poly(Z, "(1+2x")
         with pytest.raises(ParseError):
@@ -94,7 +105,7 @@ class TestNormalize:
     def test_tail_entries_lie_in_lead_residues(self):
         rng = random.Random(11)
         q = qring("2x^2+3x+6")
-        members = set(q.lead_residues)
+        members = set(Z.residues(q.pd))
         for _ in range(200):
             a = q.normalize(rand_poly(rng, Z, 6))
             assert all(r in members for r in a.tail)

@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from digsys import Fp, FpPoly, GaussianInt, ParseError, Z, ZI
+from digsys.rings import FpPolynomialRing
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -156,6 +158,13 @@ class TestParseFormat:
             F3.parse("4y")
         assert "out of range" in str(exc.value)
 
+    def test_huge_exponent_rejected_before_allocation(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="exponent"):
+            F2.parse("y^1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert F2.parse("y^100000").degree == 100000
+
     def test_roundtrip(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -171,6 +180,34 @@ gaussians = st.builds(GaussianInt, st.integers(-50, 50), st.integers(-50, 50))
 f3_polys = st.builds(
     lambda cs: FpPoly.make(3, cs), st.lists(st.integers(0, 2), max_size=5)
 )
+
+
+class TestPrimeField:
+    def test_small_characteristics_match_trial_division(self):
+        for p in range(2000):
+            prime = p >= 2 and all(p % k for k in range(2, int(p**0.5) + 1))
+            if prime:
+                assert FpPolynomialRing(p).p == p
+            else:
+                with pytest.raises(ValueError, match="not prime"):
+                    FpPolynomialRing(p)
+
+    def test_large_prime_builds_quickly(self):
+        start = time.perf_counter()
+        assert FpPolynomialRing(2**61 - 1).p == 2**61 - 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_pseudoprimes_rejected(self):
+        # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7;
+        # 561 is a Carmichael number
+        for n in (3215031751, 561):
+            with pytest.raises(ValueError, match="not prime"):
+                FpPolynomialRing(n)
+
+    def test_beyond_exact_range_rejected(self):
+        # the first 13 prime bases decide primality only below this bound
+        with pytest.raises(ValueError, match="cannot be decided"):
+            FpPolynomialRing(3_317_044_064_679_887_385_961_981)
 
 
 class TestProperties:
