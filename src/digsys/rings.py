@@ -14,6 +14,14 @@ and "not a zero divisor" coincide.  Every ring supplies
 * a whitespace-insensitive text grammar with ``parse``/``format``
   round-tripping.
 
+Polynomials over F_p are multiplied by Kronecker substitution (Harvey
+2009): both coefficient tuples are packed into integers with byte slots
+wide enough that no slot of the product carries into the next, one
+integer product is taken, and its slots are reduced mod p.  Addition,
+subtraction and division stay coefficient loops; the divisors met in
+practice are base coefficients with a few terms, so division is linear
+in the dividend.
+
 All values are immutable and all operations are pure, so they may be
 shared freely between threads.
 """
@@ -177,11 +185,14 @@ class FpPoly:
         self._check(other)
         p = self.p
         a, b = self.coeffs, other.coeffs
-        la, lb = len(a), len(b)
-        out = [
-            ((a[i] if i < la else 0) - (b[i] if i < lb else 0)) % p
-            for i in range(la if la >= lb else lb)
-        ]
+        if len(a) >= len(b):
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] = (out[i] - c) % p
+        else:
+            out = [(-c) % p for c in b]
+            for i, c in enumerate(a):
+                out[i] = (out[i] + c) % p
         while out and out[-1] == 0:
             out.pop()
         return FpPoly(p, tuple(out))
@@ -192,18 +203,25 @@ class FpPoly:
         return FpPoly(p, tuple((-c) % p for c in self.coeffs))
 
     def __mul__(self, other: FpPoly) -> FpPoly:
+        # Kronecker substitution: each coefficient of the integer product
+        # is at most (p-1)^2 * min(la, lb), so k-byte slots of that width
+        # never carry into each other
         self._check(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return FpPoly(self.p, ())
         p = self.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, av in enumerate(a):
-            if av:
-                for j, bv in enumerate(b):
-                    out[i + j] += av * bv
+        k = (((p - 1) ** 2 * min(len(a), len(b))).bit_length() + 7) >> 3
+        n = len(a) + len(b) - 1
+        if k == 1:
+            prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+            out = tuple(prod.to_bytes(n, "little").translate(_mod_table(p)))
+        else:
+            prod = _pack(a, k) * _pack(b, k)
+            raw = prod.to_bytes(n * k, "little")
+            out = tuple(int.from_bytes(raw[i : i + k], "little") % p for i in range(0, n * k, k))
         # the leading entry is a product of nonzero residues mod a prime
-        return FpPoly(p, tuple(c % p for c in out))
+        return FpPoly(p, out)
 
     def __divmod__(self, other: FpPoly) -> tuple[FpPoly, FpPoly]:
         self._check(other)
@@ -234,6 +252,17 @@ class FpPoly:
 
     def __repr__(self) -> str:
         return f"FpPoly({self.p}, {self.coeffs})"
+
+
+@functools.lru_cache(maxsize=None)
+def _mod_table(p: int) -> bytes:
+    # byte -> byte mod p; used only when one-byte slots suffice, so p < 16
+    return bytes(i % p for i in range(256))
+
+
+def _pack(coeffs: tuple, k: int) -> int:
+    """The integer with coefficient i in little-endian byte slot i of width k."""
+    return int.from_bytes(b"".join(c.to_bytes(k, "little") for c in coeffs), "little")
 
 
 def _format_fp(a: FpPoly) -> str:
@@ -280,12 +309,13 @@ class _Scanner:
         return ParseError(message, self.text, self.pos)
 
     def integer(self) -> int:
-        m = _re.compile(r"-?\d+").match(self.text, self.pos)
+        at = self.pos
+        m = _re.compile(r"-?\d+").match(self.text, at)
         if not m:
             raise self.error("expected an integer")
         self.pos = m.end()
         self.skip()
-        return int(m.group())
+        return self._int(m.group(), at)
 
     def digits(self) -> str:
         m = _re.compile(r"\d+").match(self.text, self.pos)
@@ -296,7 +326,18 @@ class _Scanner:
         return m.group()
 
     def unsigned(self) -> int:
-        return int(self.digits())
+        at = self.pos
+        return self._int(self.digits(), at)
+
+    def _int(self, literal: str, at: int) -> int:
+        # int() refuses literals beyond the interpreter's digit limit
+        # (sys.get_int_max_str_digits)
+        try:
+            return int(literal)
+        except ValueError:
+            raise ParseError(
+                f"integer literal of {len(literal)} characters is too long", self.text, at
+            ) from None
 
     def sign(self) -> int:
         if self.peek() == "+":

@@ -12,6 +12,13 @@ witnesses stay inside the set and orbit checks never leave it.  The
 norm bound for closure finiteness is not computed; termination is
 detected by set stabilisation under a size cap.
 
+For constant digit sets the closure runs on basis coordinates.  Only
+the constant e differs between the images T(v + e) of one element v, so
+its carry sum(q_i p_{d-i}) is divided by p0 once per element, and each
+shift adds one division of a residue plus a digit.  The coordinates are
+converted to elements only when ``WitnessClosure.elements`` is first
+read, so a capped closure that ends in "unknown" is never converted.
+
 Over a polynomial coefficient ring F_p[y] no finite set can additively
 generate the module, so a "yes" there rests on the stabilised closure
 alone (the verdict says so), while "no" is always backed by an
@@ -22,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .digits import DigitSystem
-from .polyquot import Poly
+from .polyquot import Poly, QuotRing
 from .rings import GaussianInt, GaussianIntegerRing, FpPolynomialRing, Z
 
 DEFAULT_CLOSURE_CAP = 10**5
@@ -34,14 +42,25 @@ DEFAULT_CLOSURE_CAP = 10**5
 
 @dataclass(frozen=True)
 class WitnessClosure:
-    elements: frozenset
+    """A witness closure as found: ``members`` are elements or, when
+    ``qring`` is set, their basis coordinates, which ``elements``
+    converts to elements on first read."""
+
+    members: frozenset
     seed: frozenset
     stabilized: bool
     rounds: int
     cap: int
+    qring: QuotRing | None = None
+
+    @cached_property
+    def elements(self) -> frozenset:
+        if self.qring is None:
+            return self.members
+        return frozenset(map(self.qring.from_coords, self.members))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.members)
 
 
 @dataclass
@@ -152,12 +171,15 @@ def witness_closure(
 
 def _coordinate_closure(system, seed, seed_coords, cap) -> WitnessClosure:
     # same loop in basis coordinates: seeds lie in the basis module and
-    # T(v + e) stays inside it for constant digit sets
+    # T(v + e) stays inside it for constant digit sets.  With
+    # sum(q_i p_{d-i}) = r + q0*p0 found once by T(v), T(v + e) is the step
+    # of the constant r + e with q0 taken off its carry: the residue
+    # depends only on the class mod p0, and the quotient is then unique.
     ring = system.ring
+    add, sub, zero = ring.add, ring.sub, ring.zero
     step = system._carry_step
-    shifts = [e.constant for e in system.digits]
-    if not any(ring.is_zero(s) for s in shifts):
-        shifts.append(ring.zero)
+    carry = system._carry
+    shifts = [e.constant for e in system.digits if not ring.is_zero(e.constant)]
     elements = set(seed_coords)
     frontier = list(elements)
     rounds = 0
@@ -168,8 +190,13 @@ def _coordinate_closure(system, seed, seed_coords, cap) -> WitnessClosure:
             break
         new = []
         for v in frontier:
+            r, w = step(v, zero)
+            images = [w]
+            head, nq = w[:-1], sub(w[-1], carry[r])
             for s in shifts:
-                w = step(v, s)[1]
+                last = step((), add(r, s))[1][0]
+                images.append(head + (add(last, nq),))
+            for w in images:
                 if w not in elements:
                     elements.add(w)
                     new.append(w)
@@ -177,8 +204,9 @@ def _coordinate_closure(system, seed, seed_coords, cap) -> WitnessClosure:
         rounds += 1
     if len(elements) > cap:
         stabilized = False
-    out = frozenset(system.qring.from_coords(c) for c in elements)
-    return WitnessClosure(out, frozenset(seed), stabilized, rounds, cap)
+    return WitnessClosure(
+        frozenset(elements), frozenset(seed), stabilized, rounds, cap, system.qring
+    )
 
 
 def verify_witness_set(system: DigitSystem, elements, generators) -> tuple[bool, list]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from digsys import Fp, FpPoly, GaussianInt, ParseError, Z, ZI
+from digsys import Fp, FpPoly, GaussianInt, ParseError, Z, ZI, parse_poly
 from digsys.rings import FpPolynomialRing
 
 F2 = Fp(2)
@@ -165,6 +165,30 @@ class TestParseFormat:
         assert time.perf_counter() - start < 1.0
         assert F2.parse("y^100000").degree == 100000
 
+    def test_overlong_literals_raise_parse_error(self):
+        # beyond the interpreter's int-string digit limit, at the literal
+        for parse, text, pos in (
+            (lambda t: parse_poly(Z, t), "1" * 5000, 0),
+            (ZI.parse, "1" * 5000 + "i", 0),
+            (F2.parse, "1" * 5000, 0),
+            (ZI.parse, "3+" + "1" * 5000 + "i", 2),
+        ):
+            with pytest.raises(ParseError, match="too long") as exc:
+                parse(text)
+            assert exc.value.pos == pos
+
+    def test_error_message_is_bounded(self):
+        text = "x^" + "1" * 6000
+        with pytest.raises(ParseError) as exc:
+            parse_poly(Z, text)
+        assert exc.value.text == text and exc.value.pos == 1
+        assert len(str(exc.value)) < 200
+        assert "'x^111" in str(exc.value) and "..." in str(exc.value)
+        with pytest.raises(ParseError) as exc:
+            F2.parse("y+" * 3000 + "z")
+        assert len(str(exc.value)) < 200
+        assert "y+z'" in str(exc.value)
+
     def test_roundtrip(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -180,6 +204,62 @@ gaussians = st.builds(GaussianInt, st.integers(-50, 50), st.integers(-50, 50))
 f3_polys = st.builds(
     lambda cs: FpPoly.make(3, cs), st.lists(st.integers(0, 2), max_size=5)
 )
+
+
+def schoolbook_product(a: FpPoly, b: FpPoly) -> FpPoly:
+    """The quadratic product loop, kept as the oracle for FpPoly.__mul__."""
+    if not a or not b:
+        return FpPoly(a.p, ())
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, av in enumerate(a.coeffs):
+        for j, bv in enumerate(b.coeffs):
+            out[i + j] += av * bv
+    return FpPoly.make(a.p, out)
+
+
+class TestKroneckerProduct:
+    PRIMES = (2, 3, 5, 17, 251, 65537, 2**61 - 1)
+
+    def rand_poly(self, rng, p, length, top=False):
+        # top=True gives every coefficient p - 1, the largest slot sums
+        if top:
+            return FpPoly(p, (p - 1,) * length)
+        if length == 0:
+            return FpPoly(p, ())
+        low = tuple(rng.randrange(p) for _ in range(length - 1))
+        return FpPoly(p, low + (rng.randrange(1, p),))
+
+    def check(self, a, b):
+        assert a * b == schoolbook_product(a, b), (a, b)
+        assert b * a == schoolbook_product(b, a), (a, b)
+
+    def test_random_lengths(self):
+        rng = random.Random(31)
+        for p in self.PRIMES:
+            for _ in range(60):
+                la, lb = rng.randint(0, 40), rng.randint(0, 40)
+                self.check(self.rand_poly(rng, p, la), self.rand_poly(rng, p, lb))
+
+    def test_empty_and_constant_operands(self):
+        rng = random.Random(32)
+        for p in self.PRIMES:
+            zero, one = FpPoly(p, ()), FpPoly(p, (1,))
+            for length in (0, 1, 2, 9):
+                a = self.rand_poly(rng, p, length)
+                for c in (zero, one, FpPoly(p, (p - 1,)), self.rand_poly(rng, p, 1)):
+                    self.check(a, c)
+
+    def test_slot_width_switches(self):
+        # one-byte slots hold min(la, lb) * (p-1)^2 <= 255: up to 63 terms
+        # for p = 3 and 255 for p = 2; the next length needs two bytes.
+        # For p = 17 two bytes hold up to 255 terms.
+        rng = random.Random(33)
+        for p, lengths in ((3, (63, 64)), (2, (255, 256)), (5, (15, 16)), (17, (255, 256))):
+            for m in lengths:
+                for other in (m, m + 7, 3 * m):
+                    for top in (True, False):
+                        a, b = self.rand_poly(rng, p, m, top), self.rand_poly(rng, p, other, top)
+                        self.check(a, b)
 
 
 class TestPrimeField:

@@ -6,6 +6,8 @@ from digsys import (
     Fp,
     GaussianInt,
     Z,
+    ZI,
+    canonical_ff_digits,
     decide_fep,
     decide_pep,
     euclidean_necessary_check,
@@ -90,6 +92,58 @@ class TestClosure:
             assert closure.stabilized
             ok, violations = verify_witness_set(system, closure.elements, seeds)
             assert ok, violations
+
+
+def bfs_closure(system, seed, cap):
+    """Breadth-first closure under v -> T(v + e), e in N and e = 0, on
+    elements through system.step, with the cap checked between rounds:
+    the oracle for witness_closure.  Returns (elements, rounds, stabilized)."""
+    shifts = set(system.digits) | {system.qring.zero}
+    elements = set(seed)
+    frontier = set(seed)
+    rounds = 0
+    while frontier:
+        if len(elements) > cap:
+            return elements, rounds, False
+        frontier = {system.step(v + e) for v in frontier for e in shifts} - elements
+        elements |= frontier
+        rounds += 1
+    return elements, rounds, len(elements) <= cap
+
+
+class TestClosureOracle:
+    def systems(self):
+        F2, F3 = Fp(2), Fp(3)
+        # criterion-5 class U over F3[y]: the x- and x^2-coefficients have
+        # y-degree above deg_y p0, so the closure never stabilises
+        u_modulus = parse_poly(F3, "(y^2+1)x^2+y*x+(y+1)")
+        f2_modulus = parse_poly(F2, "x^2+(y^2+y+1)")
+        return [
+            (example1(), 10_000),
+            (example1_symmetric(), 10_000),
+            (example1(), 5),
+            (gauss_example(), 1000),
+            (validate_system(ZI, parse_poly(ZI, "(1-i)x^2+x+(2+i)"), range(5)), 200),
+            (validate_system(Z, parse_poly(Z, "3x+2"), [0, 1]), 30),
+            (validate_system(Z, parse_poly(Z, "-2x^3+x+3"), [0, -1, 1]), 50),
+            (example2(), 10_000),
+            (validate_system(F2, f2_modulus, canonical_ff_digits(f2_modulus)), 10_000),
+            (validate_system(F3, u_modulus, canonical_ff_digits(u_modulus)), 40),
+        ]
+
+    def test_matches_element_bfs(self):
+        capped = 0
+        for system, cap in self.systems():
+            ring, qring = system.ring, system.qring
+            point = qring.from_coords(tuple(ring.coerce(i + 2) for i in range(qring.d)))
+            for seed in (seed_witnesses(system, "brunotte"), {point, qring.zero}):
+                closure = witness_closure(system, seed, cap)
+                elements, rounds, stabilized = bfs_closure(system, seed, cap)
+                assert closure.elements == elements, system
+                assert (closure.rounds, closure.stabilized) == (rounds, stabilized), system
+                assert len(closure) == len(closure.elements)
+                capped += not stabilized
+        assert capped >= 3  # capped closures are compared too
 
 
 class TestVerify:
