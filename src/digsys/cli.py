@@ -169,8 +169,8 @@ def _run_zero_cycle(args) -> int:
 def _run_witness(args) -> int:
     system = _system_from_args(args)
     mode = args.mode or ("brunotte" if system.digits_constant else "power")
-    seeds = witness.seed_witnesses(system, mode)
-    closure = witness.witness_closure(system, seeds, cap=args.witness_cap)
+    closure = witness._closure(system, mode, args.witness_cap)
+    seeds = closure.seed
     fmt = system.qring.format
     fep = witness.decide_fep(system, closure_cap=args.witness_cap, mode=mode)
     pep = witness.decide_pep(system, closure_cap=args.witness_cap, mode=mode)

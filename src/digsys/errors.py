@@ -6,13 +6,14 @@ from __future__ import annotations
 class ParseError(ValueError):
     """Syntax error in an element or polynomial literal.
 
-    Carries the offending source text and a 0-based position.  The
-    message quotes at most 60 characters of the text around the
-    position, so a hostile literal is not echoed back in full.
+    Carries the bare message, the offending source text and a 0-based
+    position.  The full message quotes at most 60 characters of the text
+    around the position, so a hostile literal is not echoed back in full.
     """
 
     def __init__(self, message: str, text: str, pos: int):
         super().__init__(f"{message} (at position {pos} in {_excerpt(text, pos)})")
+        self.message = message
         self.text = text
         self.pos = pos
 

@@ -516,13 +516,19 @@ def parse_poly(ring: Ring, text: str) -> Poly:
             coef_src = term[:var_at].strip()
             if coef_src.endswith("*"):
                 coef_src = coef_src[:-1]
+        # absolute start of the coefficient, for errors inside it
+        coef_at = offset + len(term) - len(term.lstrip())
         coef_src = coef_src.strip()
         if not coef_src:
             c = ring.one
         else:
             if coef_src.startswith("(") and coef_src.endswith(")"):
                 coef_src = coef_src[1:-1]
-            c = ring.parse(coef_src)
+                coef_at += 1
+            try:
+                c = ring.parse(coef_src)
+            except ParseError as exc:
+                raise ParseError(exc.message, text, coef_at + exc.pos) from None
         if sign < 0:
             c = ring.neg(c)
         if k in coeffs:

@@ -19,6 +19,14 @@ shift adds one division of a residue plus a digit.  The coordinates are
 converted to elements only when ``WitnessClosure.elements`` is first
 read, so a capped closure that ends in "unknown" is never converted.
 
+The closure records the e = 0 image T(v) of every member it expands
+(``WitnessClosure.succ``), so the orbit statuses behind the finite
+expansion decision walk that map instead of stepping T again, and
+convert only the members they report.  ``decide_fep``, ``decide_pep``
+and the CLI share one cached closure per system: the most recent
+(system, mode, cap) closure is kept, so deciding both properties, or
+listing the closure beside them, builds it once.
+
 Over a polynomial coefficient ring F_p[y] no finite set can additively
 generate the module, so a "yes" there rests on the stabilised closure
 alone (the verdict says so), while "no" is always backed by an
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,7 +52,8 @@ DEFAULT_CLOSURE_CAP = 10**5
 class WitnessClosure:
     """A witness closure as found: ``members`` are elements or, when
     ``qring`` is set, their basis coordinates, which ``elements``
-    converts to elements on first read."""
+    converts to elements on first read.  ``succ`` maps each expanded
+    member to the member T(member); it is total on a stabilised closure."""
 
     members: frozenset
     seed: frozenset
@@ -52,12 +61,20 @@ class WitnessClosure:
     rounds: int
     cap: int
     qring: QuotRing | None = None
+    succ: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def _element_of(self) -> dict:
+        """Member -> element, converted once and shared with ``elements``."""
+        if self.qring is None:
+            return {v: v for v in self.members}
+        return {v: self.qring.from_coords(v) for v in self.members}
 
     @cached_property
     def elements(self) -> frozenset:
         if self.qring is None:
             return self.members
-        return frozenset(map(self.qring.from_coords, self.members))
+        return frozenset(self._element_of.values())
 
     def __len__(self) -> int:
         return len(self.members)
@@ -146,27 +163,24 @@ def witness_closure(
             seed_coords = None
         if seed_coords is not None:
             return _coordinate_closure(system, seed, seed_coords, cap)
-    shifts = list(system.digits)
-    if not any(d.is_zero for d in shifts):
-        shifts.append(qring.zero)
+    shifts = [e for e in system.digits if not e.is_zero]
     elements = set(seed)
+    succ = {}
     frontier = sorted(seed, key=qring.sort_key)
     rounds = 0
     while frontier:
         if len(elements) > cap:
-            return WitnessClosure(frozenset(elements), seed, False, rounds, cap)
+            return WitnessClosure(frozenset(elements), seed, False, rounds, cap, succ=succ)
         new = []
         for v in frontier:
-            for e in shifts:
-                w = system.step(v + e)
+            succ[v] = system.step(v)
+            for w in [succ[v]] + [system.step(v + e) for e in shifts]:
                 if w not in elements:
                     elements.add(w)
                     new.append(w)
         frontier = sorted(set(new), key=qring.sort_key)
         rounds += 1
-    if len(elements) > cap:
-        return WitnessClosure(frozenset(elements), seed, False, rounds, cap)
-    return WitnessClosure(frozenset(elements), seed, True, rounds, cap)
+    return WitnessClosure(frozenset(elements), seed, True, rounds, cap, succ=succ)
 
 
 def _coordinate_closure(system, seed, seed_coords, cap) -> WitnessClosure:
@@ -181,6 +195,7 @@ def _coordinate_closure(system, seed, seed_coords, cap) -> WitnessClosure:
     carry = system._carry
     shifts = [e.constant for e in system.digits if not ring.is_zero(e.constant)]
     elements = set(seed_coords)
+    succ = {}
     frontier = list(elements)
     rounds = 0
     stabilized = True
@@ -191,6 +206,7 @@ def _coordinate_closure(system, seed, seed_coords, cap) -> WitnessClosure:
         new = []
         for v in frontier:
             r, w = step(v, zero)
+            succ[v] = w
             images = [w]
             head, nq = w[:-1], sub(w[-1], carry[r])
             for s in shifts:
@@ -202,11 +218,18 @@ def _coordinate_closure(system, seed, seed_coords, cap) -> WitnessClosure:
                     new.append(w)
         frontier = new
         rounds += 1
-    if len(elements) > cap:
-        stabilized = False
     return WitnessClosure(
-        frozenset(elements), frozenset(seed), stabilized, rounds, cap, system.qring
+        frozenset(elements), frozenset(seed), stabilized, rounds, cap, system.qring, succ
     )
+
+
+@lru_cache(maxsize=1)
+def _closure(system: DigitSystem, mode: str, cap: int) -> WitnessClosure:
+    """The closure of the ``mode`` seeds of ``system``, shared by its
+    decisions.  Only the latest closure is kept, so memory stays bounded;
+    ``DigitSystem`` hashes by identity and the cache holds the system, so
+    a key never matches another system.  Callers must not mutate it."""
+    return witness_closure(system, seed_witnesses(system, mode), cap)
 
 
 def verify_witness_set(system: DigitSystem, elements, generators) -> tuple[bool, list]:
@@ -237,41 +260,41 @@ def _generation_caveat(system: DigitSystem) -> str:
     return ""
 
 
-def _orbit_statuses(system: DigitSystem, elements) -> tuple[dict, list]:
-    """For each element of a T-closed finite set, whether its orbit
-    reaches 0 and in how many steps; collects the cycles found."""
+def _orbit_statuses(system: DigitSystem, closure: WitnessClosure) -> tuple[dict, list]:
+    """For each member of a stabilised closure, whether its orbit under
+    ``closure.succ`` reaches 0 and in how many steps (for orbits that do
+    not, the length of the cycle they enter); also the cycles found, as
+    elements rotated to start at their least ``sort_key``.  Neither
+    depends on the order in which members are visited."""
     qring = system.qring
-    status: dict = {}
+    if closure.qring is None:
+        zero, to_element = qring.zero, None
+    else:
+        zero, to_element = (system.ring.zero,) * qring.d, qring.from_coords
+    succ = closure.succ
+    status: dict = {zero: (True, 0)}
     cycles: list[tuple] = []
-    for v in sorted(elements, key=qring.sort_key):
+    for v in closure.members:
         path = []
         index = {}
         cur = v
-        while True:
-            if cur.is_zero:
-                status.setdefault(cur, (True, 0))
-                steps = 0
-                for u in reversed(path):
-                    steps += 1
-                    status[u] = (True, steps)
-                break
-            if cur in status:
-                reaches, steps = status[cur]
-                for offset, u in enumerate(reversed(path), start=1):
-                    status[u] = (reaches, steps + offset if reaches else steps)
-                break
+        while cur not in status:
             if cur in index:
                 cyc = path[index[cur] :]
-                start = min(range(len(cyc)), key=lambda i: qring.sort_key(cyc[i]))
-                cycles.append(tuple(cyc[start:] + cyc[:start]))
                 for u in cyc:
                     status[u] = (False, len(cyc))
-                for u in path[: index[cur]]:
-                    status[u] = (False, len(cyc))
+                if to_element is not None:
+                    cyc = [to_element(u) for u in cyc]
+                start = min(range(len(cyc)), key=lambda i: qring.sort_key(cyc[i]))
+                cycles.append(tuple(cyc[start:] + cyc[:start]))
+                del path[index[cur] :]
                 break
             index[cur] = len(path)
             path.append(cur)
-            cur = system.step(cur)
+            cur = succ[cur]
+        reaches, steps = status[cur]
+        for offset, u in enumerate(reversed(path), start=1):
+            status[u] = (reaches, steps + offset if reaches else steps)
     return status, cycles
 
 
@@ -288,8 +311,7 @@ def decide_fep(
     """
     if mode is None:
         mode = "brunotte" if system.digits_constant else "power"
-    seed = seed_witnesses(system, mode)
-    closure = witness_closure(system, seed, closure_cap)
+    closure = _closure(system, mode, closure_cap)
     if not closure.stabilized:
         return Verdict(
             "fep",
@@ -299,7 +321,7 @@ def decide_fep(
             stabilized=False,
             certificate={"cap": closure.cap, "mode": mode},
         )
-    status, cycles = _orbit_statuses(system, closure.elements)
+    status, cycles = _orbit_statuses(system, closure)
     if cycles:
         cycle = min(cycles, key=lambda c: system.qring.sort_key(c[0]))
         return Verdict(
@@ -310,7 +332,8 @@ def decide_fep(
             stabilized=True,
             certificate={"cycle": cycle, "mode": mode},
         )
-    orbit_steps = {v: status[v][1] for v in closure.elements}
+    element_of = closure._element_of
+    orbit_steps = {element_of[v]: status[v][1] for v in closure.members}
     return Verdict(
         "fep",
         "yes",
@@ -331,8 +354,7 @@ def decide_pep(
     never answers no, since non-periodicity has no finite certificate."""
     if mode is None:
         mode = "brunotte" if system.digits_constant else "power"
-    seed = seed_witnesses(system, mode)
-    closure = witness_closure(system, seed, closure_cap)
+    closure = _closure(system, mode, closure_cap)
     if closure.stabilized:
         return Verdict(
             "pep",

@@ -58,6 +58,12 @@ class TestParsePoly:
         assert time.perf_counter() - start < 1.0
         assert parse_poly(Z, "x^100000").degree == 100000
 
+    def test_coefficient_error_position_in_whole_polynomial(self):
+        for ring, src, pos in ((Z, "3x^2+12ax", 7), (ZI, "x^2 + (1+)x", 9)):
+            with pytest.raises(ParseError) as info:
+                parse_poly(ring, src)
+            assert (info.value.text, info.value.pos) == (src, pos)
+
     def test_errors(self):
         with pytest.raises(ParseError):
             parse_poly(Z, "x^")

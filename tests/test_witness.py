@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -14,9 +16,11 @@ from digsys import (
     expanding_check,
     orbit_graph,
     parse_poly,
+    product_digit_set,
     seed_witnesses,
     validate_system,
     verify_witness_set,
+    witness,
     witness_closure,
 )
 
@@ -144,6 +148,158 @@ class TestClosureOracle:
                 assert len(closure) == len(closure.elements)
                 capped += not stabilized
         assert capped >= 3  # capped closures are compared too
+
+
+def element_orbit_statuses(system, elements):
+    """Orbit statuses by stepping elements with system.step: the oracle
+    for the statuses that decide_fep reads from the closure's T-images."""
+    qring = system.qring
+    status: dict = {}
+    cycles: list[tuple] = []
+    for v in sorted(elements, key=qring.sort_key):
+        path = []
+        index = {}
+        cur = v
+        while True:
+            if cur.is_zero:
+                status.setdefault(cur, (True, 0))
+                steps = 0
+                for u in reversed(path):
+                    steps += 1
+                    status[u] = (True, steps)
+                break
+            if cur in status:
+                reaches, steps = status[cur]
+                for offset, u in enumerate(reversed(path), start=1):
+                    status[u] = (reaches, steps + offset if reaches else steps)
+                break
+            if cur in index:
+                cyc = path[index[cur] :]
+                start = min(range(len(cyc)), key=lambda i: qring.sort_key(cyc[i]))
+                cycles.append(tuple(cyc[start:] + cyc[:start]))
+                for u in cyc:
+                    status[u] = (False, len(cyc))
+                for u in path[: index[cur]]:
+                    status[u] = (False, len(cyc))
+                break
+            index[cur] = len(path)
+            path.append(cur)
+            cur = system.step(cur)
+    return status, cycles
+
+
+class TestOrbitStatusOracle:
+    def systems(self):
+        F2, F3 = Fp(2), Fp(3)
+
+        def ff(ring, src):
+            modulus = parse_poly(ring, src)
+            return validate_system(ring, modulus, canonical_ff_digits(modulus))
+
+        gauss_sym = [GaussianInt(a, 0) for a in range(-2, 3)]
+        combined = product_digit_set(
+            Z, parse_poly(Z, "x-2"), [0, 1], parse_poly(Z, "x+3"), [-1, 0, 1]
+        ).combined
+        return [
+            example1(),
+            example1_symmetric(),
+            validate_system(Z, parse_poly(Z, "-2x^3+x+3"), [0, -1, 1]),
+            gauss_example(),
+            validate_system(ZI, parse_poly(ZI, "(1+i)x+(1+2i)"), gauss_sym),
+            validate_system(ZI, parse_poly(ZI, "(1-i)x^2+x+(2+i)"), range(5)),
+            example2(),
+            ff(F2, "x^2+(y^2+y+1)"),
+            ff(F2, "y*x^2+x+y"),
+            ff(F3, "x^2+y*x+(y^2+2)"),
+            ff(F3, "x^2+(2y+1)x+2y"),
+            product_digit_set(
+                Z, parse_poly(Z, "x+2"), [0, 1], parse_poly(Z, "x+3"), [0, 1, 2]
+            ).combined,
+            combined,
+        ]
+
+    def test_statuses_match_element_walk(self):
+        answers = {"yes": 0, "no": 0}
+        paths = {"coordinates": 0, "elements": 0}
+        for system in self.systems():
+            qring = system.qring
+            for mode in ("brunotte", "power") if system.digits_constant else ("power",):
+                closure = witness_closure(system, seed_witnesses(system, mode), 2000)
+                assert closure.stabilized, system
+                if closure.qring is None:
+                    paths["elements"] += 1
+                    image = system.step
+                else:
+                    paths["coordinates"] += 1
+                    def image(v):
+                        return qring.coords(system.step(qring.from_coords(v)))
+                assert set(closure.succ) == set(closure.members)
+                for v in closure.members:
+                    assert closure.succ[v] == image(v), system
+
+                verdict = decide_fep(system, 2000, mode)
+                answers[verdict.answer] += 1
+                status, cycles = element_orbit_statuses(system, closure.elements)
+                if verdict.answer == "no":
+                    expected = min(cycles, key=lambda c: qring.sort_key(c[0]))
+                    assert verdict.certificate["cycle"] == expected, system
+                    continue
+                assert not cycles
+                orbit_steps = verdict.certificate["orbit_steps"]
+                assert set(orbit_steps) == closure.elements
+                for v, steps in orbit_steps.items():
+                    walked, cur = 0, v
+                    while not cur.is_zero:
+                        cur = system.step(cur)
+                        walked += 1
+                        assert walked <= len(closure)
+                    assert steps == walked == status[v][1], system
+        assert min(answers.values()) >= 5 and min(paths.values()) >= 5
+
+
+class TestClosureCache:
+    def count_closures(self, monkeypatch):
+        calls = []
+        build = witness.witness_closure
+
+        def counting(system, seed, cap):
+            calls.append((system, cap))
+            return build(system, seed, cap)
+
+        monkeypatch.setattr(witness, "witness_closure", counting)
+        return calls
+
+    def test_fep_and_pep_share_one_closure(self, monkeypatch):
+        calls = self.count_closures(monkeypatch)
+        for system in (example1(), example1_symmetric(), gauss_example(), example2()):
+            fep = decide_fep(system)
+            pep = decide_pep(system)
+            assert fep.witnesses == pep.witnesses
+        assert len(calls) == 4
+
+    def test_cap_and_mode_are_part_of_the_key(self):
+        def fields(verdict):
+            return verdict.answer, verdict.witnesses, verdict.certificate.get("cycle")
+
+        for make in (example1, example1_symmetric):
+            system = make()
+            assert decide_fep(system, 5).answer == "unknown"
+            assert fields(decide_fep(system, 500)) == fields(decide_fep(make(), 500))
+            modes = [decide_fep(system, 500, mode) for mode in ("brunotte", "power")]
+            fresh = [decide_fep(make(), 500, mode) for mode in ("brunotte", "power")]
+            assert [fields(v) for v in modes] == [fields(v) for v in fresh]
+            assert modes[0].witnesses != modes[1].witnesses
+            assert decide_pep(system, 5).answer == "unknown"
+
+    def test_holds_at_most_one_closure(self):
+        first = example1()
+        decide_fep(first)
+        gone = weakref.ref(first)
+        del first
+        decide_fep(gauss_example())
+        gc.collect()
+        assert gone() is None
+        assert witness._closure.cache_info().currsize == 1
 
 
 class TestVerify:
