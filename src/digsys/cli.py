@@ -176,7 +176,7 @@ def _run_witness(args) -> int:
     pep = witness.decide_pep(system, closure_cap=args.witness_cap, mode=mode)
     dot_text = None
     if closure.stabilized:
-        graph = witness.orbit_graph(system, closure.elements)
+        graph = witness._closure_graph(system, closure)
         dot_text = graph.to_dot()
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as fh:

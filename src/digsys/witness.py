@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-import numpy as np
-
+from . import unitcircle
 from .digits import DigitSystem
 from .polyquot import Poly, QuotRing
 from .rings import GaussianInt, GaussianIntegerRing, FpPolynomialRing, Z
@@ -114,6 +113,14 @@ class OrbitGraph:
 
 @dataclass(frozen=True)
 class ExpandingReport:
+    """Where the roots of a base polynomial lie about the unit circle.
+
+    ``status`` is exact: "borderline" when a root lies on |z| = 1,
+    otherwise "not-expanding" when a root lies inside and "expanding"
+    when every root lies outside.  ``moduli`` are the root moduli in
+    floating point, sorted, each repeated by its multiplicity.
+    """
+
     status: str  # "expanding" | "not-expanding" | "borderline"
     moduli: tuple
     modulus_sq: Fraction | None  # exact |root|^2 for linear polynomials
@@ -399,6 +406,14 @@ def orbit_graph(system: DigitSystem, elements, growth_cap: int = 100_000) -> Orb
     return OrbitGraph(system, ordered, succ)
 
 
+def _closure_graph(system: DigitSystem, closure: WitnessClosure) -> OrbitGraph:
+    """The ``orbit_graph`` of a stabilised closure's elements, read from
+    ``closure.succ`` through its member -> element map, without stepping."""
+    element_of = closure._element_of
+    succ = {element_of[v]: element_of[w] for v, w in closure.succ.items()}
+    return OrbitGraph(system, tuple(sorted(succ, key=system.qring.format)), succ)
+
+
 def euclidean_necessary_check(system: DigitSystem) -> Verdict | None:
     """Quick negative test: with small constant digits, a leading
     coefficient at least as large as p0 (in Euclidean value) rules the
@@ -423,19 +438,32 @@ def euclidean_necessary_check(system: DigitSystem) -> Verdict | None:
     return None
 
 
-def expanding_check(modulus: Poly, delta: float = 1e-9) -> ExpandingReport:
-    """Numerical root-modulus test for base polynomials over Z or Z[i]."""
+def expanding_check(modulus: Poly) -> ExpandingReport:
+    """Exact expanding test for base polynomials over Z or Z[i].
+
+    The roots inside, on and outside the unit circle are counted in
+    exact Q(i) arithmetic through the Cayley transform and Cauchy
+    indices, after dividing out the part of gcd(f, f*) that carries the
+    roots on the circle and the pairs z, 1/conj(z) (Marden, *Geometry of
+    Polynomials*, ch. X; see ``digsys.unitcircle``).  The moduli come
+    from an Aberth iteration on the exact square-free factors.
+    """
     ring = modulus.ring
     if isinstance(ring, FpPolynomialRing):
         raise ValueError("root moduli are defined only for rings embeddable in C")
     if modulus.degree < 1:
         raise ValueError("the polynomial must have degree at least 1")
     if ring == Z:
-        cs = [complex(c) for c in modulus.coeffs]
+        coeffs = [unitcircle.GaussRational(c) for c in modulus.coeffs]
     else:
-        cs = [complex(c.re, c.im) for c in modulus.coeffs]
-    roots = np.roots(list(reversed(cs)))
-    moduli = tuple(sorted(float(abs(r)) for r in roots))
+        coeffs = [unitcircle.GaussRational(c.re, c.im) for c in modulus.coeffs]
+    inside = on = 0
+    moduli = []
+    for factor, k in unitcircle.squarefree_factors(coeffs):
+        factor_inside, factor_on, _ = unitcircle.circle_counts(factor)
+        inside += k * factor_inside
+        on += k * factor_on
+        moduli += unitcircle.root_moduli(factor) * k
     modulus_sq = None
     if modulus.degree == 1:
         p0, p1 = modulus.coeffs
@@ -443,11 +471,10 @@ def expanding_check(modulus: Poly, delta: float = 1e-9) -> ExpandingReport:
             modulus_sq = Fraction(p0 * p0, p1 * p1)
         else:
             modulus_sq = Fraction(p0.norm(), p1.norm())
-    low = moduli[0]
-    if any(1 - delta <= m <= 1 + delta for m in moduli):
+    if on:
         status = "borderline"
-    elif low < 1:
+    elif inside:
         status = "not-expanding"
     else:
         status = "expanding"
-    return ExpandingReport(status, moduli, modulus_sq)
+    return ExpandingReport(status, tuple(sorted(moduli)), modulus_sq)

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 
+import digsys
+from digsys import DigitSystem, witness
 from digsys.cli import main
 
 
@@ -206,6 +211,35 @@ class TestWitness:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_graph_reads_the_closure(self, capsys, monkeypatch):
+        # the orbit graph comes from the closure's recorded images: no
+        # T step runs once the closure is built
+        calls = {"step": 0, "at_closure": None}
+        step, closure = DigitSystem.step, witness.witness_closure
+
+        def counting_step(self, a):
+            calls["step"] += 1
+            return step(self, a)
+
+        def recording_closure(*args, **kwargs):
+            out = closure(*args, **kwargs)
+            calls["at_closure"] = calls["step"]
+            return out
+
+        monkeypatch.setattr(DigitSystem, "step", counting_step)
+        monkeypatch.setattr(witness, "witness_closure", recording_closure)
+        code, _, _ = run(
+            capsys,
+            "witness",
+            "--ring", "Zi",
+            "--poly", "(1+i)x+(1+2i)",
+            "--digits", "0,1,2,3,4",
+            "--dot", os.devnull,
+        )
+        assert code == 0
+        assert calls["at_closure"] is not None
+        assert calls["step"] - calls["at_closure"] == 0
+
 
 class TestSrs:
     def test_memberships(self, capsys):
@@ -270,3 +304,16 @@ class TestFf:
         assert code == 0
         report = json.loads(out)
         assert report["result"]["convert"]["status"] == "finite"
+
+
+def test_import_loads_no_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(digsys.__file__)))
+    probe = "import sys, digsys.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr or "importing digsys.cli loaded numpy"

@@ -7,6 +7,7 @@ import pytest
 from digsys import (
     Fp,
     GaussianInt,
+    Poly,
     Z,
     ZI,
     canonical_ff_digits,
@@ -217,6 +218,15 @@ class TestOrbitStatusOracle:
             ).combined,
             combined,
         ]
+
+    def test_closure_graph_matches_orbit_graph(self):
+        # the graph read from closure.succ against stepping every element
+        for system in self.systems():
+            for mode in ("brunotte", "power") if system.digits_constant else ("power",):
+                closure = witness_closure(system, seed_witnesses(system, mode), 2000)
+                graph = witness._closure_graph(system, closure)
+                assert graph == orbit_graph(system, closure.elements), system
+                assert graph.to_dot() == orbit_graph(system, closure.elements).to_dot()
 
     def test_statuses_match_element_walk(self):
         answers = {"yes": 0, "no": 0}
@@ -458,3 +468,78 @@ class TestExpandingCheck:
     def test_rejects_fp(self):
         with pytest.raises(ValueError):
             expanding_check(parse_poly(Fp(2), "y*x+y^2"))
+
+
+class TestExactExpandingCheck:
+    @pytest.mark.parametrize(
+        "ring, factors, status, moduli",
+        [
+            (Z, [("x-1", 5)], "borderline", [1.0] * 5),
+            (Z, [("x^2+1", 2)], "borderline", [1.0] * 4),
+            (Z, [("x^2+x+1", 1)], "borderline", [1.0] * 2),
+            # roots 2 and 1/2, a pair z, 1/conj(z)
+            (Z, [("2x^2-5x+2", 1)], "not-expanding", [0.5, 2.0]),
+            (Z, [("1000000000000x-1000000000001", 1)], "expanding", [1 + 1e-12]),
+            # |p0| = |p2| with no pair z, 1/conj(z): roots (-3 +- 13^(1/2))/2
+            (Z, [("x^2+3x-1", 1)], "not-expanding", [(13**0.5 - 3) / 2, (13**0.5 + 3) / 2]),
+            (Z, [("2x+1", 2), ("x-3", 1)], "not-expanding", [0.5, 0.5, 3.0]),
+            (Z, [("x^3+2x^2", 1)], "not-expanding", [0.0, 0.0, 2.0]),
+            (ZI, [("(1+i)x+(1+2i)", 1)], "expanding", [2.5**0.5]),
+            (ZI, [("x-i", 1)], "borderline", [1.0]),
+            (ZI, [("x-i", 2), ("2x+(1+i)", 1)], "borderline", [0.5**0.5, 1.0, 1.0]),
+        ],
+    )
+    def test_status_and_moduli(self, ring, factors, status, moduli):
+        report = expanding_check(_product(ring, factors))
+        assert report.status == status
+        assert len(report.moduli) == len(moduli)
+        assert all(abs(m - e) <= 1e-12 for m, e in zip(report.moduli, moduli))
+
+    def test_counts_with_multiplicity(self):
+        from digsys.unitcircle import GaussRational, circle_counts, squarefree_factors
+
+        f = _product(Z, [("x-1", 3), ("x+2", 2), ("3x-1", 1), ("x^2+1", 1)])
+        factors = squarefree_factors([GaussRational(c) for c in f.coeffs])
+        assert sorted((len(s) - 1, k) for s, k in factors) == [(1, 2), (1, 3), (3, 1)]
+        counts = [0, 0, 0]
+        for s, k in factors:
+            for j, n in enumerate(circle_counts(s)):
+                counts[j] += k * n
+        assert counts == [1, 5, 2]
+
+
+def _product(ring, factors):
+    """The product of ``text ** power`` over the (text, power) pairs."""
+    out = Poly.make(ring, [ring.one])
+    for text, power in factors:
+        for _ in range(power):
+            out = out * parse_poly(ring, text)
+    return out
+
+
+class TestExpandingOracle:
+    """The exact status and the Aberth moduli against ``np.roots`` on
+    seeded random polynomials whose roots lie at least 1e-3 from the
+    unit circle."""
+
+    def test_random_polynomials(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(20261018)
+        checked = {Z: 0, ZI: 0}
+        while min(checked.values()) < 40:
+            ring = rng.choice([Z, ZI])
+            size = rng.choice([3, 20, 1000])
+            parts = [
+                (rng.randint(-size, size), rng.randint(-size, size) if ring == ZI else 0)
+                for _ in range(rng.randint(2, 7))
+            ]
+            if parts[-1] == (0, 0):
+                continue
+            moduli = np.sort(np.abs(np.roots([complex(a, b) for a, b in reversed(parts)])))
+            if np.min(np.abs(moduli - 1)) < 1e-3:
+                continue
+            coeffs = [a if ring == Z else GaussianInt(a, b) for a, b in parts]
+            report = expanding_check(Poly.make(ring, coeffs))
+            assert report.status == ("not-expanding" if moduli[0] < 1 else "expanding")
+            assert np.max(np.abs(np.array(report.moduli) - moduli)) <= 1e-9
+            checked[ring] += 1
