@@ -12,6 +12,11 @@ The classification of orbits declares "finite" at the first arrival at
 running through the cycle of 0) is available separately via
 :meth:`DigitSystem.digit_stream`.
 
+Every orbit in the library (digit sequences, the zero cycle, the
+periodic set, closure orbit statuses, shift-radix orbits, window chains
+and the product recurrence) is followed by the one walker :func:`walk`,
+and its cycles are put in canonical order by :func:`rotate`.
+
 For a constant digit set, orbit walks (digit sequences, expansions and
 the zero cycle) run T in the coordinates of the standard representation
 A = sum q_i w_i + sum r_i X^i: T shifts q with one carry and shifts the
@@ -33,6 +38,40 @@ from .polyquot import Poly, QuotElem, QuotRing
 from .rings import Ring
 
 DEFAULT_STEP_CAP = 10**6
+
+
+def walk(start, step, known, cap: int | None = None) -> tuple:
+    """Follow ``start`` under ``step`` until a state lies in ``known``,
+    repeats, or ``cap`` steps were taken (None: no cap), checked in that
+    order at every state, the one reached after ``cap`` steps included.
+
+    Returns ``(kind, path, hit)``: ``path`` maps the ``len(path)`` states
+    stepped from to their step index, in order; ``kind`` is "known" (``hit``
+    the known state), "cycle" (``hit`` the index where the cycle starts)
+    or "cap" (``hit`` None)."""
+    path: dict = {}
+    limit = -1 if cap is None else max(cap, 0)
+    state = start
+    n = 0
+    while state not in known:
+        # one lookup both detects a repeat and records a new state
+        hit = path.setdefault(state, n)
+        if hit != n:
+            return "cycle", path, hit
+        if n == limit:
+            path.popitem()
+            return "cap", path, None
+        state = step(state)
+        n += 1
+    return "known", path, state
+
+
+def rotate(cycle, key=None) -> tuple:
+    """The cycle as a tuple starting at its least state under ``key``."""
+    cycle = tuple(cycle)
+    keys = cycle if key is None else [key(v) for v in cycle]
+    start = keys.index(min(keys))
+    return cycle[start:] + cycle[:start]
 
 
 @dataclass(frozen=True)
@@ -147,40 +186,39 @@ class DigitSystem:
         instead of the element; the representation is unique, so states
         and elements correspond one to one and the result is the same.
         """
+        digits: list[QuotElem] = []
+        emit = digits.append
         if self.digits_constant:
             rep = self.qring.standard_representation(a)
-            state, zero = (rep.q, rep.residue), ((self.ring.zero,) * self.qring.d, ())
-            advance = self._coordinate_advance
+            start, zero = (rep.q, rep.residue), ((self.ring.zero,) * self.qring.d, ())
+            lookup, carry_step, c0 = self._lookup, self._carry_step, self.ring.zero
+
+            def step(state):
+                # the residue part sum r_i X^i is a plain shift under T; only
+                # its constant r_0 enters the carry
+                q, residue = state
+                r, q = carry_step(q, residue[0] if residue else c0)
+                emit(lookup[r])
+                return q, residue[1:]
+
         else:
-            state, zero, advance = a, self.qring.zero, self._element_advance
-        seen: dict = {}
-        digits: list[QuotElem] = []
-        n = 0
-        while True:
-            if state == zero:
-                return DigitSequence(tuple(digits), "finite", steps=n)
-            hit = seen.get(state)
-            if hit is not None:
-                return DigitSequence(
-                    tuple(digits), "eventually-periodic", preperiod=hit, period=n - hit
-                )
-            if n == cap:
-                return DigitSequence(tuple(digits), "unknown", cap=cap)
-            seen[state] = n
-            d, state = advance(state)
-            digits.append(d)
-            n += 1
+            start, zero = a, self.qring.zero
+            digit_of, divide_by_x = self.digit_of, self.qring.divide_by_x
 
-    def _element_advance(self, a: QuotElem) -> tuple:
-        d = self.digit_of(a)
-        return d, self.qring.divide_by_x(a - d)
+            def step(b):
+                d = digit_of(b)
+                emit(d)
+                return divide_by_x(b - d)
 
-    def _coordinate_advance(self, state: tuple) -> tuple:
-        # the residue part sum r_i X^i is a plain shift under T; only its
-        # constant r_0 enters the carry
-        q, residue = state
-        r, q = self._carry_step(q, residue[0] if residue else self.ring.zero)
-        return self._lookup[r], (q, residue[1:])
+        kind, path, hit = walk(start, step, (zero,), cap)
+        n = len(path)
+        if kind == "known":
+            return DigitSequence(tuple(digits), "finite", steps=n)
+        if kind == "cycle":
+            return DigitSequence(
+                tuple(digits), "eventually-periodic", preperiod=hit, period=n - hit
+            )
+        return DigitSequence(tuple(digits), "unknown", cap=cap)
 
     def expand(self, a: QuotElem, cap: int = DEFAULT_STEP_CAP) -> Expansion:
         seq = self.digit_sequence(a, cap)
@@ -225,37 +263,21 @@ class DigitSystem:
         Exhaustive for the whole periodic set only when the seeds cover
         a stabilised witness closure.
         """
-        on_cycle: set[QuotElem] = set()
         resolved: set[QuotElem] = set()
         cycles: list[tuple] = []
         capped = False
         for seed in sorted(seeds, key=self.qring.sort_key):
-            path: list[QuotElem] = []
-            index: dict[QuotElem, int] = {}
-            cur = seed
-            steps = 0
-            hit_cap = False
-            while cur not in resolved:
-                if cur in index:
-                    cyc = path[index[cur] :]
-                    start = min(range(len(cyc)), key=lambda i: self.qring.sort_key(cyc[i]))
-                    cycles.append(tuple(cyc[start:] + cyc[:start]))
-                    on_cycle.update(cyc)
-                    break
-                if steps >= cap:
-                    hit_cap = True
-                    capped = True
-                    break
-                index[cur] = len(path)
-                path.append(cur)
-                cur = self.step(cur)
-                steps += 1
-            if not hit_cap:
-                resolved.update(path)
+            kind, path, hit = walk(seed, self.step, resolved, cap)
+            if kind == "cap":
+                capped = True
+                continue
+            if kind == "cycle":
+                cycles.append(rotate(list(path)[hit:], self.qring.sort_key))
+            resolved.update(path)
         cycles.sort(key=lambda c: self.qring.sort_key(c[0]))
         zero = self.qring.zero
         return PeriodicSetReport(
-            elements=frozenset(on_cycle),
+            elements=frozenset(v for c in cycles for v in c),
             orbits=tuple(cycles),
             contains_zero=any(zero in c for c in cycles),
             capped=capped,

@@ -16,9 +16,10 @@ the finite expansion property.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .digits import DEFAULT_STEP_CAP, DigitSystem, validate_system
+from .digits import DEFAULT_STEP_CAP, DigitSystem, validate_system, walk
 from .polyquot import Poly
 from .rings import FpPolynomialRing
 
@@ -113,16 +114,6 @@ class _PhiRewriter:
         out.append(self.zc[-1])
         return tuple(out)
 
-    def chain(self, start: tuple, cap: int = 10**4) -> list:
-        """States from ``start`` until the all-zero window (inclusive)."""
-        states = [tuple(start)]
-        for _ in range(cap):
-            cur = states[-1]
-            if all(self.ring.is_zero(c) for c in cur):
-                return states
-            states.append(self.step(cur))
-        raise ValueError("window chain did not reach the zero window within the cap")
-
 
 def phi_window_map(system: DigitSystem, zero_cycle, state: tuple) -> tuple:
     """One step of the window dynamics for the given zero cycle."""
@@ -133,9 +124,17 @@ def phi_window_map(system: DigitSystem, zero_cycle, state: tuple) -> tuple:
 
 
 def phi_chain(system: DigitSystem, zero_cycle, start: tuple, cap: int = 10**4) -> list:
-    """Window states from ``start`` to the all-zero window, inclusive."""
-    rewriter = _PhiRewriter(system, _cycle_constants(system.ring, zero_cycle))
-    return rewriter.chain(tuple(system.ring.coerce(c) for c in start), cap)
+    """Window states from ``start`` to the all-zero window, inclusive;
+    raises ValueError when the chain cycles or exceeds ``cap`` steps."""
+    ring = system.ring
+    rewriter = _PhiRewriter(system, _cycle_constants(ring, zero_cycle))
+    zero = (ring.zero,) * len(start)
+    kind, path, hit = walk(tuple(ring.coerce(c) for c in start), rewriter.step, (zero,), cap)
+    if kind == "cycle":
+        raise ValueError("window chain cycles without reaching the zero window")
+    if kind == "cap":
+        raise ValueError("window chain did not reach the zero window within the cap")
+    return list(path) + [hit]
 
 
 def prove_fep_via_zero_cycle(
@@ -182,42 +181,29 @@ def prove_fep_via_zero_cycle(
 
     # explore every window over the auxiliary digits
     order = sorted(aux, key=ring.sort_key)
-    starts = [()]
-    for _ in range(ell):
-        starts = [s + (a,) for s in starts for a in order]
-    status: dict = {}
-    zero_window = tuple([ring.zero] * ell)
-    status[zero_window] = 0
+    starts = list(itertools.product(order, repeat=ell))
+    status = {tuple([ring.zero] * ell): 0}
     for start in starts:
-        path = []
-        index = {}
-        cur = start
-        while True:
-            known = status.get(cur)
-            if known is not None:
-                for offset, u in enumerate(reversed(path), start=1):
-                    status[u] = known + offset
-                break
-            if cur in index:
-                cyc = tuple(path[index[cur] :])
-                return PhiVerdict(
-                    "no",
-                    "a window orbit cycles without reaching the zero window",
-                    zero_cycle=zc_consts,
-                    window_length=ell,
-                    cycle=cyc,
-                )
-            index[cur] = len(path)
-            path.append(cur)
-            try:
-                cur = rewriter.step(cur)
-            except ValueError as exc:
-                return PhiVerdict(
-                    "unknown",
-                    f"alphabet closure violated: {exc}",
-                    zero_cycle=zc_consts,
-                    window_length=ell,
-                )
+        try:
+            kind, path, hit = walk(start, rewriter.step, status)
+        except ValueError as exc:
+            return PhiVerdict(
+                "unknown",
+                f"alphabet closure violated: {exc}",
+                zero_cycle=zc_consts,
+                window_length=ell,
+            )
+        if kind == "cycle":
+            return PhiVerdict(
+                "no",
+                "a window orbit cycles without reaching the zero window",
+                zero_cycle=zc_consts,
+                window_length=ell,
+                cycle=tuple(path)[hit:],
+            )
+        n, known = len(path), status[hit]
+        for u, i in path.items():
+            status[u] = known + n - i
     reach = {s: status[s] for s in starts}
     return PhiVerdict(
         "yes",

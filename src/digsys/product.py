@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import witness
-from .digits import DigitSystem, validate_system
+from .digits import DigitSystem, validate_system, walk
 from .polyquot import Poly
 from .rings import Ring
 
@@ -134,7 +134,7 @@ def product_expand(
             poly = Poly.make(ring, [dv]) + p1.scale(ev)
             combined_digit[(dv, ev)] = qring.normalize(poly)
 
-    def shift(coeffs: list, carry, mod_coeffs) -> list:
+    def shift(coeffs: tuple, carry, mod_coeffs) -> tuple:
         top = max(len(coeffs) - 1, len(mod_coeffs) - 1)
         out = []
         for i in range(top):
@@ -144,27 +144,12 @@ def product_expand(
             out.append(val)
         while out and ring.is_zero(out[-1]):
             out.pop()
-        return out
+        return tuple(out)
 
-    a = list(element.coeffs)
-    b: list = []
     digits: list = []
-    seen: dict = {}
-    j = 0
-    while j < cap:
-        if not a and not b:
-            return ProductExpansion("finite", tuple(digits), steps=j)
-        state = (tuple(a), tuple(b))
-        hit = seen.get(state)
-        if hit is not None:
-            return ProductExpansion(
-                "eventually-periodic",
-                tuple(digits),
-                steps=j,
-                preperiod=hit,
-                period=j - hit,
-            )
-        seen[state] = j
+
+    def step(state: tuple) -> tuple:
+        a, b = state
         a0 = a[0] if a else ring.zero
         d = lookup1[ring.canonical_residue(a0, p0)[0]]
         k = ring.exact_div(ring.sub(a0, d), p0)
@@ -173,7 +158,14 @@ def product_expand(
         e = lookup2[ring.canonical_residue(t, pp0)[0]]
         l = ring.exact_div(ring.sub(t, e), pp0)
         digits.append(combined_digit[(d, e)])
-        a = shift(a, k, p)
-        b = shift(b, l, pp)
-        j += 1
+        return shift(a, k, p), shift(b, l, pp)
+
+    kind, path, hit = walk((tuple(element.coeffs), ()), step, (((), ()),), cap)
+    if kind == "known":
+        return ProductExpansion("finite", tuple(digits), steps=len(path))
+    if kind == "cycle":
+        n = len(path)
+        return ProductExpansion(
+            "eventually-periodic", tuple(digits), steps=n, preperiod=hit, period=n - hit
+        )
     return ProductExpansion("unknown", tuple(digits), steps=cap)

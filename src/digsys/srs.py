@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import witness
-from .digits import validate_system
+from .digits import rotate, validate_system, walk
 from .polyquot import Poly
 from .rings import Z
 
@@ -66,29 +66,14 @@ def tau_step(params: SrsParams, z) -> tuple[int, ...]:
 
 def tau_orbit(params: SrsParams, z, cap: int = 10**6) -> tuple[str, tuple]:
     """Classify one orbit: ("zero", steps) / ("cycle", cycle) / ("unknown", ())."""
-    seen = {}
-    cur = tuple(z)
-    for n in range(cap):
-        if all(v == 0 for v in cur):
-            return "zero", (n,)
-        if cur in seen:
-            return "cycle", tuple(
-                _rotate_min(_collect(seen, cur, n))
-            )
-        seen[cur] = n
-        cur = tau_step(params, cur)
+    start = tuple(z)
+    zero = (0,) * len(start)
+    kind, path, hit = walk(start, lambda v: tau_step(params, v), (zero,), cap)
+    if kind == "known":
+        return "zero", (len(path),)
+    if kind == "cycle":
+        return "cycle", rotate(list(path)[hit:])
     return "unknown", ()
-
-
-def _collect(seen: dict, entry: tuple, n: int) -> list:
-    period = n - seen[entry]
-    inv = {v: k for k, v in seen.items()}
-    return [inv[i] for i in range(seen[entry], seen[entry] + period)]
-
-
-def _rotate_min(cycle: list) -> list:
-    start = min(range(len(cycle)), key=lambda i: cycle[i])
-    return cycle[start:] + cycle[:start]
 
 
 def cns_to_srs(modulus: Poly) -> tuple[Fraction, ...]:

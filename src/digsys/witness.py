@@ -12,20 +12,22 @@ witnesses stay inside the set and orbit checks never leave it.  The
 norm bound for closure finiteness is not computed; termination is
 detected by set stabilisation under a size cap.
 
-For constant digit sets the closure runs on basis coordinates.  Only
-the constant e differs between the images T(v + e) of one element v, so
-its carry sum(q_i p_{d-i}) is divided by p0 once per element, and each
-shift adds one division of a residue plus a digit.  The coordinates are
-converted to elements only when ``WitnessClosure.elements`` is first
-read, so a capped closure that ends in "unknown" is never converted.
+One breadth-first loop builds every closure; it is given the images of
+a member v, T(v) first.  For constant digit sets the members are basis
+coordinates.  Only the constant e differs between the images T(v + e)
+of one element v, so its carry sum(q_i p_{d-i}) is divided by p0 once
+per element, and each shift adds one division of a residue plus a
+digit.  The coordinates are converted to elements only when
+``WitnessClosure.elements`` is first read, so a capped closure that ends
+in "unknown" is never converted.
 
 The closure records the e = 0 image T(v) of every member it expands
 (``WitnessClosure.succ``), so the orbit statuses behind the finite
-expansion decision walk that map instead of stepping T again, and
-convert only the members they report.  ``decide_fep``, ``decide_pep``
-and the CLI share one cached closure per system: the most recent
-(system, mode, cap) closure is kept, so deciding both properties, or
-listing the closure beside them, builds it once.
+expansion decision walk that map with ``digits.walk`` instead of
+stepping T again, and convert only the members they report.
+``decide_fep``, ``decide_pep`` and the CLI share one cached closure per
+system: the most recent (system, mode, cap) closure is kept, so deciding
+both properties, or listing the closure beside them, builds it once.
 
 Over a polynomial coefficient ring F_p[y] no finite set can additively
 generate the module, so a "yes" there rests on the stabilised closure
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import unitcircle
-from .digits import DigitSystem
+from .digits import DigitSystem, rotate, walk
 from .polyquot import Poly, QuotRing
 from .rings import GaussianInt, GaussianIntegerRing, FpPolynomialRing, Z
 
@@ -163,71 +165,69 @@ def witness_closure(
     for e in N and e = 0, or a flagged partial set when the cap is hit."""
     qring = system.qring
     seed = frozenset(seed)
+    members, coord_ring = seed, None
     if system.digits_constant:
         try:
-            seed_coords = [qring.coords(v) for v in seed]
+            members, coord_ring = frozenset([qring.coords(v) for v in seed]), qring
         except ValueError:
-            seed_coords = None
-        if seed_coords is not None:
-            return _coordinate_closure(system, seed, seed_coords, cap)
-    shifts = [e for e in system.digits if not e.is_zero]
-    elements = set(seed)
-    succ = {}
-    frontier = sorted(seed, key=qring.sort_key)
-    rounds = 0
-    while frontier:
-        if len(elements) > cap:
-            return WitnessClosure(frozenset(elements), seed, False, rounds, cap, succ=succ)
-        new = []
-        for v in frontier:
-            succ[v] = system.step(v)
-            for w in [succ[v]] + [system.step(v + e) for e in shifts]:
-                if w not in elements:
-                    elements.add(w)
-                    new.append(w)
-        frontier = sorted(set(new), key=qring.sort_key)
-        rounds += 1
-    return WitnessClosure(frozenset(elements), seed, True, rounds, cap, succ=succ)
-
-
-def _coordinate_closure(system, seed, seed_coords, cap) -> WitnessClosure:
-    # same loop in basis coordinates: seeds lie in the basis module and
-    # T(v + e) stays inside it for constant digit sets.  With
-    # sum(q_i p_{d-i}) = r + q0*p0 found once by T(v), T(v + e) is the step
-    # of the constant r + e with q0 taken off its carry: the residue
-    # depends only on the class mod p0, and the quotient is then unique.
-    ring = system.ring
-    add, sub, zero = ring.add, ring.sub, ring.zero
-    step = system._carry_step
-    carry = system._carry
-    shifts = [e.constant for e in system.digits if not ring.is_zero(e.constant)]
-    elements = set(seed_coords)
+            pass
+    images = _element_images(system) if coord_ring is None else _coordinate_images(system)
+    # breadth first: ``rounds`` counts levels, so it and the members found
+    # when the cap stops the search do not depend on the order within one
+    elements = set(members)
     succ = {}
     frontier = list(elements)
     rounds = 0
-    stabilized = True
-    while frontier:
-        if len(elements) > cap:
-            stabilized = False
-            break
+    while frontier and len(elements) <= cap:
         new = []
         for v in frontier:
-            r, w = step(v, zero)
-            succ[v] = w
-            images = [w]
-            head, nq = w[:-1], sub(w[-1], carry[r])
-            for s in shifts:
-                last = step((), add(r, s))[1][0]
-                images.append(head + (add(last, nq),))
-            for w in images:
+            found = images(v)
+            succ[v] = found[0]
+            for w in found:
                 if w not in elements:
                     elements.add(w)
                     new.append(w)
         frontier = new
         rounds += 1
-    return WitnessClosure(
-        frozenset(elements), frozenset(seed), stabilized, rounds, cap, system.qring, succ
-    )
+    stabilized = not frontier
+    return WitnessClosure(frozenset(elements), seed, stabilized, rounds, cap, coord_ring, succ)
+
+
+def _element_images(system: DigitSystem):
+    """v -> [T(v), T(v + e) for the nonzero digits e], on elements."""
+    step = system.step
+    shifts = [e for e in system.digits if not e.is_zero]
+
+    def images(v):
+        found = [step(v)]
+        for e in shifts:
+            found.append(step(v + e))
+        return found
+
+    return images
+
+
+def _coordinate_images(system: DigitSystem):
+    """The same images on basis coordinates, for seeds in the basis module
+    (T(v + e) stays inside it for constant digit sets).  With
+    sum(q_i p_{d-i}) = r + q0*p0 found once by T(v), T(v + e) is the step
+    of the constant r + e with q0 taken off its carry: the residue depends
+    only on the class mod p0, and the quotient is then unique."""
+    ring = system.ring
+    add, sub, zero = ring.add, ring.sub, ring.zero
+    step = system._carry_step
+    carry = system._carry
+    shifts = [e.constant for e in system.digits if not ring.is_zero(e.constant)]
+
+    def images(v):
+        r, w = step(v, zero)
+        head, nq = w[:-1], sub(w[-1], carry[r])
+        found = [w]
+        for s in shifts:
+            found.append(head + (add(step((), add(r, s))[1][0], nq),))
+        return found
+
+    return images
 
 
 @lru_cache(maxsize=1)
@@ -278,30 +278,24 @@ def _orbit_statuses(system: DigitSystem, closure: WitnessClosure) -> tuple[dict,
         zero, to_element = qring.zero, None
     else:
         zero, to_element = (system.ring.zero,) * qring.d, qring.from_coords
-    succ = closure.succ
+    step = closure.succ.__getitem__
     status: dict = {zero: (True, 0)}
     cycles: list[tuple] = []
     for v in closure.members:
-        path = []
-        index = {}
-        cur = v
-        while cur not in status:
-            if cur in index:
-                cyc = path[index[cur] :]
-                for u in cyc:
-                    status[u] = (False, len(cyc))
-                if to_element is not None:
-                    cyc = [to_element(u) for u in cyc]
-                start = min(range(len(cyc)), key=lambda i: qring.sort_key(cyc[i]))
-                cycles.append(tuple(cyc[start:] + cyc[:start]))
-                del path[index[cur] :]
-                break
-            index[cur] = len(path)
-            path.append(cur)
-            cur = succ[cur]
-        reaches, steps = status[cur]
-        for offset, u in enumerate(reversed(path), start=1):
-            status[u] = (reaches, steps + offset if reaches else steps)
+        if v in status:
+            continue
+        kind, path, hit = walk(v, step, status)
+        if kind == "cycle":
+            cyc = list(path)[hit:]
+            elements = cyc if to_element is None else [to_element(u) for u in cyc]
+            cycles.append(rotate(elements, qring.sort_key))
+            # the tail into a cycle reports the cycle's length, as its members do
+            reaches, steps = False, len(cyc)
+        else:
+            reaches, steps = status[hit]
+        n = len(path)
+        for u, i in path.items():
+            status[u] = (reaches, steps + n - i if reaches else steps)
     return status, cycles
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from digsys import Fp, GaussianInt, ValidationError, Z, ZI, parse_poly, validate_system
-from digsys.digits import DigitSequence, ZeroCycle
+from digsys.digits import DigitSequence, ZeroCycle, rotate, walk
 from digsys.ffds import canonical_ff_digits
 
 from support import (
@@ -229,6 +229,60 @@ class TestZeroCycle:
         assert system.zero_cycle(cap=200) is None
 
 
+class TestWalk:
+    # a hand-built map: 1 -> 2 -> 3 -> 0 (known), 4 -> 5 -> 6 -> 7 -> 5, 8 -> 8
+    MAP = {1: 2, 2: 3, 3: 0, 4: 5, 5: 6, 6: 7, 7: 5, 8: 8}
+
+    def follow(self, start, known=(0,), cap=None):
+        kind, path, hit = walk(start, self.MAP.__getitem__, known, cap)
+        return kind, list(path), hit
+
+    def test_tail_into_known_state(self):
+        assert self.follow(1) == ("known", [1, 2, 3], 0)
+
+    def test_tail_into_cycle(self):
+        assert self.follow(4) == ("cycle", [4, 5, 6, 7], 1)
+
+    def test_self_loop(self):
+        assert self.follow(8) == ("cycle", [8], 0)
+
+    def test_path_holds_step_indices(self):
+        _, path, _ = walk(4, self.MAP.__getitem__, (), None)
+        assert path == {4: 0, 5: 1, 6: 2, 7: 3}
+
+    def test_start_in_known(self):
+        assert self.follow(3, known={3: "x"}) == ("known", [], 3)
+
+    def test_cap_zero(self):
+        assert self.follow(1, cap=0) == ("cap", [], None)
+        assert self.follow(0, cap=0) == ("known", [], 0)
+        assert self.follow(8, cap=0) == ("cap", [], None)
+
+    def test_known_state_reached_at_exactly_cap(self):
+        # 1 reaches 0 after 3 steps; the state after cap steps is examined
+        assert self.follow(1, cap=2) == ("cap", [1, 2], None)
+        assert self.follow(1, cap=3) == ("known", [1, 2, 3], 0)
+        assert self.follow(1, cap=4) == ("known", [1, 2, 3], 0)
+
+    def test_repeat_found_at_exactly_cap(self):
+        # 4 repeats 5 after 4 steps
+        assert self.follow(4, cap=3) == ("cap", [4, 5, 6], None)
+        assert self.follow(4, cap=4) == ("cycle", [4, 5, 6, 7], 1)
+
+    def test_known_is_checked_before_repeat(self):
+        assert self.follow(4, known={5}) == ("known", [4], 5)
+
+    def test_rotate(self):
+        assert rotate([6, 7, 5]) == (5, 6, 7)
+        assert rotate((5,)) == (5,)
+
+    def test_rotate_under_key(self):
+        assert rotate([3, -1, 2], key=abs) == (-1, 2, 3)
+        assert rotate([3, -1, 2], key=lambda v: -v) == (3, -1, 2)
+        # ties go to the first least state
+        assert rotate([2, -1, 1], key=abs) == (-1, 1, 2)
+
+
 class TestPeriodicSet:
     def test_example2_orbit_of_zero(self):
         system = example2()
@@ -245,6 +299,20 @@ class TestPeriodicSet:
         system = example1()
         report = system.periodic_set([system.qring.zero])
         assert report.orbits == ((system.qring.zero,),)
+
+    def test_capped_flag_when_one_seed_hits_the_cap(self):
+        system = example1()
+        q = system.qring
+        far = q.from_const(10**6)
+        n = system.digit_sequence(far).steps
+        assert n > 3
+        for cap, capped in ((n - 1, True), (n, False), (n + 1, False)):
+            # 0 is resolved first, so the long orbit stops at 0 after n steps
+            report = system.periodic_set([far, q.zero], cap)
+            assert report.capped is capped
+            assert report.orbits == ((q.zero,),)
+        report = system.periodic_set([q.zero], 0)
+        assert report.capped
 
     def test_gauss_witnesses_single_orbit_with_zero(self):
         system = gauss_example()

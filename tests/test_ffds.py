@@ -15,6 +15,7 @@ from digsys import (
     prove_fep_via_zero_cycle,
     validate_system,
 )
+from digsys.ffds import _PhiRewriter
 
 from support import example2, rand_poly
 
@@ -123,6 +124,31 @@ class TestChain:
             ("0", "0", "0", "0"),
         ]
 
+    def test_cap_boundary(self):
+        # the chain from this window reaches the zero window in 11 steps
+        system = example2()
+        zc = system.zero_cycle()
+        start = tuple(e2(t) for t in ("1", "0", "y", "1"))
+        with pytest.raises(ValueError, match="within the cap"):
+            phi_chain(system, zc, start, cap=10)
+        assert len(phi_chain(system, zc, start, cap=11)) == 12
+        assert len(phi_chain(system, zc, start, cap=12)) == 12
+
+    def test_cycling_window_raises_at_the_repeat(self, monkeypatch):
+        # over F2, x + y with digits {1, y^2+y}: the window (0, 1) maps to itself
+        system = validate_system(F2, parse_poly(F2, "x + y"), [e2("1"), e2("y^2+y")])
+        zc = system.zero_cycle()
+        start = (F2.zero, F2.one)
+        assert phi_window_map(system, zc, start) == start
+        calls = []
+        step = _PhiRewriter.step
+        monkeypatch.setattr(
+            _PhiRewriter, "step", lambda self, state: calls.append(state) or step(self, state)
+        )
+        with pytest.raises(ValueError, match="cycles"):
+            phi_chain(system, zc, start)
+        assert calls == [start]
+
 
 class TestProveFep:
     def test_example2(self):
@@ -133,6 +159,12 @@ class TestProveFep:
         assert verdict.window_length == 4
         assert len(verdict.reach_steps) == 4**4
         assert all(steps >= 0 for steps in verdict.reach_steps.values())
+
+    def test_reach_steps_match_chains(self):
+        system = example2()
+        verdict = prove_fep_via_zero_cycle(system, canonical_ff_digits(system.modulus))
+        for start, steps in verdict.reach_steps.items():
+            assert len(phi_chain(system, verdict.zero_cycle, start)) == steps + 1
 
     def test_trivial_when_zero_digit(self):
         system = validate_system(
@@ -162,6 +194,24 @@ class TestProveFep:
         for _ in range(500):
             a = system.qring.normalize(rand_poly(rng, F2, 5))
             assert system.expand(a, cap=5000).status == "finite"
+
+    def test_window_cycle_gives_no(self):
+        system = validate_system(F2, parse_poly(F2, "x + y"), [e2("1"), e2("y^2+y")])
+        verdict = prove_fep_via_zero_cycle(system, canonical_ff_digits(system.modulus))
+        assert verdict.answer == "no"
+        # zero cycle y^2+y, 1, 1: windows of length 2
+        assert verdict.window_length == 2
+        assert verdict.cycle == ((F2.zero, F2.one),)
+        for i, state in enumerate(verdict.cycle):
+            nxt = verdict.cycle[(i + 1) % len(verdict.cycle)]
+            assert phi_window_map(system, verdict.zero_cycle, state) == nxt
+
+    def test_alphabet_escape_gives_unknown(self):
+        system = validate_system(F2, parse_poly(F2, "x^2 + x + y"), [e2("1"), e2("y^2")])
+        verdict = prove_fep_via_zero_cycle(system, canonical_ff_digits(system.modulus))
+        assert verdict.answer == "unknown"
+        assert "window sum y^2+1 leaves the digit alphabet" in verdict.reason
+        assert verdict.cycle == () and verdict.reach_steps == {}
 
 
 class TestConvert:

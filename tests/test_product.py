@@ -114,6 +114,31 @@ class TestExpand:
         assert out.status == "eventually-periodic"
         assert out.period is not None
 
+    def test_cap_boundary_matches_generic_dynamics(self):
+        # 5x+7 has 4 digits; the state after exactly cap steps is examined
+        psys = two_three()
+        combined = psys.combined
+        element = parse_poly(Z, "5x+7")
+        assert len(product_expand(psys, element).digits) == 4
+        for cap, status in ((3, "unknown"), (4, "finite"), (5, "finite")):
+            out = product_expand(psys, element, cap=cap)
+            seq = combined.digit_sequence(combined.qring.normalize(element), cap)
+            assert out.status == seq.kind == status
+            assert out.digits == seq.digits
+        assert product_expand(psys, Poly.make(Z, []), cap=0).status == "finite"
+
+    def test_periodic_state_found_at_exactly_cap(self):
+        psys = product_digit_set(
+            Z, parse_poly(Z, "x+2"), [0, 1], parse_poly(Z, "x-2"), [0, 1]
+        )
+        element = Poly.make(Z, [-1])
+        full = product_expand(psys, element, cap=500)
+        n = full.preperiod + full.period
+        assert product_expand(psys, element, cap=n - 1).status == "unknown"
+        for cap in (n, n + 1):
+            out = product_expand(psys, element, cap=cap)
+            assert out == full
+
     def test_two_factor_guard(self):
         factors = [(parse_poly(Z, "x+2"), [0, 1])] * 3
         psys = multi_product_digit_set(Z, factors)

@@ -130,6 +130,28 @@ class TestClassify:
         plain = SrsParams((F(3, 5), F(-2, 5)))
         assert tau_orbit(plain, (0, 1)) == ("zero", (3,))
 
+    def test_orbit_ending_at_exactly_cap(self):
+        from digsys.srs import tau_orbit
+
+        params = SrsParams((F(1, 3), F(1, 3)))
+        assert tau_orbit(params, (0, 1)) == ("zero", (2,))
+        assert tau_orbit(params, (0, 1), cap=1) == ("unknown", ())
+        assert tau_orbit(params, (0, 1), cap=2) == ("zero", (2,))
+        assert tau_orbit(params, (0, 1), cap=3) == ("zero", (2,))
+        assert tau_orbit(params, (0, 0), cap=0) == ("zero", (0,))
+
+    def test_cycle_closing_at_exactly_cap(self):
+        from digsys.srs import tau_orbit
+
+        # -4 -> 4 -> -4: the repeat is the state after 2 steps
+        params = SrsParams((F(1),), F(1, 3))
+        assert tau_orbit(params, (-4,)) == ("cycle", ((-4,), (4,)))
+        assert tau_orbit(params, (-4,), cap=1) == ("unknown", ())
+        assert tau_orbit(params, (-4,), cap=2) == ("cycle", ((-4,), (4,)))
+        assert tau_orbit(params, (-4,), cap=3) == ("cycle", ((-4,), (4,)))
+        # the cycle starts at its least vector whatever the start
+        assert tau_orbit(params, (4,)) == ("cycle", ((-4,), (4,)))
+
     def test_zero_vector(self):
         verdict = srs_classify(SrsParams((F(0), F(0))))
         assert verdict.in_d0 == "yes" and verdict.in_d == "yes"

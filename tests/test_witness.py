@@ -266,6 +266,21 @@ class TestOrbitStatusOracle:
                     assert steps == walked == status[v][1], system
         assert min(answers.values()) >= 5 and min(paths.values()) >= 5
 
+    def test_every_member_status_matches_element_walk(self):
+        # members whose orbit avoids 0 report the length of the cycle they enter
+        avoiding = 0
+        for system in self.systems():
+            for mode in ("brunotte", "power") if system.digits_constant else ("power",):
+                closure = witness_closure(system, seed_witnesses(system, mode), 2000)
+                status, cycles = witness._orbit_statuses(system, closure)
+                expected, expected_cycles = element_orbit_statuses(system, closure.elements)
+                element_of = closure._element_of
+                for v in closure.members:
+                    assert status[v] == expected[element_of[v]], system
+                    avoiding += not status[v][0]
+                assert sorted(cycles, key=repr) == sorted(expected_cycles, key=repr)
+        assert avoiding >= 20
+
 
 class TestClosureCache:
     def count_closures(self, monkeypatch):
