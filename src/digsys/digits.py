@@ -43,14 +43,17 @@ DEFAULT_STEP_CAP = 10**6
 def walk(start, step, known, cap: int | None = None) -> tuple:
     """Follow ``start`` under ``step`` until a state lies in ``known``,
     repeats, or ``cap`` steps were taken (None: no cap), checked in that
-    order at every state, the one reached after ``cap`` steps included.
+    order at every state, the one reached after ``cap`` steps included;
+    a negative ``cap`` raises ValueError.
 
     Returns ``(kind, path, hit)``: ``path`` maps the ``len(path)`` states
     stepped from to their step index, in order; ``kind`` is "known" (``hit``
     the known state), "cycle" (``hit`` the index where the cycle starts)
     or "cap" (``hit`` None)."""
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be at least 0")
     path: dict = {}
-    limit = -1 if cap is None else max(cap, 0)
+    limit = -1 if cap is None else cap
     state = start
     n = 0
     while state not in known:
@@ -134,6 +137,7 @@ class DigitSystem:
         self.digits = digits
         self._lookup = _lookup
         self._carry = _carry
+        self._divide = self.ring.divider(qring.p0)
         self.digits_constant = all(d.x_degree <= 0 for d in digits)
         self.k = max(self.qring.d, max((d.x_degree for d in digits), default=0))
         # constant coefficients p_d, p_{d-1}, ..., p_1 of the basis w_0..w_{d-1}
@@ -158,8 +162,7 @@ class DigitSystem:
 
     def digit_of(self, a: QuotElem) -> QuotElem:
         """The unique digit congruent to ``a`` modulo the base."""
-        key = self.ring.canonical_residue(a.constant, self.qring.p0)[0]
-        return self._lookup[key]
+        return self._lookup[self._divide(a.constant)[0]]
 
     def step(self, a: QuotElem) -> QuotElem:
         """One backward-division step (A - digit(A)) / X."""
@@ -263,6 +266,8 @@ class DigitSystem:
         Exhaustive for the whole periodic set only when the seeds cover
         a stabilised witness closure.
         """
+        if cap < 0:
+            raise ValueError("cap must be at least 0")
         resolved: set[QuotElem] = set()
         cycles: list[tuple] = []
         capped = False
@@ -306,13 +311,11 @@ class DigitSystem:
         the digit e = r + q1*p0 share the residue r.  Since X*w_{d-1} = -p0,
         (c - e)/X = (q1 - q0)*w_{d-1}, which becomes the new last coordinate.
         """
-        ring = self.ring
-        add, mul = ring.add, ring.mul
         c = c0
         for a, p in zip(q, self._basis_constants):
-            c = add(c, mul(a, p))
-        r, q0 = ring.canonical_residue(c, self.qring.p0)
-        return r, q[1:] + (ring.sub(self._carry[r], q0),)
+            c = c + a * p
+        r, q0 = self._divide(c)
+        return r, q[1:] + (self._carry[r] - q0,)
 
 
 def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
@@ -356,8 +359,9 @@ def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
         )
     lookup: dict = {}
     carry: dict = {}
+    divide = ring.divider(p0)
     for d in normalized:
-        key, q1 = ring.canonical_residue(d.constant, p0)
+        key, q1 = divide(d.constant)
         if key in lookup:
             violations.append(
                 f"digits {qring.format(lookup[key])} and {qring.format(d)} lie in the "

@@ -125,10 +125,13 @@ def phi_window_map(system: DigitSystem, zero_cycle, state: tuple) -> tuple:
 
 def phi_chain(system: DigitSystem, zero_cycle, start: tuple, cap: int = 10**4) -> list:
     """Window states from ``start`` to the all-zero window, inclusive;
-    raises ValueError when the chain cycles or exceeds ``cap`` steps."""
+    raises ValueError when the chain cycles or exceeds ``cap`` steps, and
+    for a start window whose length is not the window length."""
     ring = system.ring
     rewriter = _PhiRewriter(system, _cycle_constants(ring, zero_cycle))
-    zero = (ring.zero,) * len(start)
+    if len(start) != rewriter.window:
+        raise ValueError(f"expected a window of length {rewriter.window}")
+    zero = (ring.zero,) * rewriter.window
     kind, path, hit = walk(tuple(ring.coerce(c) for c in start), rewriter.step, (zero,), cap)
     if kind == "cycle":
         raise ValueError("window chain cycles without reaching the zero window")

@@ -194,6 +194,7 @@ class QuotRing:
         self.d = modulus.degree
         self.p0 = modulus.constant
         self.pd = modulus.lead
+        self._divide_pd = None if ring.is_unit(self.pd) else ring.divider(self.pd)
         self._basis = None
 
     def __eq__(self, other) -> bool:
@@ -239,7 +240,7 @@ class QuotRing:
         d = self.d
         coeffs = list(f.coeffs)
         if len(coeffs) > d:
-            if ring.is_unit(self.pd):
+            if self._divide_pd is None:
                 # Unit leading coefficient: reduce fully below degree d.
                 pc = self.modulus.coeffs
                 inv = ring.exact_div(ring.one, self.pd)
@@ -252,7 +253,7 @@ class QuotRing:
             else:
                 pc = self.modulus.coeffs
                 for i in range(len(coeffs) - 1, d - 1, -1):
-                    r, q = ring.canonical_residue(coeffs[i], self.pd)
+                    r, q = self._divide_pd(coeffs[i])
                     if not ring.is_zero(q):
                         for j in range(d):
                             coeffs[i - d + j] = ring.sub(coeffs[i - d + j], ring.mul(q, pc[j]))
@@ -331,16 +332,16 @@ class QuotRing:
         ring = self.ring
         d = self.d
         pc = self.modulus.coeffs
-        unit_lead = ring.is_unit(self.pd)
-        inv = ring.exact_div(ring.one, self.pd) if unit_lead else None
+        divide = self._divide_pd
+        inv = ring.exact_div(ring.one, self.pd) if divide is None else None
         low = list(a.low) + [ring.zero] * (d - len(a.low))
         q = [ring.zero] * d
         for i in range(d - 1, -1, -1):
-            if unit_lead:
+            if divide is None:
                 # the residue system mod a unit is {0}
                 r, qi = ring.zero, ring.mul(low[i], inv)
             else:
-                r, qi = ring.canonical_residue(low[i], self.pd)
+                r, qi = divide(low[i])
             q[i] = qi
             if not ring.is_zero(qi):
                 # subtract qi * w_i; w_i has coefficient p_{d-i+j} at x^j

@@ -123,10 +123,11 @@ def product_expand(
 
     p = p1.coeffs
     pp = p2.coeffs
-    p0 = p1.constant
-    pp0 = p2.constant
-    lookup1 = {ring.canonical_residue(v, p0)[0]: v for v in n1}
-    lookup2 = {ring.canonical_residue(v, pp0)[0]: v for v in n2}
+    divide1 = ring.divider(p1.constant)
+    divide2 = ring.divider(p2.constant)
+    # residue r -> (digit v = r + c*p0, c): a = r + q*p0 carries (a - v)/p0 = q - c
+    lookup1 = {r: (v, c) for v in n1 for r, c in [divide1(v)]}
+    lookup2 = {r: (v, c) for v in n2 for r, c in [divide2(v)]}
     combined_digit = {}
     qring = psys.combined.qring
     for dv in n1:
@@ -150,13 +151,12 @@ def product_expand(
 
     def step(state: tuple) -> tuple:
         a, b = state
-        a0 = a[0] if a else ring.zero
-        d = lookup1[ring.canonical_residue(a0, p0)[0]]
-        k = ring.exact_div(ring.sub(a0, d), p0)
-        b0 = b[0] if b else ring.zero
-        t = ring.add(b0, k)
-        e = lookup2[ring.canonical_residue(t, pp0)[0]]
-        l = ring.exact_div(ring.sub(t, e), pp0)
+        r, q = divide1(a[0] if a else ring.zero)
+        d, c = lookup1[r]
+        k = q - c
+        r, q = divide2((b[0] if b else ring.zero) + k)
+        e, c = lookup2[r]
+        l = q - c
         digits.append(combined_digit[(d, e)])
         return shift(a, k, p), shift(b, l, pp)
 

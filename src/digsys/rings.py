@@ -14,6 +14,11 @@ and "not a zero divisor" coincide.  Every ring supplies
 * a whitespace-insensitive text grammar with ``parse``/``format``
   round-tripping.
 
+``Ring.divider(m)`` checks a modulus once and returns ``a -> (r, q)``,
+so loops that divide by one modulus (a base's p0 or leading
+coefficient) skip that check, and ``Z[i]`` rounds on plain ints.
+``canonical_residue(a, m)`` is ``divider(m)(a)``: one formula per ring.
+
 Polynomials over F_p are multiplied by Kronecker substitution (Harvey
 2009): both coefficient tuples are packed into integers with byte slots
 wide enough that no slot of the product carries into the next, one
@@ -78,11 +83,6 @@ def bounded_exponent(digits: str, text: str, pos: int) -> int:
     if len(value) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
         raise ParseError(f"exponent above the maximum {MAX_EXPONENT}", text, pos)
     return int(value)
-
-
-def _round_half_down(num: int, den: int) -> int:
-    """Nearest integer to num/den with ties toward -infinity; den > 0."""
-    return (2 * num + den - 1) // (2 * den)
 
 
 @dataclass(frozen=True)
@@ -407,6 +407,12 @@ class Ring:
         """A complete duplicate-free residue system mod m, in a fixed order."""
         raise NotImplementedError
 
+    def divider(self, m):
+        """Division by the fixed modulus m: checks m once (ValueError for a
+        zero or unit m) and returns a -> (r, q) with a = r + q*m and r the
+        member of residues(m) congruent to a."""
+        raise NotImplementedError
+
     def canonical_residue(self, a, m) -> tuple:
         """(r, q) with a = r + q*m and r the member of residues(m) congruent to a."""
         raise NotImplementedError
@@ -477,10 +483,18 @@ class IntegerRing(Ring):
         self.check_modulus(m)
         return list(range(abs(m)))
 
-    def canonical_residue(self, a, m) -> tuple:
+    def divider(self, m):
         self.check_modulus(m)
-        r = a % abs(m)
-        return r, (a - r) // m
+        n = abs(m)
+
+        def divide(a):
+            r = a % n
+            return r, (a - r) // m
+
+        return divide
+
+    def canonical_residue(self, a, m) -> tuple:
+        return self.divider(m)(a)
 
     def parse(self, text: str):
         sc = _Scanner(text)
@@ -553,23 +567,34 @@ class GaussianIntegerRing(Ring):
         # The box [0, N) x [0, N) with N = norm(m) meets every residue
         # class, since N and N*i both lie in (m); canonicalising and
         # deduplicating it therefore yields a complete system.
-        self.check_modulus(m)
+        divide = self.divider(m)
         n = m.norm()
         seen = set()
         for a in range(n):
             for b in range(n):
-                seen.add(self.canonical_residue(GaussianInt(a, b), m)[0])
+                seen.add(divide(GaussianInt(a, b))[0])
         out = sorted(seen, key=lambda g: (g.re, g.im))
         if len(out) != n:
             raise AssertionError("residue enumeration is incomplete")
         return out
 
-    def canonical_residue(self, a, m) -> tuple:
+    def divider(self, m):
+        # q is a*conj(m)/N(m) with both parts rounded to the nearest
+        # integer, ties toward -infinity: floor((2x + N - 1) / 2N)
         self.check_modulus(m)
-        num = a * m.conjugate()
-        n = m.norm()
-        q = GaussianInt(_round_half_down(num.re, n), _round_half_down(num.im, n))
-        return a - q * m, q
+        mr, mi, n = m.re, m.im, m.norm()
+
+        def divide(a):
+            ar, ai = a.re, a.im
+            qr = (2 * (ar * mr + ai * mi) + n - 1) // (2 * n)
+            qi = (2 * (ai * mr - ar * mi) + n - 1) // (2 * n)
+            r = GaussianInt(ar - qr * mr + qi * mi, ai - qr * mi - qi * mr)
+            return r, GaussianInt(qr, qi)
+
+        return divide
+
+    def canonical_residue(self, a, m) -> tuple:
+        return self.divider(m)(a)
 
     def parse(self, text: str):
         sc = _Scanner(text)
@@ -681,10 +706,12 @@ class FpPolynomialRing(Ring):
             out.append(FpPoly.make(self.p, coeffs))
         return out
 
-    def canonical_residue(self, a, m) -> tuple:
+    def divider(self, m):
         self.check_modulus(m)
-        q, r = divmod(a, m)
-        return r, q
+        return lambda a: divmod(a, m)[::-1]  # divmod gives (q, r)
+
+    def canonical_residue(self, a, m) -> tuple:
+        return self.divider(m)(a)
 
     def parse(self, text: str):
         sc = _Scanner(text)

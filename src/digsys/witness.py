@@ -15,11 +15,12 @@ detected by set stabilisation under a size cap.
 One breadth-first loop builds every closure; it is given the images of
 a member v, T(v) first.  For constant digit sets the members are basis
 coordinates.  Only the constant e differs between the images T(v + e)
-of one element v, so its carry sum(q_i p_{d-i}) is divided by p0 once
-per element, and each shift adds one division of a residue plus a
-digit.  The coordinates are converted to elements only when
-``WitnessClosure.elements`` is first read, so a capped closure that ends
-in "unknown" is never converted.
+of one element v, so its carry sum(q_i p_{d-i}) = r + q0*p0 is divided
+by p0 once per element; what a shift adds then depends only on r and e,
+so each closure keeps one row of those values per residue r, built when
+r first appears, and a shift image costs one addition.  Coordinates
+become elements only when ``WitnessClosure.elements`` is first read, so
+a capped closure that ends in "unknown" is never converted.
 
 The closure records the e = 0 image T(v) of every member it expands
 (``WitnessClosure.succ``), so the orbit statuses behind the finite
@@ -212,20 +213,23 @@ def _coordinate_images(system: DigitSystem):
     (T(v + e) stays inside it for constant digit sets).  With
     sum(q_i p_{d-i}) = r + q0*p0 found once by T(v), T(v + e) is the step
     of the constant r + e with q0 taken off its carry: the residue depends
-    only on the class mod p0, and the quotient is then unique."""
+    only on the class mod p0, and the quotient is then unique.  So the last
+    coordinates of the steps of r + e, over the nonzero digits e in digit
+    order, form one row per residue r, built when r first appears."""
     ring = system.ring
-    add, sub, zero = ring.add, ring.sub, ring.zero
+    zero = ring.zero
     step = system._carry_step
     carry = system._carry
     shifts = [e.constant for e in system.digits if not ring.is_zero(e.constant)]
+    rows: dict = {}
 
     def images(v):
         r, w = step(v, zero)
-        head, nq = w[:-1], sub(w[-1], carry[r])
-        found = [w]
-        for s in shifts:
-            found.append(head + (add(step((), add(r, s))[1][0], nq),))
-        return found
+        row = rows.get(r)
+        if row is None:
+            row = rows[r] = [step((), r + s)[1][0] for s in shifts]
+        head, nq = w[:-1], w[-1] - carry[r]
+        return [w] + [head + (c + nq,) for c in row]
 
     return images
 

@@ -41,6 +41,23 @@ def gauss_paper_witnesses(system):
     return {system.qring.from_const(GaussianInt(a, b)) for a, b in pts}
 
 
+def residue_oracle(ring, a, m) -> tuple:
+    """(r, q) with a = r + q*m by the formulas ``canonical_residue`` used
+    before ``Ring.divider`` existed, kept as an independent oracle:
+    r = a mod |m| over Z; q = a*conj(m)/N(m) rounded half down over Z[i];
+    polynomial long division over F_p[y]."""
+    if ring == Z:
+        r = a % abs(m)
+        return r, (a - r) // m
+    if ring == ZI:
+        num = a * m.conjugate()
+        n = m.norm()
+        q = GaussianInt((2 * num.re + n - 1) // (2 * n), (2 * num.im + n - 1) // (2 * n))
+        return a - q * m, q
+    q, r = divmod(a, m)
+    return r, q
+
+
 def rand_ring_elem(rng: random.Random, ring, size: int = 20):
     if ring == Z:
         return rng.randint(-size, size)

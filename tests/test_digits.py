@@ -258,6 +258,10 @@ class TestWalk:
         assert self.follow(0, cap=0) == ("known", [], 0)
         assert self.follow(8, cap=0) == ("cap", [], None)
 
+    def test_negative_cap_raises(self):
+        with pytest.raises(ValueError, match="cap must be at least 0"):
+            self.follow(0, cap=-1)
+
     def test_known_state_reached_at_exactly_cap(self):
         # 1 reaches 0 after 3 steps; the state after cap steps is examined
         assert self.follow(1, cap=2) == ("cap", [1, 2], None)
@@ -313,6 +317,13 @@ class TestPeriodicSet:
             assert report.orbits == ((q.zero,),)
         report = system.periodic_set([q.zero], 0)
         assert report.capped
+
+    def test_negative_cap_raises(self):
+        system = example1()
+        q = system.qring
+        for seeds in ([q.zero, q.from_const(7)], []):
+            with pytest.raises(ValueError, match="cap must be at least 0"):
+                system.periodic_set(seeds, -1)
 
     def test_gauss_witnesses_single_orbit_with_zero(self):
         system = gauss_example()

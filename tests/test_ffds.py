@@ -134,6 +134,21 @@ class TestChain:
         assert len(phi_chain(system, zc, start, cap=11)) == 12
         assert len(phi_chain(system, zc, start, cap=12)) == 12
 
+    def test_wrong_window_length_raises(self):
+        # example 2 has zero period 5, so windows have length 4
+        system = example2()
+        zc = system.zero_cycle()
+        for start in ((e2("1"), F2.zero), (F2.zero,) * 6, ()):
+            with pytest.raises(ValueError, match="window of length 4"):
+                phi_chain(system, zc, start)
+
+    def test_negative_cap_raises(self):
+        system = example2()
+        zc = system.zero_cycle()
+        start = tuple(e2(t) for t in ("1", "0", "y", "1"))
+        with pytest.raises(ValueError, match="cap must be at least 0"):
+            phi_chain(system, zc, start, cap=-1)
+
     def test_cycling_window_raises_at_the_repeat(self, monkeypatch):
         # over F2, x + y with digits {1, y^2+y}: the window (0, 1) maps to itself
         system = validate_system(F2, parse_poly(F2, "x + y"), [e2("1"), e2("y^2+y")])

@@ -127,6 +127,10 @@ class TestExpand:
             assert out.digits == seq.digits
         assert product_expand(psys, Poly.make(Z, []), cap=0).status == "finite"
 
+    def test_negative_cap_raises(self):
+        with pytest.raises(ValueError, match="cap must be at least 0"):
+            product_expand(two_three(), parse_poly(Z, "x"), cap=-1)
+
     def test_periodic_state_found_at_exactly_cap(self):
         psys = product_digit_set(
             Z, parse_poly(Z, "x+2"), [0, 1], parse_poly(Z, "x-2"), [0, 1]

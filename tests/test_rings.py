@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from digsys import Fp, FpPoly, GaussianInt, ParseError, Z, ZI, parse_poly
 from digsys.rings import FpPolynomialRing
 
+from support import residue_oracle
+
 F2 = Fp(2)
 F3 = Fp(3)
 NEG_INF = float("-inf")
@@ -128,6 +130,94 @@ class TestCanonicalResidue:
         # coordinates; ties go toward -infinity, so the quotient is 0
         r, q = ZI.canonical_residue(GaussianInt(1, 1), GaussianInt(2, 0))
         assert q == GaussianInt(0, 0) and r == GaussianInt(1, 1)
+
+
+class TestDivider:
+    """``divider(m)(a)`` and ``canonical_residue(a, m)`` against the
+    oracle formulas of ``support.residue_oracle``."""
+
+    BIG = 10**200
+
+    def moduli(self):
+        big = self.BIG
+        gauss = ((2, 1), (-1, 2), (2, 0), (0, -3), (3, -4), (1, 1), (big, -big - 1))
+        return [
+            (Z, [2, -2, 5, -7, 12, big + 7, -(big - 3)]),
+            (ZI, [GaussianInt(*c) for c in gauss]),
+            (F2, [fp(F2, 1, 1), fp(F2, 0, 1), fp(F2, 1, 0, 1, 1)]),
+            (F3, [fp(F3, 2, 1), fp(F3, 1, 0, 2), fp(F3, 0, 0, 1, 2)]),
+        ]
+
+    def values(self, rng, ring):
+        # 40 small values with negative parts, then 20 of up to 200 digits
+        bounds = [50] * 40 + [self.BIG] * 20
+        if ring == Z:
+            return [rng.randint(-b, b) for b in bounds]
+        if ring == ZI:
+            return [GaussianInt(rng.randint(-b, b), rng.randint(-b, b)) for b in bounds]
+        return [
+            FpPoly.make(ring.p, [rng.randrange(ring.p) for _ in range(rng.randint(0, 12))])
+            for _ in range(60)
+        ]
+
+    def check(self, ring, divide, a, m):
+        want = residue_oracle(ring, a, m)
+        assert divide(a) == want, (ring, a, m)
+        assert ring.canonical_residue(a, m) == want, (ring, a, m)
+        r, q = want
+        assert ring.add(r, ring.mul(q, m)) == a
+
+    def test_matches_oracle(self):
+        rng = random.Random(4711)
+        checked = 0
+        for ring, mods in self.moduli():
+            for m in mods:
+                divide = ring.divider(m)
+                for a in self.values(rng, ring):
+                    self.check(ring, divide, a, m)
+                    checked += 1
+                if ring.quotient_size(m) <= 64:
+                    residues = ring.residues(m)
+                    for r in residues:
+                        # every residue is its own canonical residue
+                        self.check(ring, divide, r, m)
+                        assert divide(r) == (r, ring.zero)
+                    for a in self.values(rng, ring):
+                        assert divide(a)[0] in residues
+        assert checked == 60 * 20
+
+    def test_gaussian_ties(self):
+        ties = 0
+        for m in (GaussianInt(2, 0), GaussianInt(1, 1), GaussianInt(2, 2), GaussianInt(-4, 2)):
+            divide = ZI.divider(m)
+            n = m.norm()
+            for x in range(-2 * n, 2 * n + 1):
+                for y in range(-2 * n, 2 * n + 1):
+                    a = GaussianInt(x, y)
+                    num = a * m.conjugate()
+                    # a*conj(m)/N(m) has a part exactly half-way between integers
+                    ties += (2 * num.re) % (2 * n) == n or (2 * num.im) % (2 * n) == n
+                    self.check(ZI, divide, a, m)
+        assert ties >= 100
+        assert ZI.divider(GaussianInt(2, 0))(GaussianInt(-1, -1)) == (
+            GaussianInt(1, 1),
+            GaussianInt(-1, -1),
+        )
+
+    def test_degenerate_modulus_raises_when_built(self):
+        for ring, m in (
+            (Z, 0),
+            (Z, 1),
+            (Z, -1),
+            (ZI, GaussianInt(0, 0)),
+            (ZI, GaussianInt(0, -1)),
+            (ZI, GaussianInt(-1, 0)),
+            (F2, F2.zero),
+            (F2, F2.one),
+            (F3, fp(F3, 2)),
+        ):
+            with pytest.raises(ValueError):
+                ring.divider(m)
 
 
 class TestParseFormat:

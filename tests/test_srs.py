@@ -140,6 +140,13 @@ class TestClassify:
         assert tau_orbit(params, (0, 1), cap=3) == ("zero", (2,))
         assert tau_orbit(params, (0, 0), cap=0) == ("zero", (0,))
 
+    def test_negative_cap_raises(self):
+        from digsys.srs import tau_orbit
+
+        params = SrsParams((F(1, 3), F(1, 3)))
+        with pytest.raises(ValueError, match="cap must be at least 0"):
+            tau_orbit(params, (0, 1), cap=-1)
+
     def test_cycle_closing_at_exactly_cap(self):
         from digsys.srs import tau_orbit
 

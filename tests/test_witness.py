@@ -134,6 +134,12 @@ class TestClosureOracle:
             (example2(), 10_000),
             (validate_system(F2, f2_modulus, canonical_ff_digits(f2_modulus)), 10_000),
             (validate_system(F3, u_modulus, canonical_ff_digits(u_modulus)), 40),
+            # digits 8 and -1 carry 1 and -1 past their residues 3 and 4
+            (validate_system(Z, parse_poly(Z, "3x^2-2x+5"), [0, 1, 2, 8, -1]), 10_000),
+            # leads of norm 50 over p0 of norm 5: hundreds of members share
+            # the 5 residue rows before the cap stops the closure
+            (validate_system(ZI, parse_poly(ZI, "(7+i)x+(2+i)"), range(5)), 300),
+            (validate_system(ZI, parse_poly(ZI, "(5+5i)x^2+x+(2+i)"), range(5)), 300),
         ]
 
     def test_matches_element_bfs(self):
@@ -148,7 +154,28 @@ class TestClosureOracle:
                 assert (closure.rounds, closure.stabilized) == (rounds, stabilized), system
                 assert len(closure) == len(closure.elements)
                 capped += not stabilized
-        assert capped >= 3  # capped closures are compared too
+        assert capped >= 5  # capped closures are compared too
+
+    def test_coordinate_images_in_digit_order(self):
+        # T(v) first, then T(v + e) over the nonzero digits in digit order
+        for system, cap in self.systems():
+            closure = witness_closure(system, seed_witnesses(system, "brunotte"), cap)
+            qring, element_of = system.qring, closure._element_of
+            shifts = [e for e in system.digits if not e.is_zero]
+            images = witness._coordinate_images(system)
+            for v in sorted(closure.succ, key=lambda u: qring.sort_key(element_of[u]))[:60]:
+                x = element_of[v]
+                want = [system.step(x)] + [system.step(x + e) for e in shifts]
+                assert images(v) == [qring.coords(w) for w in want], system
+
+    def test_succ_is_t(self):
+        for system, cap in self.systems():
+            closure = witness_closure(system, seed_witnesses(system, "brunotte"), cap)
+            element_of = closure._element_of
+            if closure.stabilized:
+                assert set(closure.succ) == set(closure.members), system
+            for v, w in closure.succ.items():
+                assert element_of[w] == system.step(element_of[v]), system
 
 
 def element_orbit_statuses(system, elements):
