@@ -19,13 +19,13 @@ so loops that divide by one modulus (a base's p0 or leading
 coefficient) skip that check, and ``Z[i]`` rounds on plain ints.
 ``canonical_residue(a, m)`` is ``divider(m)(a)``: one formula per ring.
 
-Polynomials over F_p are multiplied by Kronecker substitution (Harvey
-2009): both coefficient tuples are packed into integers with byte slots
-wide enough that no slot of the product carries into the next, one
-integer product is taken, and its slots are reduced mod p.  Addition,
-subtraction and division stay coefficient loops; the divisors met in
-practice are base coefficients with a few terms, so division is linear
-in the dividend.
+A polynomial over F_p is one integer with a coefficient per byte slot,
+so sums, differences and products are integer operations followed by
+one reduction of every slot mod p (``bytes.translate`` for small p);
+products are Kronecker substitutions (Harvey 2009).  ``Fp(p).divider(m)``
+divides through a cached power-series inverse of the reversed modulus,
+two products and a difference per division; ``divmod`` stays schoolbook
+long division for one-off divisions.
 
 All values are immutable and all operations are pure, so they may be
 shared freely between threads.
@@ -139,113 +139,117 @@ def _format_gaussian(a: GaussianInt) -> str:
     return f"{a.re}{ipart}"
 
 
-@dataclass(frozen=True)
-class FpPoly:
-    """A polynomial over F_p in y, coefficients in [0, p), index = degree.
-
-    The empty coefficient tuple is the zero polynomial; otherwise the
-    last coefficient is nonzero.
+class FpPoly(tuple):
+    """A polynomial over F_p in y, stored as the pair ``(p, packed)``:
+    little-endian byte slot i of the int ``packed``, ``_width(p)`` bytes
+    wide, holds coefficient i in [0, p), and no trailing slot is zero.
+    So zero is 0, equal polynomials are equal pairs and hashes do not
+    depend on the hash seed; no plain tuple equals an FpPoly.
+    ``FpPoly(p, coeffs)`` takes coefficients (index = degree) in [0, p);
+    ``make`` reduces them first.
     """
 
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, p: int, coeffs=()):
+        return tuple.__new__(cls, (p, _pack(coeffs, _width(p))))
 
     @classmethod
     def make(cls, p: int, coeffs) -> FpPoly:
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(p, tuple(cs))
+        return cls(p, [c % p for c in coeffs])
+
+    p = property(lambda self: self[0])
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return _unpack(self[1], _width(self[0]))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return _slots(self[1], _width(self[0])) - 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return self[1] != 0
 
-    def _check(self, other: FpPoly) -> None:
-        if self.p != other.p:
-            raise ValueError("mixed characteristics")
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FpPoly) and self[1] == other[1] and self[0] == other[0]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __reduce__(self):
+        return FpPoly, (self[0], self.coeffs)
+
+    # In characteristic 2 every slot holds 0 or 1, so sums and differences
+    # are the XOR of the packed integers and need no reduction.
 
     def __add__(self, other: FpPoly) -> FpPoly:
-        self._check(other)
-        p = self.p
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        while out and out[-1] == 0:
-            out.pop()
-        return FpPoly(p, tuple(out))
+        p, a = self
+        if p != other[0]:
+            raise ValueError("mixed characteristics")
+        if p == 2:
+            return _new(FpPoly, (2, a ^ other[1]))
+        return _new(FpPoly, (p, _reduce(a + other[1], p, _width(p))))
 
     def __sub__(self, other: FpPoly) -> FpPoly:
-        self._check(other)
-        p = self.p
-        a, b = self.coeffs, other.coeffs
-        if len(a) >= len(b):
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] = (out[i] - c) % p
-        else:
-            out = [(-c) % p for c in b]
-            for i, c in enumerate(a):
-                out[i] = (out[i] + c) % p
-        while out and out[-1] == 0:
-            out.pop()
-        return FpPoly(p, tuple(out))
+        # slot i < len(other) holds p + a_i - b_i in [1, 2p - 1]: no borrows
+        p, a = self
+        if p != other[0]:
+            raise ValueError("mixed characteristics")
+        if p == 2:
+            return _new(FpPoly, (2, a ^ other[1]))
+        b, w = other[1], _width(p)
+        ps = int.from_bytes(p.to_bytes(w, "little") * _slots(b, w), "little")
+        return _new(FpPoly, (p, _reduce(a + ps - b, p, w)))
 
     def __neg__(self) -> FpPoly:
-        # (-c) % p vanishes only at c = 0, so the trim is preserved
-        p = self.p
-        return FpPoly(p, tuple((-c) % p for c in self.coeffs))
+        return FpPoly(self[0]) - self
 
     def __mul__(self, other: FpPoly) -> FpPoly:
         # Kronecker substitution: each coefficient of the integer product
         # is at most (p-1)^2 * min(la, lb), so k-byte slots of that width
         # never carry into each other
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
+        p, a = self
+        if p != other[0]:
+            raise ValueError("mixed characteristics")
+        b = other[1]
         if not a or not b:
-            return FpPoly(self.p, ())
-        p = self.p
-        k = (((p - 1) ** 2 * min(len(a), len(b))).bit_length() + 7) >> 3
-        n = len(a) + len(b) - 1
-        if k == 1:
-            prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
-            out = tuple(prod.to_bytes(n, "little").translate(_mod_table(p)))
-        else:
-            prod = _pack(a, k) * _pack(b, k)
-            raw = prod.to_bytes(n * k, "little")
-            out = tuple(int.from_bytes(raw[i : i + k], "little") % p for i in range(0, n * k, k))
-        # the leading entry is a product of nonzero residues mod a prime
-        return FpPoly(p, out)
+            return _new(FpPoly, (p, 0))
+        w = _width(p)
+        la, lb = -(-a.bit_length() // (8 * w)), -(-b.bit_length() // (8 * w))
+        if la == lb == 1:
+            return _new(FpPoly, (p, a * b % p))
+        if w > 1 and min(la, lb) == 1:
+            # a constant operand: one scalar product per coefficient
+            c, rest = (a, b) if la == 1 else (b, a)
+            return _new(FpPoly, (p, _pack([c * x % p for x in _unpack(rest, w)], w)))
+        k = (((p - 1) ** 2 * min(la, lb)).bit_length() + 7) >> 3
+        if k > w:
+            a, b = _spread(a, la, w, k), _spread(b, lb, w, k)
+        return _new(FpPoly, (p, _reduce(a * b, p, k)))
 
     def __divmod__(self, other: FpPoly) -> tuple[FpPoly, FpPoly]:
-        self._check(other)
+        # schoolbook long division, for one-off divisions; loops that divide
+        # by one modulus use FpPolynomialRing.divider
+        if self[0] != other[0]:
+            raise ValueError("mixed characteristics")
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        b = other.coeffs
-        lb = len(b)
-        rem = list(self.coeffs)
+        p, b = self.p, other.coeffs
+        lb, rem = len(b), list(self.coeffs)
         if len(rem) < lb:
-            return FpPoly(p, ()), self
+            return FpPoly(p), self
         inv = pow(b[-1], -1, p)
         quo = [0] * (len(rem) - lb + 1)
         for i in range(len(quo) - 1, -1, -1):
             c = rem[i + lb - 1] % p
             if c:
-                q = (c * inv) % p
-                quo[i] = q
+                quo[i] = q = c * inv % p
                 for j in range(lb):
                     rem[i + j] -= q * b[j]
-        out = [c % p for c in rem[: lb - 1]]
-        while out and out[-1] == 0:
-            out.pop()
-        return FpPoly(p, tuple(quo)), FpPoly(p, tuple(out))
+        return FpPoly(p, quo), FpPoly(p, [c % p for c in rem[: lb - 1]])
 
     def __str__(self) -> str:
         return _format_fp(self)
@@ -254,23 +258,80 @@ class FpPoly:
         return f"FpPoly({self.p}, {self.coeffs})"
 
 
+_new = tuple.__new__
+
+
 @functools.lru_cache(maxsize=None)
-def _mod_table(p: int) -> bytes:
-    # byte -> byte mod p; used only when one-byte slots suffice, so p < 16
-    return bytes(i % p for i in range(256))
+def _width(p: int) -> int:
+    """Bytes per coefficient slot: the least w with 2(p-1) < 256^w, so a
+    slot holds a sum of two residues, or p plus a residue, uncarried."""
+    return ((2 * p - 2).bit_length() + 7) >> 3
 
 
-def _pack(coeffs: tuple, k: int) -> int:
-    """The integer with coefficient i in little-endian byte slot i of width k."""
-    return int.from_bytes(b"".join(c.to_bytes(k, "little") for c in coeffs), "little")
+def _slots(n: int, w: int) -> int:
+    return -(-n.bit_length() // (8 * w))
+
+
+def _pack(coeffs, w: int) -> int:
+    if w == 1:
+        return int.from_bytes(bytes(coeffs), "little")
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
+
+
+def _unpack(n: int, w: int) -> tuple:
+    raw = n.to_bytes(_slots(n, w) * w, "little")
+    if w == 1:
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w))
+
+
+def _spread(n: int, slots: int, w: int, k: int) -> int:
+    """Move each w-byte slot of n into a k-byte slot."""
+    raw = n.to_bytes(slots * w, "little")
+    out = bytearray(slots * k)
+    for j in range(w):
+        out[j::k] = raw[j::w]
+    return int.from_bytes(out, "little")
+
+
+def _reverse(n: int, slots: int, w: int) -> int:
+    """The packed y^(slots-1) * f(1/y) of the packed f of degree < slots."""
+    if w == 1:
+        return int.from_bytes(n.to_bytes(slots, "big"), "little")
+    cs = _unpack(n, w)
+    return _pack((cs + (0,) * (slots - len(cs)))[::-1], w)
+
+
+@functools.lru_cache(maxsize=None)
+def _plane(p: int, j: int) -> bytes:
+    """byte b -> b * 256^j mod p, for one byte plane of a wider slot."""
+    return bytes(b * pow(256, j, p) % p for b in range(256))
+
+
+def _reduce(n: int, p: int, k: int) -> int:
+    """The packed polynomial whose coefficient i is the k-byte slot i of n
+    mod p, for k at least ``_width(p)``."""
+    if k == 1:
+        raw = n.to_bytes((n.bit_length() + 7) >> 3, "little")
+        return int.from_bytes(raw.translate(_plane(p, 0)), "little")
+    slots = _slots(n, k)
+    raw = n.to_bytes(slots * k, "little")
+    if k * (p - 1) < 256:
+        # a slot is sum_j byte_j 256^j: reduce each byte plane by table,
+        # then add the planes, whose sums k(p-1) still fit one byte
+        n = 0
+        for j in range(k):
+            n += int.from_bytes(raw[j::k].translate(_plane(p, j)), "little")
+        return int.from_bytes(n.to_bytes(slots, "little").translate(_plane(p, 0)), "little")
+    cs = [int.from_bytes(raw[i : i + k], "little") % p for i in range(0, slots * k, k)]
+    return _pack(cs, _width(p))
 
 
 def _format_fp(a: FpPoly) -> str:
     if not a:
         return "0"
     terms = []
-    for k in range(a.degree, -1, -1):
-        c = a.coeffs[k]
+    for k, c in reversed(list(enumerate(a.coeffs))):
         if c == 0:
             continue
         if k == 0:
@@ -647,7 +708,7 @@ class FpPolynomialRing(Ring):
 
     @property
     def zero(self):
-        return FpPoly(self.p, ())
+        return FpPoly(self.p)
 
     @property
     def one(self):
@@ -707,8 +768,38 @@ class FpPolynomialRing(Ring):
         return out
 
     def divider(self, m):
+        """Division by m through a power series: with rev_L(f) = y^(L-1)
+        f(1/y), the quotient of a is rev_L(rev_L(a div y^deg m) * S mod y^L),
+        L = deg a - deg m + 1, where S = 1/rev(m) is kept here and extended
+        by Newton steps S <- S (2 - rev(m) S) that double its length as
+        longer dividends arrive (von zur Gathen and Gerhard, Modern
+        Computer Algebra, 9.1); the remainder is a - q*m."""
         self.check_modulus(m)
-        return lambda a: divmod(a, m)[::-1]  # divmod gives (q, r)
+        p, w, dm = self.p, _width(self.p), m.degree
+        bits, f, two = 8 * w, _reverse(m[1], dm + 1, w), FpPoly.make(p, (2,))
+        series = [pow(m.coeffs[-1], -1, p), 1]  # S mod y^prec, prec
+        zero = FpPoly(p)
+
+        def poly(n: int) -> FpPoly:
+            return _new(FpPoly, (p, n))
+
+        def divide(a):
+            n = -(-a[1].bit_length() // bits) - dm  # deg a - deg m + 1
+            if n <= 0:
+                return a, zero
+            s, prec = series
+            while prec < n:
+                prec *= 2
+                mask = (1 << bits * prec) - 1
+                fs = (poly(f & mask) * poly(s))[1] & mask
+                s = (poly(s) * (two - poly(fs)))[1] & mask
+                series[:] = s, prec
+            mask = (1 << bits * n) - 1
+            top = poly(_reverse(a[1] >> bits * dm, n, w))
+            q = poly(_reverse((top * poly(s & mask))[1] & mask, n, w))
+            return a - q * m, q
+
+        return divide
 
     def canonical_residue(self, a, m) -> tuple:
         return self.divider(m)(a)

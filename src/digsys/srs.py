@@ -159,6 +159,15 @@ def srs_classify(
             f"reduced by dropping {lead} leading zero parameter(s); " + inner.note
         )
         return inner
+    if all(x.denominator == 1 for x in r):
+        # the bridge would need p0 = 1, a unit, so no digit system exists
+        return SrsVerdict(
+            in_d0="no",
+            in_d="unknown",
+            note="integer parameters: eps < 1 drops out of the floor, so tau is the "
+            "linear map z -> (z_2, ..., z_d, -r.z), whose determinant +-r_1 is "
+            "nonzero; it is injective and no nonzero vector reaches 0",
+        )
 
     modulus, digit_values = srs_to_cns(params)
     system = validate_system(Z, modulus, digit_values)

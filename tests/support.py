@@ -45,7 +45,7 @@ def residue_oracle(ring, a, m) -> tuple:
     """(r, q) with a = r + q*m by the formulas ``canonical_residue`` used
     before ``Ring.divider`` existed, kept as an independent oracle:
     r = a mod |m| over Z; q = a*conj(m)/N(m) rounded half down over Z[i];
-    polynomial long division over F_p[y]."""
+    polynomial long division on coefficient tuples over F_p[y]."""
     if ring == Z:
         r = a % abs(m)
         return r, (a - r) // m
@@ -54,8 +54,64 @@ def residue_oracle(ring, a, m) -> tuple:
         n = m.norm()
         q = GaussianInt((2 * num.re + n - 1) // (2 * n), (2 * num.im + n - 1) // (2 * n))
         return a - q * m, q
-    q, r = divmod(a, m)
-    return r, q
+    q, r = tuple_divmod(a.p, a.coeffs, m.coeffs)
+    return FpPoly(a.p, r), FpPoly(a.p, q)
+
+
+# Coefficient-tuple arithmetic over F_p (index = degree, no trailing
+# zeros): the loops FpPoly used before it stored packed integers, kept as
+# the oracle for the packed kernels and for ``Fp(p).divider``.
+
+
+def _trim(out: list) -> tuple:
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def tuple_add(p: int, a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return _trim(out)
+
+
+def tuple_neg(p: int, a: tuple) -> tuple:
+    return tuple((-c) % p for c in a)
+
+
+def tuple_sub(p: int, a: tuple, b: tuple) -> tuple:
+    return tuple_add(p, a, tuple_neg(p, b))
+
+
+def tuple_mul(p: int, a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        for j, bv in enumerate(b):
+            out[i + j] += av * bv
+    return _trim([c % p for c in out])
+
+
+def tuple_divmod(p: int, a: tuple, b: tuple) -> tuple:
+    """(quotient, remainder) by schoolbook long division; b nonzero."""
+    lb = len(b)
+    rem = list(a)
+    if len(rem) < lb:
+        return (), tuple(a)
+    inv = pow(b[-1], -1, p)
+    quo = [0] * (len(rem) - lb + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + lb - 1] % p
+        if c:
+            q = (c * inv) % p
+            quo[i] = q
+            for j in range(lb):
+                rem[i + j] -= q * b[j]
+    return tuple(quo), _trim([c % p for c in rem[: lb - 1]])
 
 
 def rand_ring_elem(rng: random.Random, ring, size: int = 20):

@@ -256,6 +256,14 @@ class TestSrs:
         assert "in_D0 (orbits ultimately zero): yes" in out
 
 
+    def test_integer_parameters(self, capsys):
+        code, out, _ = run(capsys, "srs", "--r", "2", "--json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["in_D0"], result["in_D"]) == ("no", "unknown")
+        assert result["bridge_poly"] is None and "injective" in result["note"]
+
+
 class TestProduct:
     def test_expand_element(self, capsys):
         code, out, _ = run(
@@ -317,3 +325,47 @@ def test_import_loads_no_numpy():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr or "importing digsys.cli loaded numpy"
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    """F_p[y] listings and DOT graphs print byte for byte alike under two
+    hash seeds: FpPoly hashes an (int, int) pair and every listing sorts."""
+    f2 = ["--ring", "Fp:2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits", "1,y,y+1,y^3+y"]
+    f3 = ["--ring", "Fp:3", "--poly", "(y+1)x^2+x+(y^2+2)",
+          "--digits", "1,2,y,y+1,y+2,2y,2y+1,2y+2,y^3+2y"]
+    commands = [
+        ["ff", "--p", "2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits", "1,y,y+1,y^3+y",
+         "--prove-fep", "--convert", "x+y"],
+        ["ff", "--p", "3", "--poly", "x+(y^2+1)"],
+        ["zero-cycle", *f2],
+        ["decide", *f2],
+        ["decide", *f3],
+        ["witness", *f2, "--dot", "f2.dot"],
+        ["witness", *f3, "--dot", "f3.dot"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from digsys.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv + ['--json'])\n"
+        "    print(code, out.getvalue())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(digsys.__file__)))
+    runs = []
+    for seed in ("0", "1"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            cwd=cwd,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, (cwd / "f2.dot").read_bytes(), (cwd / "f3.dot").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0].count(b'"command"') == len(commands)
+    assert runs[0][2].count(b"->") == 81  # the F3 closure and its cycle

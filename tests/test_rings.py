@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from digsys import Fp, FpPoly, GaussianInt, ParseError, Z, ZI, parse_poly
 from digsys.rings import FpPolynomialRing
 
-from support import residue_oracle
+from support import residue_oracle, tuple_add, tuple_divmod, tuple_mul, tuple_neg, tuple_sub
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -296,17 +298,6 @@ f3_polys = st.builds(
 )
 
 
-def schoolbook_product(a: FpPoly, b: FpPoly) -> FpPoly:
-    """The quadratic product loop, kept as the oracle for FpPoly.__mul__."""
-    if not a or not b:
-        return FpPoly(a.p, ())
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, av in enumerate(a.coeffs):
-        for j, bv in enumerate(b.coeffs):
-            out[i + j] += av * bv
-    return FpPoly.make(a.p, out)
-
-
 class TestKroneckerProduct:
     PRIMES = (2, 3, 5, 17, 251, 65537, 2**61 - 1)
 
@@ -320,8 +311,9 @@ class TestKroneckerProduct:
         return FpPoly(p, low + (rng.randrange(1, p),))
 
     def check(self, a, b):
-        assert a * b == schoolbook_product(a, b), (a, b)
-        assert b * a == schoolbook_product(b, a), (a, b)
+        want = FpPoly(a.p, tuple_mul(a.p, a.coeffs, b.coeffs))
+        assert a * b == want, (a, b)
+        assert b * a == want, (a, b)
 
     def test_random_lengths(self):
         rng = random.Random(31)
@@ -421,3 +413,146 @@ class TestProperties:
     @given(f3_polys.filter(bool), f3_polys.filter(bool))
     def test_value_grows_under_multiplication_fp(self, a, b):
         assert F3.euclid_value(a * b) >= F3.euclid_value(b)
+
+
+PRIMES = (2, 3, 5, 7, 127, 131, 257, 2**61 - 1)
+
+
+def rand_coeffs(rng, p, length):
+    """A coefficient tuple of the given length with a nonzero last entry."""
+    if length == 0:
+        return ()
+    return tuple(rng.randrange(p) for _ in range(length - 1)) + (rng.randrange(1, p),)
+
+
+class TestPackedKernels:
+    """Sums, differences, negatives and products of packed FpPolys against
+    the coefficient-tuple loops of ``support``."""
+
+    def check(self, p, a, b):
+        x, y = FpPoly(p, a), FpPoly(p, b)
+        for got, want in (
+            (x + y, tuple_add(p, a, b)),
+            (x - y, tuple_sub(p, a, b)),
+            (-x, tuple_neg(p, a)),
+            (x * y, tuple_mul(p, a, b)),
+        ):
+            assert got == FpPoly(p, want), (p, a, b)
+            assert got.coeffs == want and got.degree == len(want) - 1, (p, a, b)
+
+    def test_random_operands(self):
+        rng = random.Random(91)
+        fixed = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 7), (7, 1), (2, 500), (500, 3), (500, 500)]
+        for p in PRIMES:
+            pairs = fixed + [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(25)]
+            pairs += [(rng.randint(0, 500), rng.randint(0, 500)) for _ in range(2)]
+            for la, lb in pairs:
+                self.check(p, rand_coeffs(rng, p, la), rand_coeffs(rng, p, lb))
+
+    def test_extreme_coefficients(self):
+        # every coefficient p - 1: the largest slot sums, products and borrows
+        for p in PRIMES:
+            for la, lb in ((1, 1), (3, 20), (64, 64), (300, 2)):
+                self.check(p, (p - 1,) * la, (p - 1,) * lb)
+                self.check(p, (p - 1,) * la, (1,) * lb)
+
+    def test_cancellation(self):
+        rng = random.Random(92)
+        for p in PRIMES:
+            for length in (1, 2, 9, 130):
+                a = rand_coeffs(rng, p, length)
+                x = FpPoly(p, a)
+                assert x - x == FpPoly(p) and not x + -x and (x - x).degree == -1
+                # equal upper parts cancel to a lower degree
+                half = length // 2
+                b = tuple(rng.randrange(p) for _ in range(half)) + a[half:]
+                self.check(p, a, b)
+                assert (x - FpPoly(p, b)).degree < half
+
+
+class TestSeriesDivider:
+    """``Fp(p).divider(m)``, which divides through a power-series inverse
+    of the reversed modulus, against long division on coefficient tuples."""
+
+    def check(self, p, divide, a, m):
+        q, r = tuple_divmod(p, a, m)
+        assert divide(FpPoly(p, a)) == (FpPoly(p, r), FpPoly(p, q)), (p, a, m)
+
+    def modulus(self, rng, p, degree):
+        # a leading coefficient other than 1 wherever the field has one
+        lead = rng.randrange(2, p) if p > 2 else 1
+        return tuple(rng.randrange(p) for _ in range(degree)) + (lead,)
+
+    def test_matches_long_division(self):
+        rng = random.Random(93)
+        for p in PRIMES:
+            for degree in range(1, 7):
+                m = self.modulus(rng, p, degree)
+                divide = Fp(p).divider(FpPoly(p, m))
+                # zero, shorter than m, as long as m, and longer
+                lengths = [0, 1, degree, degree + 1, degree + 2]
+                lengths += [rng.randint(0, 200) for _ in range(5)]
+                for length in lengths:
+                    self.check(p, divide, rand_coeffs(rng, p, length), m)
+
+    def test_one_divider_across_series_doublings(self):
+        # longer quotients extend the cached series; shorter ones read its prefix
+        rng = random.Random(94)
+        for p in (2, 3, 131, 2**61 - 1):
+            m = self.modulus(rng, p, 3)
+            divide = Fp(p).divider(FpPoly(p, m))
+            for length in (5, 6, 9, 17, 40, 3, 70, 130, 8, 260, 515, 2, 1030, 33):
+                self.check(p, divide, rand_coeffs(rng, p, length), m)
+
+
+class TestFpPolyValues:
+    def test_equal_across_constructors(self):
+        for p in (2, 3, 131, 2**61 - 1):
+            ring = Fp(p)
+            y = FpPoly(p, (0, 1))
+            forms = [
+                FpPoly(p, (1, 0, p - 1)),
+                FpPoly(p, [1, 0, p - 1, 0, 0]),
+                FpPoly.make(p, (1 + p, 2 * p, -1, p)),
+                ring.parse(f"{p - 1}y^2+1"),
+                y * FpPoly(p, (0, p - 1)) + ring.one,
+                ring.one - y * y,
+                -(y * y - ring.one),
+                ring.divider(y * y * y)(FpPoly(p, (1, 0, p - 1, 1)))[0],
+            ]
+            assert len(set(forms)) == 1 and len({hash(f) for f in forms}) == 1
+            for f in forms:
+                assert f == forms[0] and not f != forms[0]
+                assert f.coeffs == (1, 0, p - 1) and f.degree == 2 and f.p == p
+
+    def test_unequal_to_other_types(self):
+        for f in (FpPoly(3), FpPoly(3, (2,)), FpPoly(3, (1, 2)), FpPoly(131, (7, 1))):
+            pair = tuple(f)
+            assert f != pair and pair != f and not f == pair and not pair == f
+            assert pair not in {f} and f not in {pair}
+            for other in (0, 2, GaussianInt(2, 0), (1, 2)):
+                assert f != other and other != f
+        assert FpPoly(3, (1,)) != FpPoly(5, (1,))
+
+    def test_pickle_and_copy_round_trips(self):
+        values = (FpPoly(2), FpPoly(3, (1, 2)), FpPoly(131, (130, 0, 7)), FpPoly(2**61 - 1, (5, 9)))
+        for f in values:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                g = pickle.loads(pickle.dumps(f, protocol))
+                assert type(g) is FpPoly and g == f and hash(g) == hash(f)
+            for g in (copy.copy(f), copy.deepcopy(f), copy.deepcopy((f, [f]))[0]):
+                assert type(g) is FpPoly and g == f
+
+    def test_repr(self):
+        assert repr(FpPoly.make(3, (1, 2, 0, 1))) == "FpPoly(3, (1, 2, 0, 1))"
+        assert repr(FpPoly(2)) == "FpPoly(2, ())"
+        assert repr(FpPoly(131, (130,))) == "FpPoly(131, (130,))"
+        assert str(FpPoly.make(3, (1, 2, 0, 1))) == "y^3+2y+1"
+
+    def test_sort_key_order(self):
+        # the frozen-dataclass key: (degree, coefficient tuple)
+        rng = random.Random(95)
+        for p in (2, 3, 131):
+            coeffs = [rand_coeffs(rng, p, rng.randint(0, 6)) for _ in range(300)]
+            want = [FpPoly(p, c) for c in sorted(coeffs, key=lambda c: (len(c) - 1, c))]
+            assert sorted((FpPoly(p, c) for c in coeffs), key=Fp(p).sort_key) == want

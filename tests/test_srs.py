@@ -163,6 +163,21 @@ class TestClassify:
         verdict = srs_classify(SrsParams((F(0), F(0))))
         assert verdict.in_d0 == "yes" and verdict.in_d == "yes"
 
+    def test_integer_parameters(self):
+        # p0 = 1 leaves no digit system; tau is linear and injective instead
+        for r in ((F(2),), (F(1), F(1)), (F(1), F(0)), (F(-1), F(3))):
+            for eps in (F(0), F(1, 2)):
+                params = SrsParams(r, eps)
+                verdict = srs_classify(params)
+                assert (verdict.in_d0, verdict.in_d) == ("no", "unknown"), r
+                assert verdict.modulus is None and verdict.fep is None
+                assert "injective" in verdict.note
+                for z in ((1,) * len(r), (0,) * (len(r) - 1) + (-3,)):
+                    for _ in range(20):
+                        z = tau_step(params, z)
+                        assert any(z), (r, z)
+        assert "injective" in srs_classify(SrsParams((F(0), F(2)))).note
+
     def test_leading_zero_reduces(self):
         verdict = srs_classify(SrsParams((F(0), F(1, 2))))
         assert verdict.in_d0 == "yes"
