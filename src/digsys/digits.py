@@ -137,7 +137,7 @@ class DigitSystem:
         self.digits = digits
         self._lookup = _lookup
         self._carry = _carry
-        self._divide = self.ring.divider(qring.p0)
+        self._divide = qring._divide_p0
         self.digits_constant = all(d.x_degree <= 0 for d in digits)
         self.k = max(self.qring.d, max((d.x_degree for d in digits), default=0))
         # constant coefficients p_d, p_{d-1}, ..., p_1 of the basis w_0..w_{d-1}
@@ -328,14 +328,14 @@ def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
         violations.append("the base polynomial must have degree at least 1")
         raise ValidationError(violations)
     p0 = modulus.constant
-    if ring.is_zero(p0):
+    if not p0:
         violations.append("the constant coefficient p0 of the base polynomial is zero")
     elif ring.is_unit(p0):
         violations.append(
             f"p0 = {ring.format(p0)} is a unit: the residue ring modulo the base is "
             "trivial, so the digit set degenerates to a single digit"
         )
-    if ring.is_zero(modulus.lead):
+    if not modulus.lead:
         violations.append("the leading coefficient of the base polynomial is zero")
     if violations:
         raise ValidationError(violations)
@@ -359,7 +359,7 @@ def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
         )
     lookup: dict = {}
     carry: dict = {}
-    divide = ring.divider(p0)
+    divide = qring._divide_p0
     for d in normalized:
         key, q1 = divide(d.constant)
         if key in lookup:

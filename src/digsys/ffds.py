@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .digits import DEFAULT_STEP_CAP, DigitSystem, validate_system, walk
 from .polyquot import Poly
-from .rings import FpPolynomialRing
+from .rings import MAX_ENUMERATION, FpPolynomialRing
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def ff_criterion(modulus: Poly) -> FfCriterion:
     if modulus.degree < 1:
         raise ValueError("the base polynomial must have degree at least 1")
     p0 = modulus.constant
-    if ring.is_zero(p0) or ring.is_unit(p0):
+    if not p0 or ring.is_unit(p0):
         raise ValueError("p0 must be a non-unit, nonzero polynomial in y")
     top = max(c.degree for c in modulus.coeffs[1:] if c)
     d0 = p0.degree
@@ -75,7 +75,7 @@ def canonical_ff_digits(modulus: Poly) -> tuple:
     """All p^deg_y(p0) polynomials of y-degree below deg_y(p0)."""
     ring = _require_fp(modulus.ring)
     p0 = modulus.constant
-    if ring.is_zero(p0) or ring.is_unit(p0):
+    if not p0 or ring.is_unit(p0):
         raise ValueError("p0 must be a non-unit, nonzero polynomial in y")
     return tuple(ring.residues(p0))
 
@@ -101,11 +101,11 @@ class _PhiRewriter:
         """One window move; raises ValueError when a sum escapes the
         digit alphabet."""
         ring = self.ring
-        if not ring.is_zero(state[0]):
+        if state[0]:
             return tuple(list(state[1:]) + [ring.zero])
         out = []
         for c, z in zip(state[1:], self.zc[1:-1]):
-            s = ring.add(c, z)
+            s = c + z
             if s not in self.alphabet:
                 raise ValueError(
                     f"window sum {ring.format(s)} leaves the digit alphabet"
@@ -149,8 +149,9 @@ def prove_fep_via_zero_cycle(
     passes the degree test, and apart from 0 it is contained in the
     target digit set.  The verdict is "yes" when every window over the
     auxiliary digits reaches the all-zero window, "no" when some window
-    orbit cycles, "unknown" when sums escape the alphabet or the zero
-    cycle is not found within the cap.
+    orbit cycles, "unknown" when sums escape the alphabet, the zero cycle
+    is not found within the cap or there are more than MAX_ENUMERATION
+    windows.
     """
     ring = _require_fp(system.ring)
     if not system.digits_constant:
@@ -183,10 +184,18 @@ def prove_fep_via_zero_cycle(
     ell = rewriter.window
 
     # explore every window over the auxiliary digits
-    order = sorted(aux, key=ring.sort_key)
-    starts = list(itertools.product(order, repeat=ell))
+    windows = len(aux) ** ell
+    if windows > MAX_ENUMERATION:
+        return PhiVerdict(
+            "unknown",
+            f"{windows} windows of length {ell}, more than the enumeration limit "
+            f"{MAX_ENUMERATION}",
+            zero_cycle=zc_consts,
+            window_length=ell,
+        )
     status = {tuple([ring.zero] * ell): 0}
-    for start in starts:
+    reach = {}
+    for start in itertools.product(sorted(aux, key=ring.sort_key), repeat=ell):
         try:
             kind, path, hit = walk(start, rewriter.step, status)
         except ValueError as exc:
@@ -207,7 +216,7 @@ def prove_fep_via_zero_cycle(
         n, known = len(path), status[hit]
         for u, i in path.items():
             status[u] = known + n - i
-    reach = {s: status[s] for s in starts}
+        reach[start] = status[start]
     return PhiVerdict(
         "yes",
         "every auxiliary window reaches the zero window",
@@ -252,7 +261,7 @@ def convert_expansion(
     rounds = 0
     while True:
         try:
-            i = next(j for j, v in enumerate(b) if ring.is_zero(v))
+            i = next(j for j, v in enumerate(b) if not v)
         except StopIteration:
             break
         if rounds >= cap:
@@ -260,7 +269,7 @@ def convert_expansion(
         if len(b) < i + len(zc_consts):
             b.extend([ring.zero] * (i + len(zc_consts) - len(b)))
         for j, z in enumerate(zc_consts):
-            s = ring.add(b[i + j], z)
+            s = b[i + j] + z
             if s not in alphabet:
                 return ConvertResult(
                     "unknown",
@@ -269,7 +278,7 @@ def convert_expansion(
                     f"sum {ring.format(s)} leaves the digit alphabet",
                 )
             b[i + j] = s
-        while b and ring.is_zero(b[-1]):
+        while b and not b[-1]:
             b.pop()
         rounds += 1
     digits = tuple(system.qring.from_const(v) for v in b)

@@ -32,7 +32,7 @@ class Poly:
     @staticmethod
     def make(ring: Ring, coeffs) -> Poly:
         cs = [ring.coerce(c) for c in coeffs]
-        while cs and ring.is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         return Poly(ring, tuple(cs))
 
@@ -64,21 +64,15 @@ class Poly:
     def __add__(self, other: Poly) -> Poly:
         self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(
-            self.ring,
-            [self.ring.add(self.coeff(i), other.coeff(i)) for i in range(n)],
-        )
+        return Poly.make(self.ring, [self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __sub__(self, other: Poly) -> Poly:
         self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(
-            self.ring,
-            [self.ring.sub(self.coeff(i), other.coeff(i)) for i in range(n)],
-        )
+        return Poly.make(self.ring, [self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __neg__(self) -> Poly:
-        return Poly(self.ring, tuple(self.ring.neg(c) for c in self.coeffs))
+        return Poly(self.ring, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: Poly) -> Poly:
         self._check(other)
@@ -87,15 +81,15 @@ class Poly:
         ring = self.ring
         out = [ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if ring.is_zero(a):
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+                out[i + j] = out[i + j] + a * b
         return Poly.make(ring, out)
 
     def scale(self, c) -> Poly:
         c = self.ring.coerce(c)
-        return Poly.make(self.ring, [self.ring.mul(c, a) for a in self.coeffs])
+        return Poly.make(self.ring, [c * a for a in self.coeffs])
 
     def shift(self, k: int) -> Poly:
         if self.is_zero:
@@ -151,9 +145,6 @@ class QuotElem:
     def __rmul__(self, other):
         return self.qring.scale(self, other)
 
-    def times_x(self) -> QuotElem:
-        return self.qring.mul_x(self)
-
     def __str__(self) -> str:
         return self.qring.format(self)
 
@@ -180,7 +171,7 @@ class QuotRing:
         ring = modulus.ring
         if not violations:
             p0 = modulus.constant
-            if ring.is_zero(p0):
+            if not p0:
                 violations.append("the constant coefficient of the modulus is zero")
             elif ring.is_unit(p0):
                 violations.append(
@@ -194,7 +185,10 @@ class QuotRing:
         self.d = modulus.degree
         self.p0 = modulus.constant
         self.pd = modulus.lead
-        self._divide_pd = None if ring.is_unit(self.pd) else ring.divider(self.pd)
+        # all division is by these two: p0 for T, p_d (possibly a unit) for
+        # the canonical forms
+        self._divide_p0 = ring.divider(self.p0)
+        self._divide_pd = ring.divider(self.pd)
         self._basis = None
 
     def __eq__(self, other) -> bool:
@@ -228,7 +222,7 @@ class QuotRing:
 
     def from_const(self, c) -> QuotElem:
         c = self.ring.coerce(c)
-        if self.ring.is_zero(c):
+        if not c:
             return self.zero
         return QuotElem(self, (c,), ())
 
@@ -236,33 +230,23 @@ class QuotRing:
         """Canonical form of f mod P; constant on cosets of (P)."""
         if f.ring != self.ring:
             raise ValueError("polynomial over the wrong ring")
-        ring = self.ring
         d = self.d
         coeffs = list(f.coeffs)
-        if len(coeffs) > d:
-            if self._divide_pd is None:
-                # Unit leading coefficient: reduce fully below degree d.
-                pc = self.modulus.coeffs
-                inv = ring.exact_div(ring.one, self.pd)
-                for i in range(len(coeffs) - 1, d - 1, -1):
-                    q = ring.mul(coeffs[i], inv)
-                    if not ring.is_zero(q):
-                        for j in range(d + 1):
-                            coeffs[i - d + j] = ring.sub(coeffs[i - d + j], ring.mul(q, pc[j]))
-                    coeffs[i] = ring.zero
-            else:
-                pc = self.modulus.coeffs
-                for i in range(len(coeffs) - 1, d - 1, -1):
-                    r, q = self._divide_pd(coeffs[i])
-                    if not ring.is_zero(q):
-                        for j in range(d):
-                            coeffs[i - d + j] = ring.sub(coeffs[i - d + j], ring.mul(q, pc[j]))
-                    coeffs[i] = r
+        # each coefficient at degree >= d keeps its residue mod p_d (0 for
+        # a unit p_d) and passes quotient * (P - p_d x^d) down
+        pc = self.modulus.coeffs
+        divide = self._divide_pd
+        for i in range(len(coeffs) - 1, d - 1, -1):
+            r, q = divide(coeffs[i])
+            if q:
+                for j in range(d):
+                    coeffs[i - d + j] = coeffs[i - d + j] - q * pc[j]
+            coeffs[i] = r
         tail = coeffs[d:]
-        while tail and ring.is_zero(tail[-1]):
+        while tail and not tail[-1]:
             tail.pop()
         low = coeffs[:d]
-        while low and ring.is_zero(low[-1]):
+        while low and not low[-1]:
             low.pop()
         return QuotElem(self, tuple(low), tuple(tail))
 
@@ -305,14 +289,14 @@ class QuotRing:
         """The unique B with X*B = a; requires p0 | constant term."""
         self._check(a)
         f = self.to_poly(a)
-        q = self.ring.exact_div(f.constant, self.p0)
-        if q is None:
+        r, q = self._divide_p0(f.constant)
+        if r:
             raise ValueError(
                 f"element {self.format(a)} is not divisible by the base: constant "
                 f"coefficient {self.ring.format(f.constant)} is not a multiple of "
                 f"{self.ring.format(self.p0)}"
             )
-        if not self.ring.is_zero(q):
+        if q:
             f = f - self.modulus.scale(q)
         return self.normalize(Poly.make(self.ring, f.coeffs[1:]))
 
@@ -333,23 +317,18 @@ class QuotRing:
         d = self.d
         pc = self.modulus.coeffs
         divide = self._divide_pd
-        inv = ring.exact_div(ring.one, self.pd) if divide is None else None
         low = list(a.low) + [ring.zero] * (d - len(a.low))
         q = [ring.zero] * d
         for i in range(d - 1, -1, -1):
-            if divide is None:
-                # the residue system mod a unit is {0}
-                r, qi = ring.zero, ring.mul(low[i], inv)
-            else:
-                r, qi = divide(low[i])
+            r, qi = divide(low[i])
             q[i] = qi
-            if not ring.is_zero(qi):
+            if qi:
                 # subtract qi * w_i; w_i has coefficient p_{d-i+j} at x^j
                 for j in range(i):
-                    low[j] = ring.sub(low[j], ring.mul(qi, pc[d - i + j]))
+                    low[j] = low[j] - qi * pc[d - i + j]
             low[i] = r
         residue = low + list(a.tail)
-        while residue and ring.is_zero(residue[-1]):
+        while residue and not residue[-1]:
             residue.pop()
         return StandardRep(tuple(q), tuple(residue))
 
@@ -380,10 +359,10 @@ class QuotRing:
         low = [ring.zero] * self.d
         for i, a in enumerate(coords):
             a = ring.coerce(a)
-            if not ring.is_zero(a):
+            if a:
                 for j in range(i + 1):
-                    low[j] = ring.add(low[j], ring.mul(a, pc[self.d - i + j]))
-        while low and ring.is_zero(low[-1]):
+                    low[j] = low[j] + a * pc[self.d - i + j]
+        while low and not low[-1]:
             low.pop()
         return QuotElem(self, tuple(low), ())
 
@@ -414,7 +393,7 @@ def format_poly(ring: Ring, coeffs, var: str = "x") -> str:
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
-        if ring.is_zero(c):
+        if not c:
             continue
         text = ring.format(c)
         negative = False
@@ -531,9 +510,9 @@ def parse_poly(ring: Ring, text: str) -> Poly:
             except ParseError as exc:
                 raise ParseError(exc.message, text, coef_at + exc.pos) from None
         if sign < 0:
-            c = ring.neg(c)
+            c = -c
         if k in coeffs:
-            coeffs[k] = ring.add(coeffs[k], c)
+            coeffs[k] = coeffs[k] + c
         else:
             coeffs[k] = c
     top = max(coeffs) if coeffs else 0

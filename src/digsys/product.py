@@ -88,9 +88,7 @@ def multi_product_digit_set(
         prefix = prefix * modulus
     combined = validate_system(ring, combined_modulus, digit_polys)
 
-    zero_ok = all(
-        any(ring.is_zero(v) for v in values) for _, values, _ in built[:-1]
-    )
+    zero_ok = not any(all(values) for _, values, _ in built[:-1])
     flag = "unknown"
     if zero_ok:
         verdicts = [
@@ -140,10 +138,10 @@ def product_expand(
         out = []
         for i in range(top):
             val = coeffs[i + 1] if i + 1 < len(coeffs) else ring.zero
-            if not ring.is_zero(carry) and i + 1 < len(mod_coeffs):
-                val = ring.sub(val, ring.mul(carry, mod_coeffs[i + 1]))
+            if carry and i + 1 < len(mod_coeffs):
+                val = val - carry * mod_coeffs[i + 1]
             out.append(val)
-        while out and ring.is_zero(out[-1]):
+        while out and not out[-1]:
             out.pop()
         return tuple(out)
 

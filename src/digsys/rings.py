@@ -3,29 +3,31 @@
 Three rings are available: the rational integers ``Z``, the Gaussian
 integers ``ZI`` and the polynomial rings ``Fp(p)`` over a prime field
 in the variable ``y``.  All three are Euclidean domains, so "nonzero"
-and "not a zero divisor" coincide.  Every ring supplies
+and "not a zero divisor" coincide.  The values (arbitrary-precision
+``int``, :class:`GaussianInt`, :class:`FpPoly`) carry their own ``+``,
+``-``, ``*``, unary ``-`` and truth (nonzero), and their equality is ring
+equality.  A ring supplies only what depends on it:
 
-* canonical element values (arbitrary-precision ``int``,
-  :class:`GaussianInt`, :class:`FpPoly`) whose equality is ring
-  equality,
-* exact division, a Euclidean value function with value ``-inf`` at 0,
-* complete residue systems and canonical division with remainder for
-  nonzero non-unit moduli, deterministic across runs,
+* ``zero``, ``one``, ``coerce``, ``is_unit`` and a Euclidean value
+  function with value ``-inf`` at 0,
+* complete residue systems for nonzero moduli, deterministic across
+  runs (``{0}`` for a unit),
+* division, through ``divider(m)`` alone,
 * a whitespace-insensitive text grammar with ``parse``/``format``
   round-tripping.
 
-``Ring.divider(m)`` checks a modulus once and returns ``a -> (r, q)``,
-so loops that divide by one modulus (a base's p0 or leading
-coefficient) skip that check, and ``Z[i]`` rounds on plain ints.
-``canonical_residue(a, m)`` is ``divider(m)(a)``: one formula per ring.
+``Ring.divider(m)`` checks a nonzero modulus once and returns
+``a -> (r, q)`` with ``a = r + q*m`` and ``r`` in ``residues(m)``, so
+loops that divide by one modulus (a base's p0 or leading coefficient)
+skip that check, and ``Z[i]`` rounds on plain ints.  An exact quotient
+is the ``q`` of a zero ``r``; dividing by a unit always gives one.
 
 A polynomial over F_p is one integer with a coefficient per byte slot,
 so sums, differences and products are integer operations followed by
 one reduction of every slot mod p (``bytes.translate`` for small p);
 products are Kronecker substitutions (Harvey 2009).  ``Fp(p).divider(m)``
 divides through a cached power-series inverse of the reversed modulus,
-two products and a difference per division; ``divmod`` stays schoolbook
-long division for one-off divisions.
+two products and a difference per division.
 
 All values are immutable and all operations are pure, so they may be
 shared freely between threads.
@@ -44,6 +46,10 @@ NEG_INF = float("-inf")
 # largest exponent a literal may write; parsers build dense coefficient
 # lists up to it, so larger ones are rejected before anything is allocated
 MAX_EXPONENT = 10**5
+
+# most members an enumeration may list: an F_p[y] residue system
+# (p^deg m polynomials) or the windows of a zero-cycle proof
+MAX_ENUMERATION = 2**16
 
 # the first 13 primes; as Miller-Rabin bases they decide primality of
 # every n below _MR_LIMIT (Sorenson and Webster 2017)
@@ -230,27 +236,6 @@ class FpPoly(tuple):
             a, b = _spread(a, la, w, k), _spread(b, lb, w, k)
         return _new(FpPoly, (p, _reduce(a * b, p, k)))
 
-    def __divmod__(self, other: FpPoly) -> tuple[FpPoly, FpPoly]:
-        # schoolbook long division, for one-off divisions; loops that divide
-        # by one modulus use FpPolynomialRing.divider
-        if self[0] != other[0]:
-            raise ValueError("mixed characteristics")
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        p, b = self.p, other.coeffs
-        lb, rem = len(b), list(self.coeffs)
-        if len(rem) < lb:
-            return FpPoly(p), self
-        inv = pow(b[-1], -1, p)
-        quo = [0] * (len(rem) - lb + 1)
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[i + lb - 1] % p
-            if c:
-                quo[i] = q = c * inv % p
-                for j in range(lb):
-                    rem[i + j] -= q * b[j]
-        return FpPoly(p, quo), FpPoly(p, [c % p for c in rem[: lb - 1]])
-
     def __str__(self) -> str:
         return _format_fp(self)
 
@@ -411,7 +396,9 @@ class _Scanner:
 
 
 class Ring:
-    """Interface shared by the three coefficient rings."""
+    """Interface shared by the three coefficient rings: what depends on
+    the ring.  Values add, subtract, multiply and negate with their own
+    operators, and are false exactly when zero."""
 
     name: str
 
@@ -427,55 +414,32 @@ class Ring:
     def coerce(self, x):
         raise NotImplementedError
 
-    def is_zero(self, a) -> bool:
-        raise NotImplementedError
-
     def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    # -- arithmetic ------------------------------------------------------
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def exact_div(self, a, b):
-        """The exact quotient a/b, or None when b does not divide a."""
         raise NotImplementedError
 
     def euclid_value(self, a):
         """Euclidean value function; -inf at 0."""
         raise NotImplementedError
 
-    # -- residue systems -------------------------------------------------
+    # -- residue systems and division ------------------------------------
     def check_modulus(self, m) -> None:
-        if self.is_zero(m):
+        if not m:
             raise ValueError("zero modulus: the quotient ring is infinite")
-        if self.is_unit(m):
-            raise ValueError("unit modulus: the quotient ring is trivial")
 
     def quotient_size(self, m) -> int:
         raise NotImplementedError
 
     def residues(self, m) -> list:
-        """A complete duplicate-free residue system mod m, in a fixed order."""
+        """A complete duplicate-free residue system mod m, in a fixed
+        order; ``[zero]`` for a unit m."""
         raise NotImplementedError
 
     def divider(self, m):
-        """Division by the fixed modulus m: checks m once (ValueError for a
-        zero or unit m) and returns a -> (r, q) with a = r + q*m and r the
-        member of residues(m) congruent to a."""
-        raise NotImplementedError
-
-    def canonical_residue(self, a, m) -> tuple:
-        """(r, q) with a = r + q*m and r the member of residues(m) congruent to a."""
+        """Division by the fixed modulus m, the rings' only division:
+        checks m once (ValueError for m = 0) and returns a -> (r, q) with
+        a = r + q*m and r the member of residues(m) congruent to a.  m
+        divides a exactly when r is zero; for a unit m, r is always zero
+        and q = a/m."""
         raise NotImplementedError
 
     # -- text ------------------------------------------------------------
@@ -509,29 +473,8 @@ class IntegerRing(Ring):
             return int(x)
         raise TypeError(f"cannot interpret {x!r} as an integer")
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def is_unit(self, a) -> bool:
         return a in (1, -1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def exact_div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        q, r = divmod(a, b)
-        return q if r == 0 else None
 
     def euclid_value(self, a):
         return NEG_INF if a == 0 else abs(a)
@@ -553,9 +496,6 @@ class IntegerRing(Ring):
             return r, (a - r) // m
 
         return divide
-
-    def canonical_residue(self, a, m) -> tuple:
-        return self.divider(m)(a)
 
     def parse(self, text: str):
         sc = _Scanner(text)
@@ -590,32 +530,8 @@ class GaussianIntegerRing(Ring):
             return GaussianInt(int(x), 0)
         raise TypeError(f"cannot interpret {x!r} as a Gaussian integer")
 
-    def is_zero(self, a) -> bool:
-        return not a
-
     def is_unit(self, a) -> bool:
         return a.norm() == 1
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def exact_div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero")
-        num = a * b.conjugate()
-        n = b.norm()
-        if num.re % n or num.im % n:
-            return None
-        return GaussianInt(num.re // n, num.im // n)
 
     def euclid_value(self, a):
         return NEG_INF if not a else a.norm()
@@ -653,9 +569,6 @@ class GaussianIntegerRing(Ring):
             return r, GaussianInt(qr, qi)
 
         return divide
-
-    def canonical_residue(self, a, m) -> tuple:
-        return self.divider(m)(a)
 
     def parse(self, text: str):
         sc = _Scanner(text)
@@ -723,29 +636,8 @@ class FpPolynomialRing(Ring):
             return FpPoly.make(self.p, (x,))
         raise TypeError(f"cannot interpret {x!r} as a polynomial over F_{self.p}")
 
-    def is_zero(self, a) -> bool:
-        return not a
-
     def is_unit(self, a) -> bool:
         return a.degree == 0
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def exact_div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero")
-        q, r = divmod(a, b)
-        return q if not r else None
 
     def euclid_value(self, a):
         return NEG_INF if not a else a.degree
@@ -755,10 +647,16 @@ class FpPolynomialRing(Ring):
         return self.p ** m.degree
 
     def residues(self, m) -> list:
-        self.check_modulus(m)
+        """ValueError when the system has more than MAX_ENUMERATION members."""
+        size = self.quotient_size(m)
+        if size > MAX_ENUMERATION:
+            raise ValueError(
+                f"the residue system mod {_format_fp(m)} has {size} members, "
+                f"more than the enumeration limit {MAX_ENUMERATION}"
+            )
         d = m.degree
         out = []
-        for idx in range(self.p**d):
+        for idx in range(size):
             coeffs = []
             v = idx
             for _ in range(d):
@@ -800,9 +698,6 @@ class FpPolynomialRing(Ring):
             return a - q * m, q
 
         return divide
-
-    def canonical_residue(self, a, m) -> tuple:
-        return self.divider(m)(a)
 
     def parse(self, text: str):
         sc = _Scanner(text)

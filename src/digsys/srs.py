@@ -103,10 +103,7 @@ def srs_to_cns(params: SrsParams) -> tuple[Poly, tuple[int, ...]]:
     # the entries are (p_d, p_{d-1}, ..., p_1) divided by p_0
     for i, ri in enumerate(params.r):
         coeffs[d - i] = int(ri * p0)
-    modulus = Poly.make(Z, coeffs)
-    start = math.ceil(-params.eps * p0)
-    digits = tuple(range(start, start + p0))
-    return modulus, digits
+    return Poly.make(Z, coeffs), epsilon_digit_set(p0, params.eps)
 
 
 def epsilon_digit_set(p0: int, eps: Fraction) -> tuple[int, ...]:

@@ -220,7 +220,7 @@ def _coordinate_images(system: DigitSystem):
     zero = ring.zero
     step = system._carry_step
     carry = system._carry
-    shifts = [e.constant for e in system.digits if not ring.is_zero(e.constant)]
+    shifts = [e.constant for e in system.digits if e.constant]
     rows: dict = {}
 
     def images(v):

@@ -58,6 +58,53 @@ def residue_oracle(ring, a, m) -> tuple:
     return FpPoly(a.p, r), FpPoly(a.p, q)
 
 
+def unit_inverse(ring, u):
+    """u^-1 for a unit u: u itself over Z, conj(u) over Z[i], the inverse
+    constant over F_p[y]."""
+    if ring == Z:
+        return u
+    if ring == ZI:
+        return u.conjugate()
+    return FpPoly(u.p, (pow(u.coeffs[0], -1, u.p),))
+
+
+def normalize_oracle(qring, f: Poly) -> tuple:
+    """(low, tail) of the canonical form of f mod P by the loops
+    ``QuotRing.normalize`` ran before ``Ring.divider`` accepted units:
+    for a unit p_d, each coefficient at degree >= d is cleared with
+    p_d^-1 times the whole of P; otherwise it keeps its
+    ``residue_oracle`` residue mod p_d and passes the quotient down."""
+    ring, d, pd, pc = qring.ring, qring.d, qring.pd, qring.modulus.coeffs
+    inv = unit_inverse(ring, pd) if ring.is_unit(pd) else None
+    coeffs = list(f.coeffs)
+    for i in range(len(coeffs) - 1, d - 1, -1):
+        if inv is not None:
+            q = coeffs[i] * inv
+            for j in range(d + 1):
+                coeffs[i - d + j] = coeffs[i - d + j] - q * pc[j]
+        else:
+            r, q = residue_oracle(ring, coeffs[i], pd)
+            for j in range(d):
+                coeffs[i - d + j] = coeffs[i - d + j] - q * pc[j]
+            coeffs[i] = r
+    low, tail = coeffs[:d], coeffs[d:]
+    for part in (low, tail):
+        while part and not part[-1]:
+            part.pop()
+    return tuple(low), tuple(tail)
+
+
+def divide_by_x_oracle(qring, a):
+    """The (low, tail) of B with X*B = a, through ``residue_oracle`` and
+    ``normalize_oracle``; None when p0 does not divide the constant."""
+    f = qring.to_poly(a)
+    r, q = residue_oracle(qring.ring, f.constant, qring.p0)
+    if r:
+        return None
+    f = f - qring.modulus.scale(q)
+    return normalize_oracle(qring, Poly.make(qring.ring, f.coeffs[1:]))
+
+
 # Coefficient-tuple arithmetic over F_p (index = degree, no trailing
 # zeros): the loops FpPoly used before it stored packed integers, kept as
 # the oracle for the packed kernels and for ``Fp(p).divider``.

@@ -313,6 +313,12 @@ class TestFf:
         report = json.loads(out)
         assert report["result"]["convert"]["status"] == "finite"
 
+    def test_oversized_canonical_digit_set(self, capsys):
+        # 2^40 canonical digits: refused before any is listed
+        code, out, err = run(capsys, "ff", "--p", "2", "--poly", "x+y^40", "--json")
+        assert code == 1 and out == ""
+        assert "has 1099511627776 members, more than the enumeration limit 65536" in err
+
 
 def test_import_loads_no_numpy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(digsys.__file__)))

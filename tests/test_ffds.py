@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from digsys import (
     validate_system,
 )
 from digsys.ffds import _PhiRewriter
+from digsys.rings import MAX_ENUMERATION
 
 from support import example2, rand_poly
 
@@ -227,6 +229,27 @@ class TestProveFep:
         assert verdict.answer == "unknown"
         assert "window sum y^2+1 leaves the digit alphabet" in verdict.reason
         assert verdict.cycle == () and verdict.reach_steps == {}
+
+    def test_window_count_is_bounded(self):
+        # zero period 9 gives 9^8 = 43,046,721 windows of length 8: answered
+        # "unknown" before any window is listed or walked
+        modulus = parse_poly(F3, "(y+1)x^3 + (y^2+2y+1)")
+        canonical = canonical_ff_digits(modulus)
+        digits = [d for d in canonical if d] + [F3.parse("y^3+2y^2+y")]
+        system = validate_system(F3, modulus, digits)
+        tracemalloc.start()
+        try:
+            verdict = prove_fep_via_zero_cycle(system, canonical)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.answer == "unknown" and verdict.window_length == 8
+        assert len(verdict.zero_cycle) == 9
+        want = f"43046721 windows of length 8, more than the enumeration limit {MAX_ENUMERATION}"
+        assert want in verdict.reason
+        assert peak < 4 * 2**20
+        # the proofs perfbench's decide_ff runs have up to 4096 windows
+        assert MAX_ENUMERATION >= 4096
 
 
 class TestConvert:

@@ -18,7 +18,7 @@ from digsys import (
     parse_poly,
 )
 
-from support import rand_poly
+from support import divide_by_x_oracle, normalize_oracle, rand_poly, rand_ring_elem
 
 F2 = Fp(2)
 
@@ -234,7 +234,7 @@ class TestBrunotteBasis:
         for src, ring in [("3x^2-2x+5", Z), ("4x^3+2x^2-3x+6", Z), ("(1+i)x+(1+2i)", ZI)]:
             q = qring(src, ring)
             w = q.brunotte_basis()
-            assert q.mul_x(w[-1]) == q.from_const(ring.neg(q.p0))
+            assert q.mul_x(w[-1]) == q.from_const(-q.p0)
 
 
 class TestStandardRepresentation:
@@ -271,7 +271,7 @@ class TestStandardRepresentation:
                 rep = q.standard_representation(a)
                 assert q.reconstruct(rep) == a
                 if rep.residue:
-                    assert not ring.is_zero(rep.residue[-1])
+                    assert rep.residue[-1]
 
     def test_monic_roundtrip(self):
         rng = random.Random(14)
@@ -281,6 +281,53 @@ class TestStandardRepresentation:
             rep = q.standard_representation(a)
             assert rep.residue == ()
             assert q.reconstruct(rep) == a
+
+
+class TestUnitLeadOracle:
+    """``normalize``, ``standard_representation`` and ``divide_by_x``, which
+    divide by p_d and p0 through ``Ring.divider`` for unit and non-unit
+    leads alike, against ``support.normalize_oracle`` (the unit-lead loop
+    multiplies by p_d^-1)."""
+
+    F3 = Fp(3)
+    LEADS = (
+        (Z, (1, -1, 2, -3)),
+        (ZI, tuple(GaussianInt(*c) for c in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, 0)))),
+        (F3, (F3.one, F3.parse("2"), F3.parse("y+1"), F3.parse("y^2+2"))),
+    )
+
+    def moduli(self, rng):
+        for ring, leads in self.LEADS:
+            for lead in leads:
+                for d in (1, 2, 3):
+                    p0 = rand_ring_elem(rng, ring, 9)
+                    while not p0 or ring.is_unit(p0):
+                        p0 = rand_ring_elem(rng, ring, 9)
+                    middle = [rand_ring_elem(rng, ring, 9) for _ in range(d - 1)]
+                    yield ring, QuotRing(Poly.make(ring, [p0, *middle, lead]))
+
+    def test_against_oracle(self):
+        rng = random.Random(98)
+        units = 0
+        for ring, q in self.moduli(rng):
+            units += ring.is_unit(q.pd)
+            for _ in range(12):
+                f = rand_poly(rng, ring, q.d + 4, 30)
+                a = q.normalize(f)
+                assert (a.low, a.tail) == normalize_oracle(q, f), (q, f)
+                rep = q.standard_representation(a)
+                assert q.reconstruct(rep) == a
+                if ring.is_unit(q.pd):
+                    assert a.tail == () and rep.residue == ()
+                for b in (a, q.mul_x(a), q.mul_x(a) - q.from_const(q.p0)):
+                    want = divide_by_x_oracle(q, b)
+                    if want is None:
+                        with pytest.raises(ValueError, match="not divisible"):
+                            q.divide_by_x(b)
+                    else:
+                        got = q.divide_by_x(b)
+                        assert (got.low, got.tail) == want and q.mul_x(got) == b
+        assert units == 3 * (2 + 4 + 2)
 
 
 class TestFormatting:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from digsys import Fp, FpPoly, GaussianInt, ParseError, Z, ZI, parse_poly
-from digsys.rings import FpPolynomialRing
+from digsys.rings import MAX_ENUMERATION, FpPolynomialRing
 
 from support import residue_oracle, tuple_add, tuple_divmod, tuple_mul, tuple_neg, tuple_sub
 
@@ -23,17 +23,18 @@ def fp(ring, *coeffs):
 
 class TestArithmetic:
     def test_integers(self):
-        assert Z.add(2, 3) == 5
-        assert Z.sub(2, 3) == -1
-        assert Z.mul(-4, 3) == -12
-        assert Z.neg(7) == -7
+        a, b = Z.coerce(2), Z.coerce(3)
+        assert a + b == 5
+        assert a - b == -1
+        assert Z.coerce(-4) * b == -12
+        assert -Z.coerce(7) == -7
 
     def test_gaussian_norm_identity(self):
-        assert ZI.mul(GaussianInt(1, 1), GaussianInt(1, -1)) == GaussianInt(2, 0)
+        assert GaussianInt(1, 1) * GaussianInt(1, -1) == GaussianInt(2, 0)
 
     def test_characteristic_two(self):
         a = fp(F2, 1, 1)  # y + 1
-        assert F2.add(a, a) == F2.zero
+        assert a + a == F2.zero
 
     def test_coerce(self):
         assert ZI.coerce(3) == GaussianInt(3, 0)
@@ -43,18 +44,21 @@ class TestArithmetic:
 
 
 class TestExactDiv:
+    """Exact quotients are the ``q`` of a zero remainder from ``divider``."""
+
     def test_integer(self):
-        assert Z.exact_div(-5, 5) == -1
-        assert Z.exact_div(7, 2) is None
-        with pytest.raises(ZeroDivisionError):
-            Z.exact_div(1, 0)
+        assert Z.divider(5)(-5) == (0, -1)
+        assert Z.divider(2)(7)[0] != 0
+        with pytest.raises(ValueError, match="zero modulus"):
+            Z.divider(0)
 
     def test_gaussian(self):
-        assert ZI.exact_div(GaussianInt(2, 0), GaussianInt(1, 1)) == GaussianInt(1, -1)
-        assert ZI.exact_div(GaussianInt(1, 0), GaussianInt(1, 1)) is None
+        divide = ZI.divider(GaussianInt(1, 1))
+        assert divide(GaussianInt(2, 0)) == (ZI.zero, GaussianInt(1, -1))
+        assert divide(GaussianInt(1, 0))[0]
 
     def test_fp(self):
-        assert F2.exact_div(fp(F2, 0, 1, 1), fp(F2, 0, 1)) == fp(F2, 1, 1)
+        assert F2.divider(fp(F2, 0, 1))(fp(F2, 0, 1, 1)) == (F2.zero, fp(F2, 1, 1))
 
 
 class TestEuclidValue:
@@ -80,9 +84,7 @@ class TestResidues:
         assert len(res) == 5
         # every integer 0..4 is congruent to exactly one member
         for a in range(5):
-            hits = [
-                r for r in res if ZI.exact_div(GaussianInt(a, 0) - r, m) is not None
-            ]
+            hits = [r for r in res if not ZI.divider(m)(GaussianInt(a, 0) - r)[0]]
             assert len(hits) == 1
 
     def test_gaussian_two(self):
@@ -99,44 +101,51 @@ class TestResidues:
         for ring, m in [(Z, 6), (ZI, GaussianInt(1, 1)), (F3, fp(F3, 1, 1))]:
             res = ring.residues(m)
             assert len(res) == ring.quotient_size(m)
+            divide = ring.divider(m)
             for i, a in enumerate(res):
                 for b in res[i + 1 :]:
-                    assert ring.exact_div(ring.sub(a, b), m) is None
+                    assert divide(a - b)[0]
 
     def test_rejects_degenerate_moduli(self):
+        # a zero modulus is rejected; a unit one has the residue system {0}
         with pytest.raises(ValueError):
             Z.residues(0)
-        with pytest.raises(ValueError):
-            Z.residues(-1)
-        with pytest.raises(ValueError):
-            ZI.residues(GaussianInt(0, 1))
-        with pytest.raises(ValueError):
-            F3.residues(fp(F3, 2))
+        assert Z.residues(-1) == [0] and Z.quotient_size(-1) == 1
+        assert ZI.residues(GaussianInt(0, 1)) == [ZI.zero]
+        assert ZI.quotient_size(GaussianInt(0, 1)) == 1
+        assert F3.residues(fp(F3, 2)) == [F3.zero] and F3.quotient_size(fp(F3, 2)) == 1
+
+    def test_fp_enumeration_is_bounded(self):
+        assert len(F2.residues(fp(F2, *[0] * 16, 1))) == MAX_ENUMERATION
+        for ring, m in ((F2, fp(F2, *[0] * 40, 1)), (Fp(2**61 - 1), fp(Fp(2**61 - 1), 0, 1))):
+            assert ring.quotient_size(m) > MAX_ENUMERATION
+            with pytest.raises(ValueError, match="enumeration limit"):
+                ring.residues(m)
 
 
 class TestCanonicalResidue:
     def test_examples(self):
-        assert Z.canonical_residue(-1, 5) == (4, -1)
-        assert Z.canonical_residue(7, 2) == (1, 3)
+        assert Z.divider(5)(-1) == (4, -1)
+        assert Z.divider(2)(7) == (1, 3)
 
     def test_fp_example(self):
         # y * (y^2+1) = y^3+y, so the remainder is 0 and the quotient y
         a = fp(F2, 0, 1, 0, 1)
         m = fp(F2, 1, 0, 1)
-        r, q = F2.canonical_residue(a, m)
+        r, q = F2.divider(m)(a)
         assert r == F2.zero and q == fp(F2, 0, 1)
         assert q * m + r == a
 
     def test_gaussian_tie_rounds_down(self):
         # 1+i over 2 sits exactly on a half-integer point in both
         # coordinates; ties go toward -infinity, so the quotient is 0
-        r, q = ZI.canonical_residue(GaussianInt(1, 1), GaussianInt(2, 0))
+        r, q = ZI.divider(GaussianInt(2, 0))(GaussianInt(1, 1))
         assert q == GaussianInt(0, 0) and r == GaussianInt(1, 1)
 
 
 class TestDivider:
-    """``divider(m)(a)`` and ``canonical_residue(a, m)`` against the
-    oracle formulas of ``support.residue_oracle``."""
+    """``divider(m)(a)`` against the oracle formulas of
+    ``support.residue_oracle``."""
 
     BIG = 10**200
 
@@ -165,9 +174,8 @@ class TestDivider:
     def check(self, ring, divide, a, m):
         want = residue_oracle(ring, a, m)
         assert divide(a) == want, (ring, a, m)
-        assert ring.canonical_residue(a, m) == want, (ring, a, m)
         r, q = want
-        assert ring.add(r, ring.mul(q, m)) == a
+        assert r + q * m == a
 
     def test_matches_oracle(self):
         rng = random.Random(4711)
@@ -207,19 +215,50 @@ class TestDivider:
         )
 
     def test_degenerate_modulus_raises_when_built(self):
-        for ring, m in (
-            (Z, 0),
-            (Z, 1),
-            (Z, -1),
-            (ZI, GaussianInt(0, 0)),
-            (ZI, GaussianInt(0, -1)),
-            (ZI, GaussianInt(-1, 0)),
-            (F2, F2.zero),
-            (F2, F2.one),
-            (F3, fp(F3, 2)),
-        ):
+        for ring, m in ((Z, 0), (ZI, GaussianInt(0, 0)), (F2, F2.zero)):
             with pytest.raises(ValueError):
                 ring.divider(m)
+        # a unit modulus divides exactly: a = 0 + (a/u)*u
+        a, g = 7, GaussianInt(3, -5)
+        f2, f3 = fp(F2, 1, 0, 1), fp(F3, 2, 1, 0, 1)
+        for ring, u, value, quotient in (
+            (Z, 1, a, a),
+            (Z, -1, a, -a),
+            (ZI, GaussianInt(0, -1), g, GaussianInt(5, 3)),
+            (ZI, GaussianInt(-1, 0), g, GaussianInt(-3, 5)),
+            (F2, F2.one, f2, f2),
+            (F3, fp(F3, 2), f3, fp(F3, 1, 2, 0, 2)),
+        ):
+            assert ring.divider(u)(value) == (ring.zero, quotient), (ring, u)
+
+
+class TestUnitDivider:
+    """``divider(u)(a) == (zero, a * u^-1)`` for every unit u, small and
+    200-digit (or 200-coefficient) values alike."""
+
+    BIG = 10**200
+
+    def test_integer_and_gaussian_units(self):
+        rng = random.Random(96)
+        big = self.BIG
+        for _ in range(40):
+            a = rng.randint(-big, big)
+            assert Z.divider(1)(a) == (0, a) and Z.divider(-1)(a) == (0, -a)
+            g = GaussianInt(rng.randint(-big, big), rng.randint(-big, big))
+            for u in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                inverse = GaussianInt(u[0], -u[1])  # conj(u) = 1/u for a unit
+                assert ZI.divider(GaussianInt(*u))(g) == (ZI.zero, g * inverse)
+
+    def test_fp_constants(self):
+        rng = random.Random(97)
+        for p in (2, 3, 5, 131, 2**61 - 1):
+            ring = Fp(p)
+            units = {1, p - 1} | {rng.randrange(1, p) for _ in range(3)}
+            for c in units:
+                divide, inverse = ring.divider(FpPoly(p, (c,))), FpPoly(p, (pow(c, -1, p),))
+                for length in (0, 1, 2, 9, 200):
+                    a = FpPoly(p, rand_coeffs(rng, p, length))
+                    assert divide(a) == (ring.zero, a * inverse), (p, c, length)
 
 
 class TestParseFormat:
@@ -375,36 +414,35 @@ class TestPrimeField:
 class TestProperties:
     @given(st.integers(-100, 100), st.integers(-20, 20).filter(bool))
     def test_int_division_with_remainder(self, a, m):
-        r, q = Z.canonical_residue(a, m) if abs(m) > 1 else (None, None)
-        if r is None:
-            return
+        r, q = Z.divider(m)(a)
         assert a == r + q * m
         assert r in Z.residues(m)
 
     @given(gaussians, gaussians.filter(lambda g: g.norm() > 1))
     def test_gaussian_division_with_remainder(self, a, m):
-        r, q = ZI.canonical_residue(a, m)
+        divide = ZI.divider(m)
+        r, q = divide(a)
         assert a == r + q * m
         # idempotent: r is its own canonical residue
-        assert ZI.canonical_residue(r, m)[0] == r
+        assert divide(r)[0] == r
 
     @given(f3_polys, f3_polys.filter(lambda f: f.degree >= 1))
     def test_fp_division_with_remainder(self, a, m):
-        r, q = F3.canonical_residue(a, m)
+        r, q = F3.divider(m)(a)
         assert q * m + r == a
         assert r.degree < m.degree
 
     @given(st.integers(-100, 100), st.integers(-100, 100).filter(bool))
     def test_exact_div_recovers_factor_int(self, a, b):
-        assert Z.exact_div(a * b, b) == a
+        assert Z.divider(b)(a * b) == (0, a)
 
     @given(gaussians, gaussians.filter(bool))
     def test_exact_div_recovers_factor_gaussian(self, a, b):
-        assert ZI.exact_div(a * b, b) == a
+        assert ZI.divider(b)(a * b) == (ZI.zero, a)
 
     @given(f3_polys, f3_polys.filter(bool))
     def test_exact_div_recovers_factor_fp(self, a, b):
-        assert F3.exact_div(a * b, b) == a
+        assert F3.divider(b)(a * b) == (F3.zero, a)
 
     @given(gaussians.filter(bool), gaussians.filter(bool))
     def test_value_grows_under_multiplication(self, a, b):
