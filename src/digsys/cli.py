@@ -18,7 +18,7 @@ from . import ffds, product, srs, witness
 from .digits import DEFAULT_STEP_CAP, DigitSystem, validate_system
 from .errors import ParseError, ValidationError
 from .polyquot import parse_poly
-from .rings import Fp, ring_from_name
+from .rings import MAX_ENUMERATION, Fp, ring_from_name
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -168,7 +168,7 @@ def _run_zero_cycle(args) -> int:
 
 def _run_witness(args) -> int:
     system = _system_from_args(args)
-    mode = args.mode or ("brunotte" if system.digits_constant else "power")
+    mode = args.mode or witness.default_mode(system)
     closure = witness._closure(system, mode, args.witness_cap)
     seeds = closure.seed
     fmt = system.qring.format
@@ -305,7 +305,12 @@ def _run_ff(args) -> int:
     ring = Fp(args.p)
     modulus = parse_poly(ring, args.poly)
     crit = ffds.ff_criterion(modulus)
-    canonical = ffds.canonical_ff_digits(modulus)
+    # the criterion needs no digits: list them when few enough, and let the
+    # enumeration limit refuse a proof or conversion, which walks them
+    listed = ring.quotient_size(modulus.constant) <= MAX_ENUMERATION
+    needed = args.prove_fep or args.convert is not None
+    canonical = ffds.canonical_ff_digits(modulus) if listed or needed else None
+    unlisted = f"more than {MAX_ENUMERATION}, not listed"
     result = {
         "criterion": {
             "fep": crit.fep,
@@ -313,13 +318,14 @@ def _run_ff(args) -> int:
             "max_coefficient_degree": crit.max_degree,
             "p0_degree": crit.p0_degree,
         },
-        "canonical_digits": [ring.format(d) for d in canonical],
+        "canonical_digits": None if canonical is None else [ring.format(d) for d in canonical],
     }
     lines = [
         f"degree criterion: fep={'yes' if crit.fep else 'no'}, "
         f"pep={'yes' if crit.pep else 'no'} "
         f"(max deg {crit.max_degree} vs deg p0 {crit.p0_degree})",
-        f"canonical digits: {', '.join(result['canonical_digits'])}",
+        "canonical digits: "
+        + (", ".join(result["canonical_digits"]) if canonical else unlisted),
     ]
     exit_code = EXIT_OK
     system = None
@@ -362,7 +368,7 @@ def _run_ff(args) -> int:
         "system": {
             "ring": ring.name,
             "poly": str(modulus),
-            "digits": [ring.format(d) for d in canonical]
+            "digits": result["canonical_digits"]
             if system is None
             else [system.qring.format(d) for d in system.digits],
         },

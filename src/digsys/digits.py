@@ -17,12 +17,13 @@ periodic set, closure orbit statuses, shift-radix orbits, window chains
 and the product recurrence) is followed by the one walker :func:`walk`,
 and its cycles are put in canonical order by :func:`rotate`.
 
-For a constant digit set, orbit walks (digit sequences, expansions and
-the zero cycle) run T in the coordinates of the standard representation
-A = sum q_i w_i + sum r_i X^i: T shifts q with one carry and shifts the
-residue part r, so no quotient-ring normalisation happens per step.  The
-representation is unique, so the results equal those of stepping the
-elements themselves, which is how non-constant digit sets are walked.
+Digit sequences, expansions, the zero cycle and witness closures run T
+on the flat coordinates (q, r) of the standard representation
+A = sum q_i w_i + sum r_i X^i: T folds r_0 into one carry, shifts q with
+it and shifts r down, and a digit e = e_0 + X*f_e that is not constant
+also takes off the coordinates of f_e.  The representation is unique, so
+the results equal those of stepping elements with :meth:`DigitSystem.step`,
+the definition of T, which ``digit_stream`` and ``periodic_set`` use.
 
 Digit systems are immutable after validation; orbit walks from
 different start elements are independent and deterministic.
@@ -31,10 +32,11 @@ different start elements are independent and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
-from .polyquot import Poly, QuotElem, QuotRing
+from .polyquot import Poly, QuotElem, QuotRing, p0_violation
 from .rings import Ring
 
 DEFAULT_STEP_CAP = 10**6
@@ -141,7 +143,18 @@ class DigitSystem:
         self.digits_constant = all(d.x_degree <= 0 for d in digits)
         self.k = max(self.qring.d, max((d.x_degree for d in digits), default=0))
         # constant coefficients p_d, p_{d-1}, ..., p_1 of the basis w_0..w_{d-1}
-        self._basis_constants = tuple(reversed(self.modulus.coeffs[1:]))
+        # and 1 of X^0: the carry of flat coordinates is their dot product
+        self._carry_weights = tuple(reversed(self.modulus.coeffs[1:])) + (self.ring.one,)
+        self._d = qring.d
+        self._c0 = self.ring.zero
+        # the x-part f_e = (e - e_0)/X of each digit that is not constant, by
+        # residue class, and the coordinates of -f_e that T adds
+        self._xpart = {
+            r: qring.divide_by_x(e - qring.from_const(e.constant))
+            for r, e in _lookup.items()
+            if e.x_degree > 0
+        }
+        self._offset = {r: qring.coords(-f) for r, f in self._xpart.items()}
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -182,37 +195,21 @@ class DigitSystem:
         return self._orbit(a, cap)
 
     def _orbit(self, a: QuotElem, cap: int) -> DigitSequence:
-        """The orbit of ``a`` under T, followed until it reaches 0,
-        repeats a state or has taken ``cap`` steps (``cap`` may be 0).
-
-        Constant digit sets walk the standard representation (q, residue)
-        instead of the element; the representation is unique, so states
-        and elements correspond one to one and the result is the same.
-        """
+        """The orbit of ``a`` under T, followed on its flat coordinates
+        until it reaches 0, repeats a state or has taken ``cap`` steps
+        (``cap`` may be 0).  The coordinates are unique, so states and
+        elements correspond one to one and the result is that of stepping
+        the elements."""
         digits: list[QuotElem] = []
         emit = digits.append
-        if self.digits_constant:
-            rep = self.qring.standard_representation(a)
-            start, zero = (rep.q, rep.residue), ((self.ring.zero,) * self.qring.d, ())
-            lookup, carry_step, c0 = self._lookup, self._carry_step, self.ring.zero
+        lookup, carry_step = self._lookup, self._carry_step
 
-            def step(state):
-                # the residue part sum r_i X^i is a plain shift under T; only
-                # its constant r_0 enters the carry
-                q, residue = state
-                r, q = carry_step(q, residue[0] if residue else c0)
-                emit(lookup[r])
-                return q, residue[1:]
+        def step(v):
+            r, w = carry_step(v)
+            emit(lookup[r])
+            return w
 
-        else:
-            start, zero = a, self.qring.zero
-            digit_of, divide_by_x = self.digit_of, self.qring.divide_by_x
-
-            def step(b):
-                d = digit_of(b)
-                emit(d)
-                return divide_by_x(b - d)
-
+        start, zero = self.qring.coords(a), (self._c0,) * self._d
         kind, path, hit = walk(start, step, (zero,), cap)
         n = len(path)
         if kind == "known":
@@ -291,31 +288,46 @@ class DigitSystem:
     # -- the coordinate form of the dynamics -----------------------------
 
     def coordinate_step(self, coords: tuple) -> tuple:
-        """The shift-with-carry action of T on basis coordinates.
+        """T on the flat coordinates of ``QuotRing.coords``: a shift with
+        one carry, less the x-part of a digit that is not constant."""
+        state = tuple(self.ring.coerce(a) for a in coords)
+        if len(state) != self._d:
+            # a residue part may be unreduced or end in zeros
+            state = self.qring.coords(self.qring.from_coords(state))
+        return self._carry_step(state)[1]
 
-        Requires a constant digit set.
+    def _carry_step(self, v: tuple) -> tuple:
+        """One step of T on flat coordinates v = (q, r): the residue class
+        of the digit taken off and the coordinates of the image.
+
+        The constant coefficient c = r_0 + sum(q_i p_{d-i}) = r + q0*p0 and
+        the digit's e_0 = r + q1*p0 share the residue r.  Since
+        X*w_{d-1} = -p0, (c - e_0)/X = (q1 - q0)*w_{d-1}, which becomes the
+        new last basis coordinate; r_1, r_2, ... shift down one place.  A
+        digit e = e_0 + X*f_e that is not constant then takes f_e off.
         """
-        if not self.digits_constant:
-            raise ValueError("coordinate form requires a constant digit set")
-        if len(coords) != self.qring.d:
-            raise ValueError(f"expected {self.qring.d} coordinates")
-        ring = self.ring
-        return self._carry_step(tuple(ring.coerce(a) for a in coords), ring.zero)[1]
-
-    def _carry_step(self, q: tuple, c0) -> tuple:
-        """One step of T on sum(q_i w_i) + c0 with c0 a constant, for a
-        constant digit set: the residue r of its digit and T's basis
-        coordinates, which are q shifted with one carry.
-
-        The constant coefficient c = c0 + sum(q_i p_{d-i}) = r + q0*p0 and
-        the digit e = r + q1*p0 share the residue r.  Since X*w_{d-1} = -p0,
-        (c - e)/X = (q1 - q0)*w_{d-1}, which becomes the new last coordinate.
-        """
-        c = c0
-        for a, p in zip(q, self._basis_constants):
+        c = self._c0
+        for a, p in zip(v, self._carry_weights):
             c = c + a * p
         r, q0 = self._divide(c)
-        return r, q[1:] + (self._carry[r] - q0,)
+        d = self._d
+        w = v[1:d] + (self._carry[r] - q0,)
+        if len(v) > d + 1:
+            w += v[d + 1 :]
+        if self._offset and r in self._offset:
+            w = self._add_coords(w, self._offset[r])
+        return r, w
+
+    def _add_coords(self, u: tuple, v: tuple) -> tuple:
+        """The flat coordinates of A + B from those of A and B: basis
+        coordinates add, and the residue parts, each reduced, are reduced
+        again only when both are non-empty."""
+        d = self._d
+        q = tuple(a + b for a, b in zip(u[:d], v[:d]))
+        if len(u) > d and len(v) > d:
+            residue = tuple(a + b for a, b in zip_longest(u[d:], v[d:], fillvalue=self._c0))
+            return self.qring.coords(self.qring.from_coords(q + residue))
+        return q + u[d:] + v[d:]
 
 
 def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
@@ -328,13 +340,9 @@ def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
         violations.append("the base polynomial must have degree at least 1")
         raise ValidationError(violations)
     p0 = modulus.constant
-    if not p0:
-        violations.append("the constant coefficient p0 of the base polynomial is zero")
-    elif ring.is_unit(p0):
-        violations.append(
-            f"p0 = {ring.format(p0)} is a unit: the residue ring modulo the base is "
-            "trivial, so the digit set degenerates to a single digit"
-        )
+    violation = p0_violation(ring, p0)
+    if violation:
+        violations.append(violation)
     if not modulus.lead:
         violations.append("the leading coefficient of the base polynomial is zero")
     if violations:

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .digits import DEFAULT_STEP_CAP, DigitSystem, validate_system, walk
-from .polyquot import Poly
+from .polyquot import Poly, p0_violation
 from .rings import MAX_ENUMERATION, FpPolynomialRing
 
 
@@ -64,8 +64,9 @@ def ff_criterion(modulus: Poly) -> FfCriterion:
     if modulus.degree < 1:
         raise ValueError("the base polynomial must have degree at least 1")
     p0 = modulus.constant
-    if not p0 or ring.is_unit(p0):
-        raise ValueError("p0 must be a non-unit, nonzero polynomial in y")
+    violation = p0_violation(ring, p0)
+    if violation:
+        raise ValueError(violation)
     top = max(c.degree for c in modulus.coeffs[1:] if c)
     d0 = p0.degree
     return FfCriterion(fep=top < d0, pep=top <= d0, max_degree=top, p0_degree=d0)
@@ -75,8 +76,9 @@ def canonical_ff_digits(modulus: Poly) -> tuple:
     """All p^deg_y(p0) polynomials of y-degree below deg_y(p0)."""
     ring = _require_fp(modulus.ring)
     p0 = modulus.constant
-    if not p0 or ring.is_unit(p0):
-        raise ValueError("p0 must be a non-unit, nonzero polynomial in y")
+    violation = p0_violation(ring, p0)
+    if violation:
+        raise ValueError(violation)
     return tuple(ring.residues(p0))
 
 

@@ -165,21 +165,12 @@ class QuotRing:
     """The quotient ring E[x]/(P) for a fixed valid modulus P."""
 
     def __init__(self, modulus: Poly):
-        violations = []
-        if modulus.degree < 1:
-            violations.append("the modulus must have degree at least 1")
         ring = modulus.ring
-        if not violations:
-            p0 = modulus.constant
-            if not p0:
-                violations.append("the constant coefficient of the modulus is zero")
-            elif ring.is_unit(p0):
-                violations.append(
-                    "the constant coefficient of the modulus is a unit, so the "
-                    "digit set would collapse to a single residue class"
-                )
-        if violations:
-            raise ValidationError(violations)
+        if modulus.degree < 1:
+            raise ValidationError(["the modulus must have degree at least 1"])
+        violation = p0_violation(ring, modulus.constant)
+        if violation:
+            raise ValidationError([violation])
         self.ring = ring
         self.modulus = modulus
         self.d = modulus.degree
@@ -334,34 +325,35 @@ class QuotRing:
 
     def reconstruct(self, rep: StandardRep) -> QuotElem:
         """Inverse of standard_representation."""
-        total = self.zero
-        basis = self.brunotte_basis()
-        for qi, w in zip(rep.q, basis):
-            total = total + self.scale(w, qi)
-        if rep.residue:
-            total = total + self.normalize(Poly.make(self.ring, rep.residue))
-        return total
+        return self.from_coords(rep.q + rep.residue)
 
     def coords(self, a: QuotElem) -> tuple:
-        """Basis coordinates of a module element (residue must vanish)."""
+        """The standard representation as one flat tuple
+        (q_0, ..., q_{d-1}, r_0, r_1, ...): d basis coordinates, then the
+        residue part, empty for elements of the basis module."""
         rep = self.standard_representation(a)
-        if rep.residue:
-            raise ValueError("element is not in the span of the basis")
-        return rep.q
+        return rep.q + rep.residue
 
     def from_coords(self, coords) -> QuotElem:
-        if len(coords) != self.d:
-            raise ValueError(f"expected {self.d} coordinates")
-        # basis element i carries coefficient p_{d-i+j} at x^j for j <= i,
-        # and the combination stays below degree d, hence canonical
+        """Inverse of ``coords``: sum q_i w_i + sum r_i X^i for a flat tuple
+        of at least d entries, whose residue part need not be reduced."""
+        d = self.d
+        if len(coords) < d:
+            raise ValueError(f"expected at least {d} coordinates")
+        # basis element i carries coefficient p_{d-i+j} at x^j for j <= i
         ring = self.ring
         pc = self.modulus.coeffs
-        low = [ring.zero] * self.d
-        for i, a in enumerate(coords):
+        low = [ring.zero] * max(d, len(coords) - d)
+        for i, a in enumerate(coords[:d]):
             a = ring.coerce(a)
             if a:
                 for j in range(i + 1):
-                    low[j] = low[j] + a * pc[self.d - i + j]
+                    low[j] = low[j] + a * pc[d - i + j]
+        if len(coords) > d:
+            for i, r in enumerate(coords[d:]):
+                low[i] = low[i] + ring.coerce(r)
+            return self.normalize(Poly.make(ring, low))
+        # the basis combination stays below degree d, hence canonical
         while low and not low[-1]:
             low.pop()
         return QuotElem(self, tuple(low), ())
@@ -383,6 +375,18 @@ class QuotRing:
             tuple(ring.sort_key(c) for c in a.low),
             tuple(ring.sort_key(c) for c in a.tail),
         )
+
+
+def p0_violation(ring: Ring, p0) -> str | None:
+    """Why ``p0`` cannot be the constant coefficient of a base, or None."""
+    if not p0:
+        return "the constant coefficient p0 of the base polynomial is zero"
+    if ring.is_unit(p0):
+        return (
+            f"p0 = {ring.format(p0)} is a unit: the residue ring modulo the base is "
+            "trivial, so the digit set degenerates to a single digit"
+        )
+    return None
 
 
 # -- polynomial text format ------------------------------------------------

@@ -45,11 +45,6 @@ def _constant_values(ring: Ring, digit_values) -> tuple:
     return tuple(out)
 
 
-def _check_constant(system: DigitSystem, which: str) -> None:
-    if not system.digits_constant:
-        raise ValueError(f"{which} must have a constant digit set")
-
-
 def product_digit_set(ring: Ring, p1: Poly, n1, p2: Poly, n2) -> ProductSystem:
     """Two-factor combined system over P1*P2 with digits d + e*P1."""
     return multi_product_digit_set(ring, [(p1, n1), (p2, n2)])
@@ -71,7 +66,6 @@ def multi_product_digit_set(
     for modulus, digit_values in factors:
         values = _constant_values(ring, digit_values)
         system = validate_system(ring, modulus, values)
-        _check_constant(system, f"factor {modulus}")
         built.append((modulus, values, system))
 
     combined_modulus = built[0][0]

@@ -16,18 +16,11 @@ P/D + iQ/D with no real root, whose roots in the upper half-plane are
 counted by the Cauchy index of Q/P over the real line (Marden,
 *Geometry of Polynomials*, ch. X); real roots are counted by Sturm
 sequences.  Everything is exact in ``fractions.Fraction``.
-
-Floating-point root moduli come from an Aberth iteration on the exact
-square-free factors, whose roots are simple.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
-
-_ABERTH_ROUNDS = 500
-_EPS = 2.0**-52
 
 
 class GaussRational:
@@ -59,9 +52,6 @@ class GaussRational:
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def conjugate(self) -> GaussRational:
         return GaussRational(self.re, -self.im)
@@ -184,34 +174,3 @@ def circle_counts(s: list) -> tuple[int, int, int]:
     upper = (len(re) - 1 - _cauchy_index(re, im)) // 2
     on += real
     return pairs + upper, on, degree - pairs - upper - on
-
-
-def root_moduli(s: list) -> list[float]:
-    """Moduli of the roots of a square-free s, in floating point."""
-    c = [complex(x) for x in _monic(s)]
-    n = len(c) - 1
-    if n == 1:
-        return [abs(c[0])]
-    radius = max(abs(x) ** (1 / (n - k)) for k, x in enumerate(c[:-1]))
-    z = [radius * cmath.exp(1j * (2 * cmath.pi * k / n + 0.4)) for k in range(n)]
-    size = [abs(x) for x in c]
-    done = [False] * n
-    for _ in range(_ABERTH_ROUNDS):
-        if all(done):
-            break
-        for k in range(n):
-            if done[k]:
-                continue
-            zk, r = z[k], abs(z[k])
-            p, dp, bound = c[n], 0j, size[n]
-            for x, m in zip(c[n - 1 :: -1], size[n - 1 :: -1]):
-                dp = dp * zk + p
-                p = p * zk + x
-                bound = bound * r + m
-            if abs(p) <= 4 * n * _EPS * bound:
-                done[k] = True
-                continue
-            ratio = p / dp
-            pull = sum(1 / (zk - z[j]) for j in range(n) if j != k)
-            z[k] = zk - ratio / (1 - ratio * pull)
-    return [abs(x) for x in z]

@@ -13,12 +13,12 @@ norm bound for closure finiteness is not computed; termination is
 detected by set stabilisation under a size cap.
 
 One breadth-first loop builds every closure; it is given the images of
-a member v, T(v) first.  For constant digit sets the members are basis
-coordinates.  Only the constant e differs between the images T(v + e)
-of one element v, so its carry sum(q_i p_{d-i}) = r + q0*p0 is divided
-by p0 once per element; what a shift adds then depends only on r and e,
-so each closure keeps one row of those values per residue r, built when
-r first appears, and a shift image costs one addition.  Coordinates
+a member v, T(v) first.  Members are the flat standard-representation
+coordinates of ``QuotRing.coords``, for every digit set and seed.  The
+carry of v is divided by p0 once per member; what T(v + e) adds to T(v)
+then depends only on its residue r and on e, so each closure keeps one
+row of those values per residue r, built when r first appears, and a
+shift image of a constant digit set costs one addition.  Coordinates
 become elements only when ``WitnessClosure.elements`` is first read, so
 a capped closure that ends in "unknown" is never converted.
 
@@ -52,30 +52,26 @@ DEFAULT_CLOSURE_CAP = 10**5
 
 @dataclass(frozen=True)
 class WitnessClosure:
-    """A witness closure as found: ``members`` are elements or, when
-    ``qring`` is set, their basis coordinates, which ``elements``
-    converts to elements on first read.  ``succ`` maps each expanded
-    member to the member T(member); it is total on a stabilised closure."""
+    """A witness closure as found: ``members`` are the flat coordinates
+    (``QuotRing.coords``) of its elements, which ``elements`` converts on
+    first read.  ``succ`` maps each expanded member to the member
+    T(member); it is total on a stabilised closure."""
 
     members: frozenset
     seed: frozenset
     stabilized: bool
     rounds: int
     cap: int
-    qring: QuotRing | None = None
+    qring: QuotRing
     succ: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def _element_of(self) -> dict:
         """Member -> element, converted once and shared with ``elements``."""
-        if self.qring is None:
-            return {v: v for v in self.members}
         return {v: self.qring.from_coords(v) for v in self.members}
 
     @cached_property
     def elements(self) -> frozenset:
-        if self.qring is None:
-            return self.members
         return frozenset(self._element_of.values())
 
     def __len__(self) -> int:
@@ -120,13 +116,17 @@ class ExpandingReport:
 
     ``status`` is exact: "borderline" when a root lies on |z| = 1,
     otherwise "not-expanding" when a root lies inside and "expanding"
-    when every root lies outside.  ``moduli`` are the root moduli in
-    floating point, sorted, each repeated by its multiplicity.
+    when every root lies outside.
     """
 
     status: str  # "expanding" | "not-expanding" | "borderline"
-    moduli: tuple
     modulus_sq: Fraction | None  # exact |root|^2 for linear polynomials
+
+
+def default_mode(system: DigitSystem) -> str:
+    """The seeds a decision uses unless told otherwise: the basis module
+    of the reduction theorem for a constant digit set, else the powers."""
+    return "brunotte" if system.digits_constant else "power"
 
 
 def seed_witnesses(system: DigitSystem, mode: str = "brunotte") -> frozenset:
@@ -166,16 +166,10 @@ def witness_closure(
     for e in N and e = 0, or a flagged partial set when the cap is hit."""
     qring = system.qring
     seed = frozenset(seed)
-    members, coord_ring = seed, None
-    if system.digits_constant:
-        try:
-            members, coord_ring = frozenset([qring.coords(v) for v in seed]), qring
-        except ValueError:
-            pass
-    images = _element_images(system) if coord_ring is None else _coordinate_images(system)
+    images = _coordinate_images(system)
     # breadth first: ``rounds`` counts levels, so it and the members found
     # when the cap stops the search do not depend on the order within one
-    elements = set(members)
+    elements = {qring.coords(v) for v in seed}
     succ = {}
     frontier = list(elements)
     rounds = 0
@@ -191,45 +185,50 @@ def witness_closure(
         frontier = new
         rounds += 1
     stabilized = not frontier
-    return WitnessClosure(frozenset(elements), seed, stabilized, rounds, cap, coord_ring, succ)
-
-
-def _element_images(system: DigitSystem):
-    """v -> [T(v), T(v + e) for the nonzero digits e], on elements."""
-    step = system.step
-    shifts = [e for e in system.digits if not e.is_zero]
-
-    def images(v):
-        found = [step(v)]
-        for e in shifts:
-            found.append(step(v + e))
-        return found
-
-    return images
+    return WitnessClosure(frozenset(elements), seed, stabilized, rounds, cap, qring, succ)
 
 
 def _coordinate_images(system: DigitSystem):
-    """The same images on basis coordinates, for seeds in the basis module
-    (T(v + e) stays inside it for constant digit sets).  With
-    sum(q_i p_{d-i}) = r + q0*p0 found once by T(v), T(v + e) is the step
-    of the constant r + e with q0 taken off its carry: the residue depends
-    only on the class mod p0, and the quotient is then unique.  So the last
-    coordinates of the steps of r + e, over the nonzero digits e in digit
-    order, form one row per residue r, built when r first appears."""
-    ring = system.ring
-    zero = ring.zero
-    step = system._carry_step
-    carry = system._carry
-    shifts = [e.constant for e in system.digits if e.constant]
+    """v -> [T(v), T(v + e) for the nonzero digits e in digit order], on
+    flat coordinates.  With r + q0*p0 the carry of v, v + e has the carry
+    r' + (k + q0)*p0, so T(v + e) is T(v) with carry[r'] - k - carry[r]
+    added to its last basis coordinate, plus f_e + f_r - f_r' for the
+    x-parts f of e and of the digits of classes r and r'.  The row of r
+    holds the values carry[r'] - k and, when some digit is not constant,
+    the coordinates of those offsets (None where they cancel)."""
+    qring, d = system.qring, system.qring.d
+    step, carry, divide = system._carry_step, system._carry, system._divide
+    add, xpart = system._add_coords, system._xpart
+    constants = [e.constant for e in system.digits if not e.is_zero]
     rows: dict = {}
 
+    def offsets(r, divided):
+        zero = qring.zero
+        out = []
+        for s, (r1, _) in zip(constants, divided):
+            g = xpart.get(divide(s)[0], zero) + xpart.get(r, zero) - xpart.get(r1, zero)
+            out.append(None if g.is_zero else qring.coords(g))
+        return out
+
+    def row(r):
+        divided = [divide(r + s) for s in constants]
+        return [carry[r1] - k for r1, k in divided], offsets(r, divided) if xpart else None
+
     def images(v):
-        r, w = step(v, zero)
-        row = rows.get(r)
-        if row is None:
-            row = rows[r] = [step((), r + s)[1][0] for s in shifts]
-        head, nq = w[:-1], w[-1] - carry[r]
-        return [w] + [head + (c + nq,) for c in row]
+        r, w = step(v)
+        cached = rows.get(r)
+        if cached is None:
+            cached = rows[r] = row(r)
+        adds, offs = cached
+        head, nq, tail = w[: d - 1], w[d - 1] - carry[r], w[d:]
+        # members of the basis module, the common case, skip a concatenation
+        if tail:
+            found = [head + (c + nq,) + tail for c in adds]
+        else:
+            found = [head + (c + nq,) for c in adds]
+        if offs is not None:
+            found = [u if o is None else add(u, o) for u, o in zip(found, offs)]
+        return [w] + found
 
     return images
 
@@ -278,10 +277,7 @@ def _orbit_statuses(system: DigitSystem, closure: WitnessClosure) -> tuple[dict,
     elements rotated to start at their least ``sort_key``.  Neither
     depends on the order in which members are visited."""
     qring = system.qring
-    if closure.qring is None:
-        zero, to_element = qring.zero, None
-    else:
-        zero, to_element = (system.ring.zero,) * qring.d, qring.from_coords
+    zero = (system.ring.zero,) * qring.d
     step = closure.succ.__getitem__
     status: dict = {zero: (True, 0)}
     cycles: list[tuple] = []
@@ -291,8 +287,7 @@ def _orbit_statuses(system: DigitSystem, closure: WitnessClosure) -> tuple[dict,
         kind, path, hit = walk(v, step, status)
         if kind == "cycle":
             cyc = list(path)[hit:]
-            elements = cyc if to_element is None else [to_element(u) for u in cyc]
-            cycles.append(rotate(elements, qring.sort_key))
+            cycles.append(rotate([qring.from_coords(u) for u in cyc], qring.sort_key))
             # the tail into a cycle reports the cycle's length, as its members do
             reaches, steps = False, len(cyc)
         else:
@@ -314,8 +309,7 @@ def decide_fep(
     no: some witness orbit enters a cycle avoiding 0 (the certificate).
     unknown: the closure exceeded its cap.
     """
-    if mode is None:
-        mode = "brunotte" if system.digits_constant else "power"
+    mode = mode or default_mode(system)
     closure = _closure(system, mode, closure_cap)
     if not closure.stabilized:
         return Verdict(
@@ -357,8 +351,7 @@ def decide_pep(
     """Periodic-expansion decision: yes when the witness closure
     stabilises (every orbit then falls into the finite closed set);
     never answers no, since non-periodicity has no finite certificate."""
-    if mode is None:
-        mode = "brunotte" if system.digits_constant else "power"
+    mode = mode or default_mode(system)
     closure = _closure(system, mode, closure_cap)
     if closure.stabilized:
         return Verdict(
@@ -443,8 +436,7 @@ def expanding_check(modulus: Poly) -> ExpandingReport:
     exact Q(i) arithmetic through the Cayley transform and Cauchy
     indices, after dividing out the part of gcd(f, f*) that carries the
     roots on the circle and the pairs z, 1/conj(z) (Marden, *Geometry of
-    Polynomials*, ch. X; see ``digsys.unitcircle``).  The moduli come
-    from an Aberth iteration on the exact square-free factors.
+    Polynomials*, ch. X; see ``digsys.unitcircle``).
     """
     ring = modulus.ring
     if isinstance(ring, FpPolynomialRing):
@@ -456,12 +448,10 @@ def expanding_check(modulus: Poly) -> ExpandingReport:
     else:
         coeffs = [unitcircle.GaussRational(c.re, c.im) for c in modulus.coeffs]
     inside = on = 0
-    moduli = []
     for factor, k in unitcircle.squarefree_factors(coeffs):
         factor_inside, factor_on, _ = unitcircle.circle_counts(factor)
         inside += k * factor_inside
         on += k * factor_on
-        moduli += unitcircle.root_moduli(factor) * k
     modulus_sq = None
     if modulus.degree == 1:
         p0, p1 = modulus.coeffs
@@ -475,4 +465,4 @@ def expanding_check(modulus: Poly) -> ExpandingReport:
         status = "not-expanding"
     else:
         status = "expanding"
-    return ExpandingReport(status, tuple(sorted(moduli)), modulus_sq)
+    return ExpandingReport(status, modulus_sq)

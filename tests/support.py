@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from digsys import Fp, FpPoly, GaussianInt, Poly, Z, ZI, parse_poly, validate_system
+from digsys.digits import DigitSequence, ZeroCycle
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -200,3 +201,99 @@ def rand_ff_modulus(rng: random.Random, ring, max_dx: int = 3, max_dy: int = 3) 
         lead = rand_c(1)
     coeffs.append(lead)
     return Poly.make(ring, coeffs)
+
+
+# Element-stepping oracles: every orbit walk and closure of the library
+# runs on flat coordinates, and these recompute them with system.step.
+
+
+def element_sequence(system, a, cap):
+    """digit_sequence recomputed by stepping elements with system.step."""
+    seen = {}
+    digits = []
+    cur = a
+    n = 0
+    while True:
+        if cur.is_zero:
+            return DigitSequence(tuple(digits), "finite", steps=n)
+        if cur in seen:
+            return DigitSequence(
+                tuple(digits), "eventually-periodic", preperiod=seen[cur], period=n - seen[cur]
+            )
+        if n == cap:
+            return DigitSequence(tuple(digits), "unknown", cap=cap)
+        seen[cur] = n
+        digits.append(system.digit_of(cur))
+        cur = system.step(cur)
+        n += 1
+
+
+def element_zero_cycle(system, cap):
+    """zero_cycle recomputed by stepping elements from 0 with system.step."""
+    seen = {}
+    digits = []
+    cur = system.qring.zero
+    for _ in range(cap):
+        digits.append(system.digit_of(cur))
+        cur = system.step(cur)
+        if cur.is_zero:
+            return ZeroCycle(tuple(digits))
+        if cur in seen:
+            return None
+        seen[cur] = True
+    return None
+
+
+def bfs_closure(system, seed, cap):
+    """Breadth-first closure under v -> T(v + e), e in N and e = 0, on
+    elements through system.step, with the cap checked between rounds:
+    the oracle for witness_closure.  Returns (elements, rounds, stabilized)."""
+    shifts = set(system.digits) | {system.qring.zero}
+    elements = set(seed)
+    frontier = set(seed)
+    rounds = 0
+    while frontier:
+        if len(elements) > cap:
+            return elements, rounds, False
+        frontier = {system.step(v + e) for v in frontier for e in shifts} - elements
+        elements |= frontier
+        rounds += 1
+    return elements, rounds, len(elements) <= cap
+
+
+def element_orbit_statuses(system, elements):
+    """Orbit statuses by stepping elements with system.step: the oracle
+    for the statuses that decide_fep reads from the closure's T-images."""
+    qring = system.qring
+    status: dict = {}
+    cycles: list[tuple] = []
+    for v in sorted(elements, key=qring.sort_key):
+        path = []
+        index = {}
+        cur = v
+        while True:
+            if cur.is_zero:
+                status.setdefault(cur, (True, 0))
+                steps = 0
+                for u in reversed(path):
+                    steps += 1
+                    status[u] = (True, steps)
+                break
+            if cur in status:
+                reaches, steps = status[cur]
+                for offset, u in enumerate(reversed(path), start=1):
+                    status[u] = (reaches, steps + offset if reaches else steps)
+                break
+            if cur in index:
+                cyc = path[index[cur] :]
+                start = min(range(len(cyc)), key=lambda i: qring.sort_key(cyc[i]))
+                cycles.append(tuple(cyc[start:] + cyc[:start]))
+                for u in cyc:
+                    status[u] = (False, len(cyc))
+                for u in path[: index[cur]]:
+                    status[u] = (False, len(cyc))
+                break
+            index[cur] = len(path)
+            path.append(cur)
+            cur = system.step(cur)
+    return status, cycles

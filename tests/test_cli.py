@@ -314,10 +314,30 @@ class TestFf:
         assert report["result"]["convert"]["status"] == "finite"
 
     def test_oversized_canonical_digit_set(self, capsys):
-        # 2^40 canonical digits: refused before any is listed
+        # 2^40 canonical digits: the degree criterion is printed, the digits
+        # are not listed
         code, out, err = run(capsys, "ff", "--p", "2", "--poly", "x+y^40", "--json")
-        assert code == 1 and out == ""
-        assert "has 1099511627776 members, more than the enumeration limit 65536" in err
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["result"]["criterion"] == {
+            "fep": True,
+            "pep": True,
+            "max_coefficient_degree": 0,
+            "p0_degree": 40,
+        }
+        assert report["result"]["canonical_digits"] is None
+        assert report["system"]["digits"] is None
+        code, out, _ = run(capsys, "ff", "--p", "2", "--poly", "x+y^18")
+        assert code == 0
+        assert out.splitlines()[1] == "canonical digits: more than 65536, not listed"
+
+    def test_oversized_digit_set_refused_when_needed(self, capsys):
+        # the proof and the conversion walk the canonical digits
+        for extra in (["--prove-fep"], ["--convert", "x"]):
+            argv = ["ff", "--p", "2", "--poly", "x+y^40", "--digits", "1,y", *extra, "--json"]
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert "has 1099511627776 members, more than the enumeration limit 65536" in err
 
 
 def test_import_loads_no_numpy():

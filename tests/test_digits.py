@@ -4,10 +4,12 @@ import random
 import pytest
 
 from digsys import Fp, GaussianInt, ValidationError, Z, ZI, parse_poly, validate_system
-from digsys.digits import DigitSequence, ZeroCycle, rotate, walk
+from digsys.digits import rotate, walk
 from digsys.ffds import canonical_ff_digits
 
 from support import (
+    element_sequence,
+    element_zero_cycle,
     example1,
     example1_symmetric,
     example2,
@@ -351,49 +353,22 @@ class TestCoordinateStep:
                 assert rep.residue == ()
                 assert rep.q == system.coordinate_step(coords)
 
-    def test_requires_constant_digits(self):
-        P = parse_poly(Z, "x^2+5x+6")
-        digits = [parse_poly(Z, t) for t in ("0", "1", "x+2", "x+3", "2x+4", "2x+5")]
-        system = validate_system(Z, P, digits)
-        with pytest.raises(ValueError):
-            system.coordinate_step((0, 0))
-
-
-def element_sequence(system, a, cap):
-    """digit_sequence recomputed by stepping elements with system.step."""
-    seen = {}
-    digits = []
-    cur = a
-    n = 0
-    while True:
-        if cur.is_zero:
-            return DigitSequence(tuple(digits), "finite", steps=n)
-        if cur in seen:
-            return DigitSequence(
-                tuple(digits), "eventually-periodic", preperiod=seen[cur], period=n - seen[cur]
-            )
-        if n == cap:
-            return DigitSequence(tuple(digits), "unknown", cap=cap)
-        seen[cur] = n
-        digits.append(system.digit_of(cur))
-        cur = system.step(cur)
-        n += 1
-
-
-def element_zero_cycle(system, cap):
-    """zero_cycle recomputed by stepping elements from 0 with system.step."""
-    seen = {}
-    digits = []
-    cur = system.qring.zero
-    for _ in range(cap):
-        digits.append(system.digit_of(cur))
-        cur = system.step(cur)
-        if cur.is_zero:
-            return ZeroCycle(tuple(digits))
-        if cur in seen:
-            return None
-        seen[cur] = True
-    return None
+    def test_non_constant_digits(self):
+        # flat coordinates with residue parts over the lead 2; a trailing
+        # zero in the input is a residue part that still needs reducing
+        rng = random.Random(37)
+        for src, digits in (
+            ("x^2+5x+6", ("0", "1", "x+2", "x+3", "2x+4", "2x+5")),
+            ("2x^2-x+5", ("0", "x^3+x^2+3x+6", "x^2-x+2", "x^2-x+3", "4")),
+        ):
+            system = validate_system(Z, parse_poly(Z, src), [parse_poly(Z, t) for t in digits])
+            assert not system.digits_constant
+            q = system.qring
+            for _ in range(150):
+                a = rand_quot(rng, system)
+                stepped = q.coords(system.step(a))
+                assert system.coordinate_step(q.coords(a)) == stepped
+                assert system.coordinate_step(q.coords(a) + (0,)) == stepped
 
 
 def constant_digit_systems():
