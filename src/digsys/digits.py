@@ -36,7 +36,7 @@ from itertools import zip_longest
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
-from .polyquot import Poly, QuotElem, QuotRing, p0_violation
+from .polyquot import Poly, QuotElem, QuotRing, base_violation
 from .rings import Ring
 
 DEFAULT_STEP_CAP = 10**6
@@ -336,17 +336,10 @@ def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
     violations: list[str] = []
     if modulus.ring != ring:
         raise ValidationError(["modulus is defined over a different ring"])
-    if modulus.degree < 1:
-        violations.append("the base polynomial must have degree at least 1")
-        raise ValidationError(violations)
-    p0 = modulus.constant
-    violation = p0_violation(ring, p0)
+    violation = base_violation(modulus)
     if violation:
-        violations.append(violation)
-    if not modulus.lead:
-        violations.append("the leading coefficient of the base polynomial is zero")
-    if violations:
-        raise ValidationError(violations)
+        raise ValidationError([violation])
+    p0 = modulus.constant
 
     qring = QuotRing(modulus)
     normalized = []

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .digits import DEFAULT_STEP_CAP, DigitSystem, validate_system, walk
-from .polyquot import Poly, p0_violation
+from .polyquot import Poly, base_violation, p0_violation
 from .rings import MAX_ENUMERATION, FpPolynomialRing
 
 
@@ -60,15 +60,12 @@ def ff_criterion(modulus: Poly) -> FfCriterion:
     """Degree test for the canonical digit set: finite expansions exist
     for all elements iff every other coefficient has y-degree strictly
     below deg_y(p0); periodicity iff at most equal."""
-    ring = _require_fp(modulus.ring)
-    if modulus.degree < 1:
-        raise ValueError("the base polynomial must have degree at least 1")
-    p0 = modulus.constant
-    violation = p0_violation(ring, p0)
+    _require_fp(modulus.ring)
+    violation = base_violation(modulus)
     if violation:
         raise ValueError(violation)
     top = max(c.degree for c in modulus.coeffs[1:] if c)
-    d0 = p0.degree
+    d0 = modulus.constant.degree
     return FfCriterion(fep=top < d0, pep=top <= d0, max_degree=top, p0_degree=d0)
 
 

@@ -166,9 +166,7 @@ class QuotRing:
 
     def __init__(self, modulus: Poly):
         ring = modulus.ring
-        if modulus.degree < 1:
-            raise ValidationError(["the modulus must have degree at least 1"])
-        violation = p0_violation(ring, modulus.constant)
+        violation = base_violation(modulus)
         if violation:
             raise ValidationError([violation])
         self.ring = ring
@@ -375,6 +373,16 @@ class QuotRing:
             tuple(ring.sort_key(c) for c in a.low),
             tuple(ring.sort_key(c) for c in a.tail),
         )
+
+
+def base_violation(modulus: Poly) -> str | None:
+    """Why ``modulus`` cannot be a base (a degree below 1, a zero or unit
+    p0, a zero leading coefficient), or None."""
+    if modulus.degree < 1:
+        return "the base polynomial must have degree at least 1"
+    if not modulus.lead:
+        return "the leading coefficient of the base polynomial is zero"
+    return p0_violation(modulus.ring, modulus.constant)
 
 
 def p0_violation(ring: Ring, p0) -> str | None:

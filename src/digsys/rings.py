@@ -22,6 +22,10 @@ loops that divide by one modulus (a base's p0 or leading coefficient)
 skip that check, and ``Z[i]`` rounds on plain ints.  An exact quotient
 is the ``q`` of a zero ``r``; dividing by a unit always gives one.
 
+A Gaussian integer is the pair of ints ``(re, im)``, a ``tuple``
+subclass like :class:`FpPoly`: its hash is the C tuple hash, and its
+operators unpack two ints and build one pair.
+
 A polynomial over F_p is one integer with a coefficient per byte slot,
 so sums, differences and products are integer operations followed by
 one reduction of every slot mod p (``bytes.translate`` for small p);
@@ -36,12 +40,14 @@ shared freely between threads.
 from __future__ import annotations
 
 import functools
+import operator
 import re as _re
-from dataclasses import dataclass
 
 from .errors import ParseError
 
 NEG_INF = float("-inf")
+
+_new = tuple.__new__
 
 # largest exponent a literal may write; parsers build dense coefficient
 # lists up to it, so larger ones are rejected before anything is allocated
@@ -91,42 +97,70 @@ def bounded_exponent(digits: str, text: str, pos: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class GaussianInt:
-    """A Gaussian integer re + im*i."""
+class GaussianInt(tuple):
+    """A Gaussian integer re + im*i, stored as the pair of ints
+    ``(re, im)`` in the way :class:`FpPoly` stores its pair: equal values
+    are equal pairs, the hash is ``hash((re, im))``, and no plain tuple,
+    int or FpPoly equals one.  ``GaussianInt(re, im)`` takes the parts."""
 
-    re: int
-    im: int
+    __slots__ = ()
+
+    def __new__(cls, re: int, im: int):
+        return _new(cls, (re, im))
+
+    re = property(operator.itemgetter(0))
+    im = property(operator.itemgetter(1))
 
     def __add__(self, other: GaussianInt) -> GaussianInt:
-        return GaussianInt(self.re + other.re, self.im + other.im)
+        a, b = self
+        c, d = other
+        return _new(GaussianInt, (a + c, b + d))
 
     def __sub__(self, other: GaussianInt) -> GaussianInt:
-        return GaussianInt(self.re - other.re, self.im - other.im)
+        a, b = self
+        c, d = other
+        return _new(GaussianInt, (a - c, b - d))
 
     def __neg__(self) -> GaussianInt:
-        return GaussianInt(-self.re, -self.im)
+        a, b = self
+        return _new(GaussianInt, (-a, -b))
 
     def __mul__(self, other: GaussianInt) -> GaussianInt:
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b = self
+        c, d = other
+        return _new(GaussianInt, (a * c - b * d, a * d + b * c))
+
+    def __rmul__(self, other):
+        # refuse int * value, which tuple would read as repetition
+        return NotImplemented
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self[0] != 0 or self[1] != 0
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GaussianInt) and self[0] == other[0] and self[1] == other[1]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __reduce__(self):
+        return GaussianInt, (self[0], self[1])
 
     def conjugate(self) -> GaussianInt:
-        return GaussianInt(self.re, -self.im)
+        a, b = self
+        return _new(GaussianInt, (a, -b))
 
     def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
+        a, b = self
+        return a * a + b * b
 
     def __str__(self) -> str:
         return _format_gaussian(self)
 
     def __repr__(self) -> str:
-        return f"GaussianInt({self.re}, {self.im})"
+        return f"GaussianInt({self[0]}, {self[1]})"
 
 
 def _format_gaussian(a: GaussianInt) -> str:
@@ -241,9 +275,6 @@ class FpPoly(tuple):
 
     def __repr__(self) -> str:
         return f"FpPoly({self.p}, {self.coeffs})"
-
-
-_new = tuple.__new__
 
 
 @functools.lru_cache(maxsize=None)
@@ -541,17 +572,22 @@ class GaussianIntegerRing(Ring):
         return m.norm()
 
     def residues(self, m) -> list:
-        # The box [0, N) x [0, N) with N = norm(m) meets every residue
-        # class, since N and N*i both lie in (m); canonicalising and
-        # deduplicating it therefore yields a complete system.
+        """ValueError when the system has more than MAX_ENUMERATION members."""
+        # divider(m) leaves the z with z/m in a half-open square of side 1
+        # about 0, so |re|, |im| <= (|m.re| + |m.im|)/2: a box of area at
+        # most 2N, scanned in (re, im) order
+        size = self.quotient_size(m)
+        if size > MAX_ENUMERATION:
+            raise ValueError(
+                f"the residue system mod {_format_gaussian(m)} has {size} members, "
+                f"more than the enumeration limit {MAX_ENUMERATION}"
+            )
         divide = self.divider(m)
-        n = m.norm()
-        seen = set()
-        for a in range(n):
-            for b in range(n):
-                seen.add(divide(GaussianInt(a, b))[0])
-        out = sorted(seen, key=lambda g: (g.re, g.im))
-        if len(out) != n:
+        b = (abs(m.re) + abs(m.im)) // 2 + 1
+        span = range(-b, b + 1)
+        points = (GaussianInt(x, y) for x in span for y in span)
+        out = [z for z in points if not divide(z)[1]]
+        if len(out) != size:
             raise AssertionError("residue enumeration is incomplete")
         return out
 
@@ -559,14 +595,16 @@ class GaussianIntegerRing(Ring):
         # q is a*conj(m)/N(m) with both parts rounded to the nearest
         # integer, ties toward -infinity: floor((2x + N - 1) / 2N)
         self.check_modulus(m)
-        mr, mi, n = m.re, m.im, m.norm()
+        mr, mi = m
+        n = m.norm()
+        bias, n2 = n - 1, 2 * n
 
         def divide(a):
-            ar, ai = a.re, a.im
-            qr = (2 * (ar * mr + ai * mi) + n - 1) // (2 * n)
-            qi = (2 * (ai * mr - ar * mi) + n - 1) // (2 * n)
-            r = GaussianInt(ar - qr * mr + qi * mi, ai - qr * mi - qi * mr)
-            return r, GaussianInt(qr, qi)
+            ar, ai = a
+            qr = (2 * (ar * mr + ai * mi) + bias) // n2
+            qi = (2 * (ai * mr - ar * mi) + bias) // n2
+            r = _new(GaussianInt, (ar - qr * mr + qi * mi, ai - qr * mi - qi * mr))
+            return r, _new(GaussianInt, (qr, qi))
 
         return divide
 

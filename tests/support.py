@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from digsys import Fp, FpPoly, GaussianInt, Poly, Z, ZI, parse_poly, validate_system
 from digsys.digits import DigitSequence, ZeroCycle
@@ -57,6 +58,55 @@ def residue_oracle(ring, a, m) -> tuple:
         return a - q * m, q
     q, r = tuple_divmod(a.p, a.coeffs, m.coeffs)
     return FpPoly(a.p, r), FpPoly(a.p, q)
+
+
+def gaussian_residues_box(m) -> list:
+    """The residue system mod m as ``GaussianIntegerRing.residues`` listed
+    it before its O(N) scan: the box [0, N) x [0, N) with N = norm(m)
+    meets every residue class, since N and N*i both lie in (m), so its
+    distinct remainders, sorted by (re, im), form a complete system.  The
+    remainders use ``residue_oracle``'s rounding, on plain ints."""
+    mr, mi, n = m.re, m.im, m.norm()
+    seen = set()
+    for a in range(n):
+        for b in range(n):
+            qr = (2 * (a * mr + b * mi) + n - 1) // (2 * n)
+            qi = (2 * (b * mr - a * mi) + n - 1) // (2 * n)
+            seen.add((a - qr * mr + qi * mi, b - qr * mi - qi * mr))
+    return [GaussianInt(re, im) for re, im in sorted(seen)]
+
+
+@dataclass(frozen=True)
+class DataclassGaussian:
+    """``GaussianInt`` as the frozen dataclass it was before it became a
+    pair of ints, kept as the oracle for the tuple-backed operators."""
+
+    re: int
+    im: int
+
+    def __add__(self, other):
+        return DataclassGaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return DataclassGaussian(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return DataclassGaussian(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return DataclassGaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
+
+    def conjugate(self):
+        return DataclassGaussian(self.re, -self.im)
+
+    def norm(self) -> int:
+        return self.re * self.re + self.im * self.im
 
 
 def unit_inverse(ring, u):

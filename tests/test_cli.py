@@ -354,8 +354,10 @@ def test_import_loads_no_numpy():
 
 
 def test_output_independent_of_hash_seed(tmp_path):
-    """F_p[y] listings and DOT graphs print byte for byte alike under two
-    hash seeds: FpPoly hashes an (int, int) pair and every listing sorts."""
+    """F_p[y] and Z[i] listings and DOT graphs print byte for byte alike
+    under two hash seeds: FpPoly and GaussianInt hash (int, int) pairs and
+    every listing sorts."""
+    zi = ["--ring", "Zi", "--poly", "(1+i)x+(1+2i)", "--digits", "0,1,2,3,4"]
     f2 = ["--ring", "Fp:2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits", "1,y,y+1,y^3+y"]
     f3 = ["--ring", "Fp:3", "--poly", "(y+1)x^2+x+(y^2+2)",
           "--digits", "1,2,y,y+1,y+2,2y,2y+1,2y+2,y^3+2y"]
@@ -368,6 +370,11 @@ def test_output_independent_of_hash_seed(tmp_path):
         ["decide", *f3],
         ["witness", *f2, "--dot", "f2.dot"],
         ["witness", *f3, "--dot", "f3.dot"],
+        ["decide", *zi],
+        ["witness", *zi, "--dot", "zi.dot"],
+        ["expand", *zi, "--element", "3-i"],
+        ["expand", "--ring", "Zi", "--poly", "x^2+(2-i)x+(3+i)", "--digits",
+         ",".join(str(k) for k in range(10)), "--element", "7+4i"],
     ]
     script = (
         "import contextlib, io, json, sys\n"
@@ -391,7 +398,9 @@ def test_output_independent_of_hash_seed(tmp_path):
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        runs.append((proc.stdout, (cwd / "f2.dot").read_bytes(), (cwd / "f3.dot").read_bytes()))
+        dots = [(cwd / f"{name}.dot").read_bytes() for name in ("f2", "f3", "zi")]
+        runs.append((proc.stdout, *dots))
     assert runs[0] == runs[1]
     assert runs[0][0].count(b'"command"') == len(commands)
     assert runs[0][2].count(b"->") == 81  # the F3 closure and its cycle
+    assert runs[0][3].count(b"->") == 13  # the paper's 13-element Z[i] witness set

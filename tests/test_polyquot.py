@@ -15,8 +15,11 @@ from digsys import (
     ValidationError,
     Z,
     ZI,
+    ff_criterion,
     parse_poly,
+    validate_system,
 )
+from digsys.polyquot import base_violation
 
 from support import divide_by_x_oracle, normalize_oracle, rand_poly, rand_ring_elem
 
@@ -107,6 +110,33 @@ class TestNormalize:
             qring("x-1")  # unit constant coefficient
         with pytest.raises(ValidationError):
             qring("2x")  # zero constant coefficient
+
+    def test_base_checks_share_one_wording(self):
+        # QuotRing, validate_system and ff_criterion reject a bad base with
+        # the message of polyquot.base_violation
+        for src, ring, want in [
+            ("5", Z, "degree at least 1"),
+            ("y", F2, "degree at least 1"),
+            ("x-1", Z, "is a unit"),
+            ("(y+1)x", F2, "p0 of the base polynomial is zero"),
+        ]:
+            modulus = parse_poly(ring, src)
+            message = base_violation(modulus)
+            assert want in message
+            checks = [
+                (ValidationError, lambda: QuotRing(modulus)),
+                (ValidationError, lambda: validate_system(ring, modulus, [ring.zero])),
+            ]
+            if ring == F2:
+                checks.append((ValueError, lambda: ff_criterion(modulus)))
+            for error, check in checks:
+                with pytest.raises(error) as info:
+                    check()
+                assert message in str(info.value)
+        padded = Poly(Z, (3, 1, 0))  # built without trimming the zero lead
+        assert base_violation(padded) == "the leading coefficient of the base polynomial is zero"
+        with pytest.raises(ValidationError, match="leading coefficient"):
+            QuotRing(padded)
 
     def test_tail_entries_lie_in_lead_residues(self):
         rng = random.Random(11)

@@ -8,9 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from digsys import Fp, FpPoly, GaussianInt, ParseError, Z, ZI, parse_poly
-from digsys.rings import MAX_ENUMERATION, FpPolynomialRing
+from digsys.rings import MAX_ENUMERATION, FpPolynomialRing, GaussianIntegerRing
 
-from support import residue_oracle, tuple_add, tuple_divmod, tuple_mul, tuple_neg, tuple_sub
+from support import (
+    DataclassGaussian,
+    gaussian_residues_box,
+    residue_oracle,
+    tuple_add,
+    tuple_divmod,
+    tuple_mul,
+    tuple_neg,
+    tuple_sub,
+)
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -114,6 +123,30 @@ class TestResidues:
         assert ZI.residues(GaussianInt(0, 1)) == [ZI.zero]
         assert ZI.quotient_size(GaussianInt(0, 1)) == 1
         assert F3.residues(fp(F3, 2)) == [F3.zero] and F3.quotient_size(fp(F3, 2)) == 1
+
+    def test_gaussian_matches_box_oracle(self):
+        # the O(N) scan lists the members of the N^2 box, in the same order,
+        # for every nonzero modulus with parts in [-9, 9]
+        checked = 0
+        for a in range(-9, 10):
+            for b in range(-9, 10):
+                if a or b:
+                    m = GaussianInt(a, b)
+                    assert ZI.residues(m) == gaussian_residues_box(m), m
+                    checked += 1
+        assert checked == 360
+
+    def test_gaussian_enumeration_is_bounded(self, monkeypatch):
+        assert len(ZI.residues(GaussianInt(256, 0))) == MAX_ENUMERATION
+        # above the limit nothing is divided: a divider would fail the test
+        def no_divider(self, m):
+            raise AssertionError("enumerated above the limit")
+
+        monkeypatch.setattr(GaussianIntegerRing, "divider", no_divider)
+        for m in (GaussianInt(256, 1), GaussianInt(10**100, -(10**100))):
+            assert ZI.quotient_size(m) > MAX_ENUMERATION
+            with pytest.raises(ValueError, match="enumeration limit"):
+                ZI.residues(m)
 
     def test_fp_enumeration_is_bounded(self):
         assert len(F2.residues(fp(F2, *[0] * 16, 1))) == MAX_ENUMERATION
@@ -594,3 +627,90 @@ class TestFpPolyValues:
             coeffs = [rand_coeffs(rng, p, rng.randint(0, 6)) for _ in range(300)]
             want = [FpPoly(p, c) for c in sorted(coeffs, key=lambda c: (len(c) - 1, c))]
             assert sorted((FpPoly(p, c) for c in coeffs), key=Fp(p).sort_key) == want
+
+
+class TestGaussianIntValues:
+    def test_equal_and_hash(self):
+        for re, im in ((0, 0), (3, -4), (-1, 1), (10**200, -(10**200) - 7)):
+            g = GaussianInt(re, im)
+            forms = [
+                GaussianInt(re, im),
+                ZI.coerce(g),
+                ZI.parse(f"{re}+{im}i".replace("+-", "-")),
+                (g + ZI.one) - ZI.one,
+                -(-g),
+                g.conjugate().conjugate(),
+                g * ZI.one,
+                ZI.divider(ZI.one)(g)[1],
+            ]
+            for f in forms:
+                assert f == g and not f != g
+                assert hash(f) == hash((re, im))
+                assert (f.re, f.im) == (re, im)
+            assert len(set(forms)) == 1
+        assert GaussianInt(1, 2) != GaussianInt(2, 1) and not GaussianInt(1, 2) == GaussianInt(2, 1)
+
+    def test_unequal_to_other_types(self):
+        for g in (GaussianInt(0, 0), GaussianInt(2, 0), GaussianInt(3, 2), GaussianInt(-1, 5)):
+            pair = (g.re, g.im)
+            assert g != pair and pair != g and not g == pair and not pair == g
+            assert pair not in {g} and g not in {pair}
+            # FpPoly(3, (2,)) is the pair (3, 2) as well
+            for other in (0, 2, g.re, FpPoly(3, (2,)), FpPoly(2)):
+                assert g != other and other != g and not g == other
+        assert not GaussianInt(0, 0) and GaussianInt(0, 1) and GaussianInt(-1, 0)
+
+    def test_results_are_gaussian_ints(self):
+        a, b, m = GaussianInt(7, -3), GaussianInt(-2, 5), GaussianInt(2, 1)
+        r, q = ZI.divider(m)(a)
+        results = [
+            a + b, a - b, a * b, -a, a.conjugate(), r, q,
+            ZI.parse("3-2i"), ZI.parse("5"), ZI.coerce(4), ZI.coerce(a),
+            ZI.zero, ZI.one, *ZI.residues(m), *ZI.residues(ZI.one),
+        ]
+        for x in results:
+            assert type(x) is GaussianInt, x
+        assert type(a.norm()) is int
+
+    def test_int_times_value_is_refused(self):
+        # tuple would read 3 * g as repetition
+        g = GaussianInt(1, 2)
+        with pytest.raises(TypeError):
+            3 * g
+        with pytest.raises(TypeError):
+            g + 1
+
+    def test_pickle_and_copy_round_trips(self):
+        for g in (GaussianInt(0, 0), GaussianInt(3, -4), GaussianInt(10**200, -1)):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                h = pickle.loads(pickle.dumps(g, protocol))
+                assert type(h) is GaussianInt and h == g and hash(h) == hash(g)
+            for h in (copy.copy(g), copy.deepcopy(g), copy.deepcopy((g, [g]))[0]):
+                assert type(h) is GaussianInt and h == g
+
+    def test_repr_and_str(self):
+        assert repr(GaussianInt(3, -4)) == "GaussianInt(3, -4)"
+        assert repr(GaussianInt(0, 0)) == "GaussianInt(0, 0)"
+        cases = {(3, -4): "3-4i", (0, 1): "i", (0, -1): "-i", (2, 0): "2", (-1, 1): "-1+i",
+                 (0, 0): "0", (0, 5): "5i"}
+        for (re, im), text in cases.items():
+            g = GaussianInt(re, im)
+            assert str(g) == ZI.format(g) == text
+            assert ZI.parse(text) == g
+
+    def test_matches_dataclass_formulas(self):
+        rng = random.Random(12)
+        big = 10**200
+        for _ in range(300):
+            parts = [rng.randint(-big, big) for _ in range(4)]
+            a, b = GaussianInt(*parts[:2]), GaussianInt(*parts[2:])
+            da, db = DataclassGaussian(*parts[:2]), DataclassGaussian(*parts[2:])
+            pairs = [
+                (a + b, da + db), (a - b, da - db), (a * b, da * db), (-a, -da),
+                (a.conjugate(), da.conjugate()),
+            ]
+            for got, want in pairs:
+                assert type(got) is GaussianInt
+                assert (got.re, got.im) == (want.re, want.im)
+                assert hash(got) == hash(want)
+            assert a.norm() == da.norm() and bool(a) == bool(da)

@@ -1,0 +1,135 @@
+"""Print the CLI output of a fixed corpus of invocations.
+
+Runs about thirty ``digsys.cli.main`` invocations over all seven
+subcommands -- Z, Z[i], F2[y] and F3[y]; monic and non-monic bases;
+constant digit sets and the non-constant ones of ``product`` -- each as
+text and as ``--json``, and prints every exit code, stdout, stderr and
+DOT file.  Two versions of the library print the same bytes exactly
+when their CLI output agrees, so a change that must keep the output
+byte-identical is checked with
+
+    PYTHONPATH=<old checkout>/src python3 tools/output_corpus.py > before.txt
+    PYTHONPATH=src python3 tools/output_corpus.py > after.txt
+    diff before.txt after.txt
+
+The exit status is 0 when every invocation returned an exit code of the
+CLI (0, 1 or 2) and every ``--json`` report parsed; it is 1 when one
+raised or printed anything else.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+from digsys.cli import main
+
+ZI_GAUSS = ["--ring", "Zi", "--poly", "(1+i)x+(1+2i)", "--digits", "0,1,2,3,4"]
+Z_EX1 = ["--ring", "Z", "--poly", "3x^2-2x+5", "--digits", "0,1,2,3,4"]
+Z_SYM = ["--ring", "Z", "--poly", "3x^2-2x+5", "--digits", "-2,-1,0,1,2"]
+F2_EX2 = ["--ring", "Fp:2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits", "1,y,y+1,y^3+y"]
+F3_SYS = ["--ring", "Fp:3", "--poly", "(y+1)x^2+x+(y^2+2)",
+          "--digits", "1,2,y,y+1,y+2,2y,2y+1,2y+2,y^3+2y"]
+
+# (argv, DOT file name or None); each runs once as text and once as --json
+CORPUS = [
+    # expand
+    (["expand", *Z_EX1, "--element", "-1"], None),
+    (["expand", *Z_SYM, "--element", "x^3+7"], None),
+    (["expand", "--ring", "Z", "--poly", "x^2+x+2", "--digits", "0,1", "--element", "5x-3"], None),
+    (["expand", "--ring", "Z", "--poly", "3x+2", "--digits", "0,1", "--element", "x+7",
+      "--cap", "300"], None),
+    (["expand", *ZI_GAUSS, "--element", "3-i"], None),
+    (["expand", "--ring", "Zi", "--poly", "x^2+(2-i)x+(3+i)",
+      "--digits", "0,1,2,3,4,5,6,7,8,9", "--element", "7+4i"], None),
+    (["expand", *F2_EX2, "--element", "x^2+y"], None),
+    (["expand", *F3_SYS, "--element", "(2y+1)x+y^2"], None),
+    # decide
+    (["decide", *Z_EX1], None),
+    (["decide", *Z_SYM, "--mode", "power"], None),
+    (["decide", "--ring", "Z", "--poly", "x^2+4x+5", "--digits", "0,1,2,3,4"], None),
+    (["decide", "--ring", "Z", "--poly", "3x+2", "--digits", "0,1", "--witness-cap", "100"], None),
+    (["decide", *ZI_GAUSS], None),
+    (["decide", "--ring", "Zi", "--poly", "x+(2+i)", "--digits", "0,1,2,3,4"], None),
+    (["decide", *F2_EX2], None),
+    (["decide", *F3_SYS], None),
+    # zero-cycle
+    (["zero-cycle", *F2_EX2], None),
+    (["zero-cycle", *Z_SYM], None),
+    (["zero-cycle", *ZI_GAUSS], None),
+    # witness, with the orbit graph as DOT
+    (["witness", *Z_EX1], "z.dot"),
+    (["witness", *ZI_GAUSS], "zi.dot"),
+    (["witness", "--ring", "Zi", "--poly", "x^2+2x+(1+i)", "--digits", "0,1",
+      "--witness-cap", "200"], "zi2.dot"),
+    (["witness", *F2_EX2], "f2.dot"),
+    (["witness", *F3_SYS, "--mode", "power"], "f3.dot"),
+    # srs
+    (["srs", "--r", "3/5,-2/5", "--eps", "1/2"], None),
+    (["srs", "--r", "1/2,3/4"], None),
+    (["srs", "--r", "2"], None),
+    # product: the combined digit sets are not constant in x
+    (["product", "--factors", "x+2:0,1;x+3:0,1,2", "--element", "x"], None),
+    (["product", "--factors", "2x+3:0,1,2;x+2:0,1", "--element", "x^2+1"], None),
+    (["product", "--ring", "Zi", "--factors", "x+(1+i):0,1;x+(2+i):0,1,2,3,4",
+      "--element", "x+i"], None),
+    (["product", "--ring", "Fp:2", "--factors", "x+y:0,1;x+(y^2+y+1):0,1,y,y+1"], None),
+    # ff
+    (["ff", "--p", "2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits", "1,y,y+1,y^3+y",
+      "--prove-fep", "--convert", "x+y"], None),
+    (["ff", "--p", "3", "--poly", "x+(y^2+1)"], None),
+    (["ff", "--p", "2", "--poly", "x+y^18"], None),
+    # input errors
+    (["decide", "--ring", "Z", "--poly", "x-1", "--digits", "0"], None),
+    (["expand", "--ring", "Zi", "--poly", "5", "--digits", "0", "--element", "1"], None),
+]
+
+
+def run(argv: list[str], dot: str | None) -> tuple[bool, str]:
+    """One invocation in a fresh directory: (ok, printed record)."""
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + (["--dot", dot] if dot else []))
+        except Exception:
+            return False, f"raised:\n{traceback.format_exc()}"
+        finally:
+            os.chdir(here)
+        if dot:
+            graph = Path(tmp, dot)
+            dot_text = graph.read_text(encoding="utf-8") if graph.exists() else "(not written)\n"
+    ok = code in (0, 1, 2)
+    if "--json" in argv and code != 1:
+        try:
+            json.loads(out.getvalue())
+        except ValueError:
+            ok = False
+    record = f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    if dot:
+        record += f"--- {dot}\n{dot_text}"
+    return ok, record
+
+
+def main_corpus() -> int:
+    failed = 0
+    for argv, dot in CORPUS:
+        for extra in ([], ["--json"]):
+            ok, record = run(argv + extra, dot)
+            print(f"=== digsys {' '.join(argv + extra)}{' --dot ' + dot if dot else ''}")
+            print(record, end="")
+            failed += not ok
+    print(f"=== {len(CORPUS)} invocations, text and --json; {failed} failed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_corpus())
