@@ -17,13 +17,19 @@ periodic set, closure orbit statuses, shift-radix orbits, window chains
 and the product recurrence) is followed by the one walker :func:`walk`,
 and its cycles are put in canonical order by :func:`rotate`.
 
-Digit sequences, expansions, the zero cycle and witness closures run T
-on the flat coordinates (q, r) of the standard representation
-A = sum q_i w_i + sum r_i X^i: T folds r_0 into one carry, shifts q with
-it and shifts r down, and a digit e = e_0 + X*f_e that is not constant
-also takes off the coordinates of f_e.  The representation is unique, so
-the results equal those of stepping elements with :meth:`DigitSystem.step`,
-the definition of T, which ``digit_stream`` and ``periodic_set`` use.
+Digit sequences, expansions, the zero cycle, the periodic set and
+witness closures run T on the flat coordinates (q, r) of the standard
+representation A = sum q_i w_i + sum r_i X^i: T folds r_0 into one
+carry, shifts q with it and shifts r down, and a digit e = e_0 + X*f_e
+that is not constant also takes off the coordinates of f_e.  Each
+coordinate is held in the atom form of its ring (``Ring.atoms``): the
+value itself over Z and F_p[y], a plain ``(re, im)`` pair of ints over
+Z[i], so that walk states hash, compare and add without calling Python
+code.  ``Ring.dynamics`` binds the arithmetic of T on atoms once per
+system; elements, digits and ring-value coordinates are rebuilt only
+for results.  The representation is unique, so the results equal those
+of stepping elements with :meth:`DigitSystem.step`, the definition of T,
+which ``digit_stream`` and the tests' oracles use.
 
 Digit systems are immutable after validation; orbit walks from
 different start elements are independent and deterministic.
@@ -32,7 +38,7 @@ different start elements are independent and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
@@ -138,23 +144,30 @@ class DigitSystem:
         self.modulus = qring.modulus
         self.digits = digits
         self._lookup = _lookup
-        self._carry = _carry
         self._divide = qring._divide_p0
         self.digits_constant = all(d.x_degree <= 0 for d in digits)
         self.k = max(self.qring.d, max((d.x_degree for d in digits), default=0))
-        # constant coefficients p_d, p_{d-1}, ..., p_1 of the basis w_0..w_{d-1}
-        # and 1 of X^0: the carry of flat coordinates is their dot product
-        self._carry_weights = tuple(reversed(self.modulus.coeffs[1:])) + (self.ring.one,)
-        self._d = qring.d
-        self._c0 = self.ring.zero
         # the x-part f_e = (e - e_0)/X of each digit that is not constant, by
-        # residue class, and the coordinates of -f_e that T adds
+        # residue class; T adds the coordinates of -f_e
         self._xpart = {
             r: qring.divide_by_x(e - qring.from_const(e.constant))
             for r, e in _lookup.items()
             if e.x_degree > 0
         }
-        self._offset = {r: qring.coords(-f) for r, f in self._xpart.items()}
+        # T on the atoms of flat coordinates
+        self._step, self._images = self.ring.dynamics(
+            self.modulus.coeffs,
+            self._divide,
+            _carry,
+            {r: qring.coords(-f) for r, f in self._xpart.items()},
+            lambda coords: qring.coords(qring.from_coords(coords)),
+        )
+
+    @cached_property
+    def _digit(self) -> dict:
+        """The digit of each residue atom that ``_step`` returns; built
+        for the first walk, as decisions do not read it."""
+        return dict(zip(self.ring.atoms(tuple(self._lookup)), self._lookup.values()))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -195,21 +208,22 @@ class DigitSystem:
         return self._orbit(a, cap)
 
     def _orbit(self, a: QuotElem, cap: int) -> DigitSequence:
-        """The orbit of ``a`` under T, followed on its flat coordinates
-        until it reaches 0, repeats a state or has taken ``cap`` steps
-        (``cap`` may be 0).  The coordinates are unique, so states and
-        elements correspond one to one and the result is that of stepping
-        the elements."""
+        """The orbit of ``a`` under T, followed on the atoms of its flat
+        coordinates until it reaches 0, repeats a state or has taken
+        ``cap`` steps (``cap`` may be 0).  The coordinates are unique, so
+        states and elements correspond one to one and the result is that
+        of stepping the elements."""
         digits: list[QuotElem] = []
         emit = digits.append
-        lookup, carry_step = self._lookup, self._carry_step
+        digit, carry_step = self._digit, self._step
 
         def step(v):
             r, w = carry_step(v)
-            emit(lookup[r])
+            emit(digit[r])
             return w
 
-        start, zero = self.qring.coords(a), (self._c0,) * self._d
+        atoms = self.ring.atoms
+        start, zero = atoms(self.qring.coords(a)), atoms((self.ring.zero,) * self.qring.d)
         kind, path, hit = walk(start, step, (zero,), cap)
         n = len(path)
         if kind == "known":
@@ -265,16 +279,22 @@ class DigitSystem:
         """
         if cap < 0:
             raise ValueError("cap must be at least 0")
-        resolved: set[QuotElem] = set()
+        qring, ring, carry_step = self.qring, self.ring, self._step
+
+        def step(v):
+            return carry_step(v)[1]
+
+        resolved: set[tuple] = set()
         cycles: list[tuple] = []
         capped = False
-        for seed in sorted(seeds, key=self.qring.sort_key):
-            kind, path, hit = walk(seed, self.step, resolved, cap)
+        for seed in sorted(seeds, key=qring.sort_key):
+            kind, path, hit = walk(ring.atoms(qring.coords(seed)), step, resolved, cap)
             if kind == "cap":
                 capped = True
                 continue
             if kind == "cycle":
-                cycles.append(rotate(list(path)[hit:], self.qring.sort_key))
+                cycle = [qring.from_coords(ring.values(v)) for v in list(path)[hit:]]
+                cycles.append(rotate(cycle, qring.sort_key))
             resolved.update(path)
         cycles.sort(key=lambda c: self.qring.sort_key(c[0]))
         zero = self.qring.zero
@@ -291,43 +311,10 @@ class DigitSystem:
         """T on the flat coordinates of ``QuotRing.coords``: a shift with
         one carry, less the x-part of a digit that is not constant."""
         state = tuple(self.ring.coerce(a) for a in coords)
-        if len(state) != self._d:
+        if len(state) != self.qring.d:
             # a residue part may be unreduced or end in zeros
             state = self.qring.coords(self.qring.from_coords(state))
-        return self._carry_step(state)[1]
-
-    def _carry_step(self, v: tuple) -> tuple:
-        """One step of T on flat coordinates v = (q, r): the residue class
-        of the digit taken off and the coordinates of the image.
-
-        The constant coefficient c = r_0 + sum(q_i p_{d-i}) = r + q0*p0 and
-        the digit's e_0 = r + q1*p0 share the residue r.  Since
-        X*w_{d-1} = -p0, (c - e_0)/X = (q1 - q0)*w_{d-1}, which becomes the
-        new last basis coordinate; r_1, r_2, ... shift down one place.  A
-        digit e = e_0 + X*f_e that is not constant then takes f_e off.
-        """
-        c = self._c0
-        for a, p in zip(v, self._carry_weights):
-            c = c + a * p
-        r, q0 = self._divide(c)
-        d = self._d
-        w = v[1:d] + (self._carry[r] - q0,)
-        if len(v) > d + 1:
-            w += v[d + 1 :]
-        if self._offset and r in self._offset:
-            w = self._add_coords(w, self._offset[r])
-        return r, w
-
-    def _add_coords(self, u: tuple, v: tuple) -> tuple:
-        """The flat coordinates of A + B from those of A and B: basis
-        coordinates add, and the residue parts, each reduced, are reduced
-        again only when both are non-empty."""
-        d = self._d
-        q = tuple(a + b for a, b in zip(u[:d], v[:d]))
-        if len(u) > d and len(v) > d:
-            residue = tuple(a + b for a, b in zip_longest(u[d:], v[d:], fillvalue=self._c0))
-            return self.qring.coords(self.qring.from_coords(q + residue))
-        return q + u[d:] + v[d:]
+        return self.ring.values(self._step(self.ring.atoms(state))[1])
 
 
 def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:

@@ -11,10 +11,12 @@ equality.  A ring supplies only what depends on it:
 * ``zero``, ``one``, ``coerce``, ``is_unit`` and a Euclidean value
   function with value ``-inf`` at 0,
 * complete residue systems for nonzero moduli, deterministic across
-  runs (``{0}`` for a unit),
+  runs (``{0}`` for a unit) and at most ``MAX_ENUMERATION`` long,
 * division, through ``divider(m)`` alone,
 * a whitespace-insensitive text grammar with ``parse``/``format``
-  round-tripping.
+  round-tripping,
+* the map T of a digit system on flat coordinates, ``dynamics``, bound
+  once per system, on the *atoms* of the values (``atoms``/``values``).
 
 ``Ring.divider(m)`` checks a nonzero modulus once and returns
 ``a -> (r, q)`` with ``a = r + q*m`` and ``r`` in ``residues(m)``, so
@@ -24,7 +26,11 @@ is the ``q`` of a zero ``r``; dividing by a unit always gives one.
 
 A Gaussian integer is the pair of ints ``(re, im)``, a ``tuple``
 subclass like :class:`FpPoly`: its hash is the C tuple hash, and its
-operators unpack two ints and build one pair.
+operators unpack two ints and build one pair.  Its atom is the plain
+pair, whose equality is C tuple equality (a ``GaussianInt`` equals no
+plain tuple), so ``ZI.dynamics`` steps, looks up and adds int pairs and
+calls no ``GaussianInt`` method per step; over Z and F_p[y] the atoms
+are the values.
 
 A polynomial over F_p is one integer with a coefficient per byte slot,
 so sums, differences and products are integer operations followed by
@@ -42,6 +48,7 @@ from __future__ import annotations
 import functools
 import operator
 import re as _re
+from itertools import zip_longest
 
 from .errors import ParseError
 
@@ -53,8 +60,9 @@ _new = tuple.__new__
 # lists up to it, so larger ones are rejected before anything is allocated
 MAX_EXPONENT = 10**5
 
-# most members an enumeration may list: an F_p[y] residue system
-# (p^deg m polynomials) or the windows of a zero-cycle proof
+# most members an enumeration may list: a residue system (|m| integers,
+# N(m) Gaussian integers, p^deg m polynomials) or the windows of a
+# zero-cycle proof
 MAX_ENUMERATION = 2**16
 
 # the first 13 primes; as Miller-Rabin bases they decide primality of
@@ -163,6 +171,10 @@ class GaussianInt(tuple):
         return f"GaussianInt({self[0]}, {self[1]})"
 
 
+# an int pair as a GaussianInt, without the argument unpacking of __new__
+_gaussian = functools.partial(_new, GaussianInt)
+
+
 def _format_gaussian(a: GaussianInt) -> str:
     if a.im == 0:
         return str(a.re)
@@ -246,6 +258,10 @@ class FpPoly(tuple):
 
     def __neg__(self) -> FpPoly:
         return FpPoly(self[0]) - self
+
+    def __rmul__(self, other):
+        # refuse int * value, which tuple would read as repetition
+        return NotImplemented
 
     def __mul__(self, other: FpPoly) -> FpPoly:
         # Kronecker substitution: each coefficient of the integer product
@@ -473,6 +489,105 @@ class Ring:
         and q = a/m."""
         raise NotImplementedError
 
+    # -- the dynamics of a digit system ------------------------------------
+    # Orbit walks and witness closures run T on tuples of atoms, the plain
+    # form of ring values that hashes, compares and adds fastest: the
+    # values themselves here, int pairs over Z[i].
+
+    def atoms(self, values: tuple) -> tuple:
+        """A tuple of ring values in atom form."""
+        return values
+
+    def values(self, atoms: tuple) -> tuple:
+        """The ring values of a tuple of atoms; inverse of ``atoms``."""
+        return atoms
+
+    def dynamics(self, base: tuple, divide, carry: dict, offsets: dict, reduce):
+        """T of a digit system on the atoms of flat coordinates
+        v = (q_0, ..., q_{d-1}, r_0, r_1, ...), bound once per system like
+        ``divider``.  In ring values: ``base`` holds the coefficients
+        p_0, ..., p_d of the base P, ``divide`` is the ``divider`` of p0,
+        ``carry`` maps the residue r of each digit's constant
+        e_0 = r + q1*p0 to q1, ``offsets`` maps r to the coordinates of -f_e
+        for a digit e = e_0 + X*f_e that is not constant, and ``reduce``
+        takes coordinates with an unreduced residue part to their reduced
+        form.  Returns ``(step, images)``:
+
+        * ``step(v)`` is ``(r, w)``: the residue class r (an atom) of the
+          digit taken off and the atoms w of T(v);
+        * ``images(constants, xoffsets)`` is, for one closure, the function
+          v -> [T(v), T(v + e) for the nonzero digits e in digit order],
+          given the constants e_0 of those digits and, unless every digit
+          is constant (then None), ``xoffsets(r)``: for a residue r, the
+          coordinates of what T(v + e) adds for the x-parts of the digits
+          (None where nothing), in ring values.
+
+        The constant coefficient c = r_0 + sum(q_i p_{d-i}) = r + q0*p0 of
+        v, the dot product of v with the constant coefficients
+        p_d, ..., p_1 of the basis w_0, ..., w_{d-1} and 1 of X^0, and the
+        digit's e_0 = r + q1*p0 share the residue r.  Since
+        X*w_{d-1} = -p0, (c - e_0)/X = (q1 - q0)*w_{d-1}, which becomes the
+        new last basis coordinate; r_1, r_2, ... shift down one place.  A
+        digit e = e_0 + X*f_e that is not constant then takes f_e off.
+
+        v + e has the carry r' + (k + q0)*p0 with r + e_0 = r' + k*p0, so
+        T(v + e) is T(v) with carry[r'] - k - carry[r] added to its last
+        basis coordinate, plus the x-part offsets.  A closure keeps one row
+        of the values carry[r'] - k, and of ``xoffsets(r)``, per residue r,
+        built when r first appears, so a shift image of a constant digit
+        set costs one addition.
+        """
+        d, c0 = len(base) - 1, self.zero
+        weights = tuple(reversed(base[1:])) + (self.one,)
+
+        def add(u: tuple, v: tuple) -> tuple:
+            # basis coordinates add, and the residue parts, each reduced,
+            # are reduced again only when both are non-empty
+            q = tuple(a + b for a, b in zip(u[:d], v[:d]))
+            if len(u) > d and len(v) > d:
+                return reduce(q + tuple(a + b for a, b in zip_longest(u[d:], v[d:], fillvalue=c0)))
+            return q + u[d:] + v[d:]
+
+        def step(v: tuple) -> tuple:
+            c = c0
+            for a, p in zip(v, weights):
+                c = c + a * p
+            r, q0 = divide(c)
+            w = v[1:d] + (carry[r] - q0,)
+            if len(v) > d + 1:
+                w += v[d + 1 :]
+            if offsets and r in offsets:
+                w = add(w, offsets[r])
+            return r, w
+
+        def images(constants, xoffsets):
+            rows: dict = {}
+
+            def row(r) -> tuple:
+                divided = [divide(r + s) for s in constants]
+                offs = None if xoffsets is None else xoffsets(r)
+                return [carry[r1] - k for r1, k in divided], offs
+
+            def images(v: tuple) -> list:
+                r, w = step(v)
+                cached = rows.get(r)
+                if cached is None:
+                    cached = rows[r] = row(r)
+                adds, offs = cached
+                head, nq, tail = w[: d - 1], w[d - 1] - carry[r], w[d:]
+                # members of the basis module, the common case, skip a concatenation
+                if tail:
+                    found = [head + (c + nq,) + tail for c in adds]
+                else:
+                    found = [head + (c + nq,) for c in adds]
+                if offs is not None:
+                    found = [u if o is None else add(u, o) for u, o in zip(found, offs)]
+                return [w] + found
+
+            return images
+
+        return step, images
+
     # -- text ------------------------------------------------------------
     def parse(self, text: str):
         raise NotImplementedError
@@ -515,8 +630,14 @@ class IntegerRing(Ring):
         return abs(m)
 
     def residues(self, m) -> list:
-        self.check_modulus(m)
-        return list(range(abs(m)))
+        """ValueError when the system has more than MAX_ENUMERATION members."""
+        size = self.quotient_size(m)
+        if size > MAX_ENUMERATION:
+            raise ValueError(
+                f"the residue system mod {m} has {size} members, "
+                f"more than the enumeration limit {MAX_ENUMERATION}"
+            )
+        return list(range(size))
 
     def divider(self, m):
         self.check_modulus(m)
@@ -608,6 +729,90 @@ class GaussianIntegerRing(Ring):
 
         return divide
 
+    def atoms(self, values: tuple) -> tuple:
+        return tuple(map(tuple, values))
+
+    def values(self, atoms: tuple) -> tuple:
+        return tuple(map(_gaussian, atoms))
+
+    def dynamics(self, base: tuple, divide, carry: dict, offsets: dict, reduce):
+        """``Ring.dynamics`` on int pairs (re, im): the dot product with the
+        basis constants, the division by p0 (rounded as by ``divider``,
+        which is not called), the table lookups and the additions of
+        siblings and offsets all unpack ints, and no GaussianInt is built
+        or compared per step."""
+        d, (mr, mi) = len(base) - 1, base[0]
+        n = mr * mr + mi * mi
+        bias, n2 = n - 1, 2 * n
+        atoms, values = self.atoms, self.values
+        weights = atoms(tuple(reversed(base[1:])) + (self.one,))
+        carry = {tuple(r): tuple(q) for r, q in carry.items()}
+        offsets = {tuple(r): atoms(o) for r, o in offsets.items()}
+
+        def divide_ints(ar: int, ai: int) -> tuple:
+            qr = (2 * (ar * mr + ai * mi) + bias) // n2
+            qi = (2 * (ai * mr - ar * mi) + bias) // n2
+            return (ar - qr * mr + qi * mi, ai - qr * mi - qi * mr), qr, qi
+
+        def add(u: tuple, v: tuple) -> tuple:
+            q = tuple((a + c, b + e) for (a, b), (c, e) in zip(u[:d], v[:d]))
+            if len(u) > d and len(v) > d:
+                residue = zip_longest(u[d:], v[d:], fillvalue=(0, 0))
+                q += tuple((a + c, b + e) for (a, b), (c, e) in residue)
+                return atoms(reduce(values(q)))
+            return q + u[d:] + v[d:]
+
+        def step(v: tuple) -> tuple:
+            cr = ci = 0
+            for (a, b), (p, q) in zip(v, weights):
+                cr += a * p - b * q
+                ci += a * q + b * p
+            r, qr, qi = divide_ints(cr, ci)
+            kr, ki = carry[r]
+            w = v[1:d] + ((kr - qr, ki - qi),)
+            if len(v) > d + 1:
+                w += v[d + 1 :]
+            if offsets and r in offsets:
+                w = add(w, offsets[r])
+            return r, w
+
+        def images(constants, xoffsets):
+            constants = atoms(constants)
+            rows: dict = {}
+
+            def row(r: tuple) -> tuple:
+                rr, ri = r
+                adds = []
+                for sr, si in constants:
+                    r1, qr, qi = divide_ints(rr + sr, ri + si)
+                    kr, ki = carry[r1]
+                    adds.append((kr - qr, ki - qi))
+                if xoffsets is None:
+                    return adds, None
+                return adds, [None if o is None else atoms(o) for o in xoffsets(_gaussian(r))]
+
+            def images(v: tuple) -> list:
+                r, w = step(v)
+                cached = rows.get(r)
+                if cached is None:
+                    cached = rows[r] = row(r)
+                adds, offs = cached
+                (nr, ni), (kr, ki) = w[d - 1], carry[r]
+                nr -= kr
+                ni -= ki
+                head, tail = w[: d - 1], w[d:]
+                if tail:
+                    found = [head + ((a + nr, b + ni),) + tail for a, b in adds]
+                else:
+                    found = [head + ((a + nr, b + ni),) for a, b in adds]
+                if offs is not None:
+                    found = [u if o is None else add(u, o) for u, o in zip(found, offs)]
+                return [w] + found
+
+            return images
+
+        return step, images
+
     def parse(self, text: str):
         sc = _Scanner(text)
         total = GaussianInt(0, 0)
@@ -657,11 +862,12 @@ class FpPolynomialRing(Ring):
     def __hash__(self) -> int:
         return hash(("Fp", self.p))
 
-    @property
+    # built once per ring: every digit system binds its dynamics with them
+    @functools.cached_property
     def zero(self):
         return FpPoly(self.p)
 
-    @property
+    @functools.cached_property
     def one(self):
         return FpPoly(self.p, (1,))
 

@@ -14,16 +14,22 @@ detected by set stabilisation under a size cap.
 
 One breadth-first loop builds every closure; it is given the images of
 a member v, T(v) first.  Members are the flat standard-representation
-coordinates of ``QuotRing.coords``, for every digit set and seed.  The
-carry of v is divided by p0 once per member; what T(v + e) adds to T(v)
-then depends only on its residue r and on e, so each closure keeps one
-row of those values per residue r, built when r first appears, and a
-shift image of a constant digit set costs one addition.  Coordinates
-become elements only when ``WitnessClosure.elements`` is first read, so
-a capped closure that ends in "unknown" is never converted.
+coordinates of ``QuotRing.coords``, for every digit set and seed, in the
+atom form of the ring (``Ring.atoms``: the values over Z and F_p[y],
+plain ``(re, im)`` int pairs over Z[i]), so set membership and the
+per-residue tables hash and compare in C.  The images come from the
+system's ``Ring.dynamics``: the carry of v is divided by p0 once per
+member; what T(v + e) adds to T(v) then depends only on its residue r
+and on e, so each closure keeps one row of those values per residue r,
+built when r first appears, and a shift image of a constant digit set
+costs one addition.  The decisions read the atoms; they become
+elements only when ``WitnessClosure.elements`` is first read (or a
+certificate needs them), and ring-value coordinates only when
+``members`` or ``succ`` is, so a capped closure that ends in "unknown"
+is never converted.
 
 The closure records the e = 0 image T(v) of every member it expands
-(``WitnessClosure.succ``), so the orbit statuses behind the finite
+(``WitnessClosure.atom_succ``), so the orbit statuses behind the finite
 expansion decision walk that map with ``digits.walk`` instead of
 stepping T again, and convert only the members they report.
 ``decide_fep``, ``decide_pep`` and the CLI share one cached closure per
@@ -52,30 +58,42 @@ DEFAULT_CLOSURE_CAP = 10**5
 
 @dataclass(frozen=True)
 class WitnessClosure:
-    """A witness closure as found: ``members`` are the flat coordinates
-    (``QuotRing.coords``) of its elements, which ``elements`` converts on
-    first read.  ``succ`` maps each expanded member to the member
-    T(member); it is total on a stabilised closure."""
+    """A witness closure as found.  ``atoms`` are the flat coordinates
+    (``QuotRing.coords``) of its elements in the atom form of the ring
+    (``Ring.atoms``), and ``atom_succ`` maps each expanded one to that of
+    T(member); it is total on a stabilised closure.  The decisions read
+    these.  ``members`` and ``succ`` are the same in ring values, and
+    ``elements`` the elements; each is converted on first read."""
 
-    members: frozenset
+    atoms: frozenset
     seed: frozenset
     stabilized: bool
     rounds: int
     cap: int
     qring: QuotRing
-    succ: dict = field(default_factory=dict, compare=False, repr=False)
+    atom_succ: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(map(self.qring.ring.values, self.atoms))
+
+    @cached_property
+    def succ(self) -> dict:
+        values = self.qring.ring.values
+        return {values(v): values(w) for v, w in self.atom_succ.items()}
 
     @cached_property
     def _element_of(self) -> dict:
-        """Member -> element, converted once and shared with ``elements``."""
-        return {v: self.qring.from_coords(v) for v in self.members}
+        """Atoms -> element, converted once and shared with ``elements``."""
+        values, from_coords = self.qring.ring.values, self.qring.from_coords
+        return {v: from_coords(values(v)) for v in self.atoms}
 
     @cached_property
     def elements(self) -> frozenset:
         return frozenset(self._element_of.values())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.atoms)
 
 
 @dataclass
@@ -169,7 +187,7 @@ def witness_closure(
     images = _coordinate_images(system)
     # breadth first: ``rounds`` counts levels, so it and the members found
     # when the cap stops the search do not depend on the order within one
-    elements = {qring.coords(v) for v in seed}
+    elements = {system.ring.atoms(qring.coords(v)) for v in seed}
     succ = {}
     frontier = list(elements)
     rounds = 0
@@ -190,47 +208,25 @@ def witness_closure(
 
 def _coordinate_images(system: DigitSystem):
     """v -> [T(v), T(v + e) for the nonzero digits e in digit order], on
-    flat coordinates.  With r + q0*p0 the carry of v, v + e has the carry
-    r' + (k + q0)*p0, so T(v + e) is T(v) with carry[r'] - k - carry[r]
-    added to its last basis coordinate, plus f_e + f_r - f_r' for the
-    x-parts f of e and of the digits of classes r and r'.  The row of r
-    holds the values carry[r'] - k and, when some digit is not constant,
-    the coordinates of those offsets (None where they cancel)."""
-    qring, d = system.qring, system.qring.d
-    step, carry, divide = system._carry_step, system._carry, system._divide
-    add, xpart = system._add_coords, system._xpart
+    the atoms of flat coordinates, from the system's ``Ring.dynamics``.
+    For digits that are not constant, T(v + e) also adds f_e + f_r - f_r'
+    for the x-parts f of e and of the digits of the classes r of v and
+    r' of v + e; their coordinates are worked out here in ring values,
+    once per residue r (None where they cancel)."""
+    qring = system.qring
+    divide, xpart = system._divide, system._xpart
     constants = [e.constant for e in system.digits if not e.is_zero]
-    rows: dict = {}
 
-    def offsets(r, divided):
+    def xoffsets(r) -> list:
         zero = qring.zero
         out = []
-        for s, (r1, _) in zip(constants, divided):
-            g = xpart.get(divide(s)[0], zero) + xpart.get(r, zero) - xpart.get(r1, zero)
+        for s in constants:
+            g = xpart.get(divide(s)[0], zero) + xpart.get(r, zero)
+            g -= xpart.get(divide(r + s)[0], zero)
             out.append(None if g.is_zero else qring.coords(g))
         return out
 
-    def row(r):
-        divided = [divide(r + s) for s in constants]
-        return [carry[r1] - k for r1, k in divided], offsets(r, divided) if xpart else None
-
-    def images(v):
-        r, w = step(v)
-        cached = rows.get(r)
-        if cached is None:
-            cached = rows[r] = row(r)
-        adds, offs = cached
-        head, nq, tail = w[: d - 1], w[d - 1] - carry[r], w[d:]
-        # members of the basis module, the common case, skip a concatenation
-        if tail:
-            found = [head + (c + nq,) + tail for c in adds]
-        else:
-            found = [head + (c + nq,) for c in adds]
-        if offs is not None:
-            found = [u if o is None else add(u, o) for u, o in zip(found, offs)]
-        return [w] + found
-
-    return images
+    return system._images(constants, xoffsets if xpart else None)
 
 
 @lru_cache(maxsize=1)
@@ -271,23 +267,24 @@ def _generation_caveat(system: DigitSystem) -> str:
 
 
 def _orbit_statuses(system: DigitSystem, closure: WitnessClosure) -> tuple[dict, list]:
-    """For each member of a stabilised closure, whether its orbit under
-    ``closure.succ`` reaches 0 and in how many steps (for orbits that do
-    not, the length of the cycle they enter); also the cycles found, as
-    elements rotated to start at their least ``sort_key``.  Neither
-    depends on the order in which members are visited."""
-    qring = system.qring
-    zero = (system.ring.zero,) * qring.d
-    step = closure.succ.__getitem__
+    """For each member (its atoms) of a stabilised closure, whether its
+    orbit under ``closure.atom_succ`` reaches 0 and in how many steps (for
+    orbits that do not, the length of the cycle they enter); also the
+    cycles found, as elements rotated to start at their least
+    ``sort_key``.  Neither depends on the order in which members are
+    visited."""
+    qring, ring = system.qring, system.ring
+    zero = ring.atoms((ring.zero,) * qring.d)
+    step = closure.atom_succ.__getitem__
     status: dict = {zero: (True, 0)}
     cycles: list[tuple] = []
-    for v in closure.members:
+    for v in closure.atoms:
         if v in status:
             continue
         kind, path, hit = walk(v, step, status)
         if kind == "cycle":
             cyc = list(path)[hit:]
-            cycles.append(rotate([qring.from_coords(u) for u in cyc], qring.sort_key))
+            cycles.append(rotate([qring.from_coords(ring.values(u)) for u in cyc], qring.sort_key))
             # the tail into a cycle reports the cycle's length, as its members do
             reaches, steps = False, len(cyc)
         else:
@@ -332,7 +329,7 @@ def decide_fep(
             certificate={"cycle": cycle, "mode": mode},
         )
     element_of = closure._element_of
-    orbit_steps = {element_of[v]: status[v][1] for v in closure.members}
+    orbit_steps = {element_of[v]: status[v][1] for v in closure.atoms}
     return Verdict(
         "fep",
         "yes",
@@ -399,9 +396,10 @@ def orbit_graph(system: DigitSystem, elements, growth_cap: int = 100_000) -> Orb
 
 def _closure_graph(system: DigitSystem, closure: WitnessClosure) -> OrbitGraph:
     """The ``orbit_graph`` of a stabilised closure's elements, read from
-    ``closure.succ`` through its member -> element map, without stepping."""
+    ``closure.atom_succ`` through its atoms -> element map, without
+    stepping."""
     element_of = closure._element_of
-    succ = {element_of[v]: element_of[w] for v, w in closure.succ.items()}
+    succ = {element_of[v]: element_of[w] for v, w in closure.atom_succ.items()}
     return OrbitGraph(system, tuple(sorted(succ, key=system.qring.format)), succ)
 
 

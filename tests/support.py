@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from digsys import Fp, FpPoly, GaussianInt, Poly, Z, ZI, parse_poly, validate_system
-from digsys.digits import DigitSequence, ZeroCycle
+from digsys.digits import DigitSequence, PeriodicSetReport, ZeroCycle, rotate, walk
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -292,6 +292,33 @@ def element_zero_cycle(system, cap):
             return None
         seen[cur] = True
     return None
+
+
+def element_periodic_set(system, seeds, cap):
+    """periodic_set recomputed by walking elements with system.step: the
+    element route ``DigitSystem.periodic_set`` took before it walked the
+    atoms of flat coordinates."""
+    if cap < 0:
+        raise ValueError("cap must be at least 0")
+    resolved = set()
+    cycles = []
+    capped = False
+    for seed in sorted(seeds, key=system.qring.sort_key):
+        kind, path, hit = walk(seed, system.step, resolved, cap)
+        if kind == "cap":
+            capped = True
+            continue
+        if kind == "cycle":
+            cycles.append(rotate(list(path)[hit:], system.qring.sort_key))
+        resolved.update(path)
+    cycles.sort(key=lambda c: system.qring.sort_key(c[0]))
+    zero = system.qring.zero
+    return PeriodicSetReport(
+        elements=frozenset(v for c in cycles for v in c),
+        orbits=tuple(cycles),
+        contains_zero=any(zero in c for c in cycles),
+        capped=capped,
+    )
 
 
 def bfs_closure(system, seed, cap):

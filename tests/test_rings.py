@@ -148,6 +148,14 @@ class TestResidues:
             with pytest.raises(ValueError, match="enumeration limit"):
                 ZI.residues(m)
 
+    def test_integer_enumeration_is_bounded(self):
+        for m in (MAX_ENUMERATION, -MAX_ENUMERATION):
+            assert Z.residues(m) == list(range(MAX_ENUMERATION))
+        for m in (MAX_ENUMERATION + 1, -MAX_ENUMERATION - 1, 10**6, 10**400):
+            assert Z.quotient_size(m) > MAX_ENUMERATION
+            with pytest.raises(ValueError, match="enumeration limit"):
+                Z.residues(m)
+
     def test_fp_enumeration_is_bounded(self):
         assert len(F2.residues(fp(F2, *[0] * 16, 1))) == MAX_ENUMERATION
         for ring, m in ((F2, fp(F2, *[0] * 40, 1)), (Fp(2**61 - 1), fp(Fp(2**61 - 1), 0, 1))):
@@ -613,6 +621,14 @@ class TestFpPolyValues:
                 assert type(g) is FpPoly and g == f and hash(g) == hash(f)
             for g in (copy.copy(f), copy.deepcopy(f), copy.deepcopy((f, [f]))[0]):
                 assert type(g) is FpPoly and g == f
+
+    def test_int_times_value_is_refused(self):
+        # tuple would read 3 * f as repetition
+        f = FpPoly(3, (1, 2))
+        with pytest.raises(TypeError):
+            3 * f
+        with pytest.raises(TypeError):
+            f * 3
 
     def test_repr(self):
         assert repr(FpPoly.make(3, (1, 2, 0, 1))) == "FpPoly(3, (1, 2, 0, 1))"

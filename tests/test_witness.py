@@ -142,16 +142,17 @@ class TestClosureOracle:
         assert capped >= 5  # capped closures are compared too
 
     def test_coordinate_images_in_digit_order(self):
-        # T(v) first, then T(v + e) over the nonzero digits in digit order
+        # T(v) first, then T(v + e) over the nonzero digits in digit order,
+        # on the atoms of the coordinates
         for system, cap in self.systems():
             closure = witness_closure(system, seed_witnesses(system, "brunotte"), cap)
-            qring, element_of = system.qring, closure._element_of
+            qring, element_of, atoms = system.qring, closure._element_of, system.ring.atoms
             shifts = [e for e in system.digits if not e.is_zero]
             images = witness._coordinate_images(system)
-            for v in sorted(closure.succ, key=lambda u: qring.sort_key(element_of[u]))[:60]:
+            for v in sorted(closure.atom_succ, key=lambda u: qring.sort_key(element_of[u]))[:60]:
                 x = element_of[v]
                 want = [system.step(x)] + [system.step(x + e) for e in shifts]
-                assert images(v) == [qring.coords(w) for w in want], system
+                assert images(v) == [atoms(qring.coords(w)) for w in want], system
 
     def test_succ_is_t(self):
         for system, cap in self.systems():
@@ -159,7 +160,7 @@ class TestClosureOracle:
             element_of = closure._element_of
             if closure.stabilized:
                 assert set(closure.succ) == set(closure.members), system
-            for v, w in closure.succ.items():
+            for v, w in closure.atom_succ.items():
                 assert element_of[w] == system.step(element_of[v]), system
 
 
@@ -263,7 +264,7 @@ class TestOrbitStatusOracle:
                 status, cycles = witness._orbit_statuses(system, closure)
                 expected, expected_cycles = element_orbit_statuses(system, closure.elements)
                 element_of = closure._element_of
-                for v in closure.members:
+                for v in closure.atoms:
                     assert status[v] == expected[element_of[v]], system
                     avoiding += not status[v][0]
                 assert sorted(cycles, key=repr) == sorted(expected_cycles, key=repr)

@@ -1,11 +1,13 @@
 """Print the CLI output of a fixed corpus of invocations.
 
-Runs about thirty ``digsys.cli.main`` invocations over all seven
+Runs about forty ``digsys.cli.main`` invocations over all seven
 subcommands -- Z, Z[i], F2[y] and F3[y]; monic and non-monic bases;
 constant digit sets and the non-constant ones of ``product`` -- each as
 text and as ``--json``, and prints every exit code, stdout, stderr and
-DOT file.  Two versions of the library print the same bytes exactly
-when their CLI output agrees, so a change that must keep the output
+DOT file.  Then it prints, through the library, the expansions of a few
+elements in Z[i] systems whose digits are not constant in x, which the
+CLI cannot express.  Two versions of the library print the same bytes
+exactly when their output agrees, so a change that must keep the output
 byte-identical is checked with
 
     PYTHONPATH=<old checkout>/src python3 tools/output_corpus.py > before.txt
@@ -13,8 +15,8 @@ byte-identical is checked with
     diff before.txt after.txt
 
 The exit status is 0 when every invocation returned an exit code of the
-CLI (0, 1 or 2) and every ``--json`` report parsed; it is 1 when one
-raised or printed anything else.
+CLI (0, 1 or 2), every ``--json`` report parsed and every library
+system expanded; it is 1 when one raised or printed anything else.
 """
 
 from __future__ import annotations
@@ -28,9 +30,13 @@ import tempfile
 import traceback
 from pathlib import Path
 
+from digsys import ZI, parse_poly, validate_system
 from digsys.cli import main
 
 ZI_GAUSS = ["--ring", "Zi", "--poly", "(1+i)x+(1+2i)", "--digits", "0,1,2,3,4"]
+# lead 1+i of norm 2 and p0 = 3-i of norm 10, with the residues of p0
+ZI_LEAD2 = ["--ring", "Zi", "--poly", "(1+i)x^2+(1+i)x+(3-i)",
+            "--digits", "-1-i,-1,-1+i,-i,0,i,1-i,1,1+i,2+i"]
 Z_EX1 = ["--ring", "Z", "--poly", "3x^2-2x+5", "--digits", "0,1,2,3,4"]
 Z_SYM = ["--ring", "Z", "--poly", "3x^2-2x+5", "--digits", "-2,-1,0,1,2"]
 F2_EX2 = ["--ring", "Fp:2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits", "1,y,y+1,y^3+y"]
@@ -57,6 +63,9 @@ CORPUS = [
     (["decide", "--ring", "Z", "--poly", "3x+2", "--digits", "0,1", "--witness-cap", "100"], None),
     (["decide", *ZI_GAUSS], None),
     (["decide", "--ring", "Zi", "--poly", "x+(2+i)", "--digits", "0,1,2,3,4"], None),
+    # leads of norm 2: the power seeds give closure members a residue part
+    (["decide", *ZI_GAUSS, "--mode", "power"], None),
+    (["decide", *ZI_LEAD2, "--mode", "power"], None),
     (["decide", *F2_EX2], None),
     (["decide", *F3_SYS], None),
     # zero-cycle
@@ -68,6 +77,8 @@ CORPUS = [
     (["witness", *ZI_GAUSS], "zi.dot"),
     (["witness", "--ring", "Zi", "--poly", "x^2+2x+(1+i)", "--digits", "0,1",
       "--witness-cap", "200"], "zi2.dot"),
+    (["witness", *ZI_GAUSS, "--mode", "power"], "zi3.dot"),
+    (["witness", *ZI_LEAD2, "--mode", "power"], "zi4.dot"),
     (["witness", *F2_EX2], "f2.dot"),
     (["witness", *F3_SYS, "--mode", "power"], "f3.dot"),
     # srs
@@ -88,6 +99,17 @@ CORPUS = [
     # input errors
     (["decide", "--ring", "Z", "--poly", "x-1", "--digits", "0"], None),
     (["expand", "--ring", "Zi", "--poly", "5", "--digits", "0", "--element", "1"], None),
+]
+
+
+# The CLI reads digits as ring constants, so digit sets that are not
+# constant in x reach the orbit walk only through the library: (ring,
+# base, digits, elements), each element expanded and its digit sequence
+# printed at a cap of 500 steps.
+LIBRARY = [
+    (ZI, "(1+i)x+(1+2i)", "i*x+(-2+3i),i*x^2+(2-7i),-1-2i,i,-2-i",
+     ["3-i", "x+2i", "(2+i)x^2-1", "0"]),
+    (ZI, "x^2+x+(2+i)", "0,x-1,(-i)x+(1-3i),(1-i)x+1,2x+i", ["5+3i", "x^3+i", "(1+i)x-4"]),
 ]
 
 
@@ -119,6 +141,24 @@ def run(argv: list[str], dot: str | None) -> tuple[bool, str]:
     return ok, record
 
 
+def expansions(ring, poly: str, digits: str, elements: list[str]) -> str:
+    """The expansions and digit sequences of ``elements`` in one system."""
+    digit_polys = [parse_poly(ring, t) for t in digits.split(",")]
+    system = validate_system(ring, parse_poly(ring, poly), digit_polys)
+    fmt = system.qring.format
+    lines = [f"digits: {', '.join(fmt(d) for d in system.digits)}"]
+    for text in elements:
+        a = system.qring.parse(text)
+        exp, seq = system.expand(a, 500), system.digit_sequence(a, 500)
+        lines.append(f"element {fmt(a)}: {exp.status}, steps {exp.steps}, period {exp.period}")
+        lines.append(f"  digits: {', '.join(fmt(d) for d in exp.digits or ()) or '(none)'}")
+        lines.append(
+            f"  sequence: {seq.kind}, preperiod {seq.preperiod}, period {seq.period}: "
+            f"{', '.join(fmt(d) for d in seq.digits) or '(empty)'}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def main_corpus() -> int:
     failed = 0
     for argv, dot in CORPUS:
@@ -127,7 +167,15 @@ def main_corpus() -> int:
             print(f"=== digsys {' '.join(argv + extra)}{' --dot ' + dot if dot else ''}")
             print(record, end="")
             failed += not ok
-    print(f"=== {len(CORPUS)} invocations, text and --json; {failed} failed")
+    for ring, poly, digits, elements in LIBRARY:
+        print(f"=== library {ring.name} {poly} digits {digits}")
+        try:
+            print(expansions(ring, poly, digits, elements), end="")
+        except Exception:
+            print(f"raised:\n{traceback.format_exc()}", end="")
+            failed += 1
+    print(f"=== {len(CORPUS)} invocations, text and --json, and {len(LIBRARY)} library systems; "
+          f"{failed} failed")
     return 1 if failed else 0
 
 
