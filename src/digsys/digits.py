@@ -12,16 +12,17 @@ The classification of orbits declares "finite" at the first arrival at
 running through the cycle of 0) is available separately via
 :meth:`DigitSystem.digit_stream`.
 
-Every orbit in the library (digit sequences, the zero cycle, the
-periodic set, closure orbit statuses, shift-radix orbits, window chains
-and the product recurrence) is followed by the one walker :func:`walk`,
+Every orbit in the library (digit sequences and product expansions,
+the zero cycle, the periodic set, closure orbit statuses, shift-radix
+orbits and window chains) is followed by the one walker :func:`walk`,
 and its cycles are put in canonical order by :func:`rotate`.
 
-Digit sequences, expansions, the zero cycle, the periodic set and
-witness closures run T on the flat coordinates (q, r) of the standard
-representation A = sum q_i w_i + sum r_i X^i: T folds r_0 into one
-carry, shifts q with it and shifts r down, and a digit e = e_0 + X*f_e
-that is not constant also takes off the coordinates of f_e.  Each
+Digit sequences, expansions (product expansions too), the zero cycle,
+the periodic set and witness closures run T on the flat coordinates
+(q, r) of the standard representation A = sum q_i w_i + sum r_i X^i:
+T folds r_0 into one carry, shifts q with it and shifts r down, and a
+digit e = e_0 + X*f_e that is not constant also takes off the
+coordinates of f_e.  Each
 coordinate is held in the atom form of its ring (``Ring.atoms``): the
 value itself over Z and F_p[y], a plain ``(re, im)`` pair of ints over
 Z[i], so that walk states hash, compare and add without calling Python

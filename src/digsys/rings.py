@@ -543,16 +543,13 @@ class Ring:
         def add(u: tuple, v: tuple) -> tuple:
             # basis coordinates add, and the residue parts, each reduced,
             # are reduced again only when both are non-empty
-            q = tuple(a + b for a, b in zip(u[:d], v[:d]))
+            q = tuple(map(operator.add, u[:d], v[:d]))
             if len(u) > d and len(v) > d:
                 return reduce(q + tuple(a + b for a, b in zip_longest(u[d:], v[d:], fillvalue=c0)))
             return q + u[d:] + v[d:]
 
         def step(v: tuple) -> tuple:
-            c = c0
-            for a, p in zip(v, weights):
-                c = c + a * p
-            r, q0 = divide(c)
+            r, q0 = divide(sum(map(operator.mul, v, weights), c0))
             w = v[1:d] + (carry[r] - q0,)
             if len(v) > d + 1:
                 w += v[d + 1 :]
@@ -643,9 +640,15 @@ class IntegerRing(Ring):
         self.check_modulus(m)
         n = abs(m)
 
-        def divide(a):
-            r = a % n
-            return r, (a - r) // m
+        # a = r + q*|m| with 0 <= r < |m|, so q changes sign with m
+        if m > 0:
+            def divide(a):
+                q, r = divmod(a, n)
+                return r, q
+        else:
+            def divide(a):
+                q, r = divmod(a, n)
+                return r, -q
 
         return divide
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from digsys import Fp, FpPoly, GaussianInt, Poly, Z, ZI, parse_poly, validate_system
 from digsys.digits import DigitSequence, PeriodicSetReport, ZeroCycle, rotate, walk
+from digsys.product import ProductExpansion, ProductSystem
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -374,3 +375,73 @@ def element_orbit_statuses(system, elements):
             path.append(cur)
             cur = system.step(cur)
     return status, cycles
+
+
+def coupled_product_expand(
+    psys: ProductSystem, element: Poly, cap: int = 10**6
+) -> ProductExpansion:
+    """Coupled-recurrence expansion of a raw polynomial in the
+    two-factor combined system, as ``product_expand`` computed it before
+    it walked T of the combined system; kept as its independent oracle.
+
+    Repeatedly splits the running constant terms a0 = d + k*p0 and
+    b0 + k = e + l*p0', emits the combined digit d + e*P1, and shifts
+    both coefficient streams down with carries -k*p_{i+1} and
+    -l*p'_{i+1}.  Terminates when both streams vanish; a repeated
+    (a, b) state proves the digit stream eventually periodic.
+    """
+    if len(psys.factors) != 2:
+        raise ValueError("the coupled recurrence works on two-factor systems")
+    (p1, n1, sys1), (p2, n2, sys2) = psys.factors
+    ring = psys.combined.ring
+    if element.ring != ring:
+        raise ValueError("element over the wrong ring")
+
+    p = p1.coeffs
+    pp = p2.coeffs
+    divide1 = ring.divider(p1.constant)
+    divide2 = ring.divider(p2.constant)
+    # residue r -> (digit v = r + c*p0, c): a = r + q*p0 carries (a - v)/p0 = q - c
+    lookup1 = {r: (v, c) for v in n1 for r, c in [divide1(v)]}
+    lookup2 = {r: (v, c) for v in n2 for r, c in [divide2(v)]}
+    combined_digit = {}
+    qring = psys.combined.qring
+    for dv in n1:
+        for ev in n2:
+            poly = Poly.make(ring, [dv]) + p1.scale(ev)
+            combined_digit[(dv, ev)] = qring.normalize(poly)
+
+    def shift(coeffs: tuple, carry, mod_coeffs) -> tuple:
+        top = max(len(coeffs) - 1, len(mod_coeffs) - 1)
+        out = []
+        for i in range(top):
+            val = coeffs[i + 1] if i + 1 < len(coeffs) else ring.zero
+            if carry and i + 1 < len(mod_coeffs):
+                val = val - carry * mod_coeffs[i + 1]
+            out.append(val)
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    digits: list = []
+
+    def step(state: tuple) -> tuple:
+        a, b = state
+        r, q = divide1(a[0] if a else ring.zero)
+        d, c = lookup1[r]
+        k = q - c
+        r, q = divide2((b[0] if b else ring.zero) + k)
+        e, c = lookup2[r]
+        l = q - c
+        digits.append(combined_digit[(d, e)])
+        return shift(a, k, p), shift(b, l, pp)
+
+    kind, path, hit = walk((tuple(element.coeffs), ()), step, (((), ()),), cap)
+    if kind == "known":
+        return ProductExpansion("finite", tuple(digits), steps=len(path))
+    if kind == "cycle":
+        n = len(path)
+        return ProductExpansion(
+            "eventually-periodic", tuple(digits), steps=n, preperiod=hit, period=n - hit
+        )
+    return ProductExpansion("unknown", tuple(digits), steps=cap)

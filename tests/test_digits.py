@@ -385,6 +385,9 @@ def constant_digit_systems():
         validate_system(Z, parse_poly(Z, "x+2"), [1, 2]),
         validate_system(Z, parse_poly(Z, "-2x^2+x+3"), [0, 1, 2]),
         validate_system(Z, parse_poly(Z, "x^3+x+2"), [0, 1]),
+        # negative p0: the divider negates its quotient
+        validate_system(Z, parse_poly(Z, "2x^2+x-3"), [0, 1, 2]),
+        validate_system(Z, parse_poly(Z, "x^2+3x-4"), range(4)),
         gauss_example(),
         validate_system(ZI, parse_poly(ZI, "2x^2+x+(2+i)"), range(5)),
         example2(),

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -12,8 +13,9 @@ from digsys import (
     product_digit_set,
     product_expand,
 )
+from digsys.product import ProductExpansion
 
-from support import rand_poly
+from support import coupled_product_expand, rand_poly
 
 
 def two_three():
@@ -86,12 +88,11 @@ class TestExpand:
         assert out.status == "finite"
         assert [psys.combined.qring.format(d) for d in out.digits] == ["1"]
 
-    def test_x_matches_generic_dynamics(self):
+    def test_x_matches_coupled_recurrence(self):
         psys = two_three()
         out = product_expand(psys, parse_poly(Z, "x"))
-        seq = psys.combined.digit_sequence(psys.combined.qring.x)
-        assert out.status == "finite" and seq.kind == "finite"
-        assert out.digits == seq.digits
+        assert out.status == "finite"
+        assert out == coupled_product_expand(psys, parse_poly(Z, "x"))
 
     def test_streams_match_on_random_elements(self):
         rng = random.Random(19)
@@ -100,9 +101,8 @@ class TestExpand:
         for _ in range(100):
             f = rand_poly(rng, Z, 5, size=30)
             out = product_expand(psys, f, cap=5000)
-            seq = combined.digit_sequence(combined.qring.normalize(f), cap=5000)
-            assert out.status == "finite" and seq.kind == "finite"
-            assert out.digits == seq.digits
+            assert out.status == "finite"
+            assert out == coupled_product_expand(psys, f, cap=5000)
             assert combined.evaluate(out.digits) == combined.qring.normalize(f)
 
     def test_eventually_periodic_state(self):
@@ -114,17 +114,15 @@ class TestExpand:
         assert out.status == "eventually-periodic"
         assert out.period is not None
 
-    def test_cap_boundary_matches_generic_dynamics(self):
+    def test_cap_boundary_matches_coupled_recurrence(self):
         # 5x+7 has 4 digits; the state after exactly cap steps is examined
         psys = two_three()
-        combined = psys.combined
         element = parse_poly(Z, "5x+7")
         assert len(product_expand(psys, element).digits) == 4
         for cap, status in ((3, "unknown"), (4, "finite"), (5, "finite")):
             out = product_expand(psys, element, cap=cap)
-            seq = combined.digit_sequence(combined.qring.normalize(element), cap)
-            assert out.status == seq.kind == status
-            assert out.digits == seq.digits
+            assert out.status == status
+            assert out == coupled_product_expand(psys, element, cap)
         assert product_expand(psys, Poly.make(Z, []), cap=0).status == "finite"
 
     def test_negative_cap_raises(self):
@@ -148,6 +146,77 @@ class TestExpand:
         psys = multi_product_digit_set(Z, factors)
         with pytest.raises(ValueError):
             product_expand(psys, parse_poly(Z, "x"))
+
+
+# factor pairs (P1, N1, P2, N2), monic and not, with p0 of either sign
+CROSS_ORACLE_FACTORS = [
+    ("x+2", [0, 1], "x-2", [0, 1]),
+    ("x+2", [0, 1], "x+3", [0, 1, 2]),
+    ("x-2", [0, 1], "x+3", [-1, 0, 1]),
+    ("2x+3", [0, 1, 2], "x-2", [0, 1]),
+    ("x^2+x+2", [0, 1], "x-3", [0, 1, 2]),
+    ("x+2", [0, -1], "3x-2", [0, 1]),
+]
+
+
+def digit_stream(psys, out, n):
+    """The first n digits of the raw digit stream of T that ``out``, a
+    finite or eventually periodic expansion, determines: after a finite
+    expansion the stream goes on with that of 0, an eventually periodic
+    one repeats its cycle."""
+    digits = list(out.digits)
+    if out.status == "finite":
+        digits += islice(psys.combined.digit_stream(psys.combined.zero), max(n - len(digits), 0))
+    while len(digits) < n:
+        digits.append(digits[len(digits) - out.period])
+    return tuple(digits[:n])
+
+
+class TestCoupledRecurrenceOracle:
+    """The walk of T on the combined system against the coupled
+    recurrence on the factor coefficient streams.
+
+    A recurrence state (a, b) stands for the element a + b*P1, and not
+    uniquely, so both routes emit the raw digit stream of T, but the
+    recurrence may recognise an element 0 or a repeated element only
+    some steps after the walk does: the element P1*P2, which is 0, has
+    the expansion () and the recurrence gives (0, 0)."""
+
+    def test_zero_element_lags_in_the_recurrence(self):
+        psys = two_three()
+        element = psys.combined.modulus
+        assert product_expand(psys, element) == ProductExpansion("finite", (), steps=0)
+        lagged = coupled_product_expand(psys, element)
+        assert lagged.status == "finite" and lagged.steps == 2
+        assert lagged.digits == (psys.combined.zero,) * 2
+
+    def test_random_elements_match(self):
+        rng = random.Random(14)
+        statuses, lags = {}, 0
+        for p1, n1, p2, n2 in CROSS_ORACLE_FACTORS:
+            psys = product_digit_set(Z, parse_poly(Z, p1), n1, parse_poly(Z, p2), n2)
+            combined = psys.combined
+            for _ in range(350):
+                f = rand_poly(rng, Z, 6, size=rng.choice((3, 50, 10**6)))
+                cap = rng.choice((rng.randint(0, 40), 300))
+                out = product_expand(psys, f, cap=cap)
+                oracle = coupled_product_expand(psys, f, cap=cap)
+                statuses[out.status] = statuses.get(out.status, 0) + 1
+                if out.status == "finite":
+                    assert combined.evaluate(out.digits) == combined.qring.normalize(f)
+                if out == oracle:
+                    continue
+                # the recurrence lagged: same stream, recognised later
+                lags += 1
+                assert out.status != "unknown"
+                assert oracle.steps > out.steps
+                assert oracle.digits == digit_stream(psys, out, len(oracle.digits))
+                if out.status == oracle.status == "eventually-periodic":
+                    assert oracle.preperiod >= out.preperiod
+                    assert oracle.period % out.period == 0
+        assert set(statuses) == {"finite", "eventually-periodic", "unknown"}
+        assert min(statuses.values()) > 200
+        assert lags < 20
 
 
 class TestFepPropagation:

@@ -91,6 +91,12 @@ CORPUS = [
     (["product", "--ring", "Zi", "--factors", "x+(1+i):0,1;x+(2+i):0,1,2,3,4",
       "--element", "x+i"], None),
     (["product", "--ring", "Fp:2", "--factors", "x+y:0,1;x+(y^2+y+1):0,1,y,y+1"], None),
+    # eventually periodic, capped, an invalid cap, and negative p0 in both factors
+    (["product", "--factors", "x+2:0,1;x-2:0,1", "--element", "-1"], None),
+    (["product", "--factors", "x+2:0,1;x+3:0,1,2", "--element", "5x+7", "--cap", "3"], None),
+    (["product", "--factors", "x+2:0,1;x+3:0,1,2", "--element", "5x+7", "--cap", "-1"], None),
+    (["product", "--factors", "x-2:0,1;x+3:-1,0,1", "--element", "3x^4-x+11",
+      "--cap", "40"], None),
     # ff
     (["ff", "--p", "2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits", "1,y,y+1,y^3+y",
       "--prove-fep", "--convert", "x+y"], None),
