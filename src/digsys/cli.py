@@ -271,8 +271,6 @@ def _run_product(args) -> int:
         f"fep propagated: {psys.fep_propagated}",
     ]
     if args.element is not None:
-        if len(psys.factors) != 2:
-            raise ValueError("--element expansion needs exactly two factors")
         element = parse_poly(ring, args.element)
         pe = product.product_expand(psys, element, cap=args.cap)
         result["expansion"] = {
@@ -434,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--factors", required=True, help="semicolon-separated '<poly>:<digits>' pairs"
     )
-    p.add_argument("--element", default=None, help="expand this element (two factors)")
+    p.add_argument("--element", default=None, help="expand this element")
     p.set_defaults(func=_run_product)
 
     p = sub.add_parser("ff", help="finite-field degree criterion and zero-cycle proof")

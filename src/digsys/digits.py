@@ -22,15 +22,15 @@ the periodic set and witness closures run T on the flat coordinates
 (q, r) of the standard representation A = sum q_i w_i + sum r_i X^i:
 T folds r_0 into one carry, shifts q with it and shifts r down, and a
 digit e = e_0 + X*f_e that is not constant also takes off the
-coordinates of f_e.  Each
-coordinate is held in the atom form of its ring (``Ring.atoms``): the
-value itself over Z and F_p[y], a plain ``(re, im)`` pair of ints over
-Z[i], so that walk states hash, compare and add without calling Python
-code.  ``Ring.dynamics`` binds the arithmetic of T on atoms once per
-system; elements, digits and ring-value coordinates are rebuilt only
-for results.  The representation is unique, so the results equal those
-of stepping elements with :meth:`DigitSystem.step`, the definition of T,
-which ``digit_stream`` and the tests' oracles use.
+coordinates of f_e.  Each coordinate is held in the atom form of its
+ring (``Ring.atoms``): the value itself over Z, a plain ``(re, im)``
+pair of ints over Z[i], the packed int over F_p[y], so that walk states
+hash, compare and add without calling Python code.  ``Ring.dynamics``
+binds the arithmetic of T on atoms once per system; elements, digits
+and ring-value coordinates are rebuilt only for results.  The
+representation is unique, so the results equal those of stepping
+elements with :meth:`DigitSystem.step`, the definition of T, which
+``digit_stream`` and the tests' oracles use.
 
 Digit systems are immutable after validation; orbit walks from
 different start elements are independent and deterministic.

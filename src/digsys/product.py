@@ -4,9 +4,10 @@ Given digit systems with constant digit sets on the factors, the
 combined digit set is {d + e*P1 : d in N1, e in N2} (and, for more
 factors, d1 + d2*P1 + d3*P1*P2 + ...).  The combined system is an
 ordinary digit system, so an element expands by T of the combined
-system, on the one orbit walker of :mod:`digsys.digits`.  The coupled
-pair of backward divisions on the factor coefficient streams emits the
-same digit stream and is the tests' oracle for it; its states (a, b)
+system, on the one orbit walker of :mod:`digsys.digits`, for any
+number of factors.  For two factors, the coupled pair of backward
+divisions on the factor coefficient streams emits the same digit
+stream and is the tests' oracle for it; its states (a, b)
 stand for a + b*P1 but not uniquely, so it may meet 0 or a repeated
 element some steps after T of the combined system does.
 """
@@ -99,17 +100,17 @@ def multi_product_digit_set(
 def product_expand(
     psys: ProductSystem, element: Poly, cap: int = 10**6
 ) -> ProductExpansion:
-    """Expansion of a raw polynomial in the two-factor combined system.
+    """Expansion of a raw polynomial in the combined system of any number
+    of factors.
 
-    The combined digits d + e*P1 make an ordinary digit system on
-    E[x]/(P1*P2), so this is T of ``psys.combined`` on the normalised
+    The combined digits d1 + d2*P1 + ... make an ordinary digit system on
+    E[x]/(P1*...*Pk), so this is T of ``psys.combined`` on the normalised
     element, walked like ``DigitSystem.digit_sequence`` (``cap`` may be
-    0).  The coupled recurrence on the factor coefficient streams, which
-    splits a0 = d + k*p0 and b0 + k = e + l*p0' per digit, is kept as the
-    tests' independent oracle.
+    0).  For two factors the coupled recurrence on the factor coefficient
+    streams, which splits a0 = d + k*p0 and b0 + k = e + l*p0' per digit,
+    is kept as the tests' independent oracle; for more factors the tests
+    evaluate the digits back.
     """
-    if len(psys.factors) != 2:
-        raise ValueError("the product expansion works on two-factor systems")
     combined = psys.combined
     if element.ring != combined.ring:
         raise ValueError("element over the wrong ring")

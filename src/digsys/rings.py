@@ -26,18 +26,16 @@ is the ``q`` of a zero ``r``; dividing by a unit always gives one.
 
 A Gaussian integer is the pair of ints ``(re, im)``, a ``tuple``
 subclass like :class:`FpPoly`: its hash is the C tuple hash, and its
-operators unpack two ints and build one pair.  Its atom is the plain
-pair, whose equality is C tuple equality (a ``GaussianInt`` equals no
-plain tuple), so ``ZI.dynamics`` steps, looks up and adds int pairs and
-calls no ``GaussianInt`` method per step; over Z and F_p[y] the atoms
-are the values.
+operators unpack two ints and build one pair.
 
-A polynomial over F_p is one integer with a coefficient per byte slot,
-so sums, differences and products are integer operations followed by
-one reduction of every slot mod p (``bytes.translate`` for small p);
-products are Kronecker substitutions (Harvey 2009).  ``Fp(p).divider(m)``
-divides through a cached power-series inverse of the reversed modulus,
-two products and a difference per division.
+Each ring also has an *atom* form of its values for the dynamics: the
+plain form that hashes, compares and adds in C.  Over Z it is the value
+itself; over Z[i] the plain pair, whose equality is C tuple equality (a
+``GaussianInt`` equals no plain tuple), so ``ZI.dynamics`` steps, looks
+up and adds int pairs and calls no ``GaussianInt`` method per step; over
+F_p[y] the packed int of :mod:`digsys.fppoly`, which holds ``FpPoly``,
+``FpPolynomialRing`` and ``Fp``, its kernels and its dynamics, and is
+re-exported here.
 
 All values are immutable and all operations are pure, so they may be
 shared freely between threads.
@@ -191,189 +189,6 @@ def _format_gaussian(a: GaussianInt) -> str:
     return f"{a.re}{ipart}"
 
 
-class FpPoly(tuple):
-    """A polynomial over F_p in y, stored as the pair ``(p, packed)``:
-    little-endian byte slot i of the int ``packed``, ``_width(p)`` bytes
-    wide, holds coefficient i in [0, p), and no trailing slot is zero.
-    So zero is 0, equal polynomials are equal pairs and hashes do not
-    depend on the hash seed; no plain tuple equals an FpPoly.
-    ``FpPoly(p, coeffs)`` takes coefficients (index = degree) in [0, p);
-    ``make`` reduces them first.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, coeffs=()):
-        return tuple.__new__(cls, (p, _pack(coeffs, _width(p))))
-
-    @classmethod
-    def make(cls, p: int, coeffs) -> FpPoly:
-        return cls(p, [c % p for c in coeffs])
-
-    p = property(lambda self: self[0])
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return _unpack(self[1], _width(self[0]))
-
-    @property
-    def degree(self) -> int:
-        return _slots(self[1], _width(self[0])) - 1
-
-    def __bool__(self) -> bool:
-        return self[1] != 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FpPoly) and self[1] == other[1] and self[0] == other[0]
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    def __reduce__(self):
-        return FpPoly, (self[0], self.coeffs)
-
-    # In characteristic 2 every slot holds 0 or 1, so sums and differences
-    # are the XOR of the packed integers and need no reduction.
-
-    def __add__(self, other: FpPoly) -> FpPoly:
-        p, a = self
-        if p != other[0]:
-            raise ValueError("mixed characteristics")
-        if p == 2:
-            return _new(FpPoly, (2, a ^ other[1]))
-        return _new(FpPoly, (p, _reduce(a + other[1], p, _width(p))))
-
-    def __sub__(self, other: FpPoly) -> FpPoly:
-        # slot i < len(other) holds p + a_i - b_i in [1, 2p - 1]: no borrows
-        p, a = self
-        if p != other[0]:
-            raise ValueError("mixed characteristics")
-        if p == 2:
-            return _new(FpPoly, (2, a ^ other[1]))
-        b, w = other[1], _width(p)
-        ps = int.from_bytes(p.to_bytes(w, "little") * _slots(b, w), "little")
-        return _new(FpPoly, (p, _reduce(a + ps - b, p, w)))
-
-    def __neg__(self) -> FpPoly:
-        return FpPoly(self[0]) - self
-
-    def __rmul__(self, other):
-        # refuse int * value, which tuple would read as repetition
-        return NotImplemented
-
-    def __mul__(self, other: FpPoly) -> FpPoly:
-        # Kronecker substitution: each coefficient of the integer product
-        # is at most (p-1)^2 * min(la, lb), so k-byte slots of that width
-        # never carry into each other
-        p, a = self
-        if p != other[0]:
-            raise ValueError("mixed characteristics")
-        b = other[1]
-        if not a or not b:
-            return _new(FpPoly, (p, 0))
-        w = _width(p)
-        la, lb = -(-a.bit_length() // (8 * w)), -(-b.bit_length() // (8 * w))
-        if la == lb == 1:
-            return _new(FpPoly, (p, a * b % p))
-        if w > 1 and min(la, lb) == 1:
-            # a constant operand: one scalar product per coefficient
-            c, rest = (a, b) if la == 1 else (b, a)
-            return _new(FpPoly, (p, _pack([c * x % p for x in _unpack(rest, w)], w)))
-        k = (((p - 1) ** 2 * min(la, lb)).bit_length() + 7) >> 3
-        if k > w:
-            a, b = _spread(a, la, w, k), _spread(b, lb, w, k)
-        return _new(FpPoly, (p, _reduce(a * b, p, k)))
-
-    def __str__(self) -> str:
-        return _format_fp(self)
-
-    def __repr__(self) -> str:
-        return f"FpPoly({self.p}, {self.coeffs})"
-
-
-@functools.lru_cache(maxsize=None)
-def _width(p: int) -> int:
-    """Bytes per coefficient slot: the least w with 2(p-1) < 256^w, so a
-    slot holds a sum of two residues, or p plus a residue, uncarried."""
-    return ((2 * p - 2).bit_length() + 7) >> 3
-
-
-def _slots(n: int, w: int) -> int:
-    return -(-n.bit_length() // (8 * w))
-
-
-def _pack(coeffs, w: int) -> int:
-    if w == 1:
-        return int.from_bytes(bytes(coeffs), "little")
-    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
-
-
-def _unpack(n: int, w: int) -> tuple:
-    raw = n.to_bytes(_slots(n, w) * w, "little")
-    if w == 1:
-        return tuple(raw)
-    return tuple(int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w))
-
-
-def _spread(n: int, slots: int, w: int, k: int) -> int:
-    """Move each w-byte slot of n into a k-byte slot."""
-    raw = n.to_bytes(slots * w, "little")
-    out = bytearray(slots * k)
-    for j in range(w):
-        out[j::k] = raw[j::w]
-    return int.from_bytes(out, "little")
-
-
-def _reverse(n: int, slots: int, w: int) -> int:
-    """The packed y^(slots-1) * f(1/y) of the packed f of degree < slots."""
-    if w == 1:
-        return int.from_bytes(n.to_bytes(slots, "big"), "little")
-    cs = _unpack(n, w)
-    return _pack((cs + (0,) * (slots - len(cs)))[::-1], w)
-
-
-@functools.lru_cache(maxsize=None)
-def _plane(p: int, j: int) -> bytes:
-    """byte b -> b * 256^j mod p, for one byte plane of a wider slot."""
-    return bytes(b * pow(256, j, p) % p for b in range(256))
-
-
-def _reduce(n: int, p: int, k: int) -> int:
-    """The packed polynomial whose coefficient i is the k-byte slot i of n
-    mod p, for k at least ``_width(p)``."""
-    if k == 1:
-        raw = n.to_bytes((n.bit_length() + 7) >> 3, "little")
-        return int.from_bytes(raw.translate(_plane(p, 0)), "little")
-    slots = _slots(n, k)
-    raw = n.to_bytes(slots * k, "little")
-    if k * (p - 1) < 256:
-        # a slot is sum_j byte_j 256^j: reduce each byte plane by table,
-        # then add the planes, whose sums k(p-1) still fit one byte
-        n = 0
-        for j in range(k):
-            n += int.from_bytes(raw[j::k].translate(_plane(p, j)), "little")
-        return int.from_bytes(n.to_bytes(slots, "little").translate(_plane(p, 0)), "little")
-    cs = [int.from_bytes(raw[i : i + k], "little") % p for i in range(0, slots * k, k)]
-    return _pack(cs, _width(p))
-
-
-def _format_fp(a: FpPoly) -> str:
-    if not a:
-        return "0"
-    terms = []
-    for k, c in reversed(list(enumerate(a.coeffs))):
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(str(c))
-        else:
-            ypart = "y" if k == 1 else f"y^{k}"
-            terms.append(ypart if c == 1 else f"{c}{ypart}")
-    return "+".join(terms)
-
-
 class _Scanner:
     """Whitespace-skipping cursor over a source string."""
 
@@ -492,7 +307,8 @@ class Ring:
     # -- the dynamics of a digit system ------------------------------------
     # Orbit walks and witness closures run T on tuples of atoms, the plain
     # form of ring values that hashes, compares and adds fastest: the
-    # values themselves here, int pairs over Z[i].
+    # values themselves here (Z), int pairs over Z[i] and packed ints over
+    # F_p[y], whose rings override these three methods.
 
     def atoms(self, values: tuple) -> tuple:
         """A tuple of ring values in atom form."""
@@ -850,156 +666,12 @@ class GaussianIntegerRing(Ring):
         return (a.re, a.im)
 
 
-class FpPolynomialRing(Ring):
-    """Polynomials over the prime field F_p in the variable y."""
-
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"F{p}[y]"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FpPolynomialRing) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("Fp", self.p))
-
-    # built once per ring: every digit system binds its dynamics with them
-    @functools.cached_property
-    def zero(self):
-        return FpPoly(self.p)
-
-    @functools.cached_property
-    def one(self):
-        return FpPoly(self.p, (1,))
-
-    def coerce(self, x):
-        if isinstance(x, FpPoly):
-            if x.p != self.p:
-                raise TypeError("mixed characteristics")
-            return x
-        if isinstance(x, int):
-            return FpPoly.make(self.p, (x,))
-        raise TypeError(f"cannot interpret {x!r} as a polynomial over F_{self.p}")
-
-    def is_unit(self, a) -> bool:
-        return a.degree == 0
-
-    def euclid_value(self, a):
-        return NEG_INF if not a else a.degree
-
-    def quotient_size(self, m) -> int:
-        self.check_modulus(m)
-        return self.p ** m.degree
-
-    def residues(self, m) -> list:
-        """ValueError when the system has more than MAX_ENUMERATION members."""
-        size = self.quotient_size(m)
-        if size > MAX_ENUMERATION:
-            raise ValueError(
-                f"the residue system mod {_format_fp(m)} has {size} members, "
-                f"more than the enumeration limit {MAX_ENUMERATION}"
-            )
-        d = m.degree
-        out = []
-        for idx in range(size):
-            coeffs = []
-            v = idx
-            for _ in range(d):
-                v, c = divmod(v, self.p)
-                coeffs.append(c)
-            out.append(FpPoly.make(self.p, coeffs))
-        return out
-
-    def divider(self, m):
-        """Division by m through a power series: with rev_L(f) = y^(L-1)
-        f(1/y), the quotient of a is rev_L(rev_L(a div y^deg m) * S mod y^L),
-        L = deg a - deg m + 1, where S = 1/rev(m) is kept here and extended
-        by Newton steps S <- S (2 - rev(m) S) that double its length as
-        longer dividends arrive (von zur Gathen and Gerhard, Modern
-        Computer Algebra, 9.1); the remainder is a - q*m."""
-        self.check_modulus(m)
-        p, w, dm = self.p, _width(self.p), m.degree
-        bits, f, two = 8 * w, _reverse(m[1], dm + 1, w), FpPoly.make(p, (2,))
-        series = [pow(m.coeffs[-1], -1, p), 1]  # S mod y^prec, prec
-        zero = FpPoly(p)
-
-        def poly(n: int) -> FpPoly:
-            return _new(FpPoly, (p, n))
-
-        def divide(a):
-            n = -(-a[1].bit_length() // bits) - dm  # deg a - deg m + 1
-            if n <= 0:
-                return a, zero
-            s, prec = series
-            while prec < n:
-                prec *= 2
-                mask = (1 << bits * prec) - 1
-                fs = (poly(f & mask) * poly(s))[1] & mask
-                s = (poly(s) * (two - poly(fs)))[1] & mask
-                series[:] = s, prec
-            mask = (1 << bits * n) - 1
-            top = poly(_reverse(a[1] >> bits * dm, n, w))
-            q = poly(_reverse((top * poly(s & mask))[1] & mask, n, w))
-            return a - q * m, q
-
-        return divide
-
-    def parse(self, text: str):
-        sc = _Scanner(text)
-        total = self.zero
-        first = True
-        while True:
-            if sc.done():
-                if first:
-                    raise sc.error("empty polynomial")
-                break
-            sign = sc.sign()
-            if not first and sign == 1 and sc.peek() not in "0123456789y":
-                raise sc.error("expected '+' or '-'")
-            coeff = 1
-            have_coeff = False
-            if sc.peek().isdigit():
-                at = sc.pos
-                coeff = sc.unsigned()
-                have_coeff = True
-                if coeff >= self.p:
-                    raise ParseError(
-                        f"coefficient {coeff} out of range for F_{self.p}", sc.text, at
-                    )
-                if sc.peek() == "*":
-                    sc.take()
-            if sc.peek() == "y":
-                sc.take()
-                k = 1
-                if sc.peek() == "^":
-                    sc.take()
-                    at = sc.pos
-                    k = bounded_exponent(sc.digits(), sc.text, at)
-                term = FpPoly.make(self.p, [0] * k + [coeff])
-            elif have_coeff:
-                term = FpPoly.make(self.p, (coeff,))
-            else:
-                raise sc.error("expected a coefficient or 'y'")
-            total = total + term if sign > 0 else total - term
-            first = False
-        return total
-
-    def format(self, a) -> str:
-        return _format_fp(a)
-
-    def sort_key(self, a) -> tuple:
-        return (a.degree, a.coeffs)
-
-
 Z = IntegerRing()
 ZI = GaussianIntegerRing()
 
-
-@functools.lru_cache(maxsize=None)
-def Fp(p: int) -> FpPolynomialRing:
-    return FpPolynomialRing(p)
+# F_p[y] builds on the Ring interface above; re-exported for callers that
+# resolve it here
+from .fppoly import Fp, FpPoly, FpPolynomialRing  # noqa: E402
 
 
 def ring_from_name(name: str) -> Ring:

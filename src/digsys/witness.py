@@ -15,14 +15,14 @@ detected by set stabilisation under a size cap.
 One breadth-first loop builds every closure; it is given the images of
 a member v, T(v) first.  Members are the flat standard-representation
 coordinates of ``QuotRing.coords``, for every digit set and seed, in the
-atom form of the ring (``Ring.atoms``: the values over Z and F_p[y],
-plain ``(re, im)`` int pairs over Z[i]), so set membership and the
-per-residue tables hash and compare in C.  The images come from the
-system's ``Ring.dynamics``: the carry of v is divided by p0 once per
-member; what T(v + e) adds to T(v) then depends only on its residue r
-and on e, so each closure keeps one row of those values per residue r,
-built when r first appears, and a shift image of a constant digit set
-costs one addition.  The decisions read the atoms; they become
+atom form of the ring (``Ring.atoms``: the values over Z, plain
+``(re, im)`` int pairs over Z[i], packed ints over F_p[y]), so set
+membership and the per-residue tables hash and compare in C.  The
+images come from the system's ``Ring.dynamics``: the carry of v is
+divided by p0 once per member; what T(v + e) adds to T(v) then depends
+only on its residue r and on e, so each closure keeps one row of those
+values per residue r, built when r first appears, and a shift image of
+a constant digit set costs one addition.  The decisions read the atoms; they become
 elements only when ``WitnessClosure.elements`` is first read (or a
 certificate needs them), and ring-value coordinates only when
 ``members`` or ``succ`` is, so a capped closure that ends in "unknown"

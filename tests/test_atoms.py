@@ -1,7 +1,8 @@
 """The atom form of the dynamics: flat coordinates held as the values
-over Z and F_p[y] and as plain ``(re, im)`` int pairs over Z[i], stepped
-and closed by ``Ring.dynamics``, against the element oracles of
-``support``, which step elements with ``system.step``."""
+over Z, as plain ``(re, im)`` int pairs over Z[i] and as packed ints over
+F_p[y], stepped and closed by ``Ring.dynamics``; the Z[i] systems here
+against the element oracles of ``support``, which step elements with
+``system.step`` (the F_p[y] systems in ``test_fp_atoms``)."""
 
 import itertools
 import random
@@ -54,22 +55,30 @@ class TestAtoms:
                 back = ring.values(atoms)
                 assert back == values
                 assert [type(v) for v in back] == [type(v) for v in values]
-                # equal hashes keep the iteration order of sets of coordinates
-                assert hash(atoms) == hash(values)
+                if ring in (Z, ZI):
+                    # equal hashes keep the iteration order of sets of
+                    # coordinates; F_p[y] atoms hash as ints, and verdicts do
+                    # not depend on that order (test_fp_atoms)
+                    assert hash(atoms) == hash(values)
 
     def test_atom_types(self):
-        g, f = GaussianInt(3, -4), FpPoly(3, (1, 2))
+        g, f, h = GaussianInt(3, -4), FpPoly(3, (1, 2)), FpPoly(131, (130, 0, 7))
         assert Z.atoms((7, -2)) == (7, -2)
-        assert F3.atoms((f,)) == (f,) and type(F3.atoms((f,))[0]) is FpPoly
         (pair,) = ZI.atoms((g,))
         assert type(pair) is tuple and pair == (3, -4)
         assert [type(x) for x in pair] == [int, int]
-        # an atom is never mistaken for a value: GaussianInt equality is strict
+        # an atom is never mistaken for a value: GaussianInt and FpPoly
+        # equality is strict
         assert pair != g and g != pair and pair not in {g}
+        # an F_p[y] atom is the packed int of the value: a byte slot per
+        # coefficient for p < 128, two bytes for p = 131
+        assert F3.atoms((f,)) == (1 + 2 * 256,) and type(F3.atoms((f,))[0]) is int
+        assert Fp(131).atoms((h,)) == (130 + 7 * 256**4,)
+        assert F3.atoms((f,))[0] != f and f not in set(F3.atoms((f,)))
 
     def test_atoms_distinguish_values(self):
         rng = random.Random(6)
-        for ring in (Z, ZI, F2, F3):
+        for ring in (Z, ZI, F2, F3, Fp(131)):
             values = {rand_ring_elem(rng, ring, 6) for _ in range(300)}
             assert len({ring.atoms((v,)) for v in values}) == len(values)
 

@@ -281,6 +281,18 @@ class TestProduct:
         assert report["result"]["expansion"]["digits"] == ["0", "1"]
         assert report["result"]["fep_propagated"] == "yes"
 
+    def test_expand_three_factors(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "product",
+            "--factors", "x+2:0,1;x+2:0,1;x+2:0,1",
+            "--element", "5x^2+7",
+            "--json",
+        )
+        assert code == 0
+        expansion = json.loads(out)["result"]["expansion"]
+        assert expansion["status"] == "finite" and len(expansion["digits"]) == 7
+
 
 class TestFf:
     def test_prove_fep(self, capsys):
@@ -355,8 +367,9 @@ def test_import_loads_no_numpy():
 
 def test_output_independent_of_hash_seed(tmp_path):
     """F_p[y] and Z[i] listings and DOT graphs print byte for byte alike
-    under two hash seeds: FpPoly and GaussianInt hash (int, int) pairs and
-    every listing sorts."""
+    under two hash seeds: FpPoly and GaussianInt hash (int, int) pairs,
+    the atoms of closure members hash ints and int pairs, and every
+    listing sorts."""
     zi = ["--ring", "Zi", "--poly", "(1+i)x+(1+2i)", "--digits", "0,1,2,3,4"]
     f2 = ["--ring", "Fp:2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits", "1,y,y+1,y^3+y"]
     f3 = ["--ring", "Fp:3", "--poly", "(y+1)x^2+x+(y^2+2)",

@@ -141,11 +141,23 @@ class TestExpand:
             out = product_expand(psys, element, cap=cap)
             assert out == full
 
-    def test_two_factor_guard(self):
+    def test_three_factors_evaluate_back(self):
+        # more than two factors expand by T of the combined system; the
+        # coupled recurrence has two streams only, so Horner evaluation
+        # checks the digits
         factors = [(parse_poly(Z, "x+2"), [0, 1])] * 3
         psys = multi_product_digit_set(Z, factors)
-        with pytest.raises(ValueError):
-            product_expand(psys, parse_poly(Z, "x"))
+        combined = psys.combined
+        element = parse_poly(Z, "5x^2+7")
+        out = product_expand(psys, element)
+        assert out.status == "finite" and len(out.digits) == 7
+        assert combined.evaluate(out.digits) == combined.qring.normalize(element)
+        rng = random.Random(23)
+        for _ in range(60):
+            f = rand_poly(rng, Z, 6, size=40)
+            out = product_expand(psys, f, cap=400)
+            assert out.status == "finite"
+            assert combined.evaluate(out.digits) == combined.qring.normalize(f)
 
 
 # factor pairs (P1, N1, P2, N2), monic and not, with p0 of either sign

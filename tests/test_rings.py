@@ -423,6 +423,16 @@ class TestKroneckerProduct:
                         a, b = self.rand_poly(rng, p, m, top), self.rand_poly(rng, p, other, top)
                         self.check(a, b)
 
+    def test_char2_products_about_the_mask_length(self):
+        # in characteristic 2 one-byte slots are reduced by a 0x0101...01
+        # mask of 4096 slots, and longer integers by table: products of
+        # 4095 to 4098 slots straddle that length
+        rng = random.Random(34)
+        for length in (4095, 4096, 4097, 4098):
+            for top in (True, False):
+                a = self.rand_poly(rng, 2, length - 98, top)
+                self.check(a, self.rand_poly(rng, 2, 99, top))
+
 
 class TestPrimeField:
     def test_small_characteristics_match_trial_division(self):

@@ -1,12 +1,13 @@
 """Print the CLI output of a fixed corpus of invocations.
 
-Runs about forty ``digsys.cli.main`` invocations over all seven
-subcommands -- Z, Z[i], F2[y] and F3[y]; monic and non-monic bases;
-constant digit sets and the non-constant ones of ``product`` -- each as
-text and as ``--json``, and prints every exit code, stdout, stderr and
-DOT file.  Then it prints, through the library, the expansions of a few
-elements in Z[i] systems whose digits are not constant in x, which the
-CLI cannot express.  Two versions of the library print the same bytes
+Runs about fifty ``digsys.cli.main`` invocations over all seven
+subcommands -- Z, Z[i], F2[y], F3[y] and F131[y]; monic and non-monic
+bases; constant digit sets and the non-constant ones of ``product``;
+stabilised and capped closures -- each as text and as ``--json``, and
+prints every exit code, stdout, stderr and DOT file.  Then it prints,
+through the library, the expansions of a few elements in Z[i] and F3[y]
+systems whose digits are not constant in x, which the CLI cannot
+express.  Two versions of the library print the same bytes
 exactly when their output agrees, so a change that must keep the output
 byte-identical is checked with
 
@@ -30,7 +31,7 @@ import tempfile
 import traceback
 from pathlib import Path
 
-from digsys import ZI, parse_poly, validate_system
+from digsys import ZI, Fp, parse_poly, validate_system
 from digsys.cli import main
 
 ZI_GAUSS = ["--ring", "Zi", "--poly", "(1+i)x+(1+2i)", "--digits", "0,1,2,3,4"]
@@ -42,6 +43,9 @@ Z_SYM = ["--ring", "Z", "--poly", "3x^2-2x+5", "--digits", "-2,-1,0,1,2"]
 F2_EX2 = ["--ring", "Fp:2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits", "1,y,y+1,y^3+y"]
 F3_SYS = ["--ring", "Fp:3", "--poly", "(y+1)x^2+x+(y^2+2)",
           "--digits", "1,2,y,y+1,y+2,2y,2y+1,2y+2,y^3+2y"]
+# p0 = 3y+7 over F131: the 131 constants are its residues, and
+# coefficients take two-byte slots
+F131_DIGITS = ["--digits", ",".join(map(str, range(131)))]
 
 # (argv, DOT file name or None); each runs once as text and once as --json
 CORPUS = [
@@ -68,6 +72,9 @@ CORPUS = [
     (["decide", *ZI_LEAD2, "--mode", "power"], None),
     (["decide", *F2_EX2], None),
     (["decide", *F3_SYS], None),
+    (["decide", *F2_EX2, "--witness-cap", "5"], None),
+    (["decide", "--ring", "Fp:131", "--poly", "x^2+2x+(3y+7)", *F131_DIGITS], None),
+    (["decide", "--ring", "Fp:131", "--poly", "(2y+1)x^2+5x+(3y+7)", *F131_DIGITS], None),
     # zero-cycle
     (["zero-cycle", *F2_EX2], None),
     (["zero-cycle", *Z_SYM], None),
@@ -81,6 +88,7 @@ CORPUS = [
     (["witness", *ZI_LEAD2, "--mode", "power"], "zi4.dot"),
     (["witness", *F2_EX2], "f2.dot"),
     (["witness", *F3_SYS, "--mode", "power"], "f3.dot"),
+    (["witness", *F3_SYS, "--witness-cap", "10"], "f3cap.dot"),
     # srs
     (["srs", "--r", "3/5,-2/5", "--eps", "1/2"], None),
     (["srs", "--r", "1/2,3/4"], None),
@@ -91,6 +99,10 @@ CORPUS = [
     (["product", "--ring", "Zi", "--factors", "x+(1+i):0,1;x+(2+i):0,1,2,3,4",
       "--element", "x+i"], None),
     (["product", "--ring", "Fp:2", "--factors", "x+y:0,1;x+(y^2+y+1):0,1,y,y+1"], None),
+    (["product", "--ring", "Fp:2", "--factors", "x+y:0,1;x+(y^2+y+1):0,1,y,y+1",
+      "--element", "x+y^2"], None),
+    # three factors: the expansion walks T of the combined system
+    (["product", "--factors", "x+2:0,1;x+2:0,1;x+2:0,1", "--element", "5x^2+7"], None),
     # eventually periodic, capped, an invalid cap, and negative p0 in both factors
     (["product", "--factors", "x+2:0,1;x-2:0,1", "--element", "-1"], None),
     (["product", "--factors", "x+2:0,1;x+3:0,1,2", "--element", "5x+7", "--cap", "3"], None),
@@ -111,11 +123,15 @@ CORPUS = [
 # The CLI reads digits as ring constants, so digit sets that are not
 # constant in x reach the orbit walk only through the library: (ring,
 # base, digits, elements), each element expanded and its digit sequence
-# printed at a cap of 500 steps.
+# printed at a cap of 500 steps.  The F3[y] base has the lead y+1, so
+# members carry residue parts, which the x-parts of the digits make the
+# walk reduce.
 LIBRARY = [
     (ZI, "(1+i)x+(1+2i)", "i*x+(-2+3i),i*x^2+(2-7i),-1-2i,i,-2-i",
      ["3-i", "x+2i", "(2+i)x^2-1", "0"]),
     (ZI, "x^2+x+(2+i)", "0,x-1,(-i)x+(1-3i),(1-i)x+1,2x+i", ["5+3i", "x^3+i", "(1+i)x-4"]),
+    (Fp(3), "(y+1)x^2+x+(y^2+2)", "0,x+1,2,y*x+y,y+1,y+2,2y,(y+1)x+(2y+1),y*x^2+(2y+2)",
+     ["x^2+y", "(2y+1)x+y^2", "y^3*x^3+2", "0"]),
 ]
 
 
