@@ -139,18 +139,19 @@ class PeriodicSetReport:
 class DigitSystem:
     """A validated digit system; build via :func:`validate_system`."""
 
-    def __init__(self, qring: QuotRing, digits: tuple, _lookup: dict, _carry: dict):
+    def __init__(self, qring: QuotRing, digits: tuple, _lookup: dict, _carry: dict, top: int):
+        # top: the highest x-degree of the digits, as validate_system found it
         self.qring = qring
         self.ring = qring.ring
         self.modulus = qring.modulus
         self.digits = digits
         self._lookup = _lookup
         self._divide = qring._divide_p0
-        self.digits_constant = all(d.x_degree <= 0 for d in digits)
-        self.k = max(self.qring.d, max((d.x_degree for d in digits), default=0))
+        self.digits_constant = top <= 0
+        self.k = max(qring.d, top)
         # the x-part f_e = (e - e_0)/X of each digit that is not constant, by
         # residue class; T adds the coordinates of -f_e
-        self._xpart = {
+        self._xpart = {} if self.digits_constant else {
             r: qring.divide_by_x(e - qring.from_const(e.constant))
             for r, e in _lookup.items()
             if e.x_degree > 0
@@ -330,15 +331,19 @@ def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
     p0 = modulus.constant
 
     qring = QuotRing(modulus)
-    normalized = []
+    normalized, top = [], 0
     for d in digits:
         if isinstance(d, QuotElem):
             qring._check(d)
-            normalized.append(QuotElem(qring, d.low, d.tail))
+            d = QuotElem(qring, d.low, d.tail)
         elif isinstance(d, Poly):
-            normalized.append(qring.normalize(d))
-        else:
-            normalized.append(qring.from_const(d))
+            d = qring.normalize(d)
+        else:  # a ring value: a constant digit, built directly
+            c = ring.coerce(d)
+            normalized.append(QuotElem(qring, (c,) if c else (), ()))
+            continue
+        top = max(top, d.x_degree)
+        normalized.append(d)
 
     expected = ring.quotient_size(p0)
     if len(normalized) != expected:
@@ -362,4 +367,4 @@ def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
             carry[key] = q1
     if violations:
         raise ValidationError(violations)
-    return DigitSystem(qring, tuple(normalized), lookup, carry)
+    return DigitSystem(qring, tuple(normalized), lookup, carry, top)

@@ -10,7 +10,9 @@ decides the property for all of R.
 The closure operator here also includes e = 0, so plain T-images of
 witnesses stay inside the set and orbit checks never leave it.  The
 norm bound for closure finiteness is not computed; termination is
-detected by set stabilisation under a size cap.
+detected by set stabilisation under a size cap: the search stops at
+the member that crosses it, so a capped closure holds cap + 1 members
+(or just its seeds, when they alone are more).
 
 One breadth-first loop builds every closure; it is given the images of
 a member v, T(v) first.  Members are the flat standard-representation
@@ -18,15 +20,16 @@ coordinates of ``QuotRing.coords``, for every digit set and seed, in the
 atom form of the ring (``Ring.atoms``: the values over Z, plain
 ``(re, im)`` int pairs over Z[i], packed ints over F_p[y]), so set
 membership and the per-residue tables hash and compare in C.  The
-images come from the system's ``Ring.dynamics``: the carry of v is
+basis w_i has the coordinates e_i, so the decisions build the basis
+seeds as +-e_i (and +-i*e_i over Z[i]); only power seeds are converted.
+The images come from the system's ``Ring.dynamics``: the carry of v is
 divided by p0 once per member; what T(v + e) adds to T(v) then depends
 only on its residue r and on e, so each closure keeps one row of those
 values per residue r, built when r first appears, and a shift image of
-a constant digit set costs one addition.  The decisions read the atoms; they become
-elements only when ``WitnessClosure.elements`` is first read (or a
-certificate needs them), and ring-value coordinates only when
-``members`` or ``succ`` is, so a capped closure that ends in "unknown"
-is never converted.
+a constant digit set costs one addition.  The decisions read the atoms;
+they become elements only when ``WitnessClosure.elements`` or a
+certificate (the "orbit_steps" mapping of a "yes" too) is first read,
+and ring-value coordinates only when ``members`` or ``succ`` is.
 
 The closure records the e = 0 image T(v) of every member it expands
 (``WitnessClosure.atom_succ``), so the orbit statuses behind the finite
@@ -44,6 +47,7 @@ explicit cycle avoiding 0.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -60,18 +64,23 @@ DEFAULT_CLOSURE_CAP = 10**5
 class WitnessClosure:
     """A witness closure as found.  ``atoms`` are the flat coordinates
     (``QuotRing.coords``) of its elements in the atom form of the ring
-    (``Ring.atoms``), and ``atom_succ`` maps each expanded one to that of
-    T(member); it is total on a stabilised closure.  The decisions read
-    these.  ``members`` and ``succ`` are the same in ring values, and
-    ``elements`` the elements; each is converted on first read."""
+    (``Ring.atoms``), ``seed_atoms`` those of its seeds, and ``atom_succ``
+    maps each expanded one to that of T(member), totally once stabilised.
+    ``members`` and ``succ`` are the same in ring values, ``elements`` and
+    ``seed`` the elements; each is converted on first read."""
 
     atoms: frozenset
-    seed: frozenset
+    seed_atoms: frozenset
     stabilized: bool
     rounds: int
     cap: int
     qring: QuotRing
     atom_succ: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def seed(self) -> frozenset:
+        values, from_coords = self.qring.ring.values, self.qring.from_coords
+        return frozenset(from_coords(values(v)) for v in self.seed_atoms)
 
     @cached_property
     def members(self) -> frozenset:
@@ -178,32 +187,39 @@ def seed_witnesses(system: DigitSystem, mode: str = "brunotte") -> frozenset:
 
 
 def witness_closure(
-    system: DigitSystem, seed, cap: int = DEFAULT_CLOSURE_CAP
+    system: DigitSystem, seed, cap: int = DEFAULT_CLOSURE_CAP, *, atoms: bool = False
 ) -> WitnessClosure:
     """Least set containing the seed and closed under v -> T(v + e)
-    for e in N and e = 0, or a flagged partial set when the cap is hit."""
+    for e in N and e = 0, or a flagged partial set of cap + 1 members (or
+    just the seeds, when they are more) when the cap is crossed.  ``seed``
+    holds elements, or with ``atoms`` the atoms of their coordinates."""
     qring = system.qring
+    if not atoms:
+        seed = [system.ring.atoms(qring.coords(v)) for v in seed]
     seed = frozenset(seed)
     images = _coordinate_images(system)
-    # breadth first: ``rounds`` counts levels, so it and the members found
-    # when the cap stops the search do not depend on the order within one
-    elements = {system.ring.atoms(qring.coords(v)) for v in seed}
+    # breadth first from the sorted seeds: ``rounds`` counts levels, and the
+    # members found are the same for every route to the seeds and hash seed
+    frontier = sorted(seed)
+    elements = set(seed)
     succ = {}
-    frontier = list(elements)
     rounds = 0
     while frontier and len(elements) <= cap:
         new = []
         for v in frontier:
+            if len(elements) > cap:
+                break
             found = images(v)
             succ[v] = found[0]
             for w in found:
                 if w not in elements:
                     elements.add(w)
                     new.append(w)
+                    if len(elements) > cap:
+                        break
         frontier = new
         rounds += 1
-    stabilized = not frontier
-    return WitnessClosure(frozenset(elements), seed, stabilized, rounds, cap, qring, succ)
+    return WitnessClosure(frozenset(elements), seed, not frontier, rounds, cap, qring, succ)
 
 
 def _coordinate_images(system: DigitSystem):
@@ -229,13 +245,48 @@ def _coordinate_images(system: DigitSystem):
     return system._images(constants, xoffsets if xpart else None)
 
 
+def _seed_atoms(system: DigitSystem, mode: str) -> list:
+    """The atoms of ``seed_witnesses(system, mode)``: the basis w_i has the
+    coordinates e_i, so its seeds are built as +-e_i (+-i*e_i over Z[i])."""
+    ring, d = system.ring, system.qring.d
+    if mode != "brunotte" or not system.digits_constant:
+        return [ring.atoms(system.qring.coords(g)) for g in seed_witnesses(system, mode)]
+    units = [ring.one, -ring.one]
+    if isinstance(ring, GaussianIntegerRing):
+        units += [GaussianInt(0, 1), GaussianInt(0, -1)]
+    zero = ring.zero
+    return [ring.atoms((zero,) * i + (u,) + (zero,) * (d - 1 - i)) for u in units for i in range(d)]
+
+
 @lru_cache(maxsize=1)
 def _closure(system: DigitSystem, mode: str, cap: int) -> WitnessClosure:
     """The closure of the ``mode`` seeds of ``system``, shared by its
     decisions.  Only the latest closure is kept, so memory stays bounded;
     ``DigitSystem`` hashes by identity and the cache holds the system, so
     a key never matches another system.  Callers must not mutate it."""
-    return witness_closure(system, seed_witnesses(system, mode), cap)
+    return witness_closure(system, _seed_atoms(system, mode), cap, atoms=True)
+
+
+class _OrbitSteps(Mapping):
+    """The "orbit_steps" of a "yes": closure element -> steps to 0, from
+    the atom statuses, converted to elements on first lookup or iteration."""
+
+    def __init__(self, closure: WitnessClosure, status: dict):
+        self._closure, self._status = closure, status
+
+    @cached_property
+    def _steps(self) -> dict:
+        element_of, status = self._closure._element_of, self._status
+        return {element_of[v]: status[v][1] for v in self._closure.atoms}
+
+    def __getitem__(self, element):
+        return self._steps[element]
+
+    def __iter__(self):
+        return iter(self._steps)
+
+    def __len__(self) -> int:
+        return len(self._closure)
 
 
 def verify_witness_set(system: DigitSystem, elements, generators) -> tuple[bool, list]:
@@ -328,15 +379,13 @@ def decide_fep(
             stabilized=True,
             certificate={"cycle": cycle, "mode": mode},
         )
-    element_of = closure._element_of
-    orbit_steps = {element_of[v]: status[v][1] for v in closure.atoms}
     return Verdict(
         "fep",
         "yes",
         "every witness orbit reaches 0" + _generation_caveat(system),
         witnesses=len(closure),
         stabilized=True,
-        certificate={"orbit_steps": orbit_steps, "mode": mode, "closure": closure},
+        certificate={"orbit_steps": _OrbitSteps(closure, status), "mode": mode, "closure": closure},
     )
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from digsys import Fp, FpPoly, GaussianInt, Poly, Z, ZI, parse_poly, validate_system
+from digsys import (
+    Fp, FpPoly, GaussianInt, Poly, Z, ZI, parse_poly, seed_witnesses, validate_system, witness,
+)
 from digsys.digits import DigitSequence, PeriodicSetReport, ZeroCycle, rotate, walk
 from digsys.product import ProductExpansion, ProductSystem
 
@@ -325,7 +327,8 @@ def element_periodic_set(system, seeds, cap):
 def bfs_closure(system, seed, cap):
     """Breadth-first closure under v -> T(v + e), e in N and e = 0, on
     elements through system.step, with the cap checked between rounds:
-    the oracle for witness_closure.  Returns (elements, rounds, stabilized)."""
+    the oracle for witness_closure.  Returns (elements, rounds, stabilized);
+    ``elements`` holds the whole levels up to ``rounds``."""
     shifts = set(system.digits) | {system.qring.zero}
     elements = set(seed)
     frontier = set(seed)
@@ -337,6 +340,35 @@ def bfs_closure(system, seed, cap):
         elements |= frontier
         rounds += 1
     return elements, rounds, len(elements) <= cap
+
+
+def assert_closure_matches_bfs(system, seed, cap, closure):
+    """``closure`` (``witness_closure(system, seed, cap)``) against
+    ``bfs_closure``: a stabilised closure is the oracle's, found in as many
+    rounds; a capped one stopped inside the round where the oracle crossed
+    the cap, at the member that crossed it, so it holds cap + 1 of the
+    oracle's members (all the seeds when they are more)."""
+    elements, rounds, stabilized = bfs_closure(system, seed, cap)
+    assert (closure.rounds, closure.stabilized) == (rounds, stabilized), system
+    if stabilized:
+        assert closure.elements == elements, system
+    else:
+        assert len(closure) == max(cap + 1, len(set(seed))), system
+        assert closure.elements <= elements, system
+    assert len(closure) == len(closure.elements)
+
+
+def assert_seed_atoms_match(system, mode):
+    """The atoms ``decide_fep`` seeds its closure with are those of the
+    coordinates of ``seed_witnesses``; the basis seeds are built directly,
+    so they are also compared with the converted elements, and every seed
+    converts back to its element through ``from_coords``."""
+    q, ring = system.qring, system.ring
+    seeds, got = seed_witnesses(system, mode), witness._seed_atoms(system, mode)
+    if mode == "brunotte":
+        assert set(got) == {ring.atoms(q.coords(g)) for g in seeds}, system
+    assert len(set(got)) == len(seeds), system
+    assert {q.from_coords(ring.values(v)) for v in got} == seeds, system
 
 
 def element_orbit_statuses(system, elements):

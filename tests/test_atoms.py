@@ -27,7 +27,8 @@ from digsys import (
 )
 
 from support import (
-    bfs_closure,
+    assert_closure_matches_bfs,
+    assert_seed_atoms_match,
     element_orbit_statuses,
     element_periodic_set,
     element_sequence,
@@ -148,6 +149,24 @@ def modes(system):
     return ("brunotte", "power") if system.digits_constant else ("power",)
 
 
+def test_seed_atoms_match_seed_witnesses(systems):
+    integer = [
+        example1(),
+        validate_system(Z, parse_poly(Z, "3x+2"), [0, 1]),
+        validate_system(Z, parse_poly(Z, "x^3-2x^2+x+7"), range(-3, 4)),
+        validate_system(
+            Z, parse_poly(Z, "2x^2-x+5"), [parse_poly(Z, t) for t in ("0", "1", "x+2", "3", "9")]
+        ),
+    ]
+    seen = {"brunotte": 0, "power": 0, "non-constant": 0}
+    for system in integer + [gauss_example()] + [s for _, s in systems]:
+        for mode in modes(system):
+            assert_seed_atoms_match(system, mode)
+            seen[mode] += 1
+        seen["non-constant"] += not system.digits_constant
+    assert min(seen.values()) >= 2, seen
+
+
 def test_closures_match_element_bfs(systems):
     counts = {(kind, flag): 0 for kind in LEADS for flag in ("constant", "non-constant")}
     seen = {"brunotte": 0, "power": 0, "stabilized": 0, "capped": 0, "residue parts": 0}
@@ -156,11 +175,9 @@ def test_closures_match_element_bfs(systems):
         for mode in modes(system):
             seed = seed_witnesses(system, mode)
             closure = witness_closure(system, seed, CLOSURE_CAP)
-            elements, rounds, stabilized = bfs_closure(system, seed, CLOSURE_CAP)
-            assert closure.elements == elements, system
-            assert (closure.rounds, closure.stabilized) == (rounds, stabilized), system
-            assert closure.members == {q.coords(x) for x in elements}
-            assert len(closure) == len(elements)
+            assert_closure_matches_bfs(system, seed, CLOSURE_CAP, closure)
+            stabilized = closure.stabilized
+            assert closure.members == {q.coords(x) for x in closure.elements}
             if stabilized:
                 assert set(closure.succ) == closure.members
             for v, w in closure.succ.items():
@@ -195,7 +212,8 @@ def test_verdicts_match_element_statuses(systems):
                 assert fep.certificate["cycle"] == min(cycles, key=lambda c: q.sort_key(c[0]))
             else:
                 assert fep.answer == "yes", system
-                assert fep.certificate["orbit_steps"] == {x: status[x][1] for x in closure.elements}
+                steps = dict(fep.certificate["orbit_steps"])
+                assert steps == {x: status[x][1] for x in closure.elements}
     assert min(answers.values()) >= 4, answers
 
 

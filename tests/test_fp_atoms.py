@@ -24,7 +24,8 @@ from digsys import (
 )
 
 from support import (
-    bfs_closure,
+    assert_closure_matches_bfs,
+    assert_seed_atoms_match,
     element_orbit_statuses,
     element_periodic_set,
     element_sequence,
@@ -117,6 +118,30 @@ def modes(system):
     return ("power",)
 
 
+def test_seed_atoms_match_seed_witnesses(systems):
+    seen = {(ring.name, kind): 0 for ring, _, _ in RINGS for kind in LEADS}
+    for ring, kind, system in systems:
+        # the basis seeds of F131 too: no closure is built here
+        for mode in ("brunotte", "power") if system.digits_constant else ("power",):
+            assert_seed_atoms_match(system, mode)
+            assert all(type(a) is int for v in witness._seed_atoms(system, mode) for a in v)
+        seen[ring.name, kind] += 1
+    assert min(seen.values()) >= 1, seen
+
+
+def test_capped_closures_stop_at_the_cap(systems):
+    # each round of these F131 closures adds thousands of members; the
+    # search stops at the member that crosses the cap
+    capped = 0
+    for ring, _, system in systems:
+        if ring.p == 131:
+            for mode in modes(system):
+                closure = witness_closure(system, seed_witnesses(system, mode), 400)
+                assert len(closure) <= 401, system
+                capped += not closure.stabilized
+    assert capped >= 2
+
+
 def test_closures_match_element_bfs(systems):
     counts = {
         (ring.name, flag): 0
@@ -129,11 +154,10 @@ def test_closures_match_element_bfs(systems):
         for mode in modes(system):
             seed = seed_witnesses(system, mode)
             closure = witness_closure(system, seed, CAP)
-            elements, rounds, stabilized = bfs_closure(system, seed, CAP)
-            assert closure.elements == elements, system
-            assert (closure.rounds, closure.stabilized) == (rounds, stabilized), system
-            assert closure.members == {q.coords(x) for x in elements}
-            assert closure.atoms == {ring.atoms(q.coords(x)) for x in elements}
+            assert_closure_matches_bfs(system, seed, CAP, closure)
+            stabilized = closure.stabilized
+            assert closure.members == {q.coords(x) for x in closure.elements}
+            assert closure.atoms == {ring.atoms(q.coords(x)) for x in closure.elements}
             assert all(type(a) is int for v in closure.atoms for a in v)
             if stabilized:
                 assert set(closure.succ) == closure.members
@@ -169,7 +193,8 @@ def test_verdicts_match_element_statuses(systems):
                 assert fep.certificate["cycle"] == min(cycles, key=lambda c: q.sort_key(c[0]))
             else:
                 assert fep.answer == "yes", system
-                assert fep.certificate["orbit_steps"] == {x: status[x][1] for x in closure.elements}
+                steps = dict(fep.certificate["orbit_steps"])
+                assert steps == {x: status[x][1] for x in closure.elements}
     assert min(answers.values()) >= 3, answers
 
 

@@ -22,7 +22,7 @@ from digsys import (
 )
 
 from support import (
-    bfs_closure,
+    assert_closure_matches_bfs,
     element_orbit_statuses,
     element_sequence,
     element_zero_cycle,
@@ -136,10 +136,9 @@ def test_closures_match_element_bfs(systems):
         q = system.qring
         for seed in (basis_seeds(system), seed_witnesses(system, "power")):
             closure = witness_closure(system, seed, CLOSURE_CAP)
-            elements, rounds, stabilized = bfs_closure(system, seed, CLOSURE_CAP)
-            assert closure.elements == elements, system
-            assert (closure.rounds, closure.stabilized) == (rounds, stabilized), system
-            assert closure.members == {q.coords(x) for x in elements}
+            assert_closure_matches_bfs(system, seed, CLOSURE_CAP, closure)
+            stabilized = closure.stabilized
+            assert closure.members == {q.coords(x) for x in closure.elements}
             for v in closure.members:
                 assert q.coords(q.from_coords(v)) == v
             if stabilized:
@@ -170,5 +169,6 @@ def test_verdicts_match_element_statuses(systems):
             assert fep.certificate["cycle"] == min(cycles, key=lambda c: q.sort_key(c[0]))
         else:
             assert fep.answer == "yes", system
-            assert fep.certificate["orbit_steps"] == {x: status[x][1] for x in closure.elements}
+            steps = dict(fep.certificate["orbit_steps"])
+            assert steps == {x: status[x][1] for x in closure.elements}
     assert answers["yes"] >= 3 and answers["no"] >= 5 and answers["unknown"] >= 3, answers

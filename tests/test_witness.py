@@ -24,9 +24,10 @@ from digsys import (
     witness,
     witness_closure,
 )
+from digsys.polyquot import QuotRing
 
 from support import (
-    bfs_closure,
+    assert_closure_matches_bfs,
     element_orbit_statuses,
     example1,
     example1_symmetric,
@@ -92,6 +93,17 @@ class TestClosure:
         closure = witness_closure(system, seed_witnesses(system, "brunotte"), 30)
         assert not closure.stabilized
 
+    def test_cap_bounds_the_members(self):
+        # the root -2/3 lies inside the unit circle, so the closure grows
+        # without end; it stops at the member that crosses the cap, inside
+        # its round, and seeds above the cap are kept whole
+        system = validate_system(Z, parse_poly(Z, "3x+2"), [0, 1])
+        seed = seed_witnesses(system, "power")
+        for cap, size in ((100, 101), (1, 2), (0, 2)):
+            closure = witness_closure(system, seed, cap)
+            assert (len(closure), closure.stabilized) == (size, False)
+        assert witness_closure(system, seed, 0).rounds == 0
+
     def test_stabilized_closures_verify(self):
         for system in (example1(), example1_symmetric(), example2(), gauss_example()):
             seeds = seed_witnesses(system, "brunotte")
@@ -134,11 +146,8 @@ class TestClosureOracle:
             point = qring.from_coords(tuple(ring.coerce(i + 2) for i in range(qring.d)))
             for seed in (seed_witnesses(system, "brunotte"), {point, qring.zero}):
                 closure = witness_closure(system, seed, cap)
-                elements, rounds, stabilized = bfs_closure(system, seed, cap)
-                assert closure.elements == elements, system
-                assert (closure.rounds, closure.stabilized) == (rounds, stabilized), system
-                assert len(closure) == len(closure.elements)
-                capped += not stabilized
+                assert_closure_matches_bfs(system, seed, cap, closure)
+                capped += not closure.stabilized
         assert capped >= 5  # capped closures are compared too
 
     def test_coordinate_images_in_digit_order(self):
@@ -271,14 +280,52 @@ class TestOrbitStatusOracle:
         assert avoiding >= 20
 
 
+def dominant_example():
+    """p0 > p1 >= p2 > 0 with digits 0..p0-1: finite expansions."""
+    return validate_system(Z, parse_poly(Z, "x^2+3x+5"), range(5))
+
+
+class TestOrbitStepsCertificate:
+    def test_reads_as_a_mapping(self):
+        for system in (example1(), dominant_example(), gauss_example()):
+            fep = decide_fep(system)
+            steps, closure = fep.certificate["orbit_steps"], fep.certificate["closure"]
+            assert fep.answer == "yes" and len(steps) == len(closure) == fep.witnesses
+            outside = system.qring.from_const(10**6)
+            assert outside not in closure.elements
+            assert outside not in steps and steps.get(outside, "none") == "none"
+            with pytest.raises(KeyError):
+                steps[outside]
+            member = min(closure.elements, key=system.qring.sort_key)
+            assert member in steps and steps.get(member) == steps[member]
+
+    def test_an_unread_certificate_converts_nothing(self, monkeypatch):
+        # constant digits and basis seeds: the closures have no residue
+        # parts, which the dynamics would reduce through from_coords
+        systems = (example1(), dominant_example(), gauss_example())
+        calls = []
+        from_coords = QuotRing.from_coords
+
+        def counting(self, coords):
+            calls.append(coords)
+            return from_coords(self, coords)
+
+        monkeypatch.setattr(QuotRing, "from_coords", counting)
+        verdicts = [decide_fep(system) for system in systems]
+        assert [v.answer for v in verdicts] == ["yes"] * 3 and calls == []
+        for v in verdicts:
+            assert len(dict(v.certificate["orbit_steps"])) == v.witnesses
+        assert len(calls) == sum(v.witnesses for v in verdicts)
+
+
 class TestClosureCache:
     def count_closures(self, monkeypatch):
         calls = []
         build = witness.witness_closure
 
-        def counting(system, seed, cap):
+        def counting(system, seed, cap, **kwargs):
             calls.append((system, cap))
-            return build(system, seed, cap)
+            return build(system, seed, cap, **kwargs)
 
         monkeypatch.setattr(witness, "witness_closure", counting)
         return calls
