@@ -149,10 +149,9 @@ class DigitSystem:
         self._divide = qring._divide_p0
         self.digits_constant = top <= 0
         self.k = max(qring.d, top)
-        # the x-part f_e = (e - e_0)/X of each digit that is not constant, by
-        # residue class; T adds the coordinates of -f_e
-        self._xpart = {} if self.digits_constant else {
-            r: qring.divide_by_x(e - qring.from_const(e.constant))
+        # by residue class, the coordinates of -f_e = (e_0 - e)/X, what T adds for a non-constant e
+        self._xoffsets = {} if self.digits_constant else {
+            r: qring.coords(-qring.divide_by_x(e - qring.from_const(e.constant)))
             for r, e in _lookup.items()
             if e.x_degree > 0
         }
@@ -161,7 +160,7 @@ class DigitSystem:
             self.modulus.coeffs,
             self._divide,
             _carry,
-            {r: qring.coords(-f) for r, f in self._xpart.items()},
+            self._xoffsets,
             lambda coords: qring.coords(qring.from_coords(coords)),
         )
 
@@ -190,6 +189,7 @@ class DigitSystem:
 
     def digit_of(self, a: QuotElem) -> QuotElem:
         """The unique digit congruent to ``a`` modulo the base."""
+        self.qring._check(a)
         return self._lookup[self._divide(a.constant)[0]]
 
     def step(self, a: QuotElem) -> QuotElem:

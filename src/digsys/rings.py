@@ -257,6 +257,17 @@ class _Scanner:
         return 1
 
 
+def _fold(carry: dict, offsets: dict, d: int, zero) -> list | None:
+    """Per basis coordinate i < d, r -> coordinate i of r's x-part offset, plus
+    carry[r] on the last: the straight-line tables (None for a residue part)."""
+    if not offsets:
+        return [dict.fromkeys(carry, zero)] * (d - 1) + [carry]
+    if any(len(o) != d for o in offsets.values()):
+        return None
+    tables = [{r: offsets[r][i] if r in offsets else zero for r in carry} for i in range(d - 1)]
+    return tables + [{r: k + offsets[r][-1] if r in offsets else k for r, k in carry.items()}]
+
+
 class Ring:
     """Interface shared by the three coefficient rings: what depends on
     the ring.  Values add, subtract, multiply and negate with their own
@@ -308,7 +319,7 @@ class Ring:
     # Orbit walks and witness closures run T on tuples of atoms, the plain
     # form of ring values that hashes, compares and adds fastest: the
     # values themselves here (Z), int pairs over Z[i] and packed ints over
-    # F_p[y], whose rings override these three methods.
+    # F_p[y], whose rings override both; each ring writes out ``dynamics``.
 
     def atoms(self, values: tuple) -> tuple:
         """A tuple of ring values in atom form."""
@@ -352,54 +363,13 @@ class Ring:
         of the values carry[r'] - k, and of ``xoffsets(r)``, per residue r,
         built when r first appears, so a shift image of a constant digit
         set costs one addition.
+
+        Over Z with d = 1, 2 and Z[i] with d = 1, a state of exactly d
+        coordinates takes a straight-line step, into whose tables ``_fold``
+        folds the x-parts; other states and shapes, and F_p[y], take the
+        generic step.
         """
-        d, c0 = len(base) - 1, self.zero
-        weights = tuple(reversed(base[1:])) + (self.one,)
-
-        def add(u: tuple, v: tuple) -> tuple:
-            # basis coordinates add, and the residue parts, each reduced,
-            # are reduced again only when both are non-empty
-            q = tuple(map(operator.add, u[:d], v[:d]))
-            if len(u) > d and len(v) > d:
-                return reduce(q + tuple(a + b for a, b in zip_longest(u[d:], v[d:], fillvalue=c0)))
-            return q + u[d:] + v[d:]
-
-        def step(v: tuple) -> tuple:
-            r, q0 = divide(sum(map(operator.mul, v, weights), c0))
-            w = v[1:d] + (carry[r] - q0,)
-            if len(v) > d + 1:
-                w += v[d + 1 :]
-            if offsets and r in offsets:
-                w = add(w, offsets[r])
-            return r, w
-
-        def images(constants, xoffsets):
-            rows: dict = {}
-
-            def row(r) -> tuple:
-                divided = [divide(r + s) for s in constants]
-                offs = None if xoffsets is None else xoffsets(r)
-                return [carry[r1] - k for r1, k in divided], offs
-
-            def images(v: tuple) -> list:
-                r, w = step(v)
-                cached = rows.get(r)
-                if cached is None:
-                    cached = rows[r] = row(r)
-                adds, offs = cached
-                head, nq, tail = w[: d - 1], w[d - 1] - carry[r], w[d:]
-                # members of the basis module, the common case, skip a concatenation
-                if tail:
-                    found = [head + (c + nq,) + tail for c in adds]
-                else:
-                    found = [head + (c + nq,) for c in adds]
-                if offs is not None:
-                    found = [u if o is None else add(u, o) for u, o in zip(found, offs)]
-                return [w] + found
-
-            return images
-
-        return step, images
+        raise NotImplementedError
 
     # -- text ------------------------------------------------------------
     def parse(self, text: str):
@@ -467,6 +437,75 @@ class IntegerRing(Ring):
                 return r, -q
 
         return divide
+
+    def dynamics(self, base: tuple, divide, carry: dict, offsets: dict, reduce):
+        """``Ring.dynamics`` on ints.  The straight-line steps of d = 1, 2 take
+        q, r = divmod(c, |p0|); q0 is q, or -q for p0 < 0 (hence ``settle``)."""
+        d, c0 = len(base) - 1, self.zero
+        weights = tuple(reversed(base[1:])) + (self.one,)
+
+        def add(u: tuple, v: tuple) -> tuple:
+            # basis coordinates add, and the residue parts, each reduced,
+            # are reduced again only when both are non-empty
+            q = tuple(map(operator.add, u[:d], v[:d]))
+            if len(u) > d and len(v) > d:
+                return reduce(q + tuple(a + b for a, b in zip_longest(u[d:], v[d:], fillvalue=c0)))
+            return q + u[d:] + v[d:]
+
+        def step(v: tuple) -> tuple:
+            r, q0 = divide(sum(map(operator.mul, v, weights), c0))
+            w = v[1:d] + (carry[r] - q0,)
+            if len(v) > d + 1:
+                w += v[d + 1 :]
+            if offsets and r in offsets:
+                w = add(w, offsets[r])
+            return r, w
+
+        tables = _fold(carry, offsets, d, c0) if d <= 2 else None
+        if tables is not None:
+            generic, p1, p2, first, last = step, base[1], base[-1], tables[0], tables[-1]
+            n, settle = abs(base[0]), operator.sub if base[0] > 0 else operator.add
+            if d == 1:
+                def step(v: tuple) -> tuple:
+                    if len(v) != 1:
+                        return generic(v)
+                    q, r = divmod(v[0] * p1, n)
+                    return r, (settle(last[r], q),)
+            else:
+                def step(v: tuple) -> tuple:
+                    if len(v) != 2:
+                        return generic(v)
+                    a, b = v
+                    q, r = divmod(a * p2 + b * p1, n)
+                    return r, (b + first[r], settle(last[r], q))
+
+        def images(constants, xoffsets):
+            rows: dict = {}
+
+            def row(r) -> tuple:
+                divided = [divide(r + s) for s in constants]
+                offs = None if xoffsets is None else xoffsets(r)
+                return [carry[r1] - k for r1, k in divided], offs
+
+            def images(v: tuple) -> list:
+                r, w = step(v)
+                cached = rows.get(r)
+                if cached is None:
+                    cached = rows[r] = row(r)
+                adds, offs = cached
+                head, nq, tail = w[: d - 1], w[d - 1] - carry[r], w[d:]
+                # members of the basis module, the common case, skip a concatenation
+                if tail:
+                    found = [head + (c + nq,) + tail for c in adds]
+                else:
+                    found = [head + (c + nq,) for c in adds]
+                if offs is not None:
+                    found = [u if o is None else add(u, o) for u, o in zip(found, offs)]
+                return [w] + found
+
+            return images
+
+        return step, images
 
     def parse(self, text: str):
         sc = _Scanner(text)
@@ -559,7 +598,7 @@ class GaussianIntegerRing(Ring):
         basis constants, the division by p0 (rounded as by ``divider``,
         which is not called), the table lookups and the additions of
         siblings and offsets all unpack ints, and no GaussianInt is built
-        or compared per step."""
+        or compared per step, straight-line or generic."""
         d, (mr, mi) = len(base) - 1, base[0]
         n = mr * mr + mi * mi
         bias, n2 = n - 1, 2 * n
@@ -594,6 +633,21 @@ class GaussianIntegerRing(Ring):
             if offsets and r in offsets:
                 w = add(w, offsets[r])
             return r, w
+
+        # x-parts over a base of degree 1 have a residue part: only constant sets fold
+        if d == 1 and not offsets:
+            generic, ((pr, pi), _) = step, weights
+
+            def step(v: tuple) -> tuple:
+                if len(v) != 1:
+                    return generic(v)
+                ((a, b),) = v
+                cr, ci = a * pr - b * pi, a * pi + b * pr
+                qr = (2 * (cr * mr + ci * mi) + bias) // n2
+                qi = (2 * (ci * mr - cr * mi) + bias) // n2
+                r = (cr - qr * mr + qi * mi, ci - qr * mi - qi * mr)
+                kr, ki = carry[r]
+                return r, ((kr - qr, ki - qi),)
 
         def images(constants, xoffsets):
             constants = atoms(constants)

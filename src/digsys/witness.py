@@ -51,6 +51,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 
 from . import unitcircle
 from .digits import DigitSystem, rotate, walk
@@ -227,22 +228,27 @@ def _coordinate_images(system: DigitSystem):
     the atoms of flat coordinates, from the system's ``Ring.dynamics``.
     For digits that are not constant, T(v + e) also adds f_e + f_r - f_r'
     for the x-parts f of e and of the digits of the classes r of v and
-    r' of v + e; their coordinates are worked out here in ring values,
-    once per residue r (None where they cancel)."""
-    qring = system.qring
-    divide, xpart = system._divide, system._xpart
+    r' of v + e, summed once per residue r from the coordinates of each -f
+    and reduced only when their residue part leaves the residue system,
+    which never happens over F_p[y] (None where they cancel)."""
+    qring, zero, offsets = system.qring, system.ring.zero, system._xoffsets
+    d, divide, residue = qring.d, system._divide, qring._divide_pd
     constants = [e.constant for e in system.digits if not e.is_zero]
+    own = [offsets.get(divide(s)[0], ()) for s in constants]
 
     def xoffsets(r) -> list:
-        zero = qring.zero
-        out = []
-        for s in constants:
-            g = xpart.get(divide(s)[0], zero) + xpart.get(r, zero)
-            g -= xpart.get(divide(r + s)[0], zero)
-            out.append(None if g.is_zero else qring.coords(g))
+        out, mine = [], offsets.get(r, ())
+        for s, o in zip(constants, own):
+            parts = offsets.get(divide(r + s)[0], ()), o, mine
+            g = [a - b - c for a, b, c in zip_longest(*parts, fillvalue=zero)]
+            while len(g) > d and not g[-1]:
+                g.pop()
+            if any(residue(a)[1] for a in g[d:]):
+                g = qring.coords(qring.from_coords(g))
+            out.append(tuple(g) if any(g) else None)
         return out
 
-    return system._images(constants, xoffsets if xpart else None)
+    return system._images(constants, xoffsets if offsets else None)
 
 
 def _seed_atoms(system: DigitSystem, mode: str) -> list:

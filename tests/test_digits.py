@@ -75,6 +75,22 @@ class TestDigitOf:
         expected = system.qring.from_const(F2.parse("y^3+y"))
         assert system.digit_of(system.qring.zero) == expected
 
+    def test_element_of_another_ring_rejected(self):
+        # every entry point refuses it, before a digit is returned or yielded
+        system = example1()
+        other = validate_system(Z, parse_poly(Z, "x+2"), [0, 1]).qring.from_const(1)
+        stream = system.digit_stream(other)
+        for call in (
+            lambda: system.digit_of(other),
+            lambda: next(stream),
+            lambda: system.step(other),
+            lambda: system.digit_sequence(other),
+            lambda: system.expand(other),
+            lambda: system.periodic_set([other]),
+        ):
+            with pytest.raises(ValueError, match="element from a different quotient ring"):
+                call()
+
 
 class TestStep:
     def test_example1_orbit(self):
@@ -355,11 +371,17 @@ class TestCoordinateStep:
 
     def test_non_constant_digits(self):
         # flat coordinates with residue parts over the lead 2; a trailing
-        # zero in the input is a residue part that still needs reducing
+        # zero in the input is a residue part that still needs reducing.
+        # Where every x-part is d basis coordinates (the last three; over a
+        # base of degree 2 they are multiples of the lead), the straight-line
+        # step folds them into its tables, and walks take it once their
+        # states hold d coordinates
         rng = random.Random(37)
         for src, digits in (
-            ("x^2+5x+6", ("0", "1", "x+2", "x+3", "2x+4", "2x+5")),
             ("2x^2-x+5", ("0", "x^3+x^2+3x+6", "x^2-x+2", "x^2-x+3", "4")),
+            ("x^2+5x+6", ("0", "1", "x+2", "x+3", "2x+4", "2x+5")),
+            ("2x^2-x+5", ("0", "2x+1", "2", "-2x+3", "4")),
+            ("2x^2+x-3", ("0", "2x+1", "-4x+2")),
         ):
             system = validate_system(Z, parse_poly(Z, src), [parse_poly(Z, t) for t in digits])
             assert not system.digits_constant
@@ -369,6 +391,7 @@ class TestCoordinateStep:
                 stepped = q.coords(system.step(a))
                 assert system.coordinate_step(q.coords(a)) == stepped
                 assert system.coordinate_step(q.coords(a) + (0,)) == stepped
+                assert system.digit_sequence(a, 30) == element_sequence(system, a, 30)
 
 
 def constant_digit_systems():
@@ -383,12 +406,16 @@ def constant_digit_systems():
         example1_symmetric(),
         validate_system(Z, parse_poly(Z, "3x+2"), [0, 1]),
         validate_system(Z, parse_poly(Z, "x+2"), [1, 2]),
+        # degree 1 with negative p0, non-monic and monic
+        validate_system(Z, parse_poly(Z, "3x-2"), [0, 1]),
+        validate_system(Z, parse_poly(Z, "x-3"), range(-1, 2)),
         validate_system(Z, parse_poly(Z, "-2x^2+x+3"), [0, 1, 2]),
         validate_system(Z, parse_poly(Z, "x^3+x+2"), [0, 1]),
         # negative p0: the divider negates its quotient
         validate_system(Z, parse_poly(Z, "2x^2+x-3"), [0, 1, 2]),
         validate_system(Z, parse_poly(Z, "x^2+3x-4"), range(4)),
         gauss_example(),
+        validate_system(ZI, parse_poly(ZI, "(2-i)x+(1+3i)"), ZI.residues(GaussianInt(1, 3))),
         validate_system(ZI, parse_poly(ZI, "2x^2+x+(2+i)"), range(5)),
         example2(),
     ] + [
@@ -426,6 +453,40 @@ class TestCoordinateOrbitOracle:
                 assert zc == element_zero_cycle(system, cap)
                 found += zc is not None and zc.period > 1
         assert found > 0
+
+    def test_big_starts_match_element_walk(self):
+        # 60-digit starts on the shapes with a straight-line step (Z of
+        # degree 1 and 2 with p0 of either sign, Z[i] of degree 1 with a
+        # non-unit lead), the benchmark's systems among them
+        rng = random.Random(67)
+        kinds = set()
+        for src, digits, cap in (
+            ("3x^2-2x+5", range(5), 2000),
+            ("3x^2-2x+4", range(4), 2000),
+            ("2x^2+x-3", range(3), 2000),
+            ("3x+2", [0, 1], 300),
+            ("3x-2", [0, 1], 300),
+            ("x-3", range(-1, 2), 300),
+            ("(1+i)x+(1+2i)", range(5), 2000),
+        ):
+            ring = ZI if "i" in src else Z
+            system = validate_system(ring, parse_poly(ring, src), digits)
+            q = system.qring
+
+            def big():
+                c = rng.randrange(-(10**60), 10**60)
+                return GaussianInt(c, rng.randrange(-(10**60), 10**60)) if ring == ZI else c
+
+            # a constant, d basis coordinates, and one with a residue part
+            starts = [q.from_const(big()), q.from_coords(tuple(big() for _ in range(q.d)))]
+            starts.append(q.from_coords(tuple(big() for _ in range(q.d + 1))))
+            for a in starts:
+                seq = system.digit_sequence(a, cap)
+                assert seq == element_sequence(system, a, cap), src
+                assert len(seq.digits) > 50
+                kinds.add(seq.kind)
+        assert kinds == {"finite", "eventually-periodic", "unknown"}
+
 
 class TestSampledImplications:
     def test_fep_implies_pep_on_samples(self):

@@ -105,6 +105,22 @@ class TestExpand:
             assert out == coupled_product_expand(psys, f, cap=5000)
             assert combined.evaluate(out.digits) == combined.qring.normalize(f)
 
+    def test_big_coefficients_match_oracles(self):
+        # the benchmark's system at 30- to 60-digit coefficients: its x-part
+        # offsets are d basis coordinates, folded into the tables of the
+        # straight-line step
+        rng = random.Random(29)
+        psys = two_three()
+        combined = psys.combined
+        for _ in range(12):
+            n = rng.randint(30, 60)
+            coeffs = [rng.randrange(-(10**n), 10**n) for _ in range(rng.randint(1, 13))]
+            f = Poly.make(Z, coeffs)
+            out = product_expand(psys, f, cap=5000)
+            assert out.status == "finite" and len(out.digits) > 50
+            assert out == coupled_product_expand(psys, f, cap=5000)
+            assert combined.evaluate(out.digits) == combined.qring.normalize(f)
+
     def test_eventually_periodic_state(self):
         # base -X with digits {0,1} on the second factor never kills -1
         psys = product_digit_set(
