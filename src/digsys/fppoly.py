@@ -35,6 +35,7 @@ from .rings import (
     _is_prime,
     _new,
     _Scanner,
+    _distinct,
     bounded_exponent,
 )
 
@@ -247,11 +248,20 @@ def _divider(p: int, m: int):
     f(1/y), the quotient of a is rev_L(rev_L(a div y^deg m) * S mod y^L),
     L = deg a - deg m + 1, where S = 1/rev(m) is kept here and extended
     by Newton steps S <- S (2 - rev(m) S) that double its length as
-    longer dividends arrive; the remainder is a - q*m."""
+    longer dividends arrive; the remainder is a - q*m.
+
+    Quotients of L one-byte slots, L (p-1)^2 <= c for the largest multiple
+    c of p at most 256 - p, are inline: no product with S or m carries a
+    slot, so q is reversed by byte order and reduced by one ``translate``,
+    as is a + c*(1, ..., 1) - q*m (p = 2: q*m masked and XORed into a)."""
     w = _width(p)
     bits, dm = 8 * w, _slots(m, w) - 1
     f, two = _reverse(m, dm + 1, w), 2 % p
     series = [pow(m >> bits * dm, -1, p), 1]  # S mod y^prec, prec
+    c = (256 - p) // p * p
+    short = c // (p - 1) ** 2 if w == 1 else 0
+    ones = int.from_bytes(b"\x01" * (short + dm), "little") if short else 0
+    bias, table = c * ones, _plane(p, 0)
 
     def divide(a: int) -> tuple:
         n = -(-a.bit_length() // bits) - dm  # deg a - deg m + 1
@@ -265,6 +275,14 @@ def _divider(p: int, m: int):
             s = _mul(p, s, _sub(p, two, fs)) & mask
             series[:] = s, prec
         mask = (1 << bits * n) - 1
+        if n <= short:
+            top = int.from_bytes((a >> bits * dm).to_bytes(n, "big"), "little")
+            low = (top * (s & mask) & mask).to_bytes(n, "little")
+            q = int.from_bytes(low.translate(table), "big")
+            if p == 2:
+                return a ^ (q * m & ones), q
+            r = (a + bias - q * m).to_bytes(short + dm, "little").translate(table)
+            return int.from_bytes(r, "little"), q
         top = _reverse(a >> bits * dm, n, w)
         q = _reverse(_mul(p, top, s & mask) & mask, n, w)
         return _sub(p, a, _mul(p, q, m)), q
@@ -382,7 +400,7 @@ class FpPolynomialRing(Ring):
         add with ``_add``, one XOR each in characteristic 2; no FpPoly is
         built or compared per step."""
         p, width, d = self.p, _width(self.p), len(base) - 1
-        atoms, values = self.atoms, self.values
+        atoms = self.atoms
         add = operator.xor if p == 2 else functools.partial(_add, p)
         sub = operator.xor if p == 2 else functools.partial(_sub, p)
         divide = _divider(p, base[0][1])
@@ -405,12 +423,14 @@ class FpPolynomialRing(Ring):
                 )
 
         def add_coords(u: tuple, v: tuple) -> tuple:
-            # basis coordinates add, and the residue parts, each reduced,
-            # are reduced again only when both are non-empty
+            # residues mod p_d, of lower y-degree than p_d, are closed under
+            # addition: a sum of residue parts only loses its trailing zeros
             q = tuple(map(add, u[:d], v[:d]))
             if len(u) > d and len(v) > d:
                 q += tuple(add(a, b) for a, b in zip_longest(u[d:], v[d:], fillvalue=0))
-                return atoms(reduce(values(q)))
+                while len(q) > d and not q[-1]:
+                    q = q[:-1]
+                return q
             return q + u[d:] + v[d:]
 
         def step(v: tuple) -> tuple:
@@ -431,10 +451,8 @@ class FpPolynomialRing(Ring):
                 for s in constants:
                     r1, q = divide(add(r, s))
                     adds.append(sub(carry[r1], q))
-                if xoffsets is None:
-                    return adds, None
-                offs = xoffsets(_new(FpPoly, (p, r)))
-                return adds, [None if o is None else atoms(o) for o in offs]
+                offs = None if xoffsets is None else xoffsets(_new(FpPoly, (p, r)))
+                return _distinct(adds, offs, carry[r])
 
             def images(v: tuple) -> list:
                 r, w = step(v)

@@ -268,6 +268,18 @@ def _fold(carry: dict, offsets: dict, d: int, zero) -> list | None:
     return tables + [{r: k + offsets[r][-1] if r in offsets else k for r, k in carry.items()}]
 
 
+def _distinct(adds: list, offs, own) -> tuple:
+    """The (carry entry, x-offset or None) pairs of a closure row, each once in
+    first-occurrence order, less T(v)'s own pair (own, None)."""
+    if offs is None:
+        row = dict.fromkeys(adds)
+        row.pop(own, None)
+        return list(row), None
+    pairs = dict.fromkeys(zip(adds, offs))
+    pairs.pop((own, None), None)
+    return [c for c, _ in pairs], [o for _, o in pairs]
+
+
 class Ring:
     """Interface shared by the three coefficient rings: what depends on
     the ring.  Values add, subtract, multiply and negate with their own
@@ -343,11 +355,12 @@ class Ring:
         * ``step(v)`` is ``(r, w)``: the residue class r (an atom) of the
           digit taken off and the atoms w of T(v);
         * ``images(constants, xoffsets)`` is, for one closure, the function
-          v -> [T(v), T(v + e) for the nonzero digits e in digit order],
-          given the constants e_0 of those digits and, unless every digit
-          is constant (then None), ``xoffsets(r)``: for a residue r, the
-          coordinates of what T(v + e) adds for the x-parts of the digits
-          (None where nothing), in ring values.
+          v -> [T(v), then the distinct T(v + e) != T(v) for the nonzero
+          digits e in first-occurrence order], given the constants e_0 of
+          those digits and, unless every digit is constant (then None),
+          ``xoffsets(r)``: for a residue r, in ring values, the atoms of
+          the coordinates of what T(v + e) adds for the x-parts of the
+          digits (None where nothing).
 
         The constant coefficient c = r_0 + sum(q_i p_{d-i}) = r + q0*p0 of
         v, the dot product of v with the constant coefficients
@@ -362,7 +375,10 @@ class Ring:
         basis coordinate, plus the x-part offsets.  A closure keeps one row
         of the values carry[r'] - k, and of ``xoffsets(r)``, per residue r,
         built when r first appears, so a shift image of a constant digit
-        set costs one addition.
+        set costs one addition.  ``_distinct`` drops the pairs (carry[r'] - k,
+        offset) that repeat or give T(v), (carry[r], None): a closure skips
+        their images, as it skips one that two other pairs share, so it
+        stays the same.  Canonical F_p[y] digits (y-degree < deg p0) leave [T(v)].
 
         Over Z with d = 1, 2 and Z[i] with d = 1, a state of exactly d
         coordinates takes a straight-line step, into whose tables ``_fold``
@@ -485,7 +501,7 @@ class IntegerRing(Ring):
             def row(r) -> tuple:
                 divided = [divide(r + s) for s in constants]
                 offs = None if xoffsets is None else xoffsets(r)
-                return [carry[r1] - k for r1, k in divided], offs
+                return _distinct([carry[r1] - k for r1, k in divided], offs, carry[r])
 
             def images(v: tuple) -> list:
                 r, w = step(v)
@@ -660,9 +676,8 @@ class GaussianIntegerRing(Ring):
                     r1, qr, qi = divide_ints(rr + sr, ri + si)
                     kr, ki = carry[r1]
                     adds.append((kr - qr, ki - qi))
-                if xoffsets is None:
-                    return adds, None
-                return adds, [None if o is None else atoms(o) for o in xoffsets(_gaussian(r))]
+                offs = None if xoffsets is None else xoffsets(_gaussian(r))
+                return _distinct(adds, offs, carry[r])
 
             def images(v: tuple) -> list:
                 r, w = step(v)

@@ -15,7 +15,9 @@ the member that crosses it, so a capped closure holds cap + 1 members
 (or just its seeds, when they alone are more).
 
 One breadth-first loop builds every closure; it is given the images of
-a member v, T(v) first.  Members are the flat standard-representation
+a member v: T(v) first, then the other T(v + e) less repeats, which the
+loop, skipping what it holds, adds as it would add those of every digit.
+Members are the flat standard-representation
 coordinates of ``QuotRing.coords``, for every digit set and seed, in the
 atom form of the ring (``Ring.atoms``: the values over Z, plain
 ``(re, im)`` int pairs over Z[i], packed ints over F_p[y]), so set
@@ -224,15 +226,15 @@ def witness_closure(
 
 
 def _coordinate_images(system: DigitSystem):
-    """v -> [T(v), T(v + e) for the nonzero digits e in digit order], on
-    the atoms of flat coordinates, from the system's ``Ring.dynamics``.
+    """v -> [T(v), then the other T(v + e) less repeats, e != 0 in digit
+    order], on the atoms of flat coordinates, from ``Ring.dynamics``.
     For digits that are not constant, T(v + e) also adds f_e + f_r - f_r'
     for the x-parts f of e and of the digits of the classes r of v and
     r' of v + e, summed once per residue r from the coordinates of each -f
     and reduced only when their residue part leaves the residue system,
     which never happens over F_p[y] (None where they cancel)."""
     qring, zero, offsets = system.qring, system.ring.zero, system._xoffsets
-    d, divide, residue = qring.d, system._divide, qring._divide_pd
+    d, divide, residue, atoms = qring.d, system._divide, qring._divide_pd, system.ring.atoms
     constants = [e.constant for e in system.digits if not e.is_zero]
     own = [offsets.get(divide(s)[0], ()) for s in constants]
 
@@ -245,7 +247,7 @@ def _coordinate_images(system: DigitSystem):
                 g.pop()
             if any(residue(a)[1] for a in g[d:]):
                 g = qring.coords(qring.from_coords(g))
-            out.append(tuple(g) if any(g) else None)
+            out.append(atoms(tuple(g)) if any(g) else None)
         return out
 
     return system._images(constants, xoffsets if offsets else None)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from digsys import (
     Fp, FpPoly, GaussianInt, Poly, Z, ZI, parse_poly, seed_witnesses, validate_system, witness,
+    witness_closure,
 )
 from digsys.digits import DigitSequence, PeriodicSetReport, ZeroCycle, rotate, walk
 from digsys.product import ProductExpansion, ProductSystem
@@ -340,6 +341,53 @@ def bfs_closure(system, seed, cap):
         elements |= frontier
         rounds += 1
     return elements, rounds, len(elements) <= cap
+
+
+def full_row_closure(system, seed, cap):
+    """``witness_closure`` on the atoms ``seed`` as it ran while every closure
+    row held one image per digit: the same breadth-first loop over the image
+    lists [T(x)] + [T(x + e) for the nonzero digits e in digit order] of each
+    member x, duplicates kept, stepped as elements with system.step.
+    Returns (atoms, atom_succ, rounds, stabilized)."""
+    qring, ring = system.qring, system.ring
+    shifts = [e for e in system.digits if not e.is_zero]
+
+    def images(v):
+        x = qring.from_coords(ring.values(v))
+        return [ring.atoms(qring.coords(system.step(y))) for y in [x] + [x + e for e in shifts]]
+
+    frontier = sorted(set(seed))
+    elements = set(seed)
+    succ = {}
+    rounds = 0
+    while frontier and len(elements) <= cap:
+        new = []
+        for v in frontier:
+            if len(elements) > cap:
+                break
+            found = images(v)
+            succ[v] = found[0]
+            for w in found:
+                if w not in elements:
+                    elements.add(w)
+                    new.append(w)
+                    if len(elements) > cap:
+                        break
+        frontier = new
+        rounds += 1
+    return frozenset(elements), succ, rounds, not frontier
+
+
+def assert_closure_matches_full_rows(system, seed, cap):
+    """``witness_closure`` of the atoms ``seed`` against ``full_row_closure``:
+    the same members, rounds and stabilisation, and the same T-map with its
+    members expanded in the same order.  Returns the closure."""
+    closure = witness_closure(system, seed, cap, atoms=True)
+    atoms, succ, rounds, stabilized = full_row_closure(system, seed, cap)
+    got = (closure.atoms, closure.rounds, closure.stabilized)
+    assert got == (atoms, rounds, stabilized), system
+    assert list(closure.atom_succ.items()) == list(succ.items()), system
+    return closure
 
 
 def assert_closure_matches_bfs(system, seed, cap, closure):

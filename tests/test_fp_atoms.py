@@ -25,6 +25,7 @@ from digsys import (
 
 from support import (
     assert_closure_matches_bfs,
+    assert_closure_matches_full_rows,
     assert_seed_atoms_match,
     element_orbit_statuses,
     element_periodic_set,
@@ -169,6 +170,21 @@ def test_closures_match_element_bfs(systems):
             seen["residue parts"] += any(len(v) > q.d for v in closure.members)
     assert min(counts.values()) >= 2, counts
     assert min(seen.values()) >= 5, seen
+
+
+def test_closures_match_full_rows(systems):
+    # rows of distinct images give the closures of the full image lists,
+    # atom for atom, over F2, F3 and F131, constant and not, capped or not
+    seen = {"constant": 0, "non-constant": 0, "F131": 0, "stabilized": 0, "capped": 0}
+    for ring, _, system in systems:
+        for mode in modes(system):
+            closure = assert_closure_matches_full_rows(
+                system, witness._seed_atoms(system, mode), CAP
+            )
+            seen["constant" if system.digits_constant else "non-constant"] += 1
+            seen["F131"] += ring.p == 131
+            seen["stabilized" if closure.stabilized else "capped"] += 1
+    assert min(seen.values()) >= 3, seen
 
 
 def test_verdicts_match_element_statuses(systems):

@@ -593,6 +593,23 @@ class TestSeriesDivider:
             for length in (5, 6, 9, 17, 40, 3, 70, 130, 8, 260, 515, 2, 1030, 33):
                 self.check(p, divide, rand_coeffs(rng, p, length), m)
 
+    def test_one_byte_quotient_boundary(self):
+        # quotients one slot shorter than, as long as and one slot longer
+        # than the longest that one-byte slots multiply inline; m = 1 + (p-1)y
+        # has 1/rev(m) = (p-1)(1 + y + ...), whose products with all-(p-1)
+        # dividends fill the slots most
+        rng = random.Random(95)
+        for p in (2, 3, 5, 7, 13):
+            bound = (256 - p) // p * p // (p - 1) ** 2
+            moduli = [(rng.randrange(1, p),), (1, p - 1), (0, 1), (p - 1,) * 3, (0, 0, 1, p - 1)]
+            moduli += [self.modulus(rng, p, degree) for degree in range(4)]
+            for m in moduli:
+                divide = Fp(p).divider(FpPoly(p, m))
+                for n in range(max(bound - 1, 1), bound + 2):
+                    length = n + len(m) - 1
+                    for a in ((p - 1,) * length, rand_coeffs(rng, p, length)):
+                        self.check(p, divide, a, m)
+
 
 class TestFpPolyValues:
     def test_equal_across_constructors(self):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -28,6 +29,7 @@ from digsys.polyquot import QuotRing
 
 from support import (
     assert_closure_matches_bfs,
+    assert_closure_matches_full_rows,
     element_orbit_statuses,
     example1,
     example1_symmetric,
@@ -151,8 +153,8 @@ class TestClosureOracle:
         assert capped >= 5  # capped closures are compared too
 
     def test_coordinate_images_in_digit_order(self):
-        # T(v) first, then T(v + e) over the nonzero digits in digit order,
-        # on the atoms of the coordinates
+        # T(v) first, then each distinct T(v + e) != T(v) over the nonzero
+        # digits in first-occurrence digit order, on the atoms of the coordinates
         for system, cap in self.systems():
             closure = witness_closure(system, seed_witnesses(system, "brunotte"), cap)
             qring, element_of, atoms = system.qring, closure._element_of, system.ring.atoms
@@ -161,7 +163,48 @@ class TestClosureOracle:
             for v in sorted(closure.atom_succ, key=lambda u: qring.sort_key(element_of[u]))[:60]:
                 x = element_of[v]
                 want = [system.step(x)] + [system.step(x + e) for e in shifts]
-                assert images(v) == [atoms(qring.coords(w)) for w in want], system
+                want = [atoms(qring.coords(w)) for w in want]
+                assert images(v) == list(dict.fromkeys(want)), system
+
+    def test_matches_full_rows(self):
+        # the closure rows hold each distinct image once: the closures are
+        # those of the full image lists, atom for atom and capped ones too,
+        # over canonical and other digit sets, and the digits of x^2+5x+6
+        # that are not constant
+        P = parse_poly(Z, "x^2+5x+6")
+        listed = [parse_poly(Z, t) for t in ("0", "1", "x+2", "x+3", "2x+4", "2x+5")]
+        product = product_digit_set(
+            Z, parse_poly(Z, "x+2"), [0, 1], parse_poly(Z, "x+3"), [0, 1, 2]
+        ).combined
+        non_constant = [validate_system(Z, P, listed), product]
+        capped = 0
+        for system, cap in self.systems() + [(s, c) for s in non_constant for c in (6, 2000)]:
+            for mode in ("brunotte", "power") if system.digits_constant else ("power",):
+                closure = assert_closure_matches_full_rows(
+                    system, witness._seed_atoms(system, mode), cap
+                )
+                capped += not closure.stabilized
+        assert capped >= 5
+
+    def test_canonical_rows_repeat_nothing(self):
+        # canonical F_p[y] digits have y-degree below deg p0, so every
+        # T(v + e) is T(v); over Z, digits 0..|p0|-1 give T(v) and T(v) - w_{d-1}
+        F2, F3 = Fp(2), Fp(3)
+        systems = [example1(), validate_system(Z, parse_poly(Z, "2x+3"), [0, 1, 2])]
+        for ring, src in ((F2, "x^2+(y^2+y+1)"), (F3, "(y^2+1)x^2+y*x+(y+1)"), (F3, "x+(y^3+2)")):
+            modulus = parse_poly(ring, src)
+            systems.append(validate_system(ring, modulus, canonical_ff_digits(modulus)))
+        expanded = 0
+        for system, mode in itertools.product(systems, ("brunotte", "power")):
+            closure = witness_closure(system, seed_witnesses(system, mode), 300)
+            images = witness._coordinate_images(system)
+            for v, w in closure.atom_succ.items():
+                if system.ring == Z:
+                    assert images(v)[0] == w and len(images(v)) <= 2, system
+                else:
+                    assert images(v) == [w], system
+            expanded += len(closure.atom_succ)
+        assert expanded >= 300
 
     def test_succ_is_t(self):
         for system, cap in self.systems():

@@ -10,6 +10,9 @@ same states.  It also prints the time per step of the same walks
 through ``digit_sequence``, which adds the walker's bookkeeping and the
 conversion of each start to coordinates.  Z with d = 1, 2 and Z[i] with
 d = 1 have a straight-line step; the other shapes take the generic one.
+Last, the cost of a witness closure per member it expands: the least CPU
+time of five ``witness_closure`` runs of the system from the seeds its
+decisions use, at a fixed cap, over the members expanded.
 
     PYTHONPATH=src python3 tools/step_cost.py
 
@@ -22,14 +25,16 @@ from __future__ import annotations
 import random
 import time
 
-from digsys import Fp, FpPoly, GaussianInt, Z, ZI, parse_poly, validate_system
+from digsys import Fp, FpPoly, GaussianInt, Z, ZI, parse_poly, validate_system, witness_closure
 from digsys.ffds import canonical_ff_digits
+from digsys.witness import _seed_atoms, default_mode
 
 STATES = 3000  # least states per shape, from as many walks as it takes
 CAP = 1000  # steps per walk
 PASSES = 5
 DIGITS = 60  # decimal digits of the integer start coefficients
 Y_DEGREE = 60  # y-degree of the F_p[y] start coefficients
+CLOSURE_CAP = 400  # members of a closure before it stops
 
 F2, F3, F131 = Fp(2), Fp(3), Fp(131)
 
@@ -55,7 +60,8 @@ def _start(rng: random.Random, ring):
 
 
 def measure(ring, base: str, digits, seed: int = 1) -> tuple:
-    """(states, us per step, us per walk step) of one shape."""
+    """(states, us per step, us per walk step, closure members expanded,
+    us per member) of one shape."""
     modulus = parse_poly(ring, base)
     system = validate_system(
         ring, modulus, canonical_ff_digits(modulus) if digits is None else digits
@@ -79,7 +85,14 @@ def measure(ring, base: str, digits, seed: int = 1) -> tuple:
         for a in starts:
             system.digit_sequence(a, CAP)
 
-    return len(states), _best(steps) / len(states) * 1e6, _best(walks) / len(states) * 1e6
+    atoms = _seed_atoms(system, default_mode(system))
+    members = len(witness_closure(system, atoms, CLOSURE_CAP, atoms=True).atom_succ)
+
+    def closure():
+        witness_closure(system, atoms, CLOSURE_CAP, atoms=True)
+
+    per_step, per_walk = _best(steps) / len(states) * 1e6, _best(walks) / len(states) * 1e6
+    return len(states), per_step, per_walk, members, _best(closure) / members * 1e6
 
 
 def _best(run) -> float:
@@ -93,10 +106,16 @@ def _best(run) -> float:
 
 
 def main() -> None:
-    print(f"{'shape':<12} {'base':<24} {'states':>6} {'us/step':>8} {'us/walk step':>12}")
+    print(
+        f"{'shape':<12} {'base':<24} {'states':>6} {'us/step':>8} {'us/walk step':>12}"
+        f" {'members':>7} {'us/member':>9}"
+    )
     for shape, ring, base, digits in SHAPES:
-        n, per_step, per_walk = measure(ring, base, digits)
-        print(f"{shape:<12} {base:<24} {n:>6} {per_step:>8.2f} {per_walk:>12.2f}")
+        n, per_step, per_walk, members, per_member = measure(ring, base, digits)
+        print(
+            f"{shape:<12} {base:<24} {n:>6} {per_step:>8.2f} {per_walk:>12.2f}"
+            f" {members:>7} {per_member:>9.2f}"
+        )
 
 
 if __name__ == "__main__":
