@@ -26,7 +26,8 @@ coordinates of f_e.  Each coordinate is held in the atom form of its
 ring (``Ring.atoms``): the value itself over Z, a plain ``(re, im)``
 pair of ints over Z[i], the packed int over F_p[y], so that walk states
 hash, compare and add without calling Python code.  ``Ring.dynamics``
-binds the arithmetic of T on atoms once per system; elements, digits
+binds the arithmetic on atoms once per system, and ``rings._build``
+writes T out over it for every ring; elements, digits
 and ring-value coordinates are rebuilt only for results.  The
 representation is unique, so the results equal those of stepping
 elements with :meth:`DigitSystem.step`, the definition of T, which
@@ -158,7 +159,6 @@ class DigitSystem:
         # T on the atoms of flat coordinates
         self._step, self._images = self.ring.dynamics(
             self.modulus.coeffs,
-            self._divide,
             _carry,
             self._xoffsets,
             lambda coords: qring.coords(qring.from_coords(coords)),

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import zip_longest
 
 from .errors import ParseError
 from .rings import (
@@ -35,7 +34,7 @@ from .rings import (
     _is_prime,
     _new,
     _Scanner,
-    _distinct,
+    _build,
     bounded_exponent,
 )
 
@@ -390,15 +389,16 @@ class FpPolynomialRing(Ring):
         p = self.p
         return tuple(_new(FpPoly, (p, n)) for n in atoms)
 
-    def dynamics(self, base: tuple, divide, carry: dict, offsets: dict, reduce):
-        """``Ring.dynamics`` on packed ints.  The carry
-        sum(q_i p_{d-i}) + r_0 is one sum of int products, reduced once:
-        its slots hold at most (p-1)^2 * sum(slots(p_i)), so the slot width
-        is picked here, once per system, and the weights are spread to it.
-        The division by p0 is ``_divider`` on ints (``divide`` is not
-        called), the tables are keyed by ints, and siblings and offsets
-        add with ``_add``, one XOR each in characteristic 2; no FpPoly is
-        built or compared per step."""
+    def dynamics(self, base: tuple, carry: dict, offsets: dict, reduce):
+        """``_build`` on packed ints.  The carry sum(q_i p_{d-i}) + r_0 is
+        one sum of int products, reduced once: its slots hold at most
+        (p-1)^2 * sum(slots(p_i)), so the slot width is picked here, once per
+        system, and the weights are spread to it.  The division by p0 is
+        ``_divider`` on ints, the tables are keyed by ints, and atoms add
+        with ``_add``, one XOR in characteristic 2; residues mod p_d, of
+        lower y-degree than p_d, are closed under addition, so a sum of
+        residue parts only loses its trailing zeros.  No FpPoly is built or
+        compared per step."""
         p, width, d = self.p, _width(self.p), len(base) - 1
         atoms = self.atoms
         add = operator.xor if p == 2 else functools.partial(_add, p)
@@ -410,68 +410,30 @@ class FpPolynomialRing(Ring):
         offsets = {r[1]: atoms(o) for r, o in offsets.items()}
 
         if k == width:
-            def dot(v: tuple) -> int:
-                return _reduce(sum(map(operator.mul, v, weights)), p, k)
+            def head(v: tuple) -> tuple:
+                r, q0 = divide(_reduce(sum(map(operator.mul, v, weights)), p, k))
+                return r, sub(carry[r], q0)
         else:
             weights = tuple(_spread(x, _slots(x, width), width, k) for x in weights)
 
-            def dot(v: tuple) -> int:
-                return _reduce(
-                    sum(_spread(x, _slots(x, width), width, k) * y for x, y in zip(v, weights)),
-                    p,
-                    k,
-                )
+            def head(v: tuple) -> tuple:
+                c = sum(_spread(x, _slots(x, width), width, k) * y for x, y in zip(v, weights))
+                r, q0 = divide(_reduce(c, p, k))
+                return r, sub(carry[r], q0)
 
-        def add_coords(u: tuple, v: tuple) -> tuple:
-            # residues mod p_d, of lower y-degree than p_d, are closed under
-            # addition: a sum of residue parts only loses its trailing zeros
-            q = tuple(map(add, u[:d], v[:d]))
-            if len(u) > d and len(v) > d:
-                q += tuple(add(a, b) for a, b in zip_longest(u[d:], v[d:], fillvalue=0))
-                while len(q) > d and not q[-1]:
-                    q = q[:-1]
-                return q
-            return q + u[d:] + v[d:]
+        def lift(r: int, constants) -> list:
+            out = []
+            for s in constants:
+                r1, q = divide(add(r, s))
+                out.append(sub(carry[r1], q))
+            return out
 
-        def step(v: tuple) -> tuple:
-            r, q0 = divide(dot(v))
-            w = v[1:d] + (sub(carry[r], q0),)
-            if len(v) > d + 1:
-                w += v[d + 1 :]
-            if offsets and r in offsets:
-                w = add_coords(w, offsets[r])
-            return r, w
+        def settle(q: tuple) -> tuple:
+            while len(q) > d and not q[-1]:
+                q = q[:-1]
+            return q
 
-        def images(constants, xoffsets):
-            constants = atoms(constants)
-            rows: dict = {}
-
-            def row(r: int) -> tuple:
-                adds = []
-                for s in constants:
-                    r1, q = divide(add(r, s))
-                    adds.append(sub(carry[r1], q))
-                offs = None if xoffsets is None else xoffsets(_new(FpPoly, (p, r)))
-                return _distinct(adds, offs, carry[r])
-
-            def images(v: tuple) -> list:
-                r, w = step(v)
-                cached = rows.get(r)
-                if cached is None:
-                    cached = rows[r] = row(r)
-                adds, offs = cached
-                head, nq, tail = w[: d - 1], sub(w[d - 1], carry[r]), w[d:]
-                if tail:
-                    found = [head + (add(c, nq),) + tail for c in adds]
-                else:
-                    found = [head + (add(c, nq),) for c in adds]
-                if offs is not None:
-                    found = [u if o is None else add_coords(u, o) for u, o in zip(found, offs)]
-                return [w] + found
-
-            return images
-
-        return step, images
+        return _build(self, d, carry, offsets, head, lift, add, sub, settle)
 
     # -- text ----------------------------------------------------------------
 

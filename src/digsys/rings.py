@@ -15,8 +15,9 @@ equality.  A ring supplies only what depends on it:
 * division, through ``divider(m)`` alone,
 * a whitespace-insensitive text grammar with ``parse``/``format``
   round-tripping,
-* the map T of a digit system on flat coordinates, ``dynamics``, bound
-  once per system, on the *atoms* of the values (``atoms``/``values``).
+* the arithmetic of the map T of a digit system on the *atoms* of the
+  values (``atoms``/``values``), ``dynamics``: the one T of ``_build``,
+  bound once per system, calls it on flat coordinates.
 
 ``Ring.divider(m)`` checks a nonzero modulus once and returns
 ``a -> (r, q)`` with ``a = r + q*m`` and ``r`` in ``residues(m)``, so
@@ -46,7 +47,7 @@ from __future__ import annotations
 import functools
 import operator
 import re as _re
-from itertools import zip_longest
+from itertools import starmap, zip_longest
 
 from .errors import ParseError
 
@@ -268,16 +269,119 @@ def _fold(carry: dict, offsets: dict, d: int, zero) -> list | None:
     return tables + [{r: k + offsets[r][-1] if r in offsets else k for r, k in carry.items()}]
 
 
-def _distinct(adds: list, offs, own) -> tuple:
-    """The (carry entry, x-offset or None) pairs of a closure row, each once in
+def _distinct(entries: list, offs, own) -> tuple:
+    """The (row entry, x-offset or None) pairs of a closure row, each once in
     first-occurrence order, less T(v)'s own pair (own, None)."""
     if offs is None:
-        row = dict.fromkeys(adds)
+        row = dict.fromkeys(entries)
         row.pop(own, None)
         return list(row), None
-    pairs = dict.fromkeys(zip(adds, offs))
+    pairs = dict.fromkeys(zip(entries, offs))
     pairs.pop((own, None), None)
     return [c for c, _ in pairs], [o for _, o in pairs]
+
+
+def _build(ring, d: int, carry: dict, offsets: dict, head, lift, add, sub, settle, straight=None):
+    """T of a digit system on the atoms of flat coordinates
+    v = (q_0, ..., q_{d-1}, r_0, r_1, ...), written once for every ring:
+    ``Ring.dynamics`` binds it per system with its arithmetic on atoms.
+    A base P of degree d has coefficients p_0, ..., p_d; ``carry`` maps the
+    residue r of each digit's constant e_0 = r + q1*p0 to q1, and
+    ``offsets`` maps r to the coordinates of -f_e for a digit
+    e = e_0 + X*f_e that is not constant, both in atoms.  The kernels:
+
+    * ``head(v)`` is ``(r, carry[r] - q0)`` for the constant coefficient
+      c = r + q0*p0 of v, the dot product of v with the constant
+      coefficients p_d, ..., p_1 of the basis w_0, ..., w_{d-1} and 1 of
+      X^0, divided by p0 as ``Ring.divider`` divides;
+    * ``lift(r, constants)`` is, per constant s, carry[r'] - k for
+      r + s = r' + k*p0;
+    * ``add`` and ``sub`` add and subtract two atoms;
+    * ``settle`` takes coordinates whose residue part is a sum of two
+      reduced ones to their reduced form;
+    * ``straight(generic)``, if given, is a straight-line step that falls
+      back to the generic one: over Z with d = 1, 2 and Z[i] with d = 1,
+      a state of exactly d coordinates, looked up in the tables into which
+      ``_fold`` folds the x-parts.
+
+    Returns ``(step, images)``:
+
+    * ``step(v)`` is ``(r, w)``: the residue class r (an atom) of the digit
+      taken off and the atoms w of T(v);
+    * ``images(constants, xoffsets)`` is, for one closure, the function
+      v -> [T(v), then the distinct T(v + e) != T(v) for the nonzero digits
+      e in first-occurrence order], given the constants e_0 of those digits
+      and, unless every digit is constant (then None), ``xoffsets(r)``: for
+      a residue r, in ring values, the atoms of the coordinates of what
+      T(v + e) adds for the x-parts of the digits (None where nothing).
+
+    c and e_0 = r + q1*p0 share the residue r.  Since X*w_{d-1} = -p0,
+    (c - e_0)/X = (q1 - q0)*w_{d-1}, which becomes the new last basis
+    coordinate; r_1, r_2, ... shift down one place.  A digit that is not
+    constant then takes f_e off.
+
+    v + e has the carry r' + (k + q0)*p0 with r + e_0 = r' + k*p0, so
+    T(v + e) is T(v) with the delta carry[r'] - k - carry[r] added to its
+    last basis coordinate, plus the x-part offsets.  A closure keeps one
+    row of these deltas, and of ``xoffsets(r)``, per residue r, built when
+    r first appears, so a shift image of a constant digit set costs one
+    addition.  ``_distinct`` drops the pairs (entry, offset) that repeat or
+    give T(v), (carry[r], None), before the deltas are taken: a closure
+    skips their images, as it skips one that two other pairs share, so it
+    stays the same.  Canonical F_p[y] digits (y-degree < deg p0) leave
+    [T(v)].
+    """
+    atoms, zero = ring.atoms, ring.atoms((ring.zero,))[0]
+
+    def add_coords(u: tuple, v: tuple) -> tuple:
+        # basis coordinates add, and the residue parts, each reduced, are
+        # settled only when both are non-empty
+        q = tuple(map(add, u[:d], v[:d]))
+        if len(u) > d and len(v) > d:
+            return settle(q + tuple(starmap(add, zip_longest(u[d:], v[d:], fillvalue=zero))))
+        return q + u[d:] + v[d:]
+
+    def step(v: tuple) -> tuple:
+        r, last = head(v)
+        w = v[1:d] + (last,)
+        if len(v) > d + 1:
+            w += v[d + 1 :]
+        if offsets and r in offsets:
+            w = add_coords(w, offsets[r])
+        return r, w
+
+    if straight is not None:
+        step = straight(step)
+
+    def images(constants, xoffsets):
+        constants = atoms(tuple(constants))
+        rows: dict = {}
+
+        def row(r) -> tuple:
+            own = carry[r]
+            offs = None if xoffsets is None else xoffsets(ring.values((r,))[0])
+            entries, offs = _distinct(lift(r, constants), offs, own)
+            return [sub(c, own) for c in entries], offs
+
+        def images(v: tuple) -> list:
+            r, w = step(v)
+            cached = rows.get(r)
+            if cached is None:
+                cached = rows[r] = row(r)
+            deltas, offs = cached
+            front, last, tail = w[: d - 1], w[d - 1], w[d:]
+            # members of the basis module, the common case, skip a concatenation
+            if tail:
+                found = [front + (add(last, c),) + tail for c in deltas]
+            else:
+                found = [front + (add(last, c),) for c in deltas]
+            if offs is not None:
+                found = [u if o is None else add_coords(u, o) for u, o in zip(found, offs)]
+            return [w] + found
+
+        return images
+
+    return step, images
 
 
 class Ring:
@@ -331,7 +435,8 @@ class Ring:
     # Orbit walks and witness closures run T on tuples of atoms, the plain
     # form of ring values that hashes, compares and adds fastest: the
     # values themselves here (Z), int pairs over Z[i] and packed ints over
-    # F_p[y], whose rings override both; each ring writes out ``dynamics``.
+    # F_p[y], whose rings override both.  ``_build`` writes T out once;
+    # each ring's ``dynamics`` supplies only its arithmetic on atoms.
 
     def atoms(self, values: tuple) -> tuple:
         """A tuple of ring values in atom form."""
@@ -341,50 +446,13 @@ class Ring:
         """The ring values of a tuple of atoms; inverse of ``atoms``."""
         return atoms
 
-    def dynamics(self, base: tuple, divide, carry: dict, offsets: dict, reduce):
-        """T of a digit system on the atoms of flat coordinates
-        v = (q_0, ..., q_{d-1}, r_0, r_1, ...), bound once per system like
-        ``divider``.  In ring values: ``base`` holds the coefficients
-        p_0, ..., p_d of the base P, ``divide`` is the ``divider`` of p0,
-        ``carry`` maps the residue r of each digit's constant
-        e_0 = r + q1*p0 to q1, ``offsets`` maps r to the coordinates of -f_e
-        for a digit e = e_0 + X*f_e that is not constant, and ``reduce``
-        takes coordinates with an unreduced residue part to their reduced
-        form.  Returns ``(step, images)``:
-
-        * ``step(v)`` is ``(r, w)``: the residue class r (an atom) of the
-          digit taken off and the atoms w of T(v);
-        * ``images(constants, xoffsets)`` is, for one closure, the function
-          v -> [T(v), then the distinct T(v + e) != T(v) for the nonzero
-          digits e in first-occurrence order], given the constants e_0 of
-          those digits and, unless every digit is constant (then None),
-          ``xoffsets(r)``: for a residue r, in ring values, the atoms of
-          the coordinates of what T(v + e) adds for the x-parts of the
-          digits (None where nothing).
-
-        The constant coefficient c = r_0 + sum(q_i p_{d-i}) = r + q0*p0 of
-        v, the dot product of v with the constant coefficients
-        p_d, ..., p_1 of the basis w_0, ..., w_{d-1} and 1 of X^0, and the
-        digit's e_0 = r + q1*p0 share the residue r.  Since
-        X*w_{d-1} = -p0, (c - e_0)/X = (q1 - q0)*w_{d-1}, which becomes the
-        new last basis coordinate; r_1, r_2, ... shift down one place.  A
-        digit e = e_0 + X*f_e that is not constant then takes f_e off.
-
-        v + e has the carry r' + (k + q0)*p0 with r + e_0 = r' + k*p0, so
-        T(v + e) is T(v) with carry[r'] - k - carry[r] added to its last
-        basis coordinate, plus the x-part offsets.  A closure keeps one row
-        of the values carry[r'] - k, and of ``xoffsets(r)``, per residue r,
-        built when r first appears, so a shift image of a constant digit
-        set costs one addition.  ``_distinct`` drops the pairs (carry[r'] - k,
-        offset) that repeat or give T(v), (carry[r], None): a closure skips
-        their images, as it skips one that two other pairs share, so it
-        stays the same.  Canonical F_p[y] digits (y-degree < deg p0) leave [T(v)].
-
-        Over Z with d = 1, 2 and Z[i] with d = 1, a state of exactly d
-        coordinates takes a straight-line step, into whose tables ``_fold``
-        folds the x-parts; other states and shapes, and F_p[y], take the
-        generic step.
-        """
+    def dynamics(self, base: tuple, carry: dict, offsets: dict, reduce):
+        """T of a digit system on the atoms of flat coordinates, bound once
+        per system: the ``(step, images)`` of ``_build`` with this ring's
+        arithmetic on atoms.  In ring values, ``base`` holds the
+        coefficients p_0, ..., p_d of the base, ``carry`` and ``offsets``
+        are those of ``_build``, and ``reduce`` takes coordinates with an
+        unreduced residue part to their reduced form."""
         raise NotImplementedError
 
     # -- text ------------------------------------------------------------
@@ -454,74 +522,49 @@ class IntegerRing(Ring):
 
         return divide
 
-    def dynamics(self, base: tuple, divide, carry: dict, offsets: dict, reduce):
-        """``Ring.dynamics`` on ints.  The straight-line steps of d = 1, 2 take
-        q, r = divmod(c, |p0|); q0 is q, or -q for p0 < 0 (hence ``settle``)."""
-        d, c0 = len(base) - 1, self.zero
-        weights = tuple(reversed(base[1:])) + (self.one,)
+    def dynamics(self, base: tuple, carry: dict, offsets: dict, reduce):
+        """``_build`` on ints.  c = r + q*|p0| by ``divmod``, and q0 is q, or
+        -q for p0 < 0 (hence ``signed``).  With d = 1, 2 a state of exactly
+        d coordinates takes a straight-line step."""
+        d, n = len(base) - 1, abs(base[0])
+        weights = tuple(reversed(base[1:])) + (1,)
+        signed = operator.sub if base[0] > 0 else operator.add
 
-        def add(u: tuple, v: tuple) -> tuple:
-            # basis coordinates add, and the residue parts, each reduced,
-            # are reduced again only when both are non-empty
-            q = tuple(map(operator.add, u[:d], v[:d]))
-            if len(u) > d and len(v) > d:
-                return reduce(q + tuple(a + b for a, b in zip_longest(u[d:], v[d:], fillvalue=c0)))
-            return q + u[d:] + v[d:]
+        def head(v: tuple) -> tuple:
+            q, r = divmod(sum(map(operator.mul, v, weights)), n)
+            return r, signed(carry[r], q)
 
-        def step(v: tuple) -> tuple:
-            r, q0 = divide(sum(map(operator.mul, v, weights), c0))
-            w = v[1:d] + (carry[r] - q0,)
-            if len(v) > d + 1:
-                w += v[d + 1 :]
-            if offsets and r in offsets:
-                w = add(w, offsets[r])
-            return r, w
+        def lift(r, constants) -> list:
+            out = []
+            for s in constants:
+                q, r1 = divmod(r + s, n)
+                out.append(signed(carry[r1], q))
+            return out
 
-        tables = _fold(carry, offsets, d, c0) if d <= 2 else None
-        if tables is not None:
-            generic, p1, p2, first, last = step, base[1], base[-1], tables[0], tables[-1]
-            n, settle = abs(base[0]), operator.sub if base[0] > 0 else operator.add
+        tables = _fold(carry, offsets, d, 0) if d <= 2 else None
+
+        def straight(generic):
+            first, last = tables[0], tables[-1]
+            p1, p2 = base[1], base[-1]
             if d == 1:
                 def step(v: tuple) -> tuple:
                     if len(v) != 1:
                         return generic(v)
                     q, r = divmod(v[0] * p1, n)
-                    return r, (settle(last[r], q),)
+                    return r, (signed(last[r], q),)
             else:
                 def step(v: tuple) -> tuple:
                     if len(v) != 2:
                         return generic(v)
                     a, b = v
                     q, r = divmod(a * p2 + b * p1, n)
-                    return r, (b + first[r], settle(last[r], q))
+                    return r, (b + first[r], signed(last[r], q))
+            return step
 
-        def images(constants, xoffsets):
-            rows: dict = {}
-
-            def row(r) -> tuple:
-                divided = [divide(r + s) for s in constants]
-                offs = None if xoffsets is None else xoffsets(r)
-                return _distinct([carry[r1] - k for r1, k in divided], offs, carry[r])
-
-            def images(v: tuple) -> list:
-                r, w = step(v)
-                cached = rows.get(r)
-                if cached is None:
-                    cached = rows[r] = row(r)
-                adds, offs = cached
-                head, nq, tail = w[: d - 1], w[d - 1] - carry[r], w[d:]
-                # members of the basis module, the common case, skip a concatenation
-                if tail:
-                    found = [head + (c + nq,) + tail for c in adds]
-                else:
-                    found = [head + (c + nq,) for c in adds]
-                if offs is not None:
-                    found = [u if o is None else add(u, o) for u, o in zip(found, offs)]
-                return [w] + found
-
-            return images
-
-        return step, images
+        return _build(
+            self, d, carry, offsets, head, lift, operator.add, operator.sub, reduce,
+            None if tables is None else straight,
+        )
 
     def parse(self, text: str):
         sc = _Scanner(text)
@@ -609,12 +652,12 @@ class GaussianIntegerRing(Ring):
     def values(self, atoms: tuple) -> tuple:
         return tuple(map(_gaussian, atoms))
 
-    def dynamics(self, base: tuple, divide, carry: dict, offsets: dict, reduce):
-        """``Ring.dynamics`` on int pairs (re, im): the dot product with the
-        basis constants, the division by p0 (rounded as by ``divider``,
-        which is not called), the table lookups and the additions of
-        siblings and offsets all unpack ints, and no GaussianInt is built
-        or compared per step, straight-line or generic."""
+    def dynamics(self, base: tuple, carry: dict, offsets: dict, reduce):
+        """``_build`` on int pairs (re, im): the dot product with the basis
+        constants, the division by p0 (rounded as by ``divider``), the table
+        lookups and the additions all unpack ints, and no GaussianInt is
+        built or compared per step.  With d = 1 and constant digits, a state
+        of one coordinate takes a straight-line step."""
         d, (mr, mi) = len(base) - 1, base[0]
         n = mr * mr + mi * mi
         bias, n2 = n - 1, 2 * n
@@ -623,36 +666,36 @@ class GaussianIntegerRing(Ring):
         carry = {tuple(r): tuple(q) for r, q in carry.items()}
         offsets = {tuple(r): atoms(o) for r, o in offsets.items()}
 
-        def divide_ints(ar: int, ai: int) -> tuple:
-            qr = (2 * (ar * mr + ai * mi) + bias) // n2
-            qi = (2 * (ai * mr - ar * mi) + bias) // n2
-            return (ar - qr * mr + qi * mi, ai - qr * mi - qi * mr), qr, qi
-
-        def add(u: tuple, v: tuple) -> tuple:
-            q = tuple((a + c, b + e) for (a, b), (c, e) in zip(u[:d], v[:d]))
-            if len(u) > d and len(v) > d:
-                residue = zip_longest(u[d:], v[d:], fillvalue=(0, 0))
-                q += tuple((a + c, b + e) for (a, b), (c, e) in residue)
-                return atoms(reduce(values(q)))
-            return q + u[d:] + v[d:]
-
-        def step(v: tuple) -> tuple:
+        def head(v: tuple) -> tuple:
             cr = ci = 0
             for (a, b), (p, q) in zip(v, weights):
                 cr += a * p - b * q
                 ci += a * q + b * p
-            r, qr, qi = divide_ints(cr, ci)
+            qr = (2 * (cr * mr + ci * mi) + bias) // n2
+            qi = (2 * (ci * mr - cr * mi) + bias) // n2
+            r = (cr - qr * mr + qi * mi, ci - qr * mi - qi * mr)
             kr, ki = carry[r]
-            w = v[1:d] + ((kr - qr, ki - qi),)
-            if len(v) > d + 1:
-                w += v[d + 1 :]
-            if offsets and r in offsets:
-                w = add(w, offsets[r])
-            return r, w
+            return r, (kr - qr, ki - qi)
 
-        # x-parts over a base of degree 1 have a residue part: only constant sets fold
-        if d == 1 and not offsets:
-            generic, ((pr, pi), _) = step, weights
+        def lift(r: tuple, constants) -> list:
+            rr, ri = r
+            out = []
+            for sr, si in constants:
+                cr, ci = rr + sr, ri + si
+                qr = (2 * (cr * mr + ci * mi) + bias) // n2
+                qi = (2 * (ci * mr - cr * mi) + bias) // n2
+                kr, ki = carry[cr - qr * mr + qi * mi, ci - qr * mi - qi * mr]
+                out.append((kr - qr, ki - qi))
+            return out
+
+        def add(u: tuple, v: tuple) -> tuple:
+            return (u[0] + v[0], u[1] + v[1])
+
+        def sub(u: tuple, v: tuple) -> tuple:
+            return (u[0] - v[0], u[1] - v[1])
+
+        def straight(generic):
+            ((pr, pi), _) = weights
 
             def step(v: tuple) -> tuple:
                 if len(v) != 1:
@@ -665,41 +708,14 @@ class GaussianIntegerRing(Ring):
                 kr, ki = carry[r]
                 return r, ((kr - qr, ki - qi),)
 
-        def images(constants, xoffsets):
-            constants = atoms(constants)
-            rows: dict = {}
+            return step
 
-            def row(r: tuple) -> tuple:
-                rr, ri = r
-                adds = []
-                for sr, si in constants:
-                    r1, qr, qi = divide_ints(rr + sr, ri + si)
-                    kr, ki = carry[r1]
-                    adds.append((kr - qr, ki - qi))
-                offs = None if xoffsets is None else xoffsets(_gaussian(r))
-                return _distinct(adds, offs, carry[r])
-
-            def images(v: tuple) -> list:
-                r, w = step(v)
-                cached = rows.get(r)
-                if cached is None:
-                    cached = rows[r] = row(r)
-                adds, offs = cached
-                (nr, ni), (kr, ki) = w[d - 1], carry[r]
-                nr -= kr
-                ni -= ki
-                head, tail = w[: d - 1], w[d:]
-                if tail:
-                    found = [head + ((a + nr, b + ni),) + tail for a, b in adds]
-                else:
-                    found = [head + ((a + nr, b + ni),) for a, b in adds]
-                if offs is not None:
-                    found = [u if o is None else add(u, o) for u, o in zip(found, offs)]
-                return [w] + found
-
-            return images
-
-        return step, images
+        # x-parts over a base of degree 1 have a residue part: only constant sets fold
+        return _build(
+            self, d, carry, offsets, head, lift, add, sub,
+            lambda q: atoms(reduce(values(q))),
+            straight if d == 1 and not offsets else None,
+        )
 
     def parse(self, text: str):
         sc = _Scanner(text)

@@ -24,10 +24,10 @@ atom form of the ring (``Ring.atoms``: the values over Z, plain
 membership and the per-residue tables hash and compare in C.  The
 basis w_i has the coordinates e_i, so the decisions build the basis
 seeds as +-e_i (and +-i*e_i over Z[i]); only power seeds are converted.
-The images come from the system's ``Ring.dynamics``: the carry of v is
-divided by p0 once per member; what T(v + e) adds to T(v) then depends
-only on its residue r and on e, so each closure keeps one row of those
-values per residue r, built when r first appears, and a shift image of
+The images come from the system's ``Ring.dynamics``, built by
+``rings._build``: the carry of v is divided by p0 once per member; what
+T(v + e) adds to T(v) then depends only on its residue r and on e, so
+each closure keeps one row of those deltas per residue r, built when r first appears, and a shift image of
 a constant digit set costs one addition.  The decisions read the atoms;
 they become elements only when ``WitnessClosure.elements`` or a
 certificate (the "orbit_steps" mapping of a "yes" too) is first read,

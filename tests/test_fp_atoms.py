@@ -16,6 +16,7 @@ from digsys import (
     Poly,
     decide_fep,
     decide_pep,
+    fppoly,
     parse_poly,
     seed_witnesses,
     validate_system,
@@ -365,3 +366,35 @@ def test_fppoly_methods_not_called_per_image(monkeypatch):
         (small, few), (large, many) = counted[src, cap], counted[src, 10 * cap]
         assert many >= 5 * few, (src, counted)
         assert large == small, (src, counted)
+
+
+def test_one_sub_per_closure_member(monkeypatch):
+    """Over F3[y] a closure step subtracts once: past its rows, a closure
+    that reaches its cap calls ``fppoly._sub`` at most once per member it
+    expands.  The digits r + y*p0 (r != 0) give every member siblings, so
+    the members stay short and no division takes the long quotient path;
+    all nine residue rows are built below the smaller cap, so their
+    entries cancel in the difference.  ``_sub`` is bound when the
+    dynamics is, so the counter goes in before ``validate_system``."""
+    calls = [0]
+    sub = fppoly._sub
+
+    def counting(p, a, b):
+        calls[0] += 1
+        return sub(p, a, b)
+
+    monkeypatch.setattr(fppoly, "_sub", counting)
+    modulus = parse_poly(F3, "(y^3+y+1)x^2+(y+2)x+(y^2+2y+2)")
+    p0, y = modulus.constant, FpPoly(3, (0, 1))
+    digits = [r + y * p0 if r else r for r in F3.residues(p0)]
+    system = validate_system(F3, modulus, digits)
+    seed = seed_witnesses(system, "brunotte")
+    counted = {}
+    for n in (100, 1000):
+        calls[0] = 0
+        closure = witness_closure(system, seed, n)
+        assert not closure.stabilized
+        counted[n] = calls[0], len(closure.atom_succ)
+    (small, few), (large, many) = counted[100], counted[1000]
+    assert many >= 5 * few, counted
+    assert large - small <= many - few, counted

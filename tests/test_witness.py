@@ -135,6 +135,8 @@ class TestClosureOracle:
             (validate_system(F3, u_modulus, canonical_ff_digits(u_modulus)), 40),
             # digits 8 and -1 carry 1 and -1 past their residues 3 and 4
             (validate_system(Z, parse_poly(Z, "3x^2-2x+5"), [0, 1, 2, 8, -1]), 10_000),
+            # p0 < 0: the quotients of the rows change sign with p0
+            (validate_system(Z, parse_poly(Z, "3x^2-2x-5"), [0, 1, 2, 8, -1]), 300),
             # leads of norm 50 over p0 of norm 5: hundreds of members share
             # the 5 residue rows before the cap stops the closure
             (validate_system(ZI, parse_poly(ZI, "(7+i)x+(2+i)"), range(5)), 300),

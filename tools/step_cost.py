@@ -2,7 +2,9 @@
 the dynamics.
 
 A shape is a coefficient ring and a base degree d: Z with d = 1, 2, 3,
-Z[i] with d = 1, 2, and F2[y], F3[y] and F131[y].  For each, the script
+Z[i] with d = 1, 2, and F2[y], F3[y] and F131[y].  A second Z[i] shape
+with d = 2 has the 17 residues of p0 = 4+i as digits, so its closure
+rows, one division per digit, are the longest.  For each, the script
 walks fixed seeded starts of a fixed system, records the flat
 coordinate states (in atom form) the walks step from, and times the
 system's bound step on them: the least CPU time of five passes over the
@@ -11,8 +13,9 @@ through ``digit_sequence``, which adds the walker's bookkeeping and the
 conversion of each start to coordinates.  Z with d = 1, 2 and Z[i] with
 d = 1 have a straight-line step; the other shapes take the generic one.
 Last, the cost of a witness closure per member it expands: the least CPU
-time of five ``witness_closure`` runs of the system from the seeds its
-decisions use, at a fixed cap, over the members expanded.
+time of five ``witness_closure`` runs of the system from the first four
+walk starts, over the members expanded.  From those seeds every closure
+crosses its cap, so set-up is a small share of the time.
 
     PYTHONPATH=src python3 tools/step_cost.py
 
@@ -27,7 +30,6 @@ import time
 
 from digsys import Fp, FpPoly, GaussianInt, Z, ZI, parse_poly, validate_system, witness_closure
 from digsys.ffds import canonical_ff_digits
-from digsys.witness import _seed_atoms, default_mode
 
 STATES = 3000  # least states per shape, from as many walks as it takes
 CAP = 1000  # steps per walk
@@ -35,6 +37,7 @@ PASSES = 5
 DIGITS = 60  # decimal digits of the integer start coefficients
 Y_DEGREE = 60  # y-degree of the F_p[y] start coefficients
 CLOSURE_CAP = 400  # members of a closure before it stops
+CLOSURE_SEEDS = 4  # walk starts that seed the closure
 
 F2, F3, F131 = Fp(2), Fp(3), Fp(131)
 
@@ -45,6 +48,7 @@ SHAPES = [
     ("Z d=3", Z, "x^3+x^2+x+3", range(3)),
     ("Z[i] d=1", ZI, "(1+i)x+(1+2i)", range(5)),
     ("Z[i] d=2", ZI, "x^2+2x+(1+i)", [0, 1]),
+    ("Z[i] d=2 N17", ZI, "(1+i)x^2+x+(4+i)", ZI.residues(GaussianInt(4, 1))),
     ("F2[y] d=2", F2, "(y+1)x^2+y*x+(y^2+1)", None),
     ("F3[y] d=3", F3, "(y+1)x^3+2x+y", None),
     ("F131[y] d=2", F131, "x^2+2x+(3y+7)", range(131)),
@@ -85,7 +89,7 @@ def measure(ring, base: str, digits, seed: int = 1) -> tuple:
         for a in starts:
             system.digit_sequence(a, CAP)
 
-    atoms = _seed_atoms(system, default_mode(system))
+    atoms = [ring.atoms(q.coords(a)) for a in starts[:CLOSURE_SEEDS]]
     members = len(witness_closure(system, atoms, CLOSURE_CAP, atoms=True).atom_succ)
 
     def closure():
