@@ -44,7 +44,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
-from .polyquot import Poly, QuotElem, QuotRing, base_violation
+from .polyquot import Poly, QuotElem, QuotRing
 from .rings import Ring
 
 DEFAULT_STEP_CAP = 10**6
@@ -325,12 +325,9 @@ def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
     violations: list[str] = []
     if modulus.ring != ring:
         raise ValidationError(["modulus is defined over a different ring"])
-    violation = base_violation(modulus)
-    if violation:
-        raise ValidationError([violation])
-    p0 = modulus.constant
-
+    # QuotRing checks the base, raising ValidationError with its violation
     qring = QuotRing(modulus)
+    p0 = qring.p0
     normalized, top = [], 0
     for d in digits:
         if isinstance(d, QuotElem):

@@ -241,6 +241,11 @@ def _mul(p: int, a: int, b: int) -> int:
     return _reduce(a * b, p, k)
 
 
+# most dividers ``_divider`` keeps, least recently used out first
+SHARED_DIVIDERS = 256
+
+
+@functools.lru_cache(maxsize=SHARED_DIVIDERS)
 def _divider(p: int, m: int):
     """Division by the nonzero packed m over F_p: a -> (r, q) on packed
     ints with a = r + q*m and deg r < deg m.  With rev_L(f) = y^(L-1)
@@ -249,6 +254,13 @@ def _divider(p: int, m: int):
     by Newton steps S <- S (2 - rev(m) S) that double its length as
     longer dividends arrive; the remainder is a - q*m.
 
+    One divider per (p, m) serves the whole process, at most
+    ``SHARED_DIVIDERS`` of them: a base's p0 gets the same one from
+    ``QuotRing`` and from the dynamics of every system over it, so its
+    series is extended once.  The series and its length are one tuple,
+    read and replaced whole, so two threads that extend it at once each
+    divide with a consistent pair, and either result is a valid series.
+
     Quotients of L one-byte slots, L (p-1)^2 <= c for the largest multiple
     c of p at most 256 - p, are inline: no product with S or m carries a
     slot, so q is reversed by byte order and reduced by one ``translate``,
@@ -256,7 +268,7 @@ def _divider(p: int, m: int):
     w = _width(p)
     bits, dm = 8 * w, _slots(m, w) - 1
     f, two = _reverse(m, dm + 1, w), 2 % p
-    series = [pow(m >> bits * dm, -1, p), 1]  # S mod y^prec, prec
+    series = [(pow(m >> bits * dm, -1, p), 1)]  # [(S mod y^prec, prec)]
     c = (256 - p) // p * p
     short = c // (p - 1) ** 2 if w == 1 else 0
     ones = int.from_bytes(b"\x01" * (short + dm), "little") if short else 0
@@ -266,13 +278,14 @@ def _divider(p: int, m: int):
         n = -(-a.bit_length() // bits) - dm  # deg a - deg m + 1
         if n <= 0:
             return a, 0
-        s, prec = series
-        while prec < n:
-            prec *= 2
-            mask = (1 << bits * prec) - 1
-            fs = _mul(p, f & mask, s) & mask
-            s = _mul(p, s, _sub(p, two, fs)) & mask
-            series[:] = s, prec
+        s, prec = series[0]
+        if prec < n:
+            while prec < n:
+                prec *= 2
+                mask = (1 << bits * prec) - 1
+                fs = _mul(p, f & mask, s) & mask
+                s = _mul(p, s, _sub(p, two, fs)) & mask
+            series[0] = s, prec
         mask = (1 << bits * n) - 1
         if n <= short:
             top = int.from_bytes((a >> bits * dm).to_bytes(n, "big"), "little")
@@ -433,7 +446,7 @@ class FpPolynomialRing(Ring):
                 q = q[:-1]
             return q
 
-        return _build(self, d, carry, offsets, head, lift, add, sub, settle)
+        return _build(self, base, carry, offsets, head, lift, add, sub, settle)
 
     # -- text ----------------------------------------------------------------
 

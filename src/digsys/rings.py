@@ -39,7 +39,9 @@ F_p[y] the packed int of :mod:`digsys.fppoly`, which holds ``FpPoly``,
 re-exported here.
 
 All values are immutable and all operations are pure, so they may be
-shared freely between threads.
+shared freely between threads.  The one process-wide state, the closure
+rows shared by constant digit sets (``_RowTable``) and the F_p[y]
+dividers, is bounded, and what it holds never changes a result.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from __future__ import annotations
 import functools
 import operator
 import re as _re
+import threading
+from collections import OrderedDict
 from itertools import starmap, zip_longest
 
 from .errors import ParseError
@@ -281,14 +285,91 @@ def _distinct(entries: list, offs, own) -> tuple:
     return [c for c, _ in pairs], [o for _, o in pairs]
 
 
-def _build(ring, d: int, carry: dict, offsets: dict, head, lift, add, sub, settle, straight=None):
+class _RowTable:
+    """The closure rows of constant digit sets, shared by every closure in
+    the process whose key matches, least recently used out first.
+
+    A key is (ring, p0, the atoms of the nonzero digit constants in digit
+    order).  For a constant digit set, a row depends on nothing else: the
+    digits are a complete residue system mod p0, so those constants fix
+    ``carry`` (the zero digit, where there is one, is the residue 0 with
+    carry 0), and ``lift`` and the deltas are functions of p0, ``carry``
+    and the constants.  So a shared row is the row a fresh closure builds,
+    and scans over bases with one p0 and digit set, which differ only in
+    p_1, ..., p_d, build each row once.
+
+    The table holds at most ``sets`` digit sets and ``entries`` row
+    entries in all, a row of k deltas counting k + 1; adding a row evicts
+    the least recently used digit sets until both hold, the one being
+    filled included (its closure then keeps the rows to itself).  Rows are
+    immutable once stored, and a row built twice by two threads is the
+    same row, so closures read and fill a digit set's rows without a lock;
+    only the table's own bookkeeping takes one."""
+
+    def __init__(self, sets: int, entries: int):
+        self.sets, self.entries = sets, entries
+        self._tables: OrderedDict = OrderedDict()  # key -> [rows, entries]
+        self._size = 0
+        self._lock = threading.Lock()
+
+    def rows(self, key) -> dict:
+        """The shared rows of ``key``, residue -> row, empty when new."""
+        with self._lock:
+            slot = self._tables.get(key)
+            if slot is None:
+                slot = self._tables[key] = [{}, 0]
+                if len(self._tables) > self.sets:
+                    self._evict()
+            else:
+                self._tables.move_to_end(key)
+            return slot[0]
+
+    def store(self, key, rows: dict, r, row: tuple) -> None:
+        """Put ``row`` at residue ``r`` of ``rows``, the rows of ``key``."""
+        if rows.setdefault(r, row) is not row:
+            return  # another closure stored the same row first
+        with self._lock:
+            slot = self._tables.get(key)
+            if slot is None or slot[0] is not rows:
+                return  # evicted: the rows are the closure's own now
+            size = len(row[0]) + 1
+            slot[1] += size
+            self._size += size
+            while self._size > self.entries:
+                self._evict()
+
+    def _evict(self) -> None:
+        _, (_, size) = self._tables.popitem(last=False)
+        self._size -= size
+
+    def size(self) -> tuple:
+        """(digit sets, row entries) held."""
+        with self._lock:
+            return len(self._tables), self._size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self._size = 0
+
+
+# the bound of the shared closure rows: digit sets, and row entries in all
+SHARED_ROW_SETS = 256
+SHARED_ROW_ENTRIES = 2**16
+_ROWS = _RowTable(SHARED_ROW_SETS, SHARED_ROW_ENTRIES)
+
+
+def _build(
+    ring, base: tuple, carry: dict, offsets: dict, head, lift, add, sub, settle, straight=None
+):
     """T of a digit system on the atoms of flat coordinates
     v = (q_0, ..., q_{d-1}, r_0, r_1, ...), written once for every ring:
     ``Ring.dynamics`` binds it per system with its arithmetic on atoms.
-    A base P of degree d has coefficients p_0, ..., p_d; ``carry`` maps the
-    residue r of each digit's constant e_0 = r + q1*p0 to q1, and
-    ``offsets`` maps r to the coordinates of -f_e for a digit
-    e = e_0 + X*f_e that is not constant, both in atoms.  The kernels:
+    A base P of degree d has the coefficients p_0, ..., p_d of ``base``
+    (ring values); ``carry`` maps the residue r of each digit's constant
+    e_0 = r + q1*p0 to q1, and ``offsets`` maps r to the coordinates of
+    -f_e for a digit e = e_0 + X*f_e that is not constant, both in atoms.
+    The kernels:
 
     * ``head(v)`` is ``(r, carry[r] - q0)`` for the constant coefficient
       c = r + q0*p0 of v, the dot product of v with the constant
@@ -322,16 +403,20 @@ def _build(ring, d: int, carry: dict, offsets: dict, head, lift, add, sub, settl
 
     v + e has the carry r' + (k + q0)*p0 with r + e_0 = r' + k*p0, so
     T(v + e) is T(v) with the delta carry[r'] - k - carry[r] added to its
-    last basis coordinate, plus the x-part offsets.  A closure keeps one
-    row of these deltas, and of ``xoffsets(r)``, per residue r, built when
-    r first appears, so a shift image of a constant digit set costs one
-    addition.  ``_distinct`` drops the pairs (entry, offset) that repeat or
-    give T(v), (carry[r], None), before the deltas are taken: a closure
-    skips their images, as it skips one that two other pairs share, so it
-    stays the same.  Canonical F_p[y] digits (y-degree < deg p0) leave
-    [T(v)].
+    last basis coordinate, plus the x-part offsets.  One row of these
+    deltas, and of ``xoffsets(r)``, per residue r, is built when r first
+    appears, so a shift image of a constant digit set costs one addition.
+    The rows of a constant digit set depend only on p0 and its digits, so
+    every closure in the process with the same key shares them
+    (``_RowTable``, bounded by ``SHARED_ROW_SETS`` digit sets and
+    ``SHARED_ROW_ENTRIES`` row entries); a closure of a digit set that is
+    not constant keeps its own, which depend on the x-parts.
+    ``_distinct`` drops the pairs (entry, offset) that repeat or give T(v),
+    (carry[r], None), before the deltas are taken: a closure skips their
+    images, as it skips one that two other pairs share, so it stays the
+    same.  Canonical F_p[y] digits (y-degree < deg p0) leave [T(v)].
     """
-    atoms, zero = ring.atoms, ring.atoms((ring.zero,))[0]
+    atoms, zero, d = ring.atoms, ring.atoms((ring.zero,))[0], len(base) - 1
 
     def add_coords(u: tuple, v: tuple) -> tuple:
         # basis coordinates add, and the residue parts, each reduced, are
@@ -355,19 +440,27 @@ def _build(ring, d: int, carry: dict, offsets: dict, head, lift, add, sub, settl
 
     def images(constants, xoffsets):
         constants = atoms(tuple(constants))
-        rows: dict = {}
+        if xoffsets is None:
+            key = (ring, base[0], constants)
+            rows = _ROWS.rows(key)
+            keep = functools.partial(_ROWS.store, key, rows)
+        else:
+            rows = {}
+            keep = rows.__setitem__
 
         def row(r) -> tuple:
             own = carry[r]
             offs = None if xoffsets is None else xoffsets(ring.values((r,))[0])
             entries, offs = _distinct(lift(r, constants), offs, own)
-            return [sub(c, own) for c in entries], offs
+            built = [sub(c, own) for c in entries], offs
+            keep(r, built)
+            return built
 
         def images(v: tuple) -> list:
             r, w = step(v)
             cached = rows.get(r)
             if cached is None:
-                cached = rows[r] = row(r)
+                cached = row(r)
             deltas, offs = cached
             front, last, tail = w[: d - 1], w[d - 1], w[d:]
             # members of the basis module, the common case, skip a concatenation
@@ -562,7 +655,7 @@ class IntegerRing(Ring):
             return step
 
         return _build(
-            self, d, carry, offsets, head, lift, operator.add, operator.sub, reduce,
+            self, base, carry, offsets, head, lift, operator.add, operator.sub, reduce,
             None if tables is None else straight,
         )
 
@@ -712,7 +805,7 @@ class GaussianIntegerRing(Ring):
 
         # x-parts over a base of degree 1 have a residue part: only constant sets fold
         return _build(
-            self, d, carry, offsets, head, lift, add, sub,
+            self, base, carry, offsets, head, lift, add, sub,
             lambda q: atoms(reduce(values(q))),
             straight if d == 1 and not offsets else None,
         )
@@ -756,7 +849,15 @@ ZI = GaussianIntegerRing()
 
 # F_p[y] builds on the Ring interface above; re-exported for callers that
 # resolve it here
-from .fppoly import Fp, FpPoly, FpPolynomialRing  # noqa: E402
+from .fppoly import Fp, FpPoly, FpPolynomialRing, _divider  # noqa: E402
+
+
+def _clear_shared() -> None:
+    """Empty the process-wide tables, the shared closure rows and the F_p[y]
+    dividers, so that the next closures build theirs afresh.  Systems
+    already built keep the dividers they hold."""
+    _ROWS.clear()
+    _divider.cache_clear()
 
 
 def ring_from_name(name: str) -> Ring:

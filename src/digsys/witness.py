@@ -27,8 +27,13 @@ seeds as +-e_i (and +-i*e_i over Z[i]); only power seeds are converted.
 The images come from the system's ``Ring.dynamics``, built by
 ``rings._build``: the carry of v is divided by p0 once per member; what
 T(v + e) adds to T(v) then depends only on its residue r and on e, so
-each closure keeps one row of those deltas per residue r, built when r first appears, and a shift image of
-a constant digit set costs one addition.  The decisions read the atoms;
+one row of those deltas per residue r is built when r first appears,
+and a shift image of a constant digit set costs one addition.  The rows
+of a constant digit set depend only on (ring, p0, its digits), so every
+closure in the process with that key shares them, in a table of at most
+256 digit sets and 2^16 row entries (``rings._RowTable``); a shared row
+is the row a fresh closure builds, so no closure depends on what the
+table holds.  The decisions read the atoms;
 they become elements only when ``WitnessClosure.elements`` or a
 certificate (the "orbit_steps" mapping of a "yes" too) is first read,
 and ring-value coordinates only when ``members`` or ``succ`` is.
@@ -233,9 +238,13 @@ def _coordinate_images(system: DigitSystem):
     r' of v + e, summed once per residue r from the coordinates of each -f
     and reduced only when their residue part leaves the residue system,
     which never happens over F_p[y] (None where they cancel)."""
-    qring, zero, offsets = system.qring, system.ring.zero, system._xoffsets
-    d, divide, residue, atoms = qring.d, system._divide, qring._divide_pd, system.ring.atoms
+    offsets = system._xoffsets
     constants = [e.constant for e in system.digits if not e.is_zero]
+    if not offsets:
+        # every digit is constant: no x-parts, so no divisions for them
+        return system._images(constants, None)
+    qring, zero, atoms = system.qring, system.ring.zero, system.ring.atoms
+    d, divide, residue = qring.d, system._divide, qring._divide_pd
     own = [offsets.get(divide(s)[0], ()) for s in constants]
 
     def xoffsets(r) -> list:
@@ -250,7 +259,7 @@ def _coordinate_images(system: DigitSystem):
             out.append(atoms(tuple(g)) if any(g) else None)
         return out
 
-    return system._images(constants, xoffsets if offsets else None)
+    return system._images(constants, xoffsets)
 
 
 def _seed_atoms(system: DigitSystem, mode: str) -> list:

@@ -278,3 +278,35 @@ def test_criterion_9_invariant_suites():
             rep = q.standard_representation(system.step(a))
             assert rep.residue == ()
             assert rep.q == system.coordinate_step(coords)
+
+
+# x^2 + bx + c, digits 0..c-1, on the grid c = 2..15, b = -6..c+5 at
+# closure cap 100: for each c, the b whose closures cross the cap.  They are
+# the b > c and b < -c, whose bases have a real root in [-1, 0) or (0, 1].
+# Deciding one of them is a declared change of this list.
+QUADRATIC_UNKNOWN = {
+    2: (-6, -5, -4, -3, 3, 4, 5, 6, 7),
+    3: (-6, -5, -4, 4, 5, 6, 7, 8),
+    4: (-6, -5, 5, 6, 7, 8, 9),
+    5: (-6, 6, 7, 8, 9, 10),
+    **{c: tuple(range(c + 1, c + 6)) for c in range(6, 16)},
+}
+
+
+def test_criterion_10_published_classifications():
+    with criterion(10, "quadratic CNS grid against Katai-Kovacs", budget=1.0):
+        # Katai and Kovacs (Acta Sci. Math. Szeged 42, 1980), Gilbert (J. Math.
+        # Anal. Appl. 83, 1981): x^2 + bx + c, c >= 2, with digits 0..c-1 has
+        # the finite expansion property iff -1 <= b <= c
+        answers, unknown = {"yes": 0, "no": 0, "unknown": 0}, {}
+        for c in range(2, 16):
+            for b in range(-6, c + 6):
+                system = validate_system(Z, Poly.make(Z, [c, b, 1]), range(c))
+                verdict = decide_fep(system, closure_cap=100)
+                answers[verdict.answer] += 1
+                if verdict.answer == "unknown":
+                    unknown.setdefault(c, []).append(b)
+                else:
+                    assert (verdict.answer == "yes") == (-1 <= b <= c), (b, c, verdict)
+        assert {c: tuple(bs) for c, bs in unknown.items()} == QUADRATIC_UNKNOWN
+        assert answers == {"yes": 147, "no": 60, "unknown": 80}

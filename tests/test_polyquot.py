@@ -138,6 +138,31 @@ class TestNormalize:
         with pytest.raises(ValidationError, match="leading coefficient"):
             QuotRing(padded)
 
+    def test_base_error_texts(self):
+        # validate_system leaves the base check to QuotRing: the texts stay
+        # those of one ValidationError per bad base
+        unit = (
+            "p0 = {} is a unit: the residue ring modulo the base is trivial, so the digit "
+            "set degenerates to a single digit"
+        )
+        cases = [
+            (Z, parse_poly(Z, "5"), "the base polynomial must have degree at least 1"),
+            (Z, Poly(Z, (3, 1, 0)), "the leading coefficient of the base polynomial is zero"),
+            (
+                Z,
+                parse_poly(Z, "3x^2+x"),
+                "the constant coefficient p0 of the base polynomial is zero",
+            ),
+            (Z, parse_poly(Z, "2x-1"), unit.format(-1)),
+            (ZI, parse_poly(ZI, "x+i"), unit.format("i")),
+            (F2, parse_poly(F2, "y*x+1"), unit.format(1)),
+        ]
+        for ring, modulus, text in cases:
+            for build in (lambda: QuotRing(modulus), lambda: validate_system(ring, modulus, [0])):
+                with pytest.raises(ValidationError) as info:
+                    build()
+                assert info.value.violations == [text] and str(info.value) == text
+
     def test_tail_entries_lie_in_lead_residues(self):
         rng = random.Random(11)
         q = qring("2x^2+3x+6")

@@ -15,14 +15,22 @@ byte-identical is checked with
     PYTHONPATH=src python3 tools/output_corpus.py > after.txt
     diff before.txt after.txt
 
+The corpus runs twice in one process, and only the first pass is
+printed.  The second finds the process-wide tables of the library (the
+closure rows of constant digit sets, the F_p[y] dividers) filled by the
+first, so it shows that what those tables hold never changes output.
+
 The exit status is 0 when every invocation returned an exit code of the
-CLI (0, 1 or 2), every ``--json`` report parsed and every library
-system expanded; it is 1 when one raised or printed anything else.
+CLI (0, 1 or 2), every ``--json`` report parsed, every library system
+expanded and the second pass printed the same bytes as the first; it is
+1 when one raised or printed anything else, or the passes differed
+(their diff goes to stderr).
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -181,23 +189,42 @@ def expansions(ring, poly: str, digits: str, elements: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main_corpus() -> int:
-    failed = 0
+def corpus_pass() -> tuple[str, int]:
+    """The printed corpus, once, and the number of invocations that failed."""
+    parts, failed = [], 0
     for argv, dot in CORPUS:
         for extra in ([], ["--json"]):
             ok, record = run(argv + extra, dot)
-            print(f"=== digsys {' '.join(argv + extra)}{' --dot ' + dot if dot else ''}")
-            print(record, end="")
+            parts.append(f"=== digsys {' '.join(argv + extra)}{' --dot ' + dot if dot else ''}\n")
+            parts.append(record)
             failed += not ok
     for ring, poly, digits, elements in LIBRARY:
-        print(f"=== library {ring.name} {poly} digits {digits}")
+        parts.append(f"=== library {ring.name} {poly} digits {digits}\n")
         try:
-            print(expansions(ring, poly, digits, elements), end="")
+            parts.append(expansions(ring, poly, digits, elements))
         except Exception:
-            print(f"raised:\n{traceback.format_exc()}", end="")
+            parts.append(f"raised:\n{traceback.format_exc()}")
             failed += 1
-    print(f"=== {len(CORPUS)} invocations, text and --json, and {len(LIBRARY)} library systems; "
-          f"{failed} failed")
+    parts.append(f"=== {len(CORPUS)} invocations, text and --json, and {len(LIBRARY)} library "
+                 f"systems; {failed} failed\n")
+    return "".join(parts), failed
+
+
+def main_corpus() -> int:
+    first, failed = corpus_pass()
+    sys.stdout.write(first)
+    # the second pass finds the process-wide tables (closure rows, F_p[y]
+    # dividers) filled by the first, so a warm table that changed any
+    # output would show here
+    second, _ = corpus_pass()
+    if second != first:
+        sys.stderr.writelines(
+            difflib.unified_diff(
+                first.splitlines(True), second.splitlines(True), "first pass", "second pass"
+            )
+        )
+        print("the second pass printed different bytes", file=sys.stderr)
+        return 1
     return 1 if failed else 0
 
 

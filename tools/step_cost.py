@@ -15,7 +15,11 @@ d = 1 have a straight-line step; the other shapes take the generic one.
 Last, the cost of a witness closure per member it expands: the least CPU
 time of five ``witness_closure`` runs of the system from the first four
 walk starts, over the members expanded.  From those seeds every closure
-crosses its cap, so set-up is a small share of the time.
+crosses its cap, so set-up is a small share of the time.  Each run of
+the ``us/member`` column starts with the process-wide tables emptied
+(the closure rows that constant digit sets share, and the F_p[y]
+dividers), so it times a closure that builds its own rows; the ``warm``
+column times the same closures with the rows a first run left.
 
     PYTHONPATH=src python3 tools/step_cost.py
 
@@ -30,6 +34,7 @@ import time
 
 from digsys import Fp, FpPoly, GaussianInt, Z, ZI, parse_poly, validate_system, witness_closure
 from digsys.ffds import canonical_ff_digits
+from digsys.rings import _clear_shared
 
 STATES = 3000  # least states per shape, from as many walks as it takes
 CAP = 1000  # steps per walk
@@ -65,7 +70,8 @@ def _start(rng: random.Random, ring):
 
 def measure(ring, base: str, digits, seed: int = 1) -> tuple:
     """(states, us per step, us per walk step, closure members expanded,
-    us per member) of one shape."""
+    us per member with the shared tables emptied and with them warm) of one
+    shape."""
     modulus = parse_poly(ring, base)
     system = validate_system(
         ring, modulus, canonical_ff_digits(modulus) if digits is None else digits
@@ -96,13 +102,19 @@ def measure(ring, base: str, digits, seed: int = 1) -> tuple:
         witness_closure(system, atoms, CLOSURE_CAP, atoms=True)
 
     per_step, per_walk = _best(steps) / len(states) * 1e6, _best(walks) / len(states) * 1e6
-    return len(states), per_step, per_walk, members, _best(closure) / members * 1e6
+    cold = _best(closure, before=_clear_shared) / members * 1e6
+    closure()
+    warm = _best(closure) / members * 1e6
+    return len(states), per_step, per_walk, members, cold, warm
 
 
-def _best(run) -> float:
-    """The least CPU time of PASSES calls of ``run``, in seconds."""
+def _best(run, before=None) -> float:
+    """The least CPU time of PASSES calls of ``run``, in seconds; ``before``,
+    if given, is called untimed ahead of each."""
     times = []
     for _ in range(PASSES):
+        if before is not None:
+            before()
         t0 = time.thread_time()
         run()
         times.append(time.thread_time() - t0)
@@ -112,13 +124,13 @@ def _best(run) -> float:
 def main() -> None:
     print(
         f"{'shape':<12} {'base':<24} {'states':>6} {'us/step':>8} {'us/walk step':>12}"
-        f" {'members':>7} {'us/member':>9}"
+        f" {'members':>7} {'us/member':>9} {'warm':>6}"
     )
     for shape, ring, base, digits in SHAPES:
-        n, per_step, per_walk, members, per_member = measure(ring, base, digits)
+        n, per_step, per_walk, members, cold, warm = measure(ring, base, digits)
         print(
             f"{shape:<12} {base:<24} {n:>6} {per_step:>8.2f} {per_walk:>12.2f}"
-            f" {members:>7} {per_member:>9.2f}"
+            f" {members:>7} {cold:>9.2f} {warm:>6.2f}"
         )
 
 
