@@ -386,48 +386,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, system=True):
+    def common(p, steps=False, closure=False, system=True):
+        # each subcommand gets the caps it reads: steps, closure members
         if system:
             p.add_argument("--ring", required=True, help="Z, Zi or Fp:<p>")
             p.add_argument("--poly", required=True, help="base polynomial in x")
             p.add_argument("--digits", required=True, help="comma-separated digit list")
-        p.add_argument("--cap", type=int, default=DEFAULT_STEP_CAP, help="step budget")
-        p.add_argument(
-            "--witness-cap",
-            type=int,
-            default=witness.DEFAULT_CLOSURE_CAP,
-            help="witness closure size cap",
-        )
+        if steps:
+            p.add_argument("--cap", type=int, default=DEFAULT_STEP_CAP, help="step budget")
+        if closure:
+            p.add_argument(
+                "--witness-cap",
+                type=int,
+                default=witness.DEFAULT_CLOSURE_CAP,
+                help="witness closure size cap",
+            )
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("expand", help="digit sequence and classification of an element")
-    common(p)
+    common(p, steps=True)
     p.add_argument("--element", required=True)
     p.set_defaults(func=_run_expand)
 
     p = sub.add_parser("decide", help="finite/periodic expansion property verdicts")
-    common(p)
+    common(p, closure=True)
     p.add_argument("--mode", choices=("brunotte", "power"), default=None)
     p.set_defaults(func=_run_decide)
 
     p = sub.add_parser("zero-cycle", help="shortest digit string summing to zero")
-    common(p)
+    common(p, steps=True)
     p.set_defaults(func=_run_zero_cycle)
 
     p = sub.add_parser("witness", help="witness closure, orbit graph, verdicts")
-    common(p)
+    common(p, closure=True)
     p.add_argument("--mode", choices=("brunotte", "power"), default=None)
     p.add_argument("--dot", help="write the orbit graph to this DOT file")
     p.set_defaults(func=_run_witness)
 
     p = sub.add_parser("srs", help="shift-radix membership via the integer bridge")
-    common(p, system=False)
+    common(p, closure=True, system=False)
     p.add_argument("--r", required=True, help="comma-separated fractions, e.g. 3/5,-2/5")
     p.add_argument("--eps", default="0", help="offset in [0,1), e.g. 1/2")
     p.set_defaults(func=_run_srs)
 
     p = sub.add_parser("product", help="combined digit system on a product modulus")
-    common(p, system=False)
+    common(p, steps=True, closure=True, system=False)
     p.add_argument("--ring", default="Z", help="Z, Zi or Fp:<p>")
     p.add_argument(
         "--factors", required=True, help="semicolon-separated '<poly>:<digits>' pairs"
@@ -436,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run_product)
 
     p = sub.add_parser("ff", help="finite-field degree criterion and zero-cycle proof")
-    common(p, system=False)
+    common(p, steps=True, system=False)
     p.add_argument("--p", type=int, required=True, help="field characteristic")
     p.add_argument("--poly", required=True)
     p.add_argument("--digits", default=None, help="target digit set")

@@ -151,7 +151,7 @@ class DigitSystem:
         self.digits_constant = top <= 0
         self.k = max(qring.d, top)
         # by residue class, the coordinates of -f_e = (e_0 - e)/X, what T adds for a non-constant e
-        self._xoffsets = {} if self.digits_constant else {
+        self._offsets = {} if self.digits_constant else {
             r: qring.coords(-qring.divide_by_x(e - qring.from_const(e.constant)))
             for r, e in _lookup.items()
             if e.x_degree > 0
@@ -160,7 +160,7 @@ class DigitSystem:
         self._step, self._images = self.ring.dynamics(
             self.modulus.coeffs,
             _carry,
-            self._xoffsets,
+            self._offsets,
             lambda coords: qring.coords(qring.from_coords(coords)),
         )
 

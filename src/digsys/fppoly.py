@@ -434,19 +434,12 @@ class FpPolynomialRing(Ring):
                 r, q0 = divide(_reduce(c, p, k))
                 return r, sub(carry[r], q0)
 
-        def lift(r: int, constants) -> list:
-            out = []
-            for s in constants:
-                r1, q = divide(add(r, s))
-                out.append(sub(carry[r1], q))
-            return out
-
         def settle(q: tuple) -> tuple:
             while len(q) > d and not q[-1]:
                 q = q[:-1]
             return q
 
-        return _build(self, base, carry, offsets, head, lift, add, sub, settle)
+        return _build(self, base, carry, offsets, head, add, sub, settle)
 
     # -- text ----------------------------------------------------------------
 

@@ -273,18 +273,6 @@ def _fold(carry: dict, offsets: dict, d: int, zero) -> list | None:
     return tables + [{r: k + offsets[r][-1] if r in offsets else k for r, k in carry.items()}]
 
 
-def _distinct(entries: list, offs, own) -> tuple:
-    """The (row entry, x-offset or None) pairs of a closure row, each once in
-    first-occurrence order, less T(v)'s own pair (own, None)."""
-    if offs is None:
-        row = dict.fromkeys(entries)
-        row.pop(own, None)
-        return list(row), None
-    pairs = dict.fromkeys(zip(entries, offs))
-    pairs.pop((own, None), None)
-    return [c for c, _ in pairs], [o for _, o in pairs]
-
-
 class _RowTable:
     """The closure rows of constant digit sets, shared by every closure in
     the process whose key matches, least recently used out first.
@@ -293,8 +281,8 @@ class _RowTable:
     order).  For a constant digit set, a row depends on nothing else: the
     digits are a complete residue system mod p0, so those constants fix
     ``carry`` (the zero digit, where there is one, is the residue 0 with
-    carry 0), and ``lift`` and the deltas are functions of p0, ``carry``
-    and the constants.  So a shared row is the row a fresh closure builds,
+    carry 0), and the deltas are functions of p0, ``carry`` and the
+    constants.  So a shared row is the row a fresh closure builds,
     and scans over bases with one p0 and digit set, which differ only in
     p_1, ..., p_d, build each row once.
 
@@ -332,7 +320,7 @@ class _RowTable:
             slot = self._tables.get(key)
             if slot is None or slot[0] is not rows:
                 return  # evicted: the rows are the closure's own now
-            size = len(row[0]) + 1
+            size = len(row) + 1
             slot[1] += size
             self._size += size
             while self._size > self.entries:
@@ -359,9 +347,7 @@ SHARED_ROW_ENTRIES = 2**16
 _ROWS = _RowTable(SHARED_ROW_SETS, SHARED_ROW_ENTRIES)
 
 
-def _build(
-    ring, base: tuple, carry: dict, offsets: dict, head, lift, add, sub, settle, straight=None
-):
+def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle, straight=None):
     """T of a digit system on the atoms of flat coordinates
     v = (q_0, ..., q_{d-1}, r_0, r_1, ...), written once for every ring:
     ``Ring.dynamics`` binds it per system with its arithmetic on atoms.
@@ -375,11 +361,9 @@ def _build(
       c = r + q0*p0 of v, the dot product of v with the constant
       coefficients p_d, ..., p_1 of the basis w_0, ..., w_{d-1} and 1 of
       X^0, divided by p0 as ``Ring.divider`` divides;
-    * ``lift(r, constants)`` is, per constant s, carry[r'] - k for
-      r + s = r' + k*p0;
     * ``add`` and ``sub`` add and subtract two atoms;
-    * ``settle`` takes coordinates whose residue part is a sum of two
-      reduced ones to their reduced form;
+    * ``settle`` takes coordinates whose residue part is a sum or a
+      difference of reduced ones to their reduced form;
     * ``straight(generic)``, if given, is a straight-line step that falls
       back to the generic one: over Z with d = 1, 2 and Z[i] with d = 1,
       a state of exactly d coordinates, looked up in the tables into which
@@ -389,34 +373,34 @@ def _build(
 
     * ``step(v)`` is ``(r, w)``: the residue class r (an atom) of the digit
       taken off and the atoms w of T(v);
-    * ``images(constants, xoffsets)`` is, for one closure, the function
-      v -> [T(v), then the distinct T(v + e) != T(v) for the nonzero digits
-      e in first-occurrence order], given the constants e_0 of those digits
-      and, unless every digit is constant (then None), ``xoffsets(r)``: for
-      a residue r, in ring values, the atoms of the coordinates of what
-      T(v + e) adds for the x-parts of the digits (None where nothing).
+    * ``images(shifts)`` is, for one closure, the function v -> [T(v), then
+      each distinct T(v + e) != T(v) for the nonzero digits e in digit
+      order], given those digits in ring values: their constants when
+      every digit is constant (``offsets`` empty), else their coordinates.
 
     c and e_0 = r + q1*p0 share the residue r.  Since X*w_{d-1} = -p0,
     (c - e_0)/X = (q1 - q0)*w_{d-1}, which becomes the new last basis
     coordinate; r_1, r_2, ... shift down one place.  A digit that is not
     constant then takes f_e off.
 
-    v + e has the carry r' + (k + q0)*p0 with r + e_0 = r' + k*p0, so
-    T(v + e) is T(v) with the delta carry[r'] - k - carry[r] added to its
-    last basis coordinate, plus the x-part offsets.  One row of these
-    deltas, and of ``xoffsets(r)``, per residue r, is built when r first
-    appears, so a shift image of a constant digit set costs one addition.
-    The rows of a constant digit set depend only on p0 and its digits, so
-    every closure in the process with the same key shares them
-    (``_RowTable``, bounded by ``SHARED_ROW_SETS`` digit sets and
-    ``SHARED_ROW_ENTRIES`` row entries); a closure of a digit set that is
-    not constant keeps its own, which depend on the x-parts.
-    ``_distinct`` drops the pairs (entry, offset) that repeat or give T(v),
-    (carry[r], None), before the deltas are taken: a closure skips their
-    images, as it skips one that two other pairs share, so it stays the
-    same.  Canonical F_p[y] digits (y-degree < deg p0) leave [T(v)].
+    T(v + e) - T(v) = (e + e_r - e_r')/X, for the digits e_r and e_r' of
+    the classes r of v and r' of v + e, depends only on r and e.  So one
+    row of these deltas per residue r, built when r first appears, serves
+    every member of class r, and the row is taken from T itself, on the
+    state u = (0, ..., 0, r) of the constant r: the deltas T(u + e) - T(u),
+    less repeats and zero, so the images are distinct.  T folds r_0 into
+    the carry, so u + e needs no reduction.  For a constant e the delta
+    is head(u + e) - carry[r], a change in the last basis coordinate
+    only, so a shift image costs one addition; otherwise it is the
+    settled coordinate difference, added to T(v) as coordinates.  The rows
+    of a constant digit set depend only on p0 and its digits, so every
+    closure in the process with the same key shares them (``_RowTable``,
+    bounded by ``SHARED_ROW_SETS`` digit sets and ``SHARED_ROW_ENTRIES``
+    row entries); a closure of a digit set that is not constant keeps its
+    own.  Canonical F_p[y] digits (y-degree < deg p0) leave [T(v)].
     """
     atoms, zero, d = ring.atoms, ring.atoms((ring.zero,))[0], len(base) - 1
+    nil = (zero,) * d
 
     def add_coords(u: tuple, v: tuple) -> tuple:
         # basis coordinates add, and the residue parts, each reduced, are
@@ -438,39 +422,52 @@ def _build(
     if straight is not None:
         step = straight(step)
 
-    def images(constants, xoffsets):
-        constants = atoms(tuple(constants))
-        if xoffsets is None:
-            key = (ring, base[0], constants)
-            rows = _ROWS.rows(key)
-            keep = functools.partial(_ROWS.store, key, rows)
-        else:
-            rows = {}
-            keep = rows.__setitem__
+    def images(shifts):
+        if offsets:
+            shifts, rows = [atoms(s) for s in shifts], {}
+
+            def row(r) -> tuple:
+                u = nil + (r,)
+                own = step(u)[1]
+                found = dict.fromkeys(
+                    settle(tuple(starmap(sub, zip_longest(w, own, fillvalue=zero))))
+                    for w in (step(add_coords(u, s))[1] for s in shifts)
+                )
+                found.pop(nil, None)
+                rows[r] = found = tuple(found)
+                return found
+
+            def images(v: tuple) -> list:
+                r, w = step(v)
+                found = rows.get(r)
+                if found is None:
+                    found = row(r)
+                return [w] + [add_coords(w, c) for c in found]
+
+            return images
+
+        shifts = atoms(tuple(shifts))
+        key = (ring, base[0], shifts)
+        rows = _ROWS.rows(key)
 
         def row(r) -> tuple:
             own = carry[r]
-            offs = None if xoffsets is None else xoffsets(ring.values((r,))[0])
-            entries, offs = _distinct(lift(r, constants), offs, own)
-            built = [sub(c, own) for c in entries], offs
-            keep(r, built)
-            return built
+            found = dict.fromkeys(sub(head(nil + (add(r, s),))[1], own) for s in shifts)
+            found.pop(zero, None)
+            found = tuple(found)
+            _ROWS.store(key, rows, r, found)
+            return found
 
         def images(v: tuple) -> list:
             r, w = step(v)
-            cached = rows.get(r)
-            if cached is None:
-                cached = row(r)
-            deltas, offs = cached
+            deltas = rows.get(r)
+            if deltas is None:
+                deltas = row(r)
             front, last, tail = w[: d - 1], w[d - 1], w[d:]
             # members of the basis module, the common case, skip a concatenation
             if tail:
-                found = [front + (add(last, c),) + tail for c in deltas]
-            else:
-                found = [front + (add(last, c),) for c in deltas]
-            if offs is not None:
-                found = [u if o is None else add_coords(u, o) for u, o in zip(found, offs)]
-            return [w] + found
+                return [w] + [front + (add(last, c),) + tail for c in deltas]
+            return [w] + [front + (add(last, c),) for c in deltas]
 
         return images
 
@@ -627,13 +624,6 @@ class IntegerRing(Ring):
             q, r = divmod(sum(map(operator.mul, v, weights)), n)
             return r, signed(carry[r], q)
 
-        def lift(r, constants) -> list:
-            out = []
-            for s in constants:
-                q, r1 = divmod(r + s, n)
-                out.append(signed(carry[r1], q))
-            return out
-
         tables = _fold(carry, offsets, d, 0) if d <= 2 else None
 
         def straight(generic):
@@ -655,7 +645,7 @@ class IntegerRing(Ring):
             return step
 
         return _build(
-            self, base, carry, offsets, head, lift, operator.add, operator.sub, reduce,
+            self, base, carry, offsets, head, operator.add, operator.sub, reduce,
             None if tables is None else straight,
         )
 
@@ -770,17 +760,6 @@ class GaussianIntegerRing(Ring):
             kr, ki = carry[r]
             return r, (kr - qr, ki - qi)
 
-        def lift(r: tuple, constants) -> list:
-            rr, ri = r
-            out = []
-            for sr, si in constants:
-                cr, ci = rr + sr, ri + si
-                qr = (2 * (cr * mr + ci * mi) + bias) // n2
-                qi = (2 * (ci * mr - cr * mi) + bias) // n2
-                kr, ki = carry[cr - qr * mr + qi * mi, ci - qr * mi - qi * mr]
-                out.append((kr - qr, ki - qi))
-            return out
-
         def add(u: tuple, v: tuple) -> tuple:
             return (u[0] + v[0], u[1] + v[1])
 
@@ -805,7 +784,7 @@ class GaussianIntegerRing(Ring):
 
         # x-parts over a base of degree 1 have a residue part: only constant sets fold
         return _build(
-            self, base, carry, offsets, head, lift, add, sub,
+            self, base, carry, offsets, head, add, sub,
             lambda q: atoms(reduce(values(q))),
             straight if d == 1 and not offsets else None,
         )

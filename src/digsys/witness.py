@@ -15,9 +15,9 @@ the member that crosses it, so a capped closure holds cap + 1 members
 (or just its seeds, when they alone are more).
 
 One breadth-first loop builds every closure; it is given the images of
-a member v: T(v) first, then the other T(v + e) less repeats, which the
-loop, skipping what it holds, adds as it would add those of every digit.
-Members are the flat standard-representation
+a member v: T(v) first, then each distinct T(v + e) != T(v) in digit
+order, which the loop, skipping what it holds, adds as it would add
+those of every digit.  Members are the flat standard-representation
 coordinates of ``QuotRing.coords``, for every digit set and seed, in the
 atom form of the ring (``Ring.atoms``: the values over Z, plain
 ``(re, im)`` int pairs over Z[i], packed ints over F_p[y]), so set
@@ -27,13 +27,15 @@ seeds as +-e_i (and +-i*e_i over Z[i]); only power seeds are converted.
 The images come from the system's ``Ring.dynamics``, built by
 ``rings._build``: the carry of v is divided by p0 once per member; what
 T(v + e) adds to T(v) then depends only on its residue r and on e, so
-one row of those deltas per residue r is built when r first appears,
-and a shift image of a constant digit set costs one addition.  The rows
-of a constant digit set depend only on (ring, p0, its digits), so every
-closure in the process with that key shares them, in a table of at most
-256 digit sets and 2^16 row entries (``rings._RowTable``); a shared row
-is the row a fresh closure builds, so no closure depends on what the
-table holds.  The decisions read the atoms;
+one row of those deltas per residue r, taken from T itself, is built
+when r first appears, and a shift image of a constant digit set costs
+one addition.  This module passes only the digits: their constants, or
+their coordinates when they are not constant.  The rows of a constant
+digit set depend only on (ring, p0, its digits), so every closure in
+the process with that key shares them, in a table of at most 256 digit
+sets and 2^16 row entries (``rings._RowTable``); a shared row is the
+row a fresh closure builds, so no closure depends on what the table
+holds.  The decisions read the atoms;
 they become elements only when ``WitnessClosure.elements`` or a
 certificate (the "orbit_steps" mapping of a "yes" too) is first read,
 and ring-value coordinates only when ``members`` or ``succ`` is.
@@ -58,7 +60,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 
 from . import unitcircle
 from .digits import DigitSystem, rotate, walk
@@ -200,7 +201,10 @@ def witness_closure(
     """Least set containing the seed and closed under v -> T(v + e)
     for e in N and e = 0, or a flagged partial set of cap + 1 members (or
     just the seeds, when they are more) when the cap is crossed.  ``seed``
-    holds elements, or with ``atoms`` the atoms of their coordinates."""
+    holds elements, or with ``atoms`` the atoms of their coordinates; a
+    negative ``cap`` raises ValueError."""
+    if cap < 0:
+        raise ValueError("cap must be at least 0")
     qring = system.qring
     if not atoms:
         seed = [system.ring.atoms(qring.coords(v)) for v in seed]
@@ -231,35 +235,14 @@ def witness_closure(
 
 
 def _coordinate_images(system: DigitSystem):
-    """v -> [T(v), then the other T(v + e) less repeats, e != 0 in digit
-    order], on the atoms of flat coordinates, from ``Ring.dynamics``.
-    For digits that are not constant, T(v + e) also adds f_e + f_r - f_r'
-    for the x-parts f of e and of the digits of the classes r of v and
-    r' of v + e, summed once per residue r from the coordinates of each -f
-    and reduced only when their residue part leaves the residue system,
-    which never happens over F_p[y] (None where they cancel)."""
-    offsets = system._xoffsets
-    constants = [e.constant for e in system.digits if not e.is_zero]
-    if not offsets:
-        # every digit is constant: no x-parts, so no divisions for them
-        return system._images(constants, None)
-    qring, zero, atoms = system.qring, system.ring.zero, system.ring.atoms
-    d, divide, residue = qring.d, system._divide, qring._divide_pd
-    own = [offsets.get(divide(s)[0], ()) for s in constants]
-
-    def xoffsets(r) -> list:
-        out, mine = [], offsets.get(r, ())
-        for s, o in zip(constants, own):
-            parts = offsets.get(divide(r + s)[0], ()), o, mine
-            g = [a - b - c for a, b, c in zip_longest(*parts, fillvalue=zero)]
-            while len(g) > d and not g[-1]:
-                g.pop()
-            if any(residue(a)[1] for a in g[d:]):
-                g = qring.coords(qring.from_coords(g))
-            out.append(atoms(tuple(g)) if any(g) else None)
-        return out
-
-    return system._images(constants, xoffsets)
+    """v -> [T(v), then each distinct T(v + e) != T(v), e != 0 in digit
+    order], on the atoms of flat coordinates, from ``Ring.dynamics``: its
+    rows come from the constants of the digits, or from their coordinates
+    when the digits are not constant."""
+    shifts = [e for e in system.digits if not e.is_zero]
+    if system.digits_constant:
+        return system._images([e.constant for e in shifts])
+    return system._images(list(map(system.qring.coords, shifts)))
 
 
 def _seed_atoms(system: DigitSystem, mode: str) -> list:

@@ -153,6 +153,28 @@ class TestDecide:
         report = json.loads(out)
         assert report["result"]["euclidean_necessary_check"]["answer"] == "no"
 
+    def test_negative_witness_cap(self, capsys):
+        system = ["--ring", "Z", "--poly", "3x+2", "--digits", "0,1"]
+        for argv in (["decide", *system], ["witness", *system], ["srs", "--r", "3/5,-2/5"]):
+            code, out, err = run(capsys, *argv, "--witness-cap", "-1")
+            assert (code, out) == (1, ""), argv
+            assert "cap must be at least 0" in err
+
+    def test_caps_only_where_read(self, capsys):
+        # --cap bounds orbit walks and --witness-cap closures; a subcommand
+        # rejects the one it does not read
+        system = ["--ring", "Z", "--poly", "3x^2-2x+5", "--digits", "0,1,2,3,4"]
+        for argv in (
+            ["decide", *system, "--cap", "5"],
+            ["witness", *system, "--cap", "5"],
+            ["srs", "--r", "3/5,-2/5", "--cap", "5"],
+            ["expand", *system, "--element", "1", "--witness-cap", "5"],
+            ["zero-cycle", *system, "--witness-cap", "5"],
+            ["ff", "--p", "2", "--poly", "x^2+(y^2+y+1)", "--witness-cap", "5"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1 and "unrecognized arguments" in err, argv
+
 
 class TestZeroCycle:
     def test_example2(self, capsys):

@@ -193,20 +193,20 @@ class TestSharedRows:
     def test_least_recently_used_out_first(self):
         table = _RowTable(sets=2, entries=10)
         a, b = table.rows("a"), table.rows("b")
-        table.store("a", a, 0, ([1, 2], None))  # 3 entries
-        table.store("b", b, 0, ([1], None))  # 2 entries
+        table.store("a", a, 0, (1, 2))  # 3 entries
+        table.store("b", b, 0, (1,))  # 2 entries
         assert table.size() == (2, 5)
         assert table.rows("a") is a  # "a" is used again, so "b" is the oldest
         c = table.rows("c")  # a third digit set evicts "b"
         assert table.size() == (2, 3)
-        table.store("c", c, 0, ([1] * 6, None))  # 10 entries in all: within the bound
+        table.store("c", c, 0, (1,) * 6)  # 10 entries in all: within the bound
         assert table.size() == (2, 10)
-        table.store("c", c, 1, ([], None))  # one more evicts the oldest, "a"
+        table.store("c", c, 1, ())  # one more evicts the oldest, "a"
         assert table.size() == (1, 8) and table.rows("c") is c
         # a digit set past the bound by itself leaves the table, and its rows
         # stay with the closure that holds them
-        table.store("c", c, 2, ([1] * 20, None))
-        assert table.size() == (0, 0) and c[2] == ([1] * 20, None)
+        table.store("c", c, 2, (1,) * 20)
+        assert table.size() == (0, 0) and c[2] == (1,) * 20
         assert table.rows("c") is not c and table.rows("b") is not b
 
 

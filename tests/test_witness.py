@@ -105,6 +105,8 @@ class TestClosure:
             closure = witness_closure(system, seed, cap)
             assert (len(closure), closure.stabilized) == (size, False)
         assert witness_closure(system, seed, 0).rounds == 0
+        with pytest.raises(ValueError, match="cap must be at least 0"):
+            witness_closure(system, seed, -1)
 
     def test_stabilized_closures_verify(self):
         for system in (example1(), example1_symmetric(), example2(), gauss_example()):
@@ -156,10 +158,35 @@ class TestClosureOracle:
 
     def test_coordinate_images_in_digit_order(self):
         # T(v) first, then each distinct T(v + e) != T(v) over the nonzero
-        # digits in first-occurrence digit order, on the atoms of the coordinates
-        for system, cap in self.systems():
-            closure = witness_closure(system, seed_witnesses(system, "brunotte"), cap)
-            qring, element_of, atoms = system.qring, closure._element_of, system.ring.atoms
+        # digits in first-occurrence digit order, on the atoms of the
+        # coordinates; for constant digit sets, and for digits that are not:
+        # the listed ones of x^2+5x+6 and of a non-monic F2[y] base, whose
+        # members carry a residue part, and products over Z, Z[i] and F2[y]
+        F2 = Fp(2)
+        listed = [parse_poly(Z, t) for t in ("0", "1", "x+2", "x+3", "2x+4", "2x+5")]
+        f2_listed = [parse_poly(F2, t) for t in ("y^2+1", "y*x+1", "y", "y+1")]
+        non_constant = [
+            validate_system(Z, parse_poly(Z, "x^2+5x+6"), listed),
+            validate_system(F2, parse_poly(F2, "(y+1)x^2+y*x+(y^2+1)"), f2_listed),
+        ]
+        for ring, p1, n1, p2, n2 in (
+            (Z, "x+2", [0, 1], "x+3", [0, 1, 2]),
+            (ZI, "x+(2+i)", range(5), "x+(1+2i)", range(5)),
+            (F2, "x+y", [0, 1], "x+(y+1)", [0, 1]),
+        ):
+            factors = parse_poly(ring, p1), n1, parse_poly(ring, p2), n2
+            non_constant.append(product_digit_set(ring, *factors).combined)
+        shifted = residue_parts = 0
+        for system, cap in self.systems() + [(s, 300) for s in non_constant]:
+            qring, ring = system.qring, system.ring
+            if system.digits_constant:
+                seed = seed_witnesses(system, "brunotte")
+            else:
+                # the powers and 1 + X + X^2
+                extra = qring.from_coords((ring.zero,) * qring.d + (ring.one,) * 3)
+                seed = seed_witnesses(system, "power") | {extra}
+            closure = witness_closure(system, seed, cap)
+            element_of, atoms = closure._element_of, ring.atoms
             shifts = [e for e in system.digits if not e.is_zero]
             images = witness._coordinate_images(system)
             for v in sorted(closure.atom_succ, key=lambda u: qring.sort_key(element_of[u]))[:60]:
@@ -167,6 +194,10 @@ class TestClosureOracle:
                 want = [system.step(x)] + [system.step(x + e) for e in shifts]
                 want = [atoms(qring.coords(w)) for w in want]
                 assert images(v) == list(dict.fromkeys(want)), system
+                if not system.digits_constant:
+                    shifted += len(images(v)) > 1
+                    residue_parts += len(v) > qring.d
+        assert shifted >= 50 and residue_parts >= 5
 
     def test_matches_full_rows(self):
         # the closure rows hold each distinct image once: the closures are

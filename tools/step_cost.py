@@ -4,7 +4,10 @@ the dynamics.
 A shape is a coefficient ring and a base degree d: Z with d = 1, 2, 3,
 Z[i] with d = 1, 2, and F2[y], F3[y] and F131[y].  A second Z[i] shape
 with d = 2 has the 17 residues of p0 = 4+i as digits, so its closure
-rows, one division per digit, are the longest.  For each, the script
+rows, one carry step of T per digit, are the longest.  A second Z shape
+with d = 2 ("x-dig") has digits that are not constant in x, so its
+closures build their own rows of coordinate deltas, two T steps per
+digit, with nothing shared.  For each, the script
 walks fixed seeded starts of a fixed system, records the flat
 coordinate states (in atom form) the walks step from, and times the
 system's bound step on them: the least CPU time of five passes over the
@@ -46,7 +49,8 @@ CLOSURE_SEEDS = 4  # walk starts that seed the closure
 
 F2, F3, F131 = Fp(2), Fp(3), Fp(131)
 
-# (shape, ring, base, digits or None for the canonical F_p[y] digits)
+# (shape, ring, base, digits: values, element literals in one string, or
+# None for the canonical F_p[y] digits)
 SHAPES = [
     ("Z d=1", Z, "3x+2", [0, 1]),
     ("Z d=2", Z, "3x^2-2x+5", range(5)),
@@ -57,6 +61,7 @@ SHAPES = [
     ("F2[y] d=2", F2, "(y+1)x^2+y*x+(y^2+1)", None),
     ("F3[y] d=3", F3, "(y+1)x^3+2x+y", None),
     ("F131[y] d=2", F131, "x^2+2x+(3y+7)", range(131)),
+    ("Z d=2 x-dig", Z, "x^2+5x+6", "0, 1, x+2, x+3, 2x+4, 2x+5"),
 ]
 
 
@@ -73,9 +78,11 @@ def measure(ring, base: str, digits, seed: int = 1) -> tuple:
     us per member with the shared tables emptied and with them warm) of one
     shape."""
     modulus = parse_poly(ring, base)
-    system = validate_system(
-        ring, modulus, canonical_ff_digits(modulus) if digits is None else digits
-    )
+    if digits is None:
+        digits = canonical_ff_digits(modulus)
+    elif isinstance(digits, str):
+        digits = [parse_poly(ring, t) for t in digits.split(",")]
+    system = validate_system(ring, modulus, digits)
     q, rng, step = system.qring, random.Random(seed), system._step
     states, starts = [], []
     while len(states) < STATES:
