@@ -48,15 +48,10 @@ def _verdict_json(system: DigitSystem | None, verdict: witness.Verdict) -> dict:
         certificate["cycle"] = [fmt(v) for v in cert["cycle"]]
     if "orbit_steps" in cert:
         steps = cert["orbit_steps"]
-        certificate["orbit_steps"] = {
-            fmt(v): steps[v] for v in sorted(steps, key=fmt)
-        }
-    if "cap" in cert:
-        certificate["cap"] = cert["cap"]
-    if "rounds" in cert:
-        certificate["rounds"] = cert["rounds"]
-    if "mode" in cert:
-        certificate["mode"] = cert["mode"]
+        certificate["orbit_steps"] = {fmt(v): steps[v] for v in sorted(steps, key=fmt)}
+    for key in ("cap", "rounds", "mode"):
+        if key in cert:
+            certificate[key] = cert[key]
     return {
         "property": verdict.prop,
         "answer": verdict.answer,

@@ -27,14 +27,19 @@ ring (``Ring.atoms``): the value itself over Z, a plain ``(re, im)``
 pair of ints over Z[i], the packed int over F_p[y], so that walk states
 hash, compare and add without calling Python code.  ``Ring.dynamics``
 binds the arithmetic on atoms once per system, and ``rings._build``
-writes T out over it for every ring; elements, digits
-and ring-value coordinates are rebuilt only for results.  The
-representation is unique, so the results equal those of stepping
-elements with :meth:`DigitSystem.step`, the definition of T, which
-``digit_stream`` and the tests' oracles use.
+writes T out over it for every ring; elements, digits and ring-value
+coordinates are rebuilt only for results.  The representation is
+unique, so the results equal those of stepping elements with
+:meth:`DigitSystem.step`, the definition of T, which ``digit_stream``
+and the tests' oracles use.
 
-Digit systems are immutable after validation; orbit walks from
-different start elements are independent and deterministic.
+A system is a ``QuotRing`` plus a ``rings.DigitSet``, what the digits'
+constants alone fix: the residue check, the digit of each class and the
+carries.  A constant digit set is interned per (ring, p0, constants),
+so it is checked once for every base with that p0, and its digits
+become elements only when read.  Systems are immutable after
+validation; orbit walks from different starts are independent and
+deterministic.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Iterable, Iterator
 
 from .errors import ValidationError
 from .polyquot import Poly, QuotElem, QuotRing
-from .rings import Ring
+from .rings import _DIGIT_SETS, DigitSet, Ring
 
 DEFAULT_STEP_CAP = 10**6
 
@@ -138,37 +143,44 @@ class PeriodicSetReport:
 
 
 class DigitSystem:
-    """A validated digit system; build via :func:`validate_system`."""
+    """A validated digit system: a ``QuotRing`` plus a ``rings.DigitSet``,
+    what the digits' constants alone fix.  Build via :func:`validate_system`."""
 
-    def __init__(self, qring: QuotRing, digits: tuple, _lookup: dict, _carry: dict, top: int):
-        # top: the highest x-degree of the digits, as validate_system found it
+    def __init__(self, qring: QuotRing, digit_set: DigitSet, digits=None, top: int = 0):
+        # digits, of highest x-degree top: given when not all constant, else built when read
         self.qring = qring
         self.ring = qring.ring
         self.modulus = qring.modulus
-        self.digits = digits
-        self._lookup = _lookup
-        self._divide = qring._divide_p0
+        self.digit_set = digit_set
         self.digits_constant = top <= 0
         self.k = max(qring.d, top)
+        if digits is not None:
+            self.digits = digits
         # by residue class, the coordinates of -f_e = (e_0 - e)/X, what T adds for a non-constant e
         self._offsets = {} if self.digits_constant else {
-            r: qring.coords(-qring.divide_by_x(e - qring.from_const(e.constant)))
-            for r, e in _lookup.items()
+            r: self.ring.atoms(qring.coords(-qring.divide_by_x(e - qring.from_const(e.constant))))
+            for r, e in self._digit.items()
             if e.x_degree > 0
         }
         # T on the atoms of flat coordinates
         self._step, self._images = self.ring.dynamics(
             self.modulus.coeffs,
-            _carry,
+            digit_set.carry,
             self._offsets,
             lambda coords: qring.coords(qring.from_coords(coords)),
         )
 
     @cached_property
+    def digits(self) -> tuple:
+        """The digits as elements, in digit order; built when first read,
+        as decisions read only the digit set."""
+        qring = self.qring
+        return tuple(QuotElem(qring, (c,) if c else (), ()) for c in self.digit_set.constants)
+
+    @cached_property
     def _digit(self) -> dict:
-        """The digit of each residue atom that ``_step`` returns; built
-        for the first walk, as decisions do not read it."""
-        return dict(zip(self.ring.atoms(tuple(self._lookup)), self._lookup.values()))
+        """The digit of each residue atom that ``_step`` returns."""
+        return dict(zip(self.digit_set.carry, self.digits))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -183,14 +195,14 @@ class DigitSystem:
     def constant_digits(self) -> tuple:
         if not self.digits_constant:
             raise ValueError("digit set is not constant in x")
-        return tuple(d.constant for d in self.digits)
+        return self.digit_set.constants
 
     # -- the dynamics ---------------------------------------------------
 
     def digit_of(self, a: QuotElem) -> QuotElem:
         """The unique digit congruent to ``a`` modulo the base."""
         self.qring._check(a)
-        return self._lookup[self._divide(a.constant)[0]]
+        return self._digit[self.ring.atoms(self.qring._divide_p0(a.constant)[:1])[0]]
 
     def step(self, a: QuotElem) -> QuotElem:
         """One backward-division step (A - digit(A)) / X."""
@@ -321,47 +333,31 @@ class DigitSystem:
 
 def validate_system(ring: Ring, modulus: Poly, digits) -> DigitSystem:
     """Check every digit-system invariant; raise ValidationError listing
-    all violations, otherwise return the immutable system."""
-    violations: list[str] = []
+    all violations, otherwise return the immutable system.  A set of
+    constant digits is checked once per (ring, p0, constants)."""
     if modulus.ring != ring:
         raise ValidationError(["modulus is defined over a different ring"])
     # QuotRing checks the base, raising ValidationError with its violation
     qring = QuotRing(modulus)
-    p0 = qring.p0
-    normalized, top = [], 0
-    for d in digits:
-        if isinstance(d, QuotElem):
-            qring._check(d)
-            d = QuotElem(qring, d.low, d.tail)
-        elif isinstance(d, Poly):
-            d = qring.normalize(d)
-        else:  # a ring value: a constant digit, built directly
-            c = ring.coerce(d)
-            normalized.append(QuotElem(qring, (c,) if c else (), ()))
-            continue
-        top = max(top, d.x_degree)
-        normalized.append(d)
+    digits = tuple(digits)
+    if any(isinstance(d, (QuotElem, Poly)) for d in digits):
+        normalized = tuple(_element(qring, d) for d in digits)
+        constants = tuple(d.constant for d in normalized)
+        top = max(d.x_degree for d in normalized)
+    else:  # ring values, the common case: constant digits
+        constants, top = tuple(map(ring.coerce, digits)), 0
+    if top > 0:
+        digit_set = DigitSet(ring, qring.p0, constants, lambda i: qring.format(normalized[i]))
+        return DigitSystem(qring, digit_set, normalized, top)
+    digit_set = _DIGIT_SETS.get(
+        ring, qring.p0, constants, lambda i: qring.format(qring.from_const(constants[i]))
+    )
+    return DigitSystem(qring, digit_set)
 
-    expected = ring.quotient_size(p0)
-    if len(normalized) != expected:
-        violations.append(
-            f"the digit set has {len(normalized)} elements but the residue ring "
-            f"modulo {ring.format(p0)} has {expected}"
-        )
-    lookup: dict = {}
-    carry: dict = {}
-    divide = qring._divide_p0
-    for d in normalized:
-        key, q1 = divide(d.constant)
-        if key in lookup:
-            violations.append(
-                f"digits {qring.format(lookup[key])} and {qring.format(d)} lie in the "
-                f"same residue class (constant coefficients congruent to "
-                f"{ring.format(key)} mod {ring.format(p0)})"
-            )
-        else:
-            lookup[key] = d
-            carry[key] = q1
-    if violations:
-        raise ValidationError(violations)
-    return DigitSystem(qring, tuple(normalized), lookup, carry, top)
+
+def _element(qring: QuotRing, d) -> QuotElem:
+    """A digit (an element, a polynomial or a ring value) as an element."""
+    if isinstance(d, QuotElem):
+        qring._check(d)
+        return QuotElem(qring, d.low, d.tail)
+    return qring.normalize(d) if isinstance(d, Poly) else qring.from_const(d)

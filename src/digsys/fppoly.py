@@ -413,14 +413,11 @@ class FpPolynomialRing(Ring):
         residue parts only loses its trailing zeros.  No FpPoly is built or
         compared per step."""
         p, width, d = self.p, _width(self.p), len(base) - 1
-        atoms = self.atoms
         add = operator.xor if p == 2 else functools.partial(_add, p)
         sub = operator.xor if p == 2 else functools.partial(_sub, p)
         divide = _divider(p, base[0][1])
-        weights = atoms(tuple(reversed(base[1:])) + (self.one,))
+        weights = self.atoms(tuple(reversed(base[1:])) + (self.one,))
         k = _kron_width(p, sum(_slots(x, width) for x in weights))
-        carry = {r[1]: q[1] for r, q in carry.items()}
-        offsets = {r[1]: atoms(o) for r, o in offsets.items()}
 
         if k == width:
             def head(v: tuple) -> tuple:

@@ -39,9 +39,10 @@ F_p[y] the packed int of :mod:`digsys.fppoly`, which holds ``FpPoly``,
 re-exported here.
 
 All values are immutable and all operations are pure, so they may be
-shared freely between threads.  The one process-wide state, the closure
-rows shared by constant digit sets (``_RowTable``) and the F_p[y]
-dividers, is bounded, and what it holds never changes a result.
+shared freely between threads.  The one process-wide state, the
+constant digit sets interned per (ring, p0, constants) with their
+closure rows (``_DigitSets``) and the F_p[y] dividers, is bounded, and
+what it holds never changes a result.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import threading
 from collections import OrderedDict
 from itertools import starmap, zip_longest
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 NEG_INF = float("-inf")
 
@@ -273,78 +274,102 @@ def _fold(carry: dict, offsets: dict, d: int, zero) -> list | None:
     return tables + [{r: k + offsets[r][-1] if r in offsets else k for r, k in carry.items()}]
 
 
-class _RowTable:
-    """The closure rows of constant digit sets, shared by every closure in
-    the process whose key matches, least recently used out first.
+class DigitSet:
+    """The part of a digit system fixed by its digits' constants alone.
+    Digits are a complete residue system mod X exactly when their constants
+    e_0 = r + q1*p0 are one mod p0, so the check, the digit of each class
+    r, the carries and the closure rows depend on (ring, p0, constants),
+    not on p_1, ..., p_d.  ``constants`` are ring values in digit order; in
+    atoms, ``carry`` maps each r to q1 in digit order (its i-th key is the
+    class of digit i), ``shifts`` holds the nonzero constants and ``rows``
+    the rows ``_build`` fills.  Building one raises ValidationError listing
+    a wrong count and each digit (digit i is ``name(i)``) in the class of
+    an earlier one."""
 
-    A key is (ring, p0, the atoms of the nonzero digit constants in digit
-    order).  For a constant digit set, a row depends on nothing else: the
-    digits are a complete residue system mod p0, so those constants fix
-    ``carry`` (the zero digit, where there is one, is the residue 0 with
-    carry 0), and the deltas are functions of p0, ``carry`` and the
-    constants.  So a shared row is the row a fresh closure builds,
-    and scans over bases with one p0 and digit set, which differ only in
-    p_1, ..., p_d, build each row once.
+    __slots__ = ("ring", "p0", "constants", "carry", "shifts", "rows")
 
-    The table holds at most ``sets`` digit sets and ``entries`` row
-    entries in all, a row of k deltas counting k + 1; adding a row evicts
-    the least recently used digit sets until both hold, the one being
-    filled included (its closure then keeps the rows to itself).  Rows are
-    immutable once stored, and a row built twice by two threads is the
-    same row, so closures read and fill a digit set's rows without a lock;
-    only the table's own bookkeeping takes one."""
+    def __init__(self, ring, p0, constants: tuple, name):
+        self.ring, self.p0, self.constants = ring, p0, constants
+        self.carry, self.rows = {}, {}
+        self.shifts = ring.atoms(tuple(c for c in constants if c))
+        violations = []
+        if len(constants) != ring.quotient_size(p0):
+            violations.append(
+                f"the digit set has {len(constants)} elements but the residue ring "
+                f"modulo {ring.format(p0)} has {ring.quotient_size(p0)}"
+            )
+        divide, atoms, first = ring.divider(p0), ring.atoms, {}
+        for i, c in enumerate(constants):
+            key, q1 = atoms(divide(c))
+            if first.setdefault(key, i) != i:
+                violations.append(
+                    f"digits {name(first[key])} and {name(i)} lie in the "
+                    f"same residue class (constant coefficients congruent to "
+                    f"{ring.format(divide(c)[0])} mod {ring.format(p0)})"
+                )
+            else:
+                self.carry[key] = q1
+        if violations:
+            raise ValidationError(violations)
+
+
+class _DigitSets:
+    """The constant digit sets of the process, one per (ring, p0,
+    constants), least recently used out first: at most ``sets`` sets and
+    ``entries`` entries, a set of n digits counting n and a row of k deltas
+    k + 1.  Adding either evicts sets until both bounds hold, the one being
+    filled included (its systems keep it to themselves).  A stored row
+    never changes, and one built twice is the same row, so closures read
+    and fill rows without a lock; only the bookkeeping takes one."""
 
     def __init__(self, sets: int, entries: int):
         self.sets, self.entries = sets, entries
-        self._tables: OrderedDict = OrderedDict()  # key -> [rows, entries]
+        self._table: OrderedDict = OrderedDict()  # key -> [digit set, entries]
         self._size = 0
         self._lock = threading.Lock()
 
-    def rows(self, key) -> dict:
-        """The shared rows of ``key``, residue -> row, empty when new."""
+    def get(self, ring, p0, constants: tuple, name) -> DigitSet:
+        """The digit set of the key; a miss builds it as ``DigitSet`` does."""
+        key = (ring, p0, constants)
         with self._lock:
-            slot = self._tables.get(key)
+            slot = self._table.get(key)
             if slot is None:
-                slot = self._tables[key] = [{}, 0]
-                if len(self._tables) > self.sets:
-                    self._evict()
+                slot = self._table[key] = [DigitSet(ring, p0, constants, name), 0]
+                self._add(slot, len(constants))
             else:
-                self._tables.move_to_end(key)
+                self._table.move_to_end(key)
             return slot[0]
 
-    def store(self, key, rows: dict, r, row: tuple) -> None:
-        """Put ``row`` at residue ``r`` of ``rows``, the rows of ``key``."""
-        if rows.setdefault(r, row) is not row:
+    def store(self, digit_set: DigitSet, r, row: tuple) -> None:
+        """Put ``row`` at residue ``r`` of the rows of ``digit_set``."""
+        if digit_set.rows.setdefault(r, row) is not row:
             return  # another closure stored the same row first
         with self._lock:
-            slot = self._tables.get(key)
-            if slot is None or slot[0] is not rows:
-                return  # evicted: the rows are the closure's own now
-            size = len(row) + 1
-            slot[1] += size
-            self._size += size
-            while self._size > self.entries:
-                self._evict()
+            slot = self._table.get((digit_set.ring, digit_set.p0, digit_set.constants))
+            if slot is not None and slot[0] is digit_set:  # else evicted
+                self._add(slot, len(row) + 1)
 
-    def _evict(self) -> None:
-        _, (_, size) = self._tables.popitem(last=False)
-        self._size -= size
+    def _add(self, slot: list, size: int) -> None:
+        slot[1] += size
+        self._size += size
+        while len(self._table) > self.sets or self._size > self.entries:
+            self._size -= self._table.popitem(last=False)[1][1]
 
     def size(self) -> tuple:
-        """(digit sets, row entries) held."""
+        """(digit sets, entries) held."""
         with self._lock:
-            return len(self._tables), self._size
+            return len(self._table), self._size
 
     def clear(self) -> None:
         with self._lock:
-            self._tables.clear()
+            self._table.clear()
             self._size = 0
 
 
-# the bound of the shared closure rows: digit sets, and row entries in all
-SHARED_ROW_SETS = 256
-SHARED_ROW_ENTRIES = 2**16
-_ROWS = _RowTable(SHARED_ROW_SETS, SHARED_ROW_ENTRIES)
+# the bound of the interned digit sets: sets, and entries in all
+SHARED_DIGIT_SETS = 256
+SHARED_ENTRIES = 2**16
+_DIGIT_SETS = _DigitSets(SHARED_DIGIT_SETS, SHARED_ENTRIES)
 
 
 def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle, straight=None):
@@ -352,10 +377,9 @@ def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle
     v = (q_0, ..., q_{d-1}, r_0, r_1, ...), written once for every ring:
     ``Ring.dynamics`` binds it per system with its arithmetic on atoms.
     A base P of degree d has the coefficients p_0, ..., p_d of ``base``
-    (ring values); ``carry`` maps the residue r of each digit's constant
-    e_0 = r + q1*p0 to q1, and ``offsets`` maps r to the coordinates of
-    -f_e for a digit e = e_0 + X*f_e that is not constant, both in atoms.
-    The kernels:
+    (ring values).  In atoms, ``carry`` is the ``DigitSet.carry`` of the
+    digits, and ``offsets`` maps the residue r of a digit e = e_0 + X*f_e
+    that is not constant to the coordinates of -f_e.  The kernels:
 
     * ``head(v)`` is ``(r, carry[r] - q0)`` for the constant coefficient
       c = r + q0*p0 of v, the dot product of v with the constant
@@ -373,10 +397,10 @@ def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle
 
     * ``step(v)`` is ``(r, w)``: the residue class r (an atom) of the digit
       taken off and the atoms w of T(v);
-    * ``images(shifts)`` is, for one closure, the function v -> [T(v), then
+    * ``images(source)`` is, for one closure, the function v -> [T(v), then
       each distinct T(v + e) != T(v) for the nonzero digits e in digit
-      order], given those digits in ring values: their constants when
-      every digit is constant (``offsets`` empty), else their coordinates.
+      order], given the ``DigitSet`` when every digit is constant
+      (``offsets`` empty), else those digits' coordinates in ring values.
 
     c and e_0 = r + q1*p0 share the residue r.  Since X*w_{d-1} = -p0,
     (c - e_0)/X = (q1 - q0)*w_{d-1}, which becomes the new last basis
@@ -393,11 +417,10 @@ def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle
     is head(u + e) - carry[r], a change in the last basis coordinate
     only, so a shift image costs one addition; otherwise it is the
     settled coordinate difference, added to T(v) as coordinates.  The rows
-    of a constant digit set depend only on p0 and its digits, so every
-    closure in the process with the same key shares them (``_RowTable``,
-    bounded by ``SHARED_ROW_SETS`` digit sets and ``SHARED_ROW_ENTRIES``
-    row entries); a closure of a digit set that is not constant keeps its
-    own.  Canonical F_p[y] digits (y-degree < deg p0) leave [T(v)].
+    of a constant digit set depend only on p0 and its digits, so they are
+    its ``DigitSet.rows``, shared by the closures of every system holding
+    that interned set (``_DigitSets``); a closure of a digit set that is
+    not constant keeps its own.  Canonical F_p[y] digits leave [T(v)].
     """
     atoms, zero, d = ring.atoms, ring.atoms((ring.zero,))[0], len(base) - 1
     nil = (zero,) * d
@@ -422,9 +445,9 @@ def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle
     if straight is not None:
         step = straight(step)
 
-    def images(shifts):
+    def images(source):
         if offsets:
-            shifts, rows = [atoms(s) for s in shifts], {}
+            shifts, rows = [atoms(s) for s in source], {}
 
             def row(r) -> tuple:
                 u = nil + (r,)
@@ -446,16 +469,14 @@ def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle
 
             return images
 
-        shifts = atoms(tuple(shifts))
-        key = (ring, base[0], shifts)
-        rows = _ROWS.rows(key)
+        shifts, rows = source.shifts, source.rows
 
         def row(r) -> tuple:
             own = carry[r]
             found = dict.fromkeys(sub(head(nil + (add(r, s),))[1], own) for s in shifts)
             found.pop(zero, None)
             found = tuple(found)
-            _ROWS.store(key, rows, r, found)
+            _DIGIT_SETS.store(source, r, found)
             return found
 
         def images(v: tuple) -> list:
@@ -539,9 +560,9 @@ class Ring:
     def dynamics(self, base: tuple, carry: dict, offsets: dict, reduce):
         """T of a digit system on the atoms of flat coordinates, bound once
         per system: the ``(step, images)`` of ``_build`` with this ring's
-        arithmetic on atoms.  In ring values, ``base`` holds the
-        coefficients p_0, ..., p_d of the base, ``carry`` and ``offsets``
-        are those of ``_build``, and ``reduce`` takes coordinates with an
+        arithmetic on atoms.  ``base`` holds the coefficients p_0, ...,
+        p_d of the base in ring values, ``carry`` and ``offsets`` are those
+        of ``_build``, in atoms, and ``reduce`` takes coordinates with an
         unreduced residue part to their reduced form."""
         raise NotImplementedError
 
@@ -746,8 +767,6 @@ class GaussianIntegerRing(Ring):
         bias, n2 = n - 1, 2 * n
         atoms, values = self.atoms, self.values
         weights = atoms(tuple(reversed(base[1:])) + (self.one,))
-        carry = {tuple(r): tuple(q) for r, q in carry.items()}
-        offsets = {tuple(r): atoms(o) for r, o in offsets.items()}
 
         def head(v: tuple) -> tuple:
             cr = ci = 0
@@ -832,10 +851,11 @@ from .fppoly import Fp, FpPoly, FpPolynomialRing, _divider  # noqa: E402
 
 
 def _clear_shared() -> None:
-    """Empty the process-wide tables, the shared closure rows and the F_p[y]
-    dividers, so that the next closures build theirs afresh.  Systems
-    already built keep the dividers they hold."""
-    _ROWS.clear()
+    """Empty the process-wide tables, the interned digit sets with their
+    closure rows and the F_p[y] dividers, so that the next systems build
+    theirs afresh.  Systems already built keep the digit sets and dividers
+    they hold."""
+    _DIGIT_SETS.clear()
     _divider.cache_clear()
 
 

@@ -29,13 +29,14 @@ The images come from the system's ``Ring.dynamics``, built by
 T(v + e) adds to T(v) then depends only on its residue r and on e, so
 one row of those deltas per residue r, taken from T itself, is built
 when r first appears, and a shift image of a constant digit set costs
-one addition.  This module passes only the digits: their constants, or
-their coordinates when they are not constant.  The rows of a constant
-digit set depend only on (ring, p0, its digits), so every closure in
-the process with that key shares them, in a table of at most 256 digit
-sets and 2^16 row entries (``rings._RowTable``); a shared row is the
-row a fresh closure builds, so no closure depends on what the table
-holds.  The decisions read the atoms;
+one addition.  This module passes the system's ``DigitSet``, or the
+digits' coordinates when they are not constant.  The rows of a constant
+digit set depend only on (ring, p0, its digits), so they live on that
+set, interned per key for the process in a table of at most 256 digit
+sets and 2^16 entries (``rings._DigitSets``); a shared row is the row a
+fresh closure builds, so no closure depends on what the table holds,
+and the basis seeds are built once per ring and degree.  The decisions
+read the atoms;
 they become elements only when ``WitnessClosure.elements`` or a
 certificate (the "orbit_steps" mapping of a "yes" too) is first read,
 and ring-value coordinates only when ``members`` or ``succ`` is.
@@ -236,26 +237,30 @@ def witness_closure(
 
 def _coordinate_images(system: DigitSystem):
     """v -> [T(v), then each distinct T(v + e) != T(v), e != 0 in digit
-    order], on the atoms of flat coordinates, from ``Ring.dynamics``: its
-    rows come from the constants of the digits, or from their coordinates
-    when the digits are not constant."""
-    shifts = [e for e in system.digits if not e.is_zero]
+    order] on atoms, from ``Ring.dynamics`` given the system's digit set,
+    or the digits' coordinates when they are not constant."""
     if system.digits_constant:
-        return system._images([e.constant for e in shifts])
-    return system._images(list(map(system.qring.coords, shifts)))
+        return system._images(system.digit_set)
+    return system._images([system.qring.coords(e) for e in system.digits if not e.is_zero])
 
 
-def _seed_atoms(system: DigitSystem, mode: str) -> list:
-    """The atoms of ``seed_witnesses(system, mode)``: the basis w_i has the
-    coordinates e_i, so its seeds are built as +-e_i (+-i*e_i over Z[i])."""
-    ring, d = system.ring, system.qring.d
-    if mode != "brunotte" or not system.digits_constant:
-        return [ring.atoms(system.qring.coords(g)) for g in seed_witnesses(system, mode)]
+def _seed_atoms(system: DigitSystem, mode: str) -> tuple:
+    """The atoms of ``seed_witnesses(system, mode)``."""
+    if mode == "brunotte" and system.digits_constant:
+        return _basis_atoms(system.ring, system.qring.d)
+    atoms, coords = system.ring.atoms, system.qring.coords
+    return tuple(atoms(coords(g)) for g in seed_witnesses(system, mode))
+
+
+@lru_cache(maxsize=64)
+def _basis_atoms(ring, d: int) -> tuple:
+    """The basis seeds of every base of degree d over ``ring``: w_i has the
+    coordinates e_i, so they are +-e_i (and +-i*e_i over Z[i])."""
     units = [ring.one, -ring.one]
     if isinstance(ring, GaussianIntegerRing):
         units += [GaussianInt(0, 1), GaussianInt(0, -1)]
-    zero = ring.zero
-    return [ring.atoms((zero,) * i + (u,) + (zero,) * (d - 1 - i)) for u in units for i in range(d)]
+    nil = (ring.zero,) * d
+    return tuple(ring.atoms(nil[:i] + (u,) + nil[i + 1 :]) for u in units for i in range(d))
 
 
 @lru_cache(maxsize=1)
@@ -421,7 +426,10 @@ def decide_pep(
 
 def orbit_graph(system: DigitSystem, elements, growth_cap: int = 100_000) -> OrbitGraph:
     """The T-action graph on the given set, extended (if needed) until
-    every node's image is itself a node."""
+    every node's image is itself a node; ValueError when that adds more
+    than ``growth_cap`` nodes, or the cap is negative."""
+    if growth_cap < 0:
+        raise ValueError("growth_cap must be at least 0")
     qring = system.qring
     nodes = set(elements)
     succ = {}

@@ -549,6 +549,16 @@ class TestOrbitGraph:
         graph = orbit_graph(example1(), [])
         assert graph.to_dot() == "digraph T {\n}\n"
 
+    def test_negative_growth_cap(self):
+        # refused up front, whether the graph is closed already (the loop
+        # at 0) or would have to grow
+        system = example1()
+        for start in (system.qring.zero, system.qring.from_const(7)):
+            for cap in (-5, -1):
+                with pytest.raises(ValueError, match="growth_cap must be at least 0"):
+                    orbit_graph(system, [start], growth_cap=cap)
+        assert orbit_graph(system, [system.qring.zero], growth_cap=0).nodes == (system.qring.zero,)
+
 
 class TestEuclideanCheck:
     def test_inconclusive_when_expanding(self):

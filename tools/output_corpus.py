@@ -17,8 +17,9 @@ byte-identical is checked with
 
 The corpus runs twice in one process, and only the first pass is
 printed.  The second finds the process-wide tables of the library (the
-closure rows of constant digit sets, the F_p[y] dividers) filled by the
-first, so it shows that what those tables hold never changes output.
+interned constant digit sets with their closure rows, the F_p[y]
+dividers) filled by the first, so it shows that what those tables hold
+never changes output.
 
 The exit status is 0 when every invocation returned an exit code of the
 CLI (0, 1 or 2), every ``--json`` report parsed, every library system

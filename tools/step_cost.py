@@ -20,9 +20,15 @@ time of five ``witness_closure`` runs of the system from the first four
 walk starts, over the members expanded.  From those seeds every closure
 crosses its cap, so set-up is a small share of the time.  Each run of
 the ``us/member`` column starts with the process-wide tables emptied
-(the closure rows that constant digit sets share, and the F_p[y]
-dividers), so it times a closure that builds its own rows; the ``warm``
-column times the same closures with the rows a first run left.
+(the interned constant digit sets with the closure rows they share, and
+the F_p[y] dividers) and the system validated again, so it times a
+closure that builds its own rows; the ``warm`` column times the same
+closures with the rows a first run left.  Last, the set-up of a system:
+the ``us/system`` column is the least CPU time of five
+``validate_system`` calls, each with the tables emptied first, so that
+it checks its digit set and builds its divisions anew, and the ``warm``
+column beside it the same with the digit set of an earlier call
+interned.
 
     PYTHONPATH=src python3 tools/step_cost.py
 
@@ -75,14 +81,18 @@ def _start(rng: random.Random, ring):
 
 def measure(ring, base: str, digits, seed: int = 1) -> tuple:
     """(states, us per step, us per walk step, closure members expanded,
-    us per member with the shared tables emptied and with them warm) of one
-    shape."""
+    us per member with the shared tables emptied and with them warm, us
+    per system set-up emptied and warm) of one shape."""
     modulus = parse_poly(ring, base)
     if digits is None:
         digits = canonical_ff_digits(modulus)
     elif isinstance(digits, str):
         digits = [parse_poly(ring, t) for t in digits.split(",")]
-    system = validate_system(ring, modulus, digits)
+
+    def validate():
+        return validate_system(ring, modulus, digits)
+
+    system = validate()
     q, rng, step = system.qring, random.Random(seed), system._step
     states, starts = [], []
     while len(states) < STATES:
@@ -108,11 +118,19 @@ def measure(ring, base: str, digits, seed: int = 1) -> tuple:
     def closure():
         witness_closure(system, atoms, CLOSURE_CAP, atoms=True)
 
+    def fresh():
+        # the system holds its digit set and rows, so a cold closure needs a new one
+        nonlocal system
+        _clear_shared()
+        system = validate()
+
     per_step, per_walk = _best(steps) / len(states) * 1e6, _best(walks) / len(states) * 1e6
-    cold = _best(closure, before=_clear_shared) / members * 1e6
+    cold = _best(closure, before=fresh) / members * 1e6
     closure()
     warm = _best(closure) / members * 1e6
-    return len(states), per_step, per_walk, members, cold, warm
+    setup_cold = _best(validate, before=_clear_shared) * 1e6
+    setup_warm = _best(validate) * 1e6
+    return len(states), per_step, per_walk, members, cold, warm, setup_cold, setup_warm
 
 
 def _best(run, before=None) -> float:
@@ -131,13 +149,13 @@ def _best(run, before=None) -> float:
 def main() -> None:
     print(
         f"{'shape':<12} {'base':<24} {'states':>6} {'us/step':>8} {'us/walk step':>12}"
-        f" {'members':>7} {'us/member':>9} {'warm':>6}"
+        f" {'members':>7} {'us/member':>9} {'warm':>6} {'us/system':>9} {'warm':>6}"
     )
     for shape, ring, base, digits in SHAPES:
-        n, per_step, per_walk, members, cold, warm = measure(ring, base, digits)
+        n, per_step, per_walk, members, cold, warm, setup, setup_warm = measure(ring, base, digits)
         print(
             f"{shape:<12} {base:<24} {n:>6} {per_step:>8.2f} {per_walk:>12.2f}"
-            f" {members:>7} {cold:>9.2f} {warm:>6.2f}"
+            f" {members:>7} {cold:>9.2f} {warm:>6.2f} {setup:>9.2f} {setup_warm:>6.2f}"
         )
 
 
