@@ -12,10 +12,13 @@ The classification of orbits declares "finite" at the first arrival at
 running through the cycle of 0) is available separately via
 :meth:`DigitSystem.digit_stream`.
 
-Every orbit in the library (digit sequences and product expansions,
-the zero cycle, the periodic set, closure orbit statuses, shift-radix
-orbits and window chains) is followed by the one walker :func:`walk`,
-and its cycles are put in canonical order by :func:`rotate`.
+Single orbits (digit sequences, expansions, product expansions and the
+zero cycle) are followed by :meth:`DigitSystem._orbit`, which keeps a
+checkpoint instead of every state and steps in segments of the ``run``
+loop that ``Ring.dynamics`` binds.  Orbits that run into a set of known
+states (the periodic set, closure orbit statuses, shift-radix orbits and
+window chains) are followed by :func:`walk`, and cycles are put in
+canonical order by :func:`rotate`.
 
 Digit sequences, expansions (product expansions too), the zero cycle,
 the periodic set and witness closures run T on the flat coordinates
@@ -82,6 +85,17 @@ def walk(start, step, known, cap: int | None = None) -> tuple:
         state = step(state)
         n += 1
     return "known", path, state
+
+
+def _cycle_start(record, t: int, period: int) -> int:
+    """Where the cycle of an orbit starts, given that its states t and
+    t + period are equal and ``record`` holds its digits' positions up to
+    there: a state is its digit plus X times the next one, so states i and
+    i + period are equal exactly when states i + 1 and i + 1 + period are
+    and digits i and i + period agree."""
+    while t and record[t - 1] == record[t - 1 + period]:
+        t -= 1
+    return t
 
 
 def rotate(cycle, key=None) -> tuple:
@@ -163,9 +177,9 @@ class DigitSystem:
             if e.x_degree > 0
         }
         # T on the atoms of flat coordinates
-        self._step, self._images = self.ring.dynamics(
+        self._step, self._images, self._run = self.ring.dynamics(
             self.modulus.coeffs,
-            digit_set.carry,
+            digit_set,
             self._offsets,
             lambda coords: qring.coords(qring.from_coords(coords)),
         )
@@ -224,29 +238,82 @@ class DigitSystem:
     def _orbit(self, a: QuotElem, cap: int) -> DigitSequence:
         """The orbit of ``a`` under T, followed on the atoms of its flat
         coordinates until it reaches 0, repeats a state or has taken
-        ``cap`` steps (``cap`` may be 0).  The coordinates are unique, so
-        states and elements correspond one to one and the result is that
-        of stepping the elements."""
-        digits: list[QuotElem] = []
-        emit = digits.append
-        digit, carry_step = self._digit, self._step
+        ``cap`` steps (``cap`` may be 0, a negative one raises ValueError).
+        The coordinates are unique, so states and elements correspond one
+        to one and the result is that of stepping the elements.
 
-        def step(v):
-            r, w = carry_step(v)
-            emit(digit[r])
-            return w
+        The walk keeps two states, the current one and a checkpoint, and
+        records the position of each digit.  The checkpoint is the state
+        after t steps, renewed after max(32, t/8) more; the first return
+        to it, n steps in, gives the period n - t, and the digits scanned
+        back from t give where the cycle starts (``_cycle_start``).  Past
+        the cap, ``_past_cap`` decides whether the state at the cap was a
+        repeat."""
+        if cap < 0:
+            raise ValueError("cap must be at least 0")
+        run, atoms = self._run, self.ring.atoms
+        state, zero = atoms(self.qring.coords(a)), atoms((self.ring.zero,) * self.qring.d)
+        # bytes while the positions fit in one, for the search past the cap
+        record = bytearray() if len(self.digit_set.carry) <= 256 else []
+        emit = record.append
+        # a residue part shifts out one place per step: the first segment
+        # takes it off, so that the straight loops take every later one
+        n = t = 0
+        checkpoint, end = state, len(state) - len(zero) or 32
+        while state != zero:
+            if n == cap:
+                return self._past_cap(state, zero, record, cap)
+            k, state = run(state, min(end, cap) - n, checkpoint, emit)
+            n += k
+            if state == checkpoint:
+                return self._periodic(record, _cycle_start(record, t, n - t), n - t)
+            if n == end:
+                t, checkpoint, end = n, state, n + max(32, n // 8)
+        return DigitSequence(self._digits_of(record, n), "finite", steps=n)
 
-        atoms = self.ring.atoms
-        start, zero = atoms(self.qring.coords(a)), atoms((self.ring.zero,) * self.qring.d)
-        kind, path, hit = walk(start, step, (zero,), cap)
-        n = len(path)
-        if kind == "known":
-            return DigitSequence(tuple(digits), "finite", steps=n)
-        if kind == "cycle":
-            return DigitSequence(
-                tuple(digits), "eventually-periodic", preperiod=hit, period=n - hit
-            )
-        return DigitSequence(tuple(digits), "unknown", cap=cap)
+    def _past_cap(self, state: tuple, zero: tuple, record, cap: int) -> DigitSequence:
+        """The orbit at ``cap`` steps, ``state`` neither 0 nor met again yet.
+
+        The state after ``cap`` steps repeats an earlier one exactly when
+        it lies on a cycle of some period p that starts at most cap - p
+        steps in.  Its digits then repeat those p places back, so the walk
+        goes on from it, in segments of doubling length and for at most
+        ``cap`` more steps, only while the digits since the cap occur in
+        the record at a shift of at most ``cap``.  It ends on a return to
+        that state, at 0 or when no shift fits, and the digits are cut
+        back to ``cap``."""
+        n, checkpoint, j, size = cap, state, 0, 16
+        emit = record.append
+        while cap and n < 2 * cap:
+            k, state = self._run(state, min(size, 2 * cap - n), checkpoint, emit)
+            n += k
+            if state == checkpoint:
+                start = _cycle_start(record, cap, n - cap)
+                if start + n - cap <= cap:
+                    return self._periodic(record, start, n - cap)
+                break
+            if state == zero:
+                break
+            # the leftmost fitting shift only moves right as the digits grow
+            text = record if isinstance(record, bytearray) else "".join(map(chr, record))
+            j = text.find(text[cap:n], j, n - 1)
+            if j < 0:
+                break
+            size *= 2
+        return DigitSequence(self._digits_of(record, cap), "unknown", cap=cap)
+
+    def _periodic(self, record, start: int, period: int) -> DigitSequence:
+        return DigitSequence(
+            self._digits_of(record, start + period),
+            "eventually-periodic",
+            preperiod=start,
+            period=period,
+        )
+
+    def _digits_of(self, record, n: int) -> tuple:
+        """The first ``n`` recorded digit positions as digits."""
+        del record[n:]
+        return tuple(map(self.digits.__getitem__, record))
 
     def expand(self, a: QuotElem, cap: int = DEFAULT_STEP_CAP) -> Expansion:
         seq = self.digit_sequence(a, cap)

@@ -118,7 +118,13 @@ class FpPoly(tuple):
 # -- packed-int kernels -----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+# most entries each per-prime cache (``Fp``, ``_width``, ``_plane``) keeps,
+# least recently used out first, so a process that meets many
+# characteristics holds a bounded number of rings and tables
+SHARED_PRIMES = 256
+
+
+@functools.lru_cache(maxsize=SHARED_PRIMES)
 def _width(p: int) -> int:
     """Bytes per coefficient slot: the least w with 2(p-1) < 256^w, so a
     slot holds a sum of two residues, or p plus a residue, uncarried."""
@@ -165,7 +171,7 @@ def _reverse(n: int, slots: int, w: int) -> int:
     return _pack((cs + (0,) * (slots - len(cs)))[::-1], w)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=SHARED_PRIMES)
 def _plane(p: int, j: int) -> bytes:
     """byte b -> b * 256^j mod p, for one byte plane of a wider slot."""
     return bytes(b * pow(256, j, p) % p for b in range(256))
@@ -402,7 +408,7 @@ class FpPolynomialRing(Ring):
         p = self.p
         return tuple(_new(FpPoly, (p, n)) for n in atoms)
 
-    def dynamics(self, base: tuple, carry: dict, offsets: dict, reduce):
+    def dynamics(self, base: tuple, digit_set, offsets: dict, reduce):
         """``_build`` on packed ints.  The carry sum(q_i p_{d-i}) + r_0 is
         one sum of int products, reduced once: its slots hold at most
         (p-1)^2 * sum(slots(p_i)), so the slot width is picked here, once per
@@ -413,6 +419,7 @@ class FpPolynomialRing(Ring):
         residue parts only loses its trailing zeros.  No FpPoly is built or
         compared per step."""
         p, width, d = self.p, _width(self.p), len(base) - 1
+        carry = digit_set.carry
         add = operator.xor if p == 2 else functools.partial(_add, p)
         sub = operator.xor if p == 2 else functools.partial(_sub, p)
         divide = _divider(p, base[0][1])
@@ -436,7 +443,7 @@ class FpPolynomialRing(Ring):
                 q = q[:-1]
             return q
 
-        return _build(self, base, carry, offsets, head, add, sub, settle)
+        return _build(self, base, digit_set, offsets, head, add, sub, settle)
 
     # -- text ----------------------------------------------------------------
 
@@ -487,6 +494,6 @@ class FpPolynomialRing(Ring):
         return (a.degree, a.coeffs)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=SHARED_PRIMES)
 def Fp(p: int) -> FpPolynomialRing:
     return FpPolynomialRing(p)

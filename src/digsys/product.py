@@ -4,7 +4,7 @@ Given digit systems with constant digit sets on the factors, the
 combined digit set is {d + e*P1 : d in N1, e in N2} (and, for more
 factors, d1 + d2*P1 + d3*P1*P2 + ...).  The combined system is an
 ordinary digit system, so an element expands by T of the combined
-system, on the one orbit walker of :mod:`digsys.digits`, for any
+system, on the single-orbit walker of :mod:`digsys.digits`, for any
 number of factors.  For two factors, the coupled pair of backward
 divisions on the factor coefficient streams emits the same digit
 stream and is the tests' oracle for it; its states (a, b)

@@ -282,11 +282,12 @@ class DigitSet:
     not on p_1, ..., p_d.  ``constants`` are ring values in digit order; in
     atoms, ``carry`` maps each r to q1 in digit order (its i-th key is the
     class of digit i), ``shifts`` holds the nonzero constants and ``rows``
-    the rows ``_build`` fills.  Building one raises ValidationError listing
-    a wrong count and each digit (digit i is ``name(i)``) in the class of
-    an earlier one."""
+    the rows ``_build`` fills, and ``position`` maps each r to the position
+    of its digit, what orbit walks record per step.  Building one raises
+    ValidationError listing a wrong count and each digit (digit i is
+    ``name(i)``) in the class of an earlier one."""
 
-    __slots__ = ("ring", "p0", "constants", "carry", "shifts", "rows")
+    __slots__ = ("ring", "p0", "constants", "carry", "position", "shifts", "rows")
 
     def __init__(self, ring, p0, constants: tuple, name):
         self.ring, self.p0, self.constants = ring, p0, constants
@@ -299,6 +300,7 @@ class DigitSet:
                 f"modulo {ring.format(p0)} has {ring.quotient_size(p0)}"
             )
         divide, atoms, first = ring.divider(p0), ring.atoms, {}
+        self.position = first
         for i, c in enumerate(constants):
             key, q1 = atoms(divide(c))
             if first.setdefault(key, i) != i:
@@ -372,14 +374,15 @@ SHARED_ENTRIES = 2**16
 _DIGIT_SETS = _DigitSets(SHARED_DIGIT_SETS, SHARED_ENTRIES)
 
 
-def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle, straight=None):
+def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, straight=None):
     """T of a digit system on the atoms of flat coordinates
     v = (q_0, ..., q_{d-1}, r_0, r_1, ...), written once for every ring:
     ``Ring.dynamics`` binds it per system with its arithmetic on atoms.
     A base P of degree d has the coefficients p_0, ..., p_d of ``base``
     (ring values).  In atoms, ``carry`` is the ``DigitSet.carry`` of the
-    digits, and ``offsets`` maps the residue r of a digit e = e_0 + X*f_e
-    that is not constant to the coordinates of -f_e.  The kernels:
+    system's ``digit_set``, and ``offsets`` maps the residue r of a digit
+    e = e_0 + X*f_e that is not constant to the coordinates of -f_e.  The
+    kernels:
 
     * ``head(v)`` is ``(r, carry[r] - q0)`` for the constant coefficient
       c = r + q0*p0 of v, the dot product of v with the constant
@@ -388,19 +391,25 @@ def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle
     * ``add`` and ``sub`` add and subtract two atoms;
     * ``settle`` takes coordinates whose residue part is a sum or a
       difference of reduced ones to their reduced form;
-    * ``straight(generic)``, if given, is a straight-line step that falls
-      back to the generic one: over Z with d = 1, 2 and Z[i] with d = 1,
-      a state of exactly d coordinates, looked up in the tables into which
-      ``_fold`` folds the x-parts.
+    * ``straight(step, run)``, if given, is a straight-line ``step`` and
+      ``run`` that fall back to the generic ones given unless the state
+      has exactly d coordinates, over Z with d = 1, 2 and Z[i] with
+      d = 1: the state is looked up in the tables into which ``_fold``
+      folds the x-parts, and ``run`` keeps it in locals.
 
-    Returns ``(step, images)``:
+    Returns ``(step, images, run)``:
 
     * ``step(v)`` is ``(r, w)``: the residue class r (an atom) of the digit
       taken off and the atoms w of T(v);
     * ``images(source)`` is, for one closure, the function v -> [T(v), then
       each distinct T(v + e) != T(v) for the nonzero digits e in digit
       order], given the ``DigitSet`` when every digit is constant
-      (``offsets`` empty), else those digits' coordinates in ring values.
+      (``offsets`` empty), else those digits' coordinates in ring values;
+    * ``run(v, count, checkpoint, emit)`` steps v at most ``count`` (>= 1)
+      times, calls ``emit`` with the ``DigitSet.position`` of each digit
+      taken off, and stops early at the state 0 or at ``checkpoint``; it
+      returns ``(steps, state)``.  Single orbit walks step in segments of
+      it, so the straight loops make no Python call per step.
 
     c and e_0 = r + q1*p0 share the residue r.  Since X*w_{d-1} = -p0,
     (c - e_0)/X = (q1 - q0)*w_{d-1}, which becomes the new last basis
@@ -422,6 +431,7 @@ def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle
     that interned set (``_DigitSets``); a closure of a digit set that is
     not constant keeps its own.  Canonical F_p[y] digits leave [T(v)].
     """
+    carry, position = digit_set.carry, digit_set.position
     atoms, zero, d = ring.atoms, ring.atoms((ring.zero,))[0], len(base) - 1
     nil = (zero,) * d
 
@@ -442,8 +452,16 @@ def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle
             w = add_coords(w, offsets[r])
         return r, w
 
+    def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
+        for n in range(1, count + 1):
+            r, v = step(v)
+            emit(position[r])
+            if v == checkpoint or v == nil:
+                return n, v
+        return count, v
+
     if straight is not None:
-        step = straight(step)
+        step, run = straight(step, run)
 
     def images(source):
         if offsets:
@@ -492,7 +510,7 @@ def _build(ring, base: tuple, carry: dict, offsets: dict, head, add, sub, settle
 
         return images
 
-    return step, images
+    return step, images, run
 
 
 class Ring:
@@ -557,13 +575,14 @@ class Ring:
         """The ring values of a tuple of atoms; inverse of ``atoms``."""
         return atoms
 
-    def dynamics(self, base: tuple, carry: dict, offsets: dict, reduce):
+    def dynamics(self, base: tuple, digit_set, offsets: dict, reduce):
         """T of a digit system on the atoms of flat coordinates, bound once
-        per system: the ``(step, images)`` of ``_build`` with this ring's
-        arithmetic on atoms.  ``base`` holds the coefficients p_0, ...,
-        p_d of the base in ring values, ``carry`` and ``offsets`` are those
-        of ``_build``, in atoms, and ``reduce`` takes coordinates with an
-        unreduced residue part to their reduced form."""
+        per system: the ``(step, images, run)`` of ``_build`` with this
+        ring's arithmetic on atoms, ``run`` the segment walker of single
+        orbits.  ``base`` holds the coefficients p_0, ..., p_d of the base
+        in ring values, ``digit_set`` is the system's ``DigitSet``,
+        ``offsets`` is that of ``_build``, in atoms, and ``reduce`` takes
+        coordinates with an unreduced residue part to their reduced form."""
         raise NotImplementedError
 
     # -- text ------------------------------------------------------------
@@ -633,13 +652,16 @@ class IntegerRing(Ring):
 
         return divide
 
-    def dynamics(self, base: tuple, carry: dict, offsets: dict, reduce):
+    def dynamics(self, base: tuple, digit_set, offsets: dict, reduce):
         """``_build`` on ints.  c = r + q*|p0| by ``divmod``, and q0 is q, or
         -q for p0 < 0 (hence ``signed``).  With d = 1, 2 a state of exactly
-        d coordinates takes a straight-line step."""
+        d coordinates takes a straight-line step, and ``run`` a loop that
+        keeps them in locals and picks the sign of q0 inline."""
         d, n = len(base) - 1, abs(base[0])
+        carry, position = digit_set.carry, digit_set.position
         weights = tuple(reversed(base[1:])) + (1,)
-        signed = operator.sub if base[0] > 0 else operator.add
+        down = base[0] > 0
+        signed = operator.sub if down else operator.add
 
         def head(v: tuple) -> tuple:
             q, r = divmod(sum(map(operator.mul, v, weights)), n)
@@ -647,7 +669,7 @@ class IntegerRing(Ring):
 
         tables = _fold(carry, offsets, d, 0) if d <= 2 else None
 
-        def straight(generic):
+        def straight(generic, generic_run):
             first, last = tables[0], tables[-1]
             p1, p2 = base[1], base[-1]
             if d == 1:
@@ -656,17 +678,46 @@ class IntegerRing(Ring):
                         return generic(v)
                     q, r = divmod(v[0] * p1, n)
                     return r, (signed(last[r], q),)
+
+                def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
+                    if len(v) != 1:
+                        return generic_run(v, count, checkpoint, emit)
+                    (a,) = v
+                    # a checkpoint with a residue part equals no state here
+                    (c,) = checkpoint if len(checkpoint) == 1 else (None,)
+                    for k in range(1, count + 1):
+                        q, r = divmod(a * p1, n)
+                        emit(position[r])
+                        a = last[r] - q if down else last[r] + q
+                        if a == c or not a:
+                            return k, (a,)
+                    return count, (a,)
             else:
+                shifted = bool(offsets)  # else the first table is all 0
+
                 def step(v: tuple) -> tuple:
                     if len(v) != 2:
                         return generic(v)
                     a, b = v
                     q, r = divmod(a * p2 + b * p1, n)
                     return r, (b + first[r], signed(last[r], q))
-            return step
+
+                def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
+                    if len(v) != 2:
+                        return generic_run(v, count, checkpoint, emit)
+                    a, b = v
+                    ca, cb = checkpoint if len(checkpoint) == 2 else (None, None)
+                    for k in range(1, count + 1):
+                        q, r = divmod(a * p2 + b * p1, n)
+                        emit(position[r])
+                        a, b = b + first[r] if shifted else b, last[r] - q if down else last[r] + q
+                        if b == cb and a == ca or not b and not a:
+                            return k, (a, b)
+                    return count, (a, b)
+            return step, run
 
         return _build(
-            self, base, carry, offsets, head, operator.add, operator.sub, reduce,
+            self, base, digit_set, offsets, head, operator.add, operator.sub, reduce,
             None if tables is None else straight,
         )
 
@@ -756,13 +807,15 @@ class GaussianIntegerRing(Ring):
     def values(self, atoms: tuple) -> tuple:
         return tuple(map(_gaussian, atoms))
 
-    def dynamics(self, base: tuple, carry: dict, offsets: dict, reduce):
+    def dynamics(self, base: tuple, digit_set, offsets: dict, reduce):
         """``_build`` on int pairs (re, im): the dot product with the basis
         constants, the division by p0 (rounded as by ``divider``), the table
         lookups and the additions all unpack ints, and no GaussianInt is
         built or compared per step.  With d = 1 and constant digits, a state
-        of one coordinate takes a straight-line step."""
+        of one coordinate takes a straight-line step, and ``run`` a loop
+        that keeps its two ints in locals."""
         d, (mr, mi) = len(base) - 1, base[0]
+        carry, position = digit_set.carry, digit_set.position
         n = mr * mr + mi * mi
         bias, n2 = n - 1, 2 * n
         atoms, values = self.atoms, self.values
@@ -785,7 +838,7 @@ class GaussianIntegerRing(Ring):
         def sub(u: tuple, v: tuple) -> tuple:
             return (u[0] - v[0], u[1] - v[1])
 
-        def straight(generic):
+        def straight(generic, generic_run):
             ((pr, pi), _) = weights
 
             def step(v: tuple) -> tuple:
@@ -799,11 +852,29 @@ class GaussianIntegerRing(Ring):
                 kr, ki = carry[r]
                 return r, ((kr - qr, ki - qi),)
 
-            return step
+            def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
+                if len(v) != 1:
+                    return generic_run(v, count, checkpoint, emit)
+                ((a, b),) = v
+                # a checkpoint with a residue part equals no state here
+                ((ca, cb),) = checkpoint if len(checkpoint) == 1 else ((None, None),)
+                for k in range(1, count + 1):
+                    cr, ci = a * pr - b * pi, a * pi + b * pr
+                    qr = (2 * (cr * mr + ci * mi) + bias) // n2
+                    qi = (2 * (ci * mr - cr * mi) + bias) // n2
+                    r = (cr - qr * mr + qi * mi, ci - qr * mi - qi * mr)
+                    emit(position[r])
+                    kr, ki = carry[r]
+                    a, b = kr - qr, ki - qi
+                    if a == ca and b == cb or not a and not b:
+                        return k, ((a, b),)
+                return count, ((a, b),)
+
+            return step, run
 
         # x-parts over a base of degree 1 have a residue part: only constant sets fold
         return _build(
-            self, base, carry, offsets, head, add, sub,
+            self, base, digit_set, offsets, head, add, sub,
             lambda q: atoms(reduce(values(q))),
             straight if d == 1 and not offsets else None,
         )

@@ -214,7 +214,7 @@ def witness_closure(
     # breadth first from the sorted seeds: ``rounds`` counts levels, and the
     # members found are the same for every route to the seeds and hash seed
     frontier = sorted(seed)
-    elements = set(seed)
+    elements = set(frontier)
     succ = {}
     rounds = 0
     while frontier and len(elements) <= cap:
@@ -245,11 +245,12 @@ def _coordinate_images(system: DigitSystem):
 
 
 def _seed_atoms(system: DigitSystem, mode: str) -> tuple:
-    """The atoms of ``seed_witnesses(system, mode)``."""
+    """The atoms of ``seed_witnesses(system, mode)``, sorted, so that
+    closures list them in one order whatever the hash seed."""
     if mode == "brunotte" and system.digits_constant:
         return _basis_atoms(system.ring, system.qring.d)
     atoms, coords = system.ring.atoms, system.qring.coords
-    return tuple(atoms(coords(g)) for g in seed_witnesses(system, mode))
+    return tuple(sorted(atoms(coords(g)) for g in seed_witnesses(system, mode)))
 
 
 @lru_cache(maxsize=64)
@@ -260,7 +261,8 @@ def _basis_atoms(ring, d: int) -> tuple:
     if isinstance(ring, GaussianIntegerRing):
         units += [GaussianInt(0, 1), GaussianInt(0, -1)]
     nil = (ring.zero,) * d
-    return tuple(ring.atoms(nil[:i] + (u,) + nil[i + 1 :]) for u in units for i in range(d))
+    seeds = (ring.atoms(nil[:i] + (u,) + nil[i + 1 :]) for u in units for i in range(d))
+    return tuple(sorted(seeds))
 
 
 @lru_cache(maxsize=1)

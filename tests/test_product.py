@@ -121,6 +121,21 @@ class TestExpand:
             assert out == coupled_product_expand(psys, f, cap=5000)
             assert combined.evaluate(out.digits) == combined.qring.normalize(f)
 
+    def test_benchmark_sizes_match_oracles(self):
+        # the benchmark's product elements: degree 12, 500-digit coefficients;
+        # its own check compares two walks of the combined system, so here
+        # the digits are checked by value and by the coupled recurrence
+        rng = random.Random(500)
+        psys = two_three()
+        combined = psys.combined
+        for _ in range(5):
+            coeffs = [rng.choice((1, -1)) * rng.randrange(10**499, 10**500) for _ in range(13)]
+            f = Poly.make(Z, coeffs)
+            out = product_expand(psys, f, cap=10**5)
+            assert out.status == "finite" and len(out.digits) > 1000
+            assert combined.evaluate(out.digits) == combined.qring.normalize(f)
+            assert out == coupled_product_expand(psys, f, cap=10**5)
+
     def test_eventually_periodic_state(self):
         # base -X with digits {0,1} on the second factor never kills -1
         psys = product_digit_set(

@@ -27,9 +27,10 @@ from digsys import (
     witness,
     witness_closure,
 )
-from digsys.fppoly import SHARED_DIVIDERS, _divider
+from digsys.fppoly import SHARED_DIVIDERS, SHARED_PRIMES, _divider, _plane, _width
 from digsys.rings import (
     _DIGIT_SETS,
+    _is_prime,
     SHARED_DIGIT_SETS,
     SHARED_ENTRIES,
     _clear_shared,
@@ -408,6 +409,23 @@ class TestSharedDividers:
             F2.divider(m)(FpPoly(2, (1,) * 12))
             assert _divider.cache_info().currsize <= SHARED_DIVIDERS
         assert _divider.cache_info().currsize == SHARED_DIVIDERS
+
+    def test_per_prime_caches_bound(self):
+        # many characteristics keep at most the bound of rings, slot widths
+        # and byte planes; an evicted ring is rebuilt equal to the old one
+        first = Fp(1_000_003)
+        primes = [p for p in range(1_000_003, 1_100_000, 2) if _is_prime(p)][:2000]
+        assert len(primes) == 2000
+        for p in primes:
+            ring = Fp(p)
+            r, q = ring.divider(ring.parse("y+1"))(ring.parse("y^3+2"))
+            assert (r, q) == (ring.one, ring.parse(f"y^2+{p - 1}y+1"))
+        for cache in (Fp, _width, _plane):
+            assert cache.cache_info().currsize <= SHARED_PRIMES
+        again = Fp(1_000_003)
+        assert again is not first and again == first and hash(again) == hash(first)
+        assert Fp(1_000_003) == Fp(1_000_003)
+        assert first.parse("y+2") * first.parse("y") == again.parse("y^2+2y")
 
     def test_extended_series_divides_as_a_fresh_one(self):
         rng = random.Random(41)

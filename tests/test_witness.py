@@ -1,6 +1,9 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -392,6 +395,37 @@ class TestOrbitStepsCertificate:
         for v in verdicts:
             assert len(dict(v.certificate["orbit_steps"])) == v.witnesses
         assert len(calls) == sum(v.witnesses for v in verdicts)
+
+
+def test_seed_and_member_order_independent_of_hash_seed():
+    """The power seeds of a Z[i] system, its capped closure's atoms and a
+    "yes" certificate's orbit steps iterate in one order under every hash
+    seed: the seeds are sorted, and the closure inserts its members from
+    the sorted seeds on."""
+    script = (
+        "from digsys import GaussianInt, ZI, decide_fep, parse_poly, validate_system, witness\n"
+        "digits = [GaussianInt(-1, 0), GaussianInt(0, -1), 0, GaussianInt(0, 1), 1]\n"
+        "system = validate_system(ZI, parse_poly(ZI, 'i*x^2+3i*x+(2+i)'), digits)\n"
+        "seeds = witness._seed_atoms(system, 'power')\n"
+        "closure = witness.witness_closure(system, seeds, 150, atoms=True)\n"
+        "gauss = validate_system(ZI, parse_poly(ZI, '(1+i)x+(1+2i)'), range(5))\n"
+        "fep = decide_fep(gauss, mode='power')\n"
+        "print(list(seeds), closure.stabilized, len(closure), list(closure.atoms))\n"
+        "print(fep.answer, [gauss.qring.format(v) for v in fep.certificate['orbit_steps']])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(witness.__file__)))
+    runs = []
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1] == runs[2]
+    assert b"False 151" in runs[0] and b"yes [" in runs[0]
 
 
 class TestClosureCache:

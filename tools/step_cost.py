@@ -12,9 +12,17 @@ walks fixed seeded starts of a fixed system, records the flat
 coordinate states (in atom form) the walks step from, and times the
 system's bound step on them: the least CPU time of five passes over the
 same states.  It also prints the time per step of the same walks
-through ``digit_sequence``, which adds the walker's bookkeeping and the
-conversion of each start to coordinates.  Z with d = 1, 2 and Z[i] with
-d = 1 have a straight-line step; the other shapes take the generic one.
+through ``digit_sequence`` (``us/walk step``).  Those walks step in
+segments of the ``run`` loop that ``Ring.dynamics`` binds beside the
+step, so the column times the run loops, plus the walker's checkpoint
+and the conversion of each start to coordinates and of the recorded
+digit positions to digits.  Z with d = 1, 2 and Z[i] with d = 1 have a
+straight-line step and a run loop that keeps the state in locals; the
+other shapes take the generic step, and a run loop that calls it.  The
+``walk KB`` column is the tracemalloc peak of one walk of at most 10^4
+steps from the first start, less its digit tuple: the walk keeps two
+states and one byte per digit, so on the shapes whose orbits grow and
+run to the cap it is a small multiple of the last state.
 Last, the cost of a witness closure per member it expands: the least CPU
 time of five ``witness_closure`` runs of the system from the first four
 walk starts, over the members expanded.  From those seeds every closure
@@ -39,7 +47,9 @@ The numbers depend on the machine and gate nothing; run it with the
 from __future__ import annotations
 
 import random
+import sys
 import time
+import tracemalloc
 
 from digsys import Fp, FpPoly, GaussianInt, Z, ZI, parse_poly, validate_system, witness_closure
 from digsys.ffds import canonical_ff_digits
@@ -52,6 +62,7 @@ DIGITS = 60  # decimal digits of the integer start coefficients
 Y_DEGREE = 60  # y-degree of the F_p[y] start coefficients
 CLOSURE_CAP = 400  # members of a closure before it stops
 CLOSURE_SEEDS = 4  # walk starts that seed the closure
+WALK_CAP = 10**4  # steps of the walk whose memory peak is printed
 
 F2, F3, F131 = Fp(2), Fp(3), Fp(131)
 
@@ -80,9 +91,10 @@ def _start(rng: random.Random, ring):
 
 
 def measure(ring, base: str, digits, seed: int = 1) -> tuple:
-    """(states, us per step, us per walk step, closure members expanded,
-    us per member with the shared tables emptied and with them warm, us
-    per system set-up emptied and warm) of one shape."""
+    """(states, us per step, us per walk step, KB of a long walk,
+    closure members expanded, us per member with the shared tables emptied
+    and with them warm, us per system set-up emptied and warm) of one
+    shape."""
     modulus = parse_poly(ring, base)
     if digits is None:
         digits = canonical_ff_digits(modulus)
@@ -125,12 +137,18 @@ def measure(ring, base: str, digits, seed: int = 1) -> tuple:
         system = validate()
 
     per_step, per_walk = _best(steps) / len(states) * 1e6, _best(walks) / len(states) * 1e6
+    tracemalloc.start()
+    try:
+        seq = system.digit_sequence(starts[0], WALK_CAP)
+        walk_kb = (tracemalloc.get_traced_memory()[1] - sys.getsizeof(seq.digits)) / 1024
+    finally:
+        tracemalloc.stop()
     cold = _best(closure, before=fresh) / members * 1e6
     closure()
     warm = _best(closure) / members * 1e6
     setup_cold = _best(validate, before=_clear_shared) * 1e6
     setup_warm = _best(validate) * 1e6
-    return len(states), per_step, per_walk, members, cold, warm, setup_cold, setup_warm
+    return len(states), per_step, per_walk, walk_kb, members, cold, warm, setup_cold, setup_warm
 
 
 def _best(run, before=None) -> float:
@@ -149,13 +167,17 @@ def _best(run, before=None) -> float:
 def main() -> None:
     print(
         f"{'shape':<12} {'base':<24} {'states':>6} {'us/step':>8} {'us/walk step':>12}"
-        f" {'members':>7} {'us/member':>9} {'warm':>6} {'us/system':>9} {'warm':>6}"
+        f" {'walk KB':>7} {'members':>7} {'us/member':>9} {'warm':>6} {'us/system':>9}"
+        f" {'warm':>6}"
     )
     for shape, ring, base, digits in SHAPES:
-        n, per_step, per_walk, members, cold, warm, setup, setup_warm = measure(ring, base, digits)
+        n, per_step, per_walk, walk_kb, members, cold, warm, setup, setup_warm = measure(
+            ring, base, digits
+        )
         print(
             f"{shape:<12} {base:<24} {n:>6} {per_step:>8.2f} {per_walk:>12.2f}"
-            f" {members:>7} {cold:>9.2f} {warm:>6.2f} {setup:>9.2f} {setup_warm:>6.2f}"
+            f" {walk_kb:>7.1f} {members:>7} {cold:>9.2f} {warm:>6.2f} {setup:>9.2f}"
+            f" {setup_warm:>6.2f}"
         )
 
 
