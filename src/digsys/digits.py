@@ -177,7 +177,7 @@ class DigitSystem:
             if e.x_degree > 0
         }
         # T on the atoms of flat coordinates
-        self._step, self._images, self._run = self.ring.dynamics(
+        self._step, self._grow, self._run = self.ring.dynamics(
             self.modulus.coeffs,
             digit_set,
             self._offsets,

@@ -265,9 +265,11 @@ class _Scanner:
 
 def _fold(carry: dict, offsets: dict, d: int, zero) -> list | None:
     """Per basis coordinate i < d, r -> coordinate i of r's x-part offset, plus
-    carry[r] on the last: the straight-line tables (None for a residue part)."""
+    carry[r] on the last: the straight-line tables (None for a residue part).
+    A constant digit set has no x-parts, so its last table is ``carry`` and
+    the others, all 0, are None and never read."""
     if not offsets:
-        return [dict.fromkeys(carry, zero)] * (d - 1) + [carry]
+        return [None] * (d - 1) + [carry]
     if any(len(o) != d for o in offsets.values()):
         return None
     tables = [{r: offsets[r][i] if r in offsets else zero for r in carry} for i in range(d - 1)]
@@ -391,19 +393,24 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, 
     * ``add`` and ``sub`` add and subtract two atoms;
     * ``settle`` takes coordinates whose residue part is a sum or a
       difference of reduced ones to their reduced form;
-    * ``straight(step, run)``, if given, is a straight-line ``step`` and
-      ``run`` that fall back to the generic ones given unless the state
-      has exactly d coordinates, over Z with d = 1, 2 and Z[i] with
-      d = 1: the state is looked up in the tables into which ``_fold``
-      folds the x-parts, and ``run`` keeps it in locals.
+    * ``straight(step, grow, run)``, if given, returns a straight-line
+      ``step``, ``grow`` and ``run`` over Z with d = 1, 2 and Z[i] with
+      d = 1 (with d = 2 only ``grow``), which pass a state to the generic
+      ones given unless it has exactly d coordinates: the carry is looked
+      up in the tables into which ``_fold`` folds the x-parts, and the
+      loops keep the state in locals.
 
-    Returns ``(step, images, run)``:
+    Returns ``(step, grow, run)``:
 
     * ``step(v)`` is ``(r, w)``: the residue class r (an atom) of the digit
       taken off and the atoms w of T(v);
-    * ``images(source)`` is, for one closure, the function v -> [T(v), then
-      each distinct T(v + e) != T(v) for the nonzero digits e in digit
-      order], given the ``DigitSet`` when every digit is constant
+    * ``grow(source)`` is, for one closure, ``expand(frontier, members,
+      succ, cap)``, one breadth-first round in one loop: for each member v
+      of ``frontier`` in turn it sets ``succ[v]`` to T(v), then adds T(v)
+      and each distinct T(v + e) != T(v) for the nonzero digits e, in digit
+      order, to ``members`` and to the list it returns unless ``members``
+      holds it, and returns at once when ``members`` holds more than
+      ``cap``.  ``source`` is the ``DigitSet`` when every digit is constant
       (``offsets`` empty), else those digits' coordinates in ring values;
     * ``run(v, count, checkpoint, emit)`` steps v at most ``count`` (>= 1)
       times, calls ``emit`` with the ``DigitSet.position`` of each digit
@@ -429,7 +436,7 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, 
     of a constant digit set depend only on p0 and its digits, so they are
     its ``DigitSet.rows``, shared by the closures of every system holding
     that interned set (``_DigitSets``); a closure of a digit set that is
-    not constant keeps its own.  Canonical F_p[y] digits leave [T(v)].
+    not constant keeps its own.  Canonical F_p[y] digits leave T(v) alone.
     """
     carry, position = digit_set.carry, digit_set.position
     atoms, zero, d = ring.atoms, ring.atoms((ring.zero,))[0], len(base) - 1
@@ -460,10 +467,7 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, 
                 return n, v
         return count, v
 
-    if straight is not None:
-        step, run = straight(step, run)
-
-    def images(source):
+    def grow(source):
         if offsets:
             shifts, rows = [atoms(s) for s in source], {}
 
@@ -477,40 +481,47 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, 
                 found.pop(nil, None)
                 rows[r] = found = tuple(found)
                 return found
+        else:
+            shifts, rows = source.shifts, source.rows
 
-            def images(v: tuple) -> list:
+            def row(r) -> tuple:
+                own = carry[r]
+                found = dict.fromkeys(sub(head(nil + (add(r, s),))[1], own) for s in shifts)
+                found.pop(zero, None)
+                found = tuple(found)
+                _DIGIT_SETS.store(source, r, found)
+                return found
+
+        def expand(frontier: list, members: set, succ: dict, cap: int) -> list:
+            room, new = cap - len(members), []
+            for v in frontier:
                 r, w = step(v)
+                succ[v] = w
                 found = rows.get(r)
                 if found is None:
                     found = row(r)
-                return [w] + [add_coords(w, c) for c in found]
+                if not found:
+                    found = (w,)
+                elif offsets:
+                    found = [w] + [add_coords(w, c) for c in found]
+                else:
+                    front, last, tail = w[: d - 1], w[d - 1], w[d:]
+                    found = [w] + [front + (add(last, c),) + tail for c in found]
+                for w in found:
+                    if w not in members:
+                        members.add(w)
+                        new.append(w)
+                        room -= 1
+                        if room < 0:
+                            return new
+            return new
 
-            return images
+        return expand
 
-        shifts, rows = source.shifts, source.rows
+    if straight is not None:
+        step, grow, run = straight(step, grow, run)
 
-        def row(r) -> tuple:
-            own = carry[r]
-            found = dict.fromkeys(sub(head(nil + (add(r, s),))[1], own) for s in shifts)
-            found.pop(zero, None)
-            found = tuple(found)
-            _DIGIT_SETS.store(source, r, found)
-            return found
-
-        def images(v: tuple) -> list:
-            r, w = step(v)
-            deltas = rows.get(r)
-            if deltas is None:
-                deltas = row(r)
-            front, last, tail = w[: d - 1], w[d - 1], w[d:]
-            # members of the basis module, the common case, skip a concatenation
-            if tail:
-                return [w] + [front + (add(last, c),) + tail for c in deltas]
-            return [w] + [front + (add(last, c),) for c in deltas]
-
-        return images
-
-    return step, images, run
+    return step, grow, run
 
 
 class Ring:
@@ -577,12 +588,13 @@ class Ring:
 
     def dynamics(self, base: tuple, digit_set, offsets: dict, reduce):
         """T of a digit system on the atoms of flat coordinates, bound once
-        per system: the ``(step, images, run)`` of ``_build`` with this
-        ring's arithmetic on atoms, ``run`` the segment walker of single
-        orbits.  ``base`` holds the coefficients p_0, ..., p_d of the base
-        in ring values, ``digit_set`` is the system's ``DigitSet``,
-        ``offsets`` is that of ``_build``, in atoms, and ``reduce`` takes
-        coordinates with an unreduced residue part to their reduced form."""
+        per system: the ``(step, grow, run)`` of ``_build`` with this
+        ring's arithmetic on atoms, ``grow`` the breadth-first round of
+        closures and ``run`` the segment walker of single orbits.
+        ``base`` holds the coefficients p_0, ..., p_d of the base in ring
+        values, ``digit_set`` is the system's ``DigitSet``, ``offsets`` is
+        that of ``_build``, in atoms, and ``reduce`` takes coordinates with
+        an unreduced residue part to their reduced form."""
         raise NotImplementedError
 
     # -- text ------------------------------------------------------------
@@ -656,7 +668,8 @@ class IntegerRing(Ring):
         """``_build`` on ints.  c = r + q*|p0| by ``divmod``, and q0 is q, or
         -q for p0 < 0 (hence ``signed``).  With d = 1, 2 a state of exactly
         d coordinates takes a straight-line step, and ``run`` a loop that
-        keeps them in locals and picks the sign of q0 inline."""
+        keeps them in locals and picks the sign of q0 inline; so does the
+        closure round of a constant digit set for each member."""
         d, n = len(base) - 1, abs(base[0])
         carry, position = digit_set.carry, digit_set.position
         weights = tuple(reversed(base[1:])) + (1,)
@@ -668,8 +681,9 @@ class IntegerRing(Ring):
             return r, signed(carry[r], q)
 
         tables = _fold(carry, offsets, d, 0) if d <= 2 else None
+        shifted = bool(offsets)  # else no first table: the x-parts are all 0
 
-        def straight(generic, generic_run):
+        def straight(generic, generic_grow, generic_run):
             first, last = tables[0], tables[-1]
             p1, p2 = base[1], base[-1]
             if d == 1:
@@ -693,14 +707,12 @@ class IntegerRing(Ring):
                             return k, (a,)
                     return count, (a,)
             else:
-                shifted = bool(offsets)  # else the first table is all 0
-
                 def step(v: tuple) -> tuple:
                     if len(v) != 2:
                         return generic(v)
                     a, b = v
                     q, r = divmod(a * p2 + b * p1, n)
-                    return r, (b + first[r], signed(last[r], q))
+                    return r, (b + first[r] if shifted else b, signed(last[r], q))
 
                 def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
                     if len(v) != 2:
@@ -714,7 +726,51 @@ class IntegerRing(Ring):
                         if b == cb and a == ca or not b and not a:
                             return k, (a, b)
                     return count, (a, b)
-            return step, run
+
+            def grow(source):
+                expand_one, rows = generic_grow(source), source.rows
+
+                def expand(frontier: list, members: set, succ: dict, cap: int) -> list:
+                    room, new = cap - len(members), []
+                    for v in frontier:
+                        if len(v) == d:
+                            if d == 1:
+                                front = ()
+                                q, r = divmod(v[0] * p1, n)
+                            else:
+                                a, b = v
+                                front = (b,)
+                                q, r = divmod(a * p2 + b * p1, n)
+                            deltas = rows.get(r)
+                            if deltas is not None:
+                                t = last[r] - q if down else last[r] + q
+                                w = succ[v] = front + (t,)
+                                if w not in members:
+                                    members.add(w)
+                                    new.append(w)
+                                    room -= 1
+                                    if room < 0:
+                                        return new
+                                for c in deltas:
+                                    w = front + (t + c,)
+                                    if w not in members:
+                                        members.add(w)
+                                        new.append(w)
+                                        room -= 1
+                                        if room < 0:
+                                            return new
+                                continue
+                        # a residue part, or a residue whose row is not built yet
+                        new += expand_one([v], members, succ, cap)
+                        room = cap - len(members)
+                        if room < 0:
+                            return new
+                    return new
+
+                return expand
+
+            # the rows of a digit set that is not constant are coordinate deltas
+            return step, generic_grow if shifted else grow, run
 
         return _build(
             self, base, digit_set, offsets, head, operator.add, operator.sub, reduce,
@@ -813,7 +869,8 @@ class GaussianIntegerRing(Ring):
         lookups and the additions all unpack ints, and no GaussianInt is
         built or compared per step.  With d = 1 and constant digits, a state
         of one coordinate takes a straight-line step, and ``run`` a loop
-        that keeps its two ints in locals."""
+        that keeps its two ints in locals; with d = 1, 2 the closure round
+        of a constant digit set does the same for each member."""
         d, (mr, mi) = len(base) - 1, base[0]
         carry, position = digit_set.carry, digit_set.position
         n = mr * mr + mi * mi
@@ -838,45 +895,98 @@ class GaussianIntegerRing(Ring):
         def sub(u: tuple, v: tuple) -> tuple:
             return (u[0] - v[0], u[1] - v[1])
 
-        def straight(generic, generic_run):
-            ((pr, pi), _) = weights
-
-            def step(v: tuple) -> tuple:
-                if len(v) != 1:
-                    return generic(v)
-                ((a, b),) = v
-                cr, ci = a * pr - b * pi, a * pi + b * pr
-                qr = (2 * (cr * mr + ci * mi) + bias) // n2
-                qi = (2 * (ci * mr - cr * mi) + bias) // n2
-                r = (cr - qr * mr + qi * mi, ci - qr * mi - qi * mr)
-                kr, ki = carry[r]
-                return r, ((kr - qr, ki - qi),)
-
-            def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
-                if len(v) != 1:
-                    return generic_run(v, count, checkpoint, emit)
-                ((a, b),) = v
-                # a checkpoint with a residue part equals no state here
-                ((ca, cb),) = checkpoint if len(checkpoint) == 1 else ((None, None),)
-                for k in range(1, count + 1):
+        def straight(generic, generic_grow, generic_run):
+            # the constant coefficients of w_0 and w_{d-1}: p_d and p_1
+            (pr, pi), (sr, si) = weights[0], weights[d - 1]
+            if d == 1:
+                def step(v: tuple) -> tuple:
+                    if len(v) != 1:
+                        return generic(v)
+                    ((a, b),) = v
                     cr, ci = a * pr - b * pi, a * pi + b * pr
                     qr = (2 * (cr * mr + ci * mi) + bias) // n2
                     qi = (2 * (ci * mr - cr * mi) + bias) // n2
                     r = (cr - qr * mr + qi * mi, ci - qr * mi - qi * mr)
-                    emit(position[r])
                     kr, ki = carry[r]
-                    a, b = kr - qr, ki - qi
-                    if a == ca and b == cb or not a and not b:
-                        return k, ((a, b),)
-                return count, ((a, b),)
+                    return r, ((kr - qr, ki - qi),)
 
-            return step, run
+                def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
+                    if len(v) != 1:
+                        return generic_run(v, count, checkpoint, emit)
+                    ((a, b),) = v
+                    # a checkpoint with a residue part equals no state here
+                    ((ca, cb),) = checkpoint if len(checkpoint) == 1 else ((None, None),)
+                    for k in range(1, count + 1):
+                        cr, ci = a * pr - b * pi, a * pi + b * pr
+                        qr = (2 * (cr * mr + ci * mi) + bias) // n2
+                        qi = (2 * (ci * mr - cr * mi) + bias) // n2
+                        r = (cr - qr * mr + qi * mi, ci - qr * mi - qi * mr)
+                        emit(position[r])
+                        kr, ki = carry[r]
+                        a, b = kr - qr, ki - qi
+                        if a == ca and b == cb or not a and not b:
+                            return k, ((a, b),)
+                    return count, ((a, b),)
+            else:
+                step, run = generic, generic_run
 
-        # x-parts over a base of degree 1 have a residue part: only constant sets fold
+            def grow(source):
+                expand_one, rows = generic_grow(source), source.rows
+
+                def expand(frontier: list, members: set, succ: dict, cap: int) -> list:
+                    room, new = cap - len(members), []
+                    for v in frontier:
+                        if len(v) == d:
+                            if d == 1:
+                                front = ()
+                                ((a, b),) = v
+                                cr, ci = a * pr - b * pi, a * pi + b * pr
+                            else:
+                                (a, b), low = v
+                                front = (low,)
+                                c, e = low
+                                cr = a * pr - b * pi + c * sr - e * si
+                                ci = a * pi + b * pr + c * si + e * sr
+                            qr = (2 * (cr * mr + ci * mi) + bias) // n2
+                            qi = (2 * (ci * mr - cr * mi) + bias) // n2
+                            r = (cr - qr * mr + qi * mi, ci - qr * mi - qi * mr)
+                            deltas = rows.get(r)
+                            if deltas is not None:
+                                kr, ki = carry[r]
+                                kr -= qr
+                                ki -= qi
+                                w = succ[v] = front + ((kr, ki),)
+                                if w not in members:
+                                    members.add(w)
+                                    new.append(w)
+                                    room -= 1
+                                    if room < 0:
+                                        return new
+                                for dr, di in deltas:
+                                    w = front + ((kr + dr, ki + di),)
+                                    if w not in members:
+                                        members.add(w)
+                                        new.append(w)
+                                        room -= 1
+                                        if room < 0:
+                                            return new
+                                continue
+                        # a residue part, or a residue whose row is not built yet
+                        new += expand_one([v], members, succ, cap)
+                        room = cap - len(members)
+                        if room < 0:
+                            return new
+                    return new
+
+                return expand
+
+            return step, grow, run
+
+        # x-parts over Z[i] are not folded: only constant sets go straight
         return _build(
             self, base, digit_set, offsets, head, add, sub,
             lambda q: atoms(reduce(values(q))),
-            straight if d == 1 and not offsets else None,
+            straight if d <= 2 and not offsets else None,
         )
 
     def parse(self, text: str):

@@ -14,18 +14,20 @@ detected by set stabilisation under a size cap: the search stops at
 the member that crosses it, so a capped closure holds cap + 1 members
 (or just its seeds, when they alone are more).
 
-One breadth-first loop builds every closure; it is given the images of
-a member v: T(v) first, then each distinct T(v + e) != T(v) in digit
-order, which the loop, skipping what it holds, adds as it would add
-those of every digit.  Members are the flat standard-representation
-coordinates of ``QuotRing.coords``, for every digit set and seed, in the
-atom form of the ring (``Ring.atoms``: the values over Z, plain
-``(re, im)`` int pairs over Z[i], packed ints over F_p[y]), so set
-membership and the per-residue tables hash and compare in C.  The
-basis w_i has the coordinates e_i, so the decisions build the basis
-seeds as +-e_i (and +-i*e_i over Z[i]); only power seeds are converted.
-The images come from the system's ``Ring.dynamics``, built by
-``rings._build``: the carry of v is divided by p0 once per member; what
+One breadth-first search builds every closure, one round per call of
+the ``expand`` that the system's ``Ring.dynamics`` binds (``rings._build``
+writes it): one loop that, for each member v of the frontier, adds T(v)
+first, then each distinct T(v + e) != T(v) in digit order, skipping
+what the closure holds, as it would add the images of every digit; over
+Z with d = 1, 2 and Z[i] with d = 1, 2 the loop of a constant digit set
+is straight-line code, with no call per member.  Members are the flat
+standard-representation coordinates of ``QuotRing.coords``, for every
+digit set and seed, in the atom form of the ring (``Ring.atoms``: the
+values over Z, plain ``(re, im)`` int pairs over Z[i], packed ints over
+F_p[y]), so set membership and the per-residue tables hash and compare
+in C.  The basis w_i has the coordinates e_i, so the decisions build
+the basis seeds as +-e_i (and +-i*e_i over Z[i]); only power seeds are
+converted.  The round divides the carry of v by p0 once per member; what
 T(v + e) adds to T(v) then depends only on its residue r and on e, so
 one row of those deltas per residue r, taken from T itself, is built
 when r first appears, and a shift image of a constant digit set costs
@@ -210,7 +212,7 @@ def witness_closure(
     if not atoms:
         seed = [system.ring.atoms(qring.coords(v)) for v in seed]
     seed = frozenset(seed)
-    images = _coordinate_images(system)
+    expand = _grow(system)
     # breadth first from the sorted seeds: ``rounds`` counts levels, and the
     # members found are the same for every route to the seeds and hash seed
     frontier = sorted(seed)
@@ -218,30 +220,18 @@ def witness_closure(
     succ = {}
     rounds = 0
     while frontier and len(elements) <= cap:
-        new = []
-        for v in frontier:
-            if len(elements) > cap:
-                break
-            found = images(v)
-            succ[v] = found[0]
-            for w in found:
-                if w not in elements:
-                    elements.add(w)
-                    new.append(w)
-                    if len(elements) > cap:
-                        break
-        frontier = new
+        frontier = expand(frontier, elements, succ, cap)
         rounds += 1
     return WitnessClosure(frozenset(elements), seed, not frontier, rounds, cap, qring, succ)
 
 
-def _coordinate_images(system: DigitSystem):
-    """v -> [T(v), then each distinct T(v + e) != T(v), e != 0 in digit
-    order] on atoms, from ``Ring.dynamics`` given the system's digit set,
-    or the digits' coordinates when they are not constant."""
+def _grow(system: DigitSystem):
+    """The breadth-first round of one closure, ``expand(frontier, members,
+    succ, cap)`` of ``Ring.dynamics``, given the system's digit set, or the
+    digits' coordinates when they are not constant."""
     if system.digits_constant:
-        return system._images(system.digit_set)
-    return system._images([system.qring.coords(e) for e in system.digits if not e.is_zero])
+        return system._grow(system.digit_set)
+    return system._grow([system.qring.coords(e) for e in system.digits if not e.is_zero])
 
 
 def _seed_atoms(system: DigitSystem, mode: str) -> tuple:

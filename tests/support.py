@@ -390,6 +390,13 @@ def assert_closure_matches_full_rows(system, seed, cap):
     return closure
 
 
+def images_of(system, v) -> list:
+    """The images of the member ``v`` (atoms) that a closure adds: the round
+    of ``witness._grow`` on the frontier [v] with no members, so T(v), then
+    each distinct T(v + e) != T(v) for the nonzero digits e in digit order."""
+    return witness._grow(system)([v], set(), {}, len(system.digits) + 1)
+
+
 def assert_closure_matches_bfs(system, seed, cap, closure):
     """``closure`` (``witness_closure(system, seed, cap)``) against
     ``bfs_closure``: a stabilised closure is the oracle's, found in as many

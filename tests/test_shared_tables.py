@@ -4,6 +4,7 @@ dividers shared per modulus.  A warm table must change nothing: every
 system, validation error, closure and verdict is compared with the one
 built after the tables were emptied."""
 
+import functools
 import random
 import sys
 import threading
@@ -37,7 +38,7 @@ from digsys.rings import (
     _DigitSets,
 )
 
-from support import tuple_divmod
+from support import images_of, tuple_divmod
 
 F2, F3 = Fp(2), Fp(3)
 CAP = 150
@@ -301,7 +302,7 @@ class TestSharedRows:
 
         def view(system):
             q, atoms = system.qring, system.ring.atoms
-            images = witness._coordinate_images(system)
+            images = functools.partial(images_of, system)
             points = [atoms(q.coords(q.from_coords((a, b)))) for a in range(-5, 6) for b in (-2, 3)]
             closure = witness_closure(system, seed if system.qring == qring else [], CAP)
             return [images(v) for v in points], closure.atoms, summary(system)
@@ -358,7 +359,7 @@ class TestSharedRows:
         assert _DIGIT_SETS.size() == (1, n)
         shifts = [e for e in system.digits if not e.is_zero]
         qring, atoms = system.qring, system.ring.atoms
-        images = witness._coordinate_images(system)
+        images = functools.partial(images_of, system)
         for q in range(n):
             got = images((q,))
             sets, entries = _DIGIT_SETS.size()

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import os
@@ -39,6 +40,7 @@ from support import (
     example2,
     gauss_example,
     gauss_paper_witnesses,
+    images_of,
     rand_quot,
 )
 
@@ -191,7 +193,7 @@ class TestClosureOracle:
             closure = witness_closure(system, seed, cap)
             element_of, atoms = closure._element_of, ring.atoms
             shifts = [e for e in system.digits if not e.is_zero]
-            images = witness._coordinate_images(system)
+            images = functools.partial(images_of, system)
             for v in sorted(closure.atom_succ, key=lambda u: qring.sort_key(element_of[u]))[:60]:
                 x = element_of[v]
                 want = [system.step(x)] + [system.step(x + e) for e in shifts]
@@ -233,7 +235,7 @@ class TestClosureOracle:
         expanded = 0
         for system, mode in itertools.product(systems, ("brunotte", "power")):
             closure = witness_closure(system, seed_witnesses(system, mode), 300)
-            images = witness._coordinate_images(system)
+            images = functools.partial(images_of, system)
             for v, w in closure.atom_succ.items():
                 if system.ring == Z:
                     assert images(v)[0] == w and len(images(v)) <= 2, system

@@ -17,8 +17,10 @@ segments of the ``run`` loop that ``Ring.dynamics`` binds beside the
 step, so the column times the run loops, plus the walker's checkpoint
 and the conversion of each start to coordinates and of the recorded
 digit positions to digits.  Z with d = 1, 2 and Z[i] with d = 1 have a
-straight-line step and a run loop that keeps the state in locals; the
-other shapes take the generic step, and a run loop that calls it.  The
+straight-line step and a run loop that keeps the state in locals; these
+and Z[i] with d = 2 expand the members of a closure of a constant digit
+set in a straight-line loop.  The other shapes take the generic step,
+closure round and run loop.  The
 ``walk KB`` column is the tracemalloc peak of one walk of at most 10^4
 steps from the first start, less its digit tuple: the walk keeps two
 states and one byte per digit, so on the shapes whose orbits grow and
@@ -36,7 +38,12 @@ the ``us/system`` column is the least CPU time of five
 ``validate_system`` calls, each with the tables emptied first, so that
 it checks its digit set and builds its divisions anew, and the ``warm``
 column beside it the same with the digit set of an earlier call
-interned.
+interned.  Last, the ``us/decision`` column is the whole decision that
+the benchmark's ``decide_int`` workload times: ``validate_system``,
+``decide_fep`` and ``decide_pep`` at closure cap 100 from the seeds of
+the default mode (the basis seeds for a constant digit set), with the
+tables warm; the least CPU time of five passes of 20 decisions, per
+decision.
 
     PYTHONPATH=src python3 tools/step_cost.py
 
@@ -51,7 +58,10 @@ import sys
 import time
 import tracemalloc
 
-from digsys import Fp, FpPoly, GaussianInt, Z, ZI, parse_poly, validate_system, witness_closure
+from digsys import (
+    Fp, FpPoly, GaussianInt, Z, ZI, decide_fep, decide_pep, parse_poly, validate_system,
+    witness_closure,
+)
 from digsys.ffds import canonical_ff_digits
 from digsys.rings import _clear_shared
 
@@ -63,6 +73,8 @@ Y_DEGREE = 60  # y-degree of the F_p[y] start coefficients
 CLOSURE_CAP = 400  # members of a closure before it stops
 CLOSURE_SEEDS = 4  # walk starts that seed the closure
 WALK_CAP = 10**4  # steps of the walk whose memory peak is printed
+DECISION_CAP = 100  # closure cap of the timed decisions
+DECISIONS = 20  # decisions per timed pass
 
 F2, F3, F131 = Fp(2), Fp(3), Fp(131)
 
@@ -93,8 +105,8 @@ def _start(rng: random.Random, ring):
 def measure(ring, base: str, digits, seed: int = 1) -> tuple:
     """(states, us per step, us per walk step, KB of a long walk,
     closure members expanded, us per member with the shared tables emptied
-    and with them warm, us per system set-up emptied and warm) of one
-    shape."""
+    and with them warm, us per system set-up emptied and warm, us per
+    decision warm) of one shape."""
     modulus = parse_poly(ring, base)
     if digits is None:
         digits = canonical_ff_digits(modulus)
@@ -148,7 +160,19 @@ def measure(ring, base: str, digits, seed: int = 1) -> tuple:
     warm = _best(closure) / members * 1e6
     setup_cold = _best(validate, before=_clear_shared) * 1e6
     setup_warm = _best(validate) * 1e6
-    return len(states), per_step, per_walk, walk_kb, members, cold, warm, setup_cold, setup_warm
+
+    def decisions():
+        for _ in range(DECISIONS):
+            decided = validate()
+            decide_fep(decided, closure_cap=DECISION_CAP)
+            decide_pep(decided, closure_cap=DECISION_CAP)
+
+    decisions()  # fills the rows the decisions share
+    per_decision = _best(decisions) / DECISIONS * 1e6
+    return (
+        len(states), per_step, per_walk, walk_kb, members, cold, warm, setup_cold, setup_warm,
+        per_decision,
+    )
 
 
 def _best(run, before=None) -> float:
@@ -168,16 +192,16 @@ def main() -> None:
     print(
         f"{'shape':<12} {'base':<24} {'states':>6} {'us/step':>8} {'us/walk step':>12}"
         f" {'walk KB':>7} {'members':>7} {'us/member':>9} {'warm':>6} {'us/system':>9}"
-        f" {'warm':>6}"
+        f" {'warm':>6} {'us/decision':>11}"
     )
     for shape, ring, base, digits in SHAPES:
-        n, per_step, per_walk, walk_kb, members, cold, warm, setup, setup_warm = measure(
-            ring, base, digits
+        n, per_step, per_walk, walk_kb, members, cold, warm, setup, setup_warm, decision = (
+            measure(ring, base, digits)
         )
         print(
             f"{shape:<12} {base:<24} {n:>6} {per_step:>8.2f} {per_walk:>12.2f}"
             f" {walk_kb:>7.1f} {members:>7} {cold:>9.2f} {warm:>6.2f} {setup:>9.2f}"
-            f" {setup_warm:>6.2f}"
+            f" {setup_warm:>6.2f} {decision:>11.2f}"
         )
 
 
