@@ -5,9 +5,11 @@ A polynomial over F_p is one integer with a coefficient per slot of
 operations followed by one reduction of every slot mod p
 (``bytes.translate`` for small p); products are Kronecker substitutions
 (Harvey 2009).  Division by a fixed modulus goes through a cached
-power-series inverse of the reversed modulus, two products and a
-difference per division (von zur Gathen and Gerhard, *Modern Computer
-Algebra*, 9.1).
+power-series inverse of the reversed modulus (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, 9.1): a quotient of a few one-byte
+slots is one integer product reduced by one ``translate``, a longer one
+over F2 and F3 is a run of those from the top, and one over F_p, p >= 5,
+two products and a difference.
 
 These kernels on packed ints (``_add``, ``_sub``, ``_mul``,
 ``_divider``) are the one F_p[y] arithmetic of the library: the
@@ -261,16 +263,22 @@ def _divider(p: int, m: int):
     longer dividends arrive; the remainder is a - q*m.
 
     One divider per (p, m) serves the whole process, at most
-    ``SHARED_DIVIDERS`` of them: a base's p0 gets the same one from
-    ``QuotRing`` and from the dynamics of every system over it, so its
-    series is extended once.  The series and its length are one tuple,
-    read and replaced whole, so two threads that extend it at once each
-    divide with a consistent pair, and either result is a valid series.
+    ``SHARED_DIVIDERS`` of them: a base's p0 gets the same one from every
+    ``QuotRing`` and digit set over it, and -p0 (p0 itself over F2) from
+    the dynamics of every system over it, so each series is extended
+    once.  The series and its length are one tuple, read and replaced
+    whole, so two threads that extend it at once each divide with a
+    consistent pair, and either result is a valid series.
 
     Quotients of L one-byte slots, L (p-1)^2 <= c for the largest multiple
     c of p at most 256 - p, are inline: no product with S or m carries a
     slot, so q is reversed by byte order and reduced by one ``translate``,
-    as is a + c*(1, ..., 1) - q*m (p = 2: q*m masked and XORed into a)."""
+    as is a + c*(1, ..., 1) - q*m (p = 2: q*m masked and XORed into a).
+    Over F2 and F3 (L up to 254 and 63 slots) a longer quotient is divided
+    in chunks of L slots from the top, each an inline division of the top
+    slots whose remainder replaces them: no product spans the dividend,
+    and S stays under 2L slots.  For p >= 5 chunks of L <= 15 slots cost
+    more than the two full products of the series, which it keeps."""
     w = _width(p)
     bits, dm = 8 * w, _slots(m, w) - 1
     f, two = _reverse(m, dm + 1, w), 2 % p
@@ -284,6 +292,16 @@ def _divider(p: int, m: int):
         n = -(-a.bit_length() // bits) - dm  # deg a - deg m + 1
         if n <= 0:
             return a, 0
+        if n > short and p < 5:
+            # chunks from the top: the remainder of a >> shift replaces it
+            q = 0
+            while n > short:
+                n -= short
+                shift = bits * n
+                r, top = divide(a >> shift)
+                a, q = r << shift | a & (1 << shift) - 1, q | top << shift
+            r, top = divide(a)
+            return r, q | top
         s, prec = series[0]
         if prec < n:
             while prec < n:
@@ -409,34 +427,40 @@ class FpPolynomialRing(Ring):
         return tuple(_new(FpPoly, (p, n)) for n in atoms)
 
     def dynamics(self, base: tuple, digit_set, offsets: dict, reduce):
-        """``_build`` on packed ints.  The carry sum(q_i p_{d-i}) + r_0 is
-        one sum of int products, reduced once: its slots hold at most
-        (p-1)^2 * sum(slots(p_i)), so the slot width is picked here, once per
-        system, and the weights are spread to it.  The division by p0 is
-        ``_divider`` on ints, the tables are keyed by ints, and atoms add
-        with ``_add``, one XOR in characteristic 2; residues mod p_d, of
-        lower y-degree than p_d, are closed under addition, so a sum of
-        residue parts only loses its trailing zeros.  No FpPoly is built or
+        """``_build`` on packed ints.  The constant coefficient
+        c = sum(q_i p_{d-i}) + r_0 is one sum of int products, reduced once:
+        its slots hold at most (p-1)^2 * sum(slots(p_i)), so the slot width
+        is picked here, once per system, and the weights are spread to it.
+        c is divided by -p0 (p0 itself over F2) with ``_divider`` on ints:
+        the remainder r is that of p0 and the quotient q is -q0, so the new
+        last coordinate carry[r] - q0 is carry[r] + q, and q itself, with
+        no call, where carry[r] is 0, as for every residue of a canonical
+        digit set.  The tables are keyed by ints, and atoms add with
+        ``_add``, one XOR in characteristic 2; residues mod p_d, of lower
+        y-degree than p_d, are closed under addition, so a sum of residue
+        parts only loses its trailing zeros.  No FpPoly is built or
         compared per step."""
         p, width, d = self.p, _width(self.p), len(base) - 1
         carry = digit_set.carry
         add = operator.xor if p == 2 else functools.partial(_add, p)
         sub = operator.xor if p == 2 else functools.partial(_sub, p)
-        divide = _divider(p, base[0][1])
+        divide = _divider(p, _sub(p, 0, base[0][1]))  # by -p0: q = -q0
         weights = self.atoms(tuple(reversed(base[1:])) + (self.one,))
         k = _kron_width(p, sum(_slots(x, width) for x in weights))
 
         if k == width:
             def head(v: tuple) -> tuple:
-                r, q0 = divide(_reduce(sum(map(operator.mul, v, weights)), p, k))
-                return r, sub(carry[r], q0)
+                r, q = divide(_reduce(sum(map(operator.mul, v, weights)), p, k))
+                c = carry[r]
+                return r, add(c, q) if c else q
         else:
             weights = tuple(_spread(x, _slots(x, width), width, k) for x in weights)
 
             def head(v: tuple) -> tuple:
-                c = sum(_spread(x, _slots(x, width), width, k) * y for x, y in zip(v, weights))
-                r, q0 = divide(_reduce(c, p, k))
-                return r, sub(carry[r], q0)
+                dot = sum(_spread(x, _slots(x, width), width, k) * y for x, y in zip(v, weights))
+                r, q = divide(_reduce(dot, p, k))
+                c = carry[r]
+                return r, add(c, q) if c else q
 
         def settle(q: tuple) -> tuple:
             while len(q) > d and not q[-1]:

@@ -22,7 +22,8 @@ LISTED = ("0", "1", "x+2", "x+3", "2x+4", "2x+5")
 
 # (name, ring, base, digits: values, element literals, None for the
 # canonical F_p[y] digits, or "product" for the product digits of
-# (x+2)(x+3)); "straight" marks the shapes with inline loops
+# (x+2)(x+3)); "straight" marks the shapes with inline loops, "long" one
+# whose members at cap 300 have quotients of more than two one-byte chunks
 SHAPES = [
     ("Z-d1-straight", Z, "3x+2", [0, 1]),
     ("Z-d1-negative-p0-straight", Z, "2x-5", [0, 1, 2, 3, 4]),
@@ -38,6 +39,7 @@ SHAPES = [
     ("F2-d2-canonical", F2, "x^2+(y^2+y+1)", None),
     ("F3-d2-canonical", F3, "(y^2+1)x^2+y*x+(y+1)", None),
     ("F3-d3-canonical", F3, "(y+1)x^3+2x+y", None),
+    ("F3-d1-canonical-long", F3, "(y^2+1)x+(y+2)", None),
     ("x2+5x+6-listed", Z, "x^2+5x+6", LISTED),
     ("x2+5x+6-product", Z, "x^2+5x+6", "product"),
 ]
@@ -90,7 +92,7 @@ def crossing(system, seed, cap, closure):
 def test_matches_full_rows(name):
     system = build(name)
     rng = random.Random(sum(map(ord, name)))
-    kinds = set()
+    kinds, longest = set(), 0
     for seed in seed_sets(system, rng):
         # every cap up to the first that stabilises, or 40 members
         for cap in range(0, 41):
@@ -101,7 +103,12 @@ def test_matches_full_rows(name):
         closure = assert_closure_matches_full_rows(system, seed, 300)
         # the bound step, straight where the loops are, is T as well
         assert all(system._step(v)[1] == w for v, w in closure.atom_succ.items()), name
+        if name.endswith("-long"):
+            longest = max([longest] + [a.bit_length() for v in closure.atoms for a in v])
     assert "seeds" in kinds and "T(v)" in kinds, name
+    if name.endswith("-long"):
+        # F3[y] divides quotients longer than 63 slots in chunks of 63
+        assert longest > 8 * 2 * 63, longest
     if "canonical" not in name:
         assert "row" in kinds, name  # canonical F_p[y] rows are empty
 

@@ -1,8 +1,9 @@
 """The F_p[y] dynamics on packed ints (``FpPolynomialRing.dynamics``),
-the twin of the Z[i] tests in ``test_atoms``: seeded F2, F3 and F131
-systems (two-byte slots, spread products) with monic and non-monic bases
-and constant and non-constant digit sets, against the element oracles of
-``support``, which step elements with ``system.step``."""
+the twin of the Z[i] tests in ``test_atoms``: seeded F2, F3, F5, F7 and
+F131 systems (two-byte slots, spread products) with monic and non-monic
+bases and constant and non-constant digit sets, some with nonzero carries,
+against the element oracles of ``support``, which step elements with
+``system.step``.  The dynamics divides by -p0, which is p0 only over F2."""
 
 import dataclasses
 import itertools
@@ -14,6 +15,7 @@ from digsys import (
     Fp,
     FpPoly,
     Poly,
+    canonical_ff_digits,
     decide_fep,
     decide_pep,
     fppoly,
@@ -35,13 +37,13 @@ from support import (
     rand_quot,
 )
 
-F2, F3, F131 = Fp(2), Fp(3), Fp(131)
+F2, F3, F5, F7, F131 = Fp(2), Fp(3), Fp(5), Fp(7), Fp(131)
 # the closure cap of every test: the stabilised closures here have at most
 # 27 members, and each capped one grows past it in one round
 CAP = 120
 # (ring, y-degree of p0, base degrees): p0 of degree 2 over F131 would
 # give 17,161 digits, and its 131 digits make the element oracles slow
-RINGS = ((F2, 2, (1, 2)), (F3, 2, (1, 2)), (F131, 1, (1,)))
+RINGS = ((F2, 2, (1, 2)), (F3, 2, (1, 2)), (F5, 1, (1, 2)), (F7, 1, (1, 2)), (F131, 1, (1,)))
 # the lead: a unit; of y-degree 1, so members get residue parts; and of
 # y-degree above p0's, so the degree criterion fails and closures run
 # into the cap
@@ -145,10 +147,12 @@ def test_capped_closures_stop_at_the_cap(systems):
 
 
 def test_closures_match_element_bfs(systems):
+    # over the small fields some digits are r + k*p0 with k != 0: their
+    # carry k is added to the quotient by -p0
     counts = {
         (ring.name, flag): 0
         for ring, _, _ in RINGS
-        for flag in ("constant", "non-constant")
+        for flag in ("constant", "non-constant") + (("carried",) if ring.p < 100 else ())
     }
     seen = {"brunotte": 0, "power": 0, "stabilized": 0, "capped": 0, "residue parts": 0}
     for ring, _, system in systems:
@@ -166,6 +170,8 @@ def test_closures_match_element_bfs(systems):
             for v, w in closure.succ.items():
                 assert w == q.coords(system.step(q.from_coords(v))), system
             counts[ring.name, "constant" if system.digits_constant else "non-constant"] += 1
+            if any(system.digit_set.carry.values()):
+                counts[ring.name, "carried"] += 1
             seen[mode] += 1
             seen["stabilized" if stabilized else "capped"] += 1
             seen["residue parts"] += any(len(v) > q.d for v in closure.members)
@@ -369,32 +375,46 @@ def test_fppoly_methods_not_called_per_image(monkeypatch):
 
 
 def test_one_sub_per_closure_member(monkeypatch):
-    """Over F3[y] a closure step subtracts once: past its rows, a closure
-    that reaches its cap calls ``fppoly._sub`` at most once per member it
-    expands.  The digits r + y*p0 (r != 0) give every member siblings, so
-    the members stay short and no division takes the long quotient path;
-    all nine residue rows are built below the smaller cap, so their
-    entries cancel in the difference.  ``_sub`` is bound when the
-    dynamics is, so the counter goes in before ``validate_system``."""
+    """Over F3[y] a closure step adds or subtracts at most once: past its
+    rows and the one addition per shift image, a closure that reaches its
+    cap calls ``fppoly._add`` and ``fppoly._sub`` together at most once
+    per member it expands, and once for each member whose residue has a
+    nonzero carry.  The digits r + y*p0 (r != 0) give every member
+    siblings and every residue but 0 the carry y; a first closure builds
+    all nine residue rows.  The canonical digits have no carries and empty
+    rows: a closure with its rows built makes neither call, though its
+    members grow past two one-byte quotients.  The kernels are bound when
+    the dynamics is, so the counter goes in before ``validate_system``."""
     calls = [0]
-    sub = fppoly._sub
+    for name in ("_add", "_sub"):
+        kernel = getattr(fppoly, name)
 
-    def counting(p, a, b):
-        calls[0] += 1
-        return sub(p, a, b)
+        def counting(p, a, b, kernel=kernel):
+            calls[0] += 1
+            return kernel(p, a, b)
 
-    monkeypatch.setattr(fppoly, "_sub", counting)
+        monkeypatch.setattr(fppoly, name, counting)
     modulus = parse_poly(F3, "(y^3+y+1)x^2+(y+2)x+(y^2+2y+2)")
     p0, y = modulus.constant, FpPoly(3, (0, 1))
     digits = [r + y * p0 if r else r for r in F3.residues(p0)]
     system = validate_system(F3, modulus, digits)
     seed = seed_witnesses(system, "brunotte")
-    counted = {}
-    for n in (100, 1000):
-        calls[0] = 0
-        closure = witness_closure(system, seed, n)
-        assert not closure.stabilized
-        counted[n] = calls[0], len(closure.atom_succ)
-    (small, few), (large, many) = counted[100], counted[1000]
-    assert many >= 5 * few, counted
-    assert large - small <= many - few, counted
+    carry, rows, step = system.digit_set.carry, system.digit_set.rows, system._step
+    witness_closure(system, seed, 100)
+    assert len(rows) == 9
+    calls[0] = 0
+    closure = witness_closure(system, seed, 1000)
+    made = calls[0]
+    assert not closure.stabilized
+    residues = [step(v)[0] for v in closure.atom_succ]
+    siblings = sum(len(rows[r]) for r in residues)
+    carried = sum(1 for r in residues if carry[r])
+    assert carried >= 300, carried
+    assert carried <= made - siblings <= len(residues), (made, siblings, carried, len(residues))
+    canonical = validate_system(F3, modulus, canonical_ff_digits(modulus))
+    seed = witness._seed_atoms(canonical, "brunotte")
+    witness_closure(canonical, seed, 1000, atoms=True)
+    calls[0] = 0
+    closure = witness_closure(canonical, seed, 1000, atoms=True)
+    assert calls[0] == 0 and not closure.stabilized
+    assert max(a.bit_length() for v in closure.atoms for a in v) > 8 * 2 * 63

@@ -585,11 +585,12 @@ class TestSeriesDivider:
                     self.check(p, divide, rand_coeffs(rng, p, length), m)
 
     def test_one_divider_across_series_doublings(self):
-        # longer quotients extend the cached series; shorter ones read its
-        # prefix.  Dividers are shared per modulus, so start from fresh ones
+        # longer quotients extend the cached series (over F2 and F3 only up
+        # to the one-byte bound); shorter ones read its prefix.  Dividers are
+        # shared per modulus, so start from fresh ones
         _clear_shared()
         rng = random.Random(94)
-        for p in (2, 3, 131, 2**61 - 1):
+        for p in (2, 3, 5, 7, 13, 131, 2**61 - 1):
             m = self.modulus(rng, p, 3)
             divide = Fp(p).divider(FpPoly(p, m))
             for length in (5, 6, 9, 17, 40, 3, 70, 130, 8, 260, 515, 2, 1030, 33):
@@ -597,17 +598,20 @@ class TestSeriesDivider:
 
     def test_one_byte_quotient_boundary(self):
         # quotients one slot shorter than, as long as and one slot longer
-        # than the longest that one-byte slots multiply inline; m = 1 + (p-1)y
-        # has 1/rev(m) = (p-1)(1 + y + ...), whose products with all-(p-1)
-        # dividends fill the slots most
+        # than k times the longest that one-byte slots multiply inline, k =
+        # 1..4, and of 1,000 slots and more: F2 and F3 divide those past
+        # k = 1 in chunks of the bound, from the top, and F5, F7 and F13
+        # through the series.  m = 1 + (p-1)y has 1/rev(m) = (p-1)(1 + y +
+        # ...), whose products with all-(p-1) dividends fill the slots most
         rng = random.Random(95)
         for p in (2, 3, 5, 7, 13):
             bound = (256 - p) // p * p // (p - 1) ** 2
             moduli = [(rng.randrange(1, p),), (1, p - 1), (0, 1), (p - 1,) * 3, (0, 0, 1, p - 1)]
-            moduli += [self.modulus(rng, p, degree) for degree in range(4)]
+            moduli += [self.modulus(rng, p, degree) for degree in range(5)]
+            ns = [k * bound + j for k in range(1, 5) for j in (-1, 0, 1)] + [1000, 1203]
             for m in moduli:
                 divide = Fp(p).divider(FpPoly(p, m))
-                for n in range(max(bound - 1, 1), bound + 2):
+                for n in ns:
                     length = n + len(m) - 1
                     for a in ((p - 1,) * length, rand_coeffs(rng, p, length)):
                         self.check(p, divide, a, m)

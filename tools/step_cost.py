@@ -7,7 +7,11 @@ with d = 2 has the 17 residues of p0 = 4+i as digits, so its closure
 rows, one carry step of T per digit, are the longest.  A second Z shape
 with d = 2 ("x-dig") has digits that are not constant in x, so its
 closures build their own rows of coordinate deltas, two T steps per
-digit, with nothing shared.  For each, the script
+digit, with nothing shared.  A second F3[y] shape with d = 1 ("grow")
+has a lead of higher y-degree than p0, so its walk states and closure
+members gain about a slot per step, and their quotients outgrow the 63
+one-byte slots that F3[y] divides inline: its columns time the long
+division, in chunks of 63 slots.  For each, the script
 walks fixed seeded starts of a fixed system, records the flat
 coordinate states (in atom form) the walks step from, and times the
 system's bound step on them: the least CPU time of five passes over the
@@ -89,6 +93,7 @@ SHAPES = [
     ("Z[i] d=2 N17", ZI, "(1+i)x^2+x+(4+i)", ZI.residues(GaussianInt(4, 1))),
     ("F2[y] d=2", F2, "(y+1)x^2+y*x+(y^2+1)", None),
     ("F3[y] d=3", F3, "(y+1)x^3+2x+y", None),
+    ("F3[y] d=1 grow", F3, "(y^2+1)x+(y+2)", None),
     ("F131[y] d=2", F131, "x^2+2x+(3y+7)", range(131)),
     ("Z d=2 x-dig", Z, "x^2+5x+6", "0, 1, x+2, x+3, 2x+4, 2x+5"),
 ]
@@ -190,7 +195,7 @@ def _best(run, before=None) -> float:
 
 def main() -> None:
     print(
-        f"{'shape':<12} {'base':<24} {'states':>6} {'us/step':>8} {'us/walk step':>12}"
+        f"{'shape':<14} {'base':<24} {'states':>6} {'us/step':>8} {'us/walk step':>12}"
         f" {'walk KB':>7} {'members':>7} {'us/member':>9} {'warm':>6} {'us/system':>9}"
         f" {'warm':>6} {'us/decision':>11}"
     )
@@ -199,7 +204,7 @@ def main() -> None:
             measure(ring, base, digits)
         )
         print(
-            f"{shape:<12} {base:<24} {n:>6} {per_step:>8.2f} {per_walk:>12.2f}"
+            f"{shape:<14} {base:<24} {n:>6} {per_step:>8.2f} {per_walk:>12.2f}"
             f" {walk_kb:>7.1f} {members:>7} {cold:>9.2f} {warm:>6.2f} {setup:>9.2f}"
             f" {setup_warm:>6.2f} {decision:>11.2f}"
         )
