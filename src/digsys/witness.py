@@ -12,7 +12,11 @@ witnesses stay inside the set and orbit checks never leave it.  The
 norm bound for closure finiteness is not computed; termination is
 detected by set stabilisation under a size cap: the search stops at
 the member that crosses it, so a capped closure holds cap + 1 members
-(or just its seeds, when they alone are more).
+(or just its seeds, when they alone are more), and the decisions answer
+"unknown".  Over Z and Z[i] they answer "unknown" without a search when
+|p0| < |p_d|: P then has a root inside the unit circle, and no closure
+can stabilise at any cap (``_root_inside``).  Over F_p[y] every search
+runs: the argument needs seeds that generate the module additively.
 
 One breadth-first search builds every closure, one round per call of
 the ``expand`` that the system's ``Ring.dynamics`` binds (``rings._build``
@@ -45,8 +49,8 @@ and ring-value coordinates only when ``members`` or ``succ`` is.
 
 The closure records the e = 0 image T(v) of every member it expands
 (``WitnessClosure.atom_succ``), so the orbit statuses behind the finite
-expansion decision walk that map with ``digits.walk`` instead of
-stepping T again, and convert only the members they report.
+expansion decision come from one pass over that functional graph instead
+of stepping T again, and convert only the cycles they report.
 ``decide_fep``, ``decide_pep`` and the CLI share one cached closure per
 system: the most recent (system, mode, cap) closure is kept, so deciding
 both properties, or listing the closure beside them, builds it once.
@@ -65,7 +69,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import unitcircle
-from .digits import DigitSystem, rotate, walk
+from .digits import DigitSystem, rotate
 from .polyquot import Poly, QuotRing
 from .rings import GaussianInt, GaussianIntegerRing, FpPolynomialRing, Z
 
@@ -176,19 +180,16 @@ def seed_witnesses(system: DigitSystem, mode: str = "brunotte") -> frozenset:
     Over the Gaussian integers the i-multiples are included so that the
     seeds really generate additively.
     """
+    _check_mode(system, mode)
     qring = system.qring
     if mode == "brunotte":
-        if not system.digits_constant:
-            raise ValueError("basis witnesses require a constant digit set")
         gens = list(qring.brunotte_basis())
-    elif mode == "power":
+    else:
         gens = []
         cur = qring.one
         for _ in range(system.k):
             gens.append(cur)
             cur = qring.mul_x(cur)
-    else:
-        raise ValueError(f"unknown witness mode {mode!r}")
     if isinstance(system.ring, GaussianIntegerRing):
         gens += [qring.scale(g, GaussianInt(0, 1)) for g in gens]
     out = set()
@@ -196,6 +197,14 @@ def seed_witnesses(system: DigitSystem, mode: str = "brunotte") -> frozenset:
         out.add(g)
         out.add(-g)
     return frozenset(out)
+
+
+def _check_mode(system: DigitSystem, mode: str) -> None:
+    """ValueError unless ``mode`` names seeds that ``system`` has."""
+    if mode not in ("brunotte", "power"):
+        raise ValueError(f"unknown witness mode {mode!r}")
+    if mode == "brunotte" and not system.digits_constant:
+        raise ValueError("basis witnesses require a constant digit set")
 
 
 def witness_closure(
@@ -320,27 +329,109 @@ def _orbit_statuses(system: DigitSystem, closure: WitnessClosure) -> tuple[dict,
     orbits that do not, the length of the cycle they enter); also the
     cycles found, as elements rotated to start at their least
     ``sort_key``.  Neither depends on the order in which members are
-    visited."""
+    visited.
+
+    One pass over the functional graph: from each member not yet settled,
+    follow ``atom_succ``, marking every state on the path with its index
+    (an int, where a settled state holds a tuple), until a state is
+    settled or marked.  A settled one (0 first of all) gives the path its
+    statuses; a marked one closes a new cycle from its index on, and the
+    path's tail into it reports the cycle's length, as its members do."""
     qring, ring = system.qring, system.ring
     zero = ring.atoms((ring.zero,) * qring.d)
-    step = closure.atom_succ.__getitem__
+    succ = closure.atom_succ
     status: dict = {zero: (True, 0)}
     cycles: list[tuple] = []
     for v in closure.atoms:
         if v in status:
             continue
-        kind, path, hit = walk(v, step, status)
-        if kind == "cycle":
-            cyc = list(path)[hit:]
+        path = [v]
+        status[v] = 0
+        n = 1
+        w = succ[v]
+        while w not in status:
+            status[w] = n
+            n += 1
+            path.append(w)
+            w = succ[w]
+        hit = status[w]
+        if hit.__class__ is int:
+            cyc = path[hit:]
             cycles.append(rotate([qring.from_coords(ring.values(u)) for u in cyc], qring.sort_key))
-            # the tail into a cycle reports the cycle's length, as its members do
-            reaches, steps = False, len(cyc)
-        else:
-            reaches, steps = status[hit]
-        n = len(path)
-        for u, i in path.items():
-            status[u] = (reaches, steps + n - i if reaches else steps)
+            hit = (False, n - hit)
+        elif hit[0]:
+            steps = hit[1] + n
+            for u in path:
+                status[u] = (True, steps)
+                steps -= 1
+            continue
+        for u in path:
+            status[u] = hit
     return status, cycles
+
+
+def _root_inside(system: DigitSystem, prop: str, mode: str, cap: int) -> Verdict | None:
+    """The "unknown" of a search that cannot stabilise, answered before any
+    closure is built, or None when the search must run.
+
+    Over Z and Z[i], if E(p0) < E(p_d) for the Euclidean value E (|.| over
+    Z, the norm over Z[i]), the product p0/p_d of the roots of P, up to
+    sign, has modulus below 1, so P has a root alpha with |alpha| = r < 1.
+    A -> A(alpha) is a ring map of E[x]/(P) into C, and A = e + X*T(A)
+    gives |T(A)(alpha)| >= (|A(alpha)| - M)/r with M the largest
+    |e(alpha)| over the digits: every A with |A(alpha)| > M/(1 - r) has an
+    orbit along which |A(alpha)| strictly grows, which never repeats.  The
+    seeds of either mode hold 1 or w_0 = p_d, whose integer multiples they
+    generate additively, so such an A lies in their module; a finite
+    closure would make every orbit of that module eventually periodic (the
+    reduction theorem), so the closure is infinite and exceeds every cap
+    (cf. Akiyama, Borbely, Brunotte, Petho and Thuswaldner, Acta Math.
+    Hungar. 108 (2005)).  Over F_p[y] no finite set generates the module
+    additively, so the search always runs there.  The certificate records
+    both values."""
+    ring = system.ring
+    if isinstance(ring, FpPolynomialRing):
+        return None
+    value = ring.euclid_value
+    value_p0, value_pd = value(system.qring.p0), value(system.qring.pd)
+    if value_p0 >= value_pd:
+        return None
+    return Verdict(
+        prop,
+        "unknown",
+        "|p0| < |p_d| puts a root of P inside the unit circle, where orbits grow "
+        "without bound, so by the reduction theorem no witness closure stabilises "
+        "at any cap; the search was skipped",
+        witnesses=0,
+        stabilized=False,
+        certificate={
+            "cap": cap,
+            "mode": mode,
+            "root_inside": {"value_p0": value_p0, "value_pd": value_pd},
+        },
+    )
+
+
+def _decision_mode(system: DigitSystem, mode: str | None, cap: int) -> str:
+    """The seed mode of a decision, after the checks its closure makes: a
+    negative cap or a mode without seeds raises ValueError before any
+    stage runs."""
+    if cap < 0:
+        raise ValueError("cap must be at least 0")
+    mode = mode or default_mode(system)
+    _check_mode(system, mode)
+    return mode
+
+
+def _capped(prop: str, closure: WitnessClosure, mode: str) -> Verdict:
+    return Verdict(
+        prop,
+        "unknown",
+        f"witness closure exceeded {closure.cap} elements",
+        witnesses=len(closure),
+        stabilized=False,
+        certificate={"cap": closure.cap, "mode": mode},
+    )
 
 
 def decide_fep(
@@ -352,19 +443,17 @@ def decide_fep(
 
     yes: the closure stabilised and every witness orbit reaches 0.
     no: some witness orbit enters a cycle avoiding 0 (the certificate).
-    unknown: the closure exceeded its cap.
+    unknown: the closure exceeded its cap, or over Z and Z[i] |p0| < |p_d|
+    shows that it would exceed every cap (``_root_inside``), so none is built.
+    A negative cap or a mode without seeds raises ValueError first.
     """
-    mode = mode or default_mode(system)
+    mode = _decision_mode(system, mode, closure_cap)
+    inside = _root_inside(system, "fep", mode, closure_cap)
+    if inside:
+        return inside
     closure = _closure(system, mode, closure_cap)
     if not closure.stabilized:
-        return Verdict(
-            "fep",
-            "unknown",
-            f"witness closure exceeded {closure.cap} elements",
-            witnesses=len(closure),
-            stabilized=False,
-            certificate={"cap": closure.cap, "mode": mode},
-        )
+        return _capped("fep", closure, mode)
     status, cycles = _orbit_statuses(system, closure)
     if cycles:
         cycle = min(cycles, key=lambda c: system.qring.sort_key(c[0]))
@@ -393,26 +482,24 @@ def decide_pep(
 ) -> Verdict:
     """Periodic-expansion decision: yes when the witness closure
     stabilises (every orbit then falls into the finite closed set);
-    never answers no, since non-periodicity has no finite certificate."""
-    mode = mode or default_mode(system)
+    never answers no, since non-periodicity has no finite certificate.
+    unknown: as for ``decide_fep``, the closure exceeded its cap, or
+    |p0| < |p_d| over Z and Z[i] shows that it would exceed every cap."""
+    mode = _decision_mode(system, mode, closure_cap)
+    inside = _root_inside(system, "pep", mode, closure_cap)
+    if inside:
+        return inside
     closure = _closure(system, mode, closure_cap)
-    if closure.stabilized:
-        return Verdict(
-            "pep",
-            "yes",
-            "the witness closure is finite, so every orbit is eventually periodic"
-            + _generation_caveat(system),
-            witnesses=len(closure),
-            stabilized=True,
-            certificate={"rounds": closure.rounds, "mode": mode, "closure": closure},
-        )
+    if not closure.stabilized:
+        return _capped("pep", closure, mode)
     return Verdict(
         "pep",
-        "unknown",
-        f"witness closure exceeded {closure.cap} elements",
+        "yes",
+        "the witness closure is finite, so every orbit is eventually periodic"
+        + _generation_caveat(system),
         witnesses=len(closure),
-        stabilized=False,
-        certificate={"cap": closure.cap, "mode": mode},
+        stabilized=True,
+        certificate={"rounds": closure.rounds, "mode": mode, "closure": closure},
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from digsys import (
     Fp, FpPoly, GaussianInt, Poly, Z, ZI, parse_poly, seed_witnesses, validate_system, witness,
@@ -462,6 +463,56 @@ def element_orbit_statuses(system, elements):
             path.append(cur)
             cur = system.step(cur)
     return status, cycles
+
+
+def walk_orbit_statuses(system, closure):
+    """``witness._orbit_statuses`` as it ran before its single pass: one
+    ``digits.walk`` of ``closure.atom_succ``, with a fresh path dict, from
+    every member whose status is not yet known; kept as its oracle."""
+    qring, ring = system.qring, system.ring
+    zero = ring.atoms((ring.zero,) * qring.d)
+    step = closure.atom_succ.__getitem__
+    status: dict = {zero: (True, 0)}
+    cycles: list[tuple] = []
+    for v in closure.atoms:
+        if v in status:
+            continue
+        kind, path, hit = walk(v, step, status)
+        if kind == "cycle":
+            cyc = list(path)[hit:]
+            cycles.append(rotate([qring.from_coords(ring.values(u)) for u in cyc], qring.sort_key))
+            reaches, steps = False, len(cyc)
+        else:
+            reaches, steps = status[hit]
+        n = len(path)
+        for u, i in path.items():
+            status[u] = (reaches, steps + n - i if reaches else steps)
+    return status, cycles
+
+
+def gaussian_rational(c) -> tuple:
+    """An int or a GaussianInt as a (re, im) pair of Fractions."""
+    if isinstance(c, GaussianInt):
+        return Fraction(c.re), Fraction(c.im)
+    return Fraction(c), Fraction(0)
+
+
+def evaluate_at(element, alpha: tuple) -> tuple:
+    """The value at ``alpha``, a (re, im) pair of Fractions, of the
+    polynomial that represents a Z or Z[i] element: its coefficients
+    below deg P, then its tail from x^d on, by Horner's rule."""
+    d = element.qring.d
+    coeffs = list(element.low) + [0] * (d - len(element.low)) + list(element.tail)
+    re, im = Fraction(0), Fraction(0)
+    a, b = alpha
+    for c in reversed(coeffs):
+        cr, ci = gaussian_rational(c)
+        re, im = re * a - im * b + cr, re * b + im * a + ci
+    return re, im
+
+
+def modulus_sq(z: tuple) -> Fraction:
+    return z[0] * z[0] + z[1] * z[1]
 
 
 def coupled_product_expand(

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import digsys
 from digsys import DigitSystem, witness
 from digsys.cli import main
@@ -159,6 +161,20 @@ class TestDecide:
             code, out, err = run(capsys, *argv, "--witness-cap", "-1")
             assert (code, out) == (1, ""), argv
             assert "cap must be at least 0" in err
+
+    def test_negative_witness_cap_in_the_library(self):
+        # 3x+2 takes the root stage, which builds no closure; the cap and
+        # the mode are still checked first
+        system = digsys.validate_system(digsys.Z, digsys.parse_poly(digsys.Z, "3x+2"), [0, 1])
+        for decide in (digsys.decide_fep, digsys.decide_pep):
+            with pytest.raises(ValueError, match="cap must be at least 0"):
+                decide(system, closure_cap=-1)
+            with pytest.raises(ValueError, match="unknown witness mode"):
+                decide(system, mode="basis")
+            assert decide(system, closure_cap=0).certificate["root_inside"] == {
+                "value_p0": 2,
+                "value_pd": 3,
+            }
 
     def test_caps_only_where_read(self, capsys):
         # --cap bounds orbit walks and --witness-cap closures; a subcommand

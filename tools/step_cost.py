@@ -47,7 +47,11 @@ the benchmark's ``decide_int`` workload times: ``validate_system``,
 ``decide_fep`` and ``decide_pep`` at closure cap 100 from the seeds of
 the default mode (the basis seeds for a constant digit set), with the
 tables warm; the least CPU time of five passes of 20 decisions, per
-decision.
+decision.  Two shapes have |p0| < |p_d|: Z with d = 1 (3x+2, digits 0, 1)
+and a second Z[i] shape with d = 1 ("wide", a lead of norm 50 over
+p0 = 3+2i of norm 13).  Their decisions stop at the root stage, which
+builds no closure, so their ``us/decision`` column times that stage
+beside ``validate_system``.
 
     PYTHONPATH=src python3 tools/step_cost.py
 
@@ -89,6 +93,7 @@ SHAPES = [
     ("Z d=2", Z, "3x^2-2x+5", range(5)),
     ("Z d=3", Z, "x^3+x^2+x+3", range(3)),
     ("Z[i] d=1", ZI, "(1+i)x+(1+2i)", range(5)),
+    ("Z[i] d=1 wide", ZI, "(7+i)x+(3+2i)", ZI.residues(GaussianInt(3, 2))),
     ("Z[i] d=2", ZI, "x^2+2x+(1+i)", [0, 1]),
     ("Z[i] d=2 N17", ZI, "(1+i)x^2+x+(4+i)", ZI.residues(GaussianInt(4, 1))),
     ("F2[y] d=2", F2, "(y+1)x^2+y*x+(y^2+1)", None),
