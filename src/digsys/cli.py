@@ -49,7 +49,7 @@ def _verdict_json(system: DigitSystem | None, verdict: witness.Verdict) -> dict:
     if "orbit_steps" in cert:
         steps = cert["orbit_steps"]
         certificate["orbit_steps"] = {fmt(v): steps[v] for v in sorted(steps, key=fmt)}
-    for key in ("cap", "rounds", "mode"):
+    for key in ("cap", "rounds", "mode", "root_inside"):
         if key in cert:
             certificate[key] = cert[key]
     return {
@@ -60,6 +60,11 @@ def _verdict_json(system: DigitSystem | None, verdict: witness.Verdict) -> dict:
         "stabilized": verdict.stabilized,
         "certificate": certificate,
     }
+
+
+def _cap_hit(*verdicts) -> bool:
+    # an "unknown" of the root stage built no closure, so it hit no cap
+    return any(v and v.answer == "unknown" and "root_inside" not in v.certificate for v in verdicts)
 
 
 def _emit(args, report: dict, lines: list[str]) -> None:
@@ -122,7 +127,7 @@ def _run_decide(args) -> int:
             ),
         },
         "steps_used": fep.witnesses,
-        "cap_hit": fep.answer == "unknown" or pep.answer == "unknown",
+        "cap_hit": _cap_hit(fep, pep),
     }
     lines = [
         f"fep: {fep.answer} ({fep.reason})",
@@ -227,7 +232,7 @@ def _run_srs(args) -> int:
         "system": {"ring": "Z", "poly": result["bridge_poly"], "digits": result["bridge_digits"]},
         "result": result,
         "steps_used": verdict.fep.witnesses if verdict.fep else 0,
-        "cap_hit": verdict.in_d0 == "unknown",
+        "cap_hit": _cap_hit(verdict.fep, verdict.pep),
     }
     lines = [
         f"r: ({', '.join(result['r'])}), eps: {result['eps']}",

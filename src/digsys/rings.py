@@ -17,7 +17,8 @@ equality.  A ring supplies only what depends on it:
   round-tripping,
 * the arithmetic of the map T of a digit system on the *atoms* of the
   values (``atoms``/``values``), ``dynamics``: the one T of ``_build``,
-  bound once per system, calls it on flat coordinates.
+  or the straight-line kernels ``_kernel`` generates for the shapes of
+  Z and Z[i], bound once per system, calls it on flat coordinates.
 
 ``Ring.divider(m)`` checks a nonzero modulus once and returns
 ``a -> (r, q)`` with ``a = r + q*m`` and ``r`` in ``residues(m)``, so
@@ -263,19 +264,6 @@ class _Scanner:
         return 1
 
 
-def _fold(carry: dict, offsets: dict, d: int, zero) -> list | None:
-    """Per basis coordinate i < d, r -> coordinate i of r's x-part offset, plus
-    carry[r] on the last: the straight-line tables (None for a residue part).
-    A constant digit set has no x-parts, so its last table is ``carry`` and
-    the others, all 0, are None and never read."""
-    if not offsets:
-        return [None] * (d - 1) + [carry]
-    if any(len(o) != d for o in offsets.values()):
-        return None
-    tables = [{r: offsets[r][i] if r in offsets else zero for r in carry} for i in range(d - 1)]
-    return tables + [{r: k + offsets[r][-1] if r in offsets else k for r, k in carry.items()}]
-
-
 class DigitSet:
     """The part of a digit system fixed by its digits' constants alone.
     Digits are a complete residue system mod X exactly when their constants
@@ -324,7 +312,8 @@ class _DigitSets:
     k + 1.  Adding either evicts sets until both bounds hold, the one being
     filled included (its systems keep it to themselves).  A stored row
     never changes, and one built twice is the same row, so closures read
-    and fill rows without a lock; only the bookkeeping takes one."""
+    rows without a lock; storing one and counting it take the lock, so a
+    residue's row is stored and counted once."""
 
     def __init__(self, sets: int, entries: int):
         self.sets, self.entries = sets, entries
@@ -345,10 +334,12 @@ class _DigitSets:
             return slot[0]
 
     def store(self, digit_set: DigitSet, r, row: tuple) -> None:
-        """Put ``row`` at residue ``r`` of the rows of ``digit_set``."""
-        if digit_set.rows.setdefault(r, row) is not row:
-            return  # another closure stored the same row first
+        """Put ``row`` at residue ``r`` of the rows of ``digit_set``, unless
+        a row is there already."""
         with self._lock:
+            if r in digit_set.rows:
+                return  # another closure stored the same row first
+            digit_set.rows[r] = row
             slot = self._table.get((digit_set.ring, digit_set.p0, digit_set.constants))
             if slot is not None and slot[0] is digit_set:  # else evicted
                 self._add(slot, len(row) + 1)
@@ -376,7 +367,7 @@ SHARED_ENTRIES = 2**16
 _DIGIT_SETS = _DigitSets(SHARED_DIGIT_SETS, SHARED_ENTRIES)
 
 
-def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, straight=None):
+def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, fast=None):
     """T of a digit system on the atoms of flat coordinates
     v = (q_0, ..., q_{d-1}, r_0, r_1, ...), written once for every ring:
     ``Ring.dynamics`` binds it per system with its arithmetic on atoms.
@@ -393,12 +384,15 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, 
     * ``add`` and ``sub`` add and subtract two atoms;
     * ``settle`` takes coordinates whose residue part is a sum or a
       difference of reduced ones to their reduced form;
-    * ``straight(step, grow, run)``, if given, returns a straight-line
-      ``step``, ``grow`` and ``run`` over Z with d = 1, 2 and Z[i] with
-      d = 1 (with d = 2 only ``grow``), which pass a state to the generic
-      ones given unless it has exactly d coordinates: the carry is looked
-      up in the tables into which ``_fold`` folds the x-parts, and the
-      loops keep the state in locals.
+    * ``fast``, if given, is the step of a kernel of ``_kernel`` for
+      x-digits, which the round, the rows and ``run`` call in place of
+      the generic step: it takes states of exactly d coordinates itself
+      and passes the others to the generic step returned here.
+
+    This is the generic form of T, for every ring and shape.  Over Z and
+    Z[i] with d up to ``KERNEL_DEGREE`` the kernels of ``_kernel`` take
+    states of exactly d coordinates in straight-line loops, and build
+    these only for the states and rows they pass on.
 
     Returns ``(step, grow, run)``:
 
@@ -416,7 +410,7 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, 
       times, calls ``emit`` with the ``DigitSet.position`` of each digit
       taken off, and stops early at the state 0 or at ``checkpoint``; it
       returns ``(steps, state)``.  Single orbit walks step in segments of
-      it, so the straight loops make no Python call per step.
+      it, so the straight-line loops make no Python call per step.
 
     c and e_0 = r + q1*p0 share the residue r.  Since X*w_{d-1} = -p0,
     (c - e_0)/X = (q1 - q0)*w_{d-1}, which becomes the new last basis
@@ -458,6 +452,8 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, 
         if offsets and r in offsets:
             w = add_coords(w, offsets[r])
         return r, w
+
+    generic, step = step, fast or step
 
     def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
         for n in range(1, count + 1):
@@ -518,10 +514,179 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, 
 
         return expand
 
-    if straight is not None:
-        step, grow, run = straight(step, grow, run)
+    return generic, grow, run
+
+
+# the largest base degree with straight-line kernels, past which (and for
+# F_p[y] and x-digits over Z[i]) ``_build`` serves: at d = 8 a generated
+# round costs 0.6x the generic one per member over Z and 0.8x over Z[i]
+# (x^d + ... + x + 3 and x^d + ... + x + (1+2i) at cap 400, 2 vCPUs)
+KERNEL_DEGREE = 8
+
+# The straight-line T of one shape: the ring ("Z" or "Z[i]"), the base
+# degree d, the sign of p0 over Z, and over Z whether x-digits are folded
+# into the carry tables.  ``bind(ring, base, digit_set, offsets, reduce)``
+# returns one system's (step, grow, run) with the contract of ``_build``'s.
+# They keep a state's d coordinates in locals and read the carry, and the
+# x-parts folded into it, from one table per coordinate, so each step is a
+# dot product, one division and d lookups at most.  A state of another
+# length (a residue part), a member whose row is not built yet and the
+# closures of x-digits, whose rows are coordinate deltas, go to the generic
+# kernels, which ``ring._generic`` makes on first need.  Only d and the
+# shape flags are written into the source; every value of the system is
+# an argument of ``bind``.
+_TEMPLATE = """\
+def bind(ring, base, digit_set, offsets, reduce):
+{prologue:4}
+    position, generic = digit_set.position, []
+
+    def fallback():
+        if not generic:
+            generic.extend(ring._generic(base, digit_set, offsets, reduce, offsets and step))
+        return generic
+
+    def step(v):
+        if len(v) != {d}:
+            return fallback()[0](v)
+        {unpack} = v
+{divide:8}
+        return r, {image}
+
+    def run(v, count, checkpoint, emit):
+        if len(v) != {d}:
+            return fallback()[2](v, count, checkpoint, emit)
+        {unpack} = v
+        # a checkpoint with a residue part equals no state here
+        {marks} = checkpoint if len(checkpoint) == {d} else {no_marks}
+        for k in range(1, count + 1):
+{divide:12}
+            emit(position[r])
+            {flat} = {flat_image}
+            if {at_mark} or {at_zero}:
+                return k, {state}
+        return count, {state}
+
+    def grow(source):
+        if offsets:
+            return fallback()[1](source)
+        rows, one = source.rows, []
+
+        def expand(frontier, members, succ, cap):
+            room, new = cap - len(members), []
+            for v in frontier:
+                if len(v) == {d}:
+                    {unpack} = v
+{divide:20}
+                    deltas = rows.get(r)
+                    if deltas is not None:
+                        {carry_out}
+                        w = succ[v] = {round_image}
+                        if w not in members:
+                            members.add(w)
+                            new.append(w)
+                            room -= 1
+                            if room < 0:
+                                return new
+                        for {delta} in deltas:
+                            w = {shift_image}
+                            if w not in members:
+                                members.add(w)
+                                new.append(w)
+                                room -= 1
+                                if room < 0:
+                                    return new
+                        continue
+                # a residue part, or a residue whose row is not built yet
+                if not one:
+                    one.append(fallback()[1](source))
+                new += one[0]([v], members, succ, cap)
+                room = cap - len(members)
+                if room < 0:
+                    return new
+            return new
+
+        return expand
 
     return step, grow, run
+"""
+
+
+class _Lines(list):
+    """Lines of generated code; ``{lines:k}`` in a template indents them by k."""
+
+    def __format__(self, indent: str) -> str:
+        return "\n".join(" " * int(indent) + line for line in self)
+
+
+def _tuple(items: list) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+@functools.cache  # bounded by the shapes: 4 * KERNEL_DEGREE over Z, KERNEL_DEGREE over Z[i]
+def _kernel(kind: str, d: int, down: bool = True, folded: bool = False):
+    """The compiled ``bind`` of one shape (see ``_TEMPLATE``), compiled on
+    first use under a file name that names the shape."""
+    idx = range(d)
+    if kind == "Z":
+        # coordinate i is a_i, with weight w_i = p_{d-i}
+        flat = [f"a{i}" for i in idx]
+        prologue = _Lines([f"n, {_tuple([f'w{i}' for i in idx])} = abs(base[0]), base[:0:-1]"])
+        if folded:
+            prologue += [
+                f"carry, zero = digit_set.carry, (0,) * {d}",
+                "parts = {r: offsets.get(r, zero) for r in carry}",
+                *(f"t{i} = {{r: o[{i}] for r, o in parts.items()}}" for i in idx[:-1]),
+                "last = {r: carry[r] + o[-1] for r, o in parts.items()}",
+            ]
+        else:
+            prologue.append("last = digit_set.carry")
+        divide = _Lines([f"q, r = divmod({' + '.join(f'a{i} * w{i}' for i in idx)}, n)"])
+        moved = [f"a{i + 1} + t{i}[r]" if folded else f"a{i + 1}" for i in idx[:-1]]
+        last = f"last[r] {'-' if down else '+'} q"
+        unpack, flat_moved = _tuple(flat), moved + [last]
+        carry_out, delta, round_last, shift = f"t = {last}", "c", "t", "t + c"
+    else:
+        # coordinate i is u_i = (a_i, b_i), with weight (w_i_r, w_i_i) =
+        # p_{d-i}; images hold the pairs u_i themselves, not copies
+        flat = [x for i in idx for x in (f"a{i}", f"b{i}")]
+        prologue = _Lines([
+            "(mr, mi), n = base[0], base[0].norm()",
+            "bias, n2, carry = n - 1, 2 * n, digit_set.carry",
+            f"{_tuple([f'(w{i}r, w{i}i)' for i in idx])} = base[:0:-1]",
+        ])
+        divide = _Lines([
+            "cr = " + " + ".join(f"a{i} * w{i}r - b{i} * w{i}i" for i in idx),
+            "ci = " + " + ".join(f"a{i} * w{i}i + b{i} * w{i}r" for i in idx),
+            "qr = (2 * (cr * mr + ci * mi) + bias) // n2",
+            "qi = (2 * (ci * mr - cr * mi) + bias) // n2",
+            "r = (cr - qr * mr + qi * mi, ci - qr * mi - qi * mr)",
+            "kr, ki = carry[r]",
+        ])
+        moved = [f"u{i + 1}" for i in idx[:-1]]
+        unpack = _state(kind, flat) + (f" = {_tuple(['_'] + moved)}" if moved else "")
+        flat_moved, last = flat[2:] + ["kr - qr", "ki - qi"], "(kr - qr, ki - qi)"
+        carry_out, delta, round_last, shift = (
+            "tr, ti = kr - qr, ki - qi", "dr, di", "(tr, ti)", "(tr + dr, ti + di)"
+        )
+    marks = [f"m{j}" for j in range(len(flat))]
+    source = _TEMPLATE.format(
+        d=d, prologue=prologue, divide=divide, unpack=unpack, image=_tuple(moved + [last]),
+        carry_out=carry_out, round_image=_tuple(moved + [round_last]), delta=delta,
+        shift_image=_tuple(moved + [shift]), state=_state(kind, flat),
+        marks=_state(kind, marks), no_marks=_state(kind, ["None"] * len(flat)),
+        flat=", ".join(flat), flat_image=", ".join(flat_moved),
+        at_mark=" and ".join(f"{a} == {m}" for a, m in reversed(list(zip(flat, marks)))),
+        at_zero=" and ".join(f"not {a}" for a in reversed(flat)),
+    )
+    shape = f"{kind} d={d}" + ("" if kind != "Z" else " p0>0" if down else " p0<0")
+    namespace: dict = {}
+    exec(compile(source, f"<T kernel {shape}{' x-digits' if folded else ''}>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def _state(kind: str, flat: list) -> str:
+    """The flat names as a state: one per coordinate, a pair over Z[i]."""
+    return _tuple(flat if kind == "Z" else [f"({a}, {b})" for a, b in zip(flat[::2], flat[1::2])])
 
 
 class Ring:
@@ -590,10 +755,12 @@ class Ring:
         """T of a digit system on the atoms of flat coordinates, bound once
         per system: the ``(step, grow, run)`` of ``_build`` with this
         ring's arithmetic on atoms, ``grow`` the breadth-first round of
-        closures and ``run`` the segment walker of single orbits.
-        ``base`` holds the coefficients p_0, ..., p_d of the base in ring
-        values, ``digit_set`` is the system's ``DigitSet``, ``offsets`` is
-        that of ``_build``, in atoms, and ``reduce`` takes coordinates with
+        closures and ``run`` the segment walker of single orbits; over Z
+        and Z[i] with d up to ``KERNEL_DEGREE`` the generated kernels of
+        the system's shape (``_kernel``), bound in one call.  ``base``
+        holds the coefficients p_0, ..., p_d of the base in ring values,
+        ``digit_set`` is the system's ``DigitSet``, ``offsets`` is that
+        of ``_build``, in atoms, and ``reduce`` takes coordinates with
         an unreduced residue part to their reduced form."""
         raise NotImplementedError
 
@@ -665,116 +832,27 @@ class IntegerRing(Ring):
         return divide
 
     def dynamics(self, base: tuple, digit_set, offsets: dict, reduce):
-        """``_build`` on ints.  c = r + q*|p0| by ``divmod``, and q0 is q, or
-        -q for p0 < 0 (hence ``signed``).  With d = 1, 2 a state of exactly
-        d coordinates takes a straight-line step, and ``run`` a loop that
-        keeps them in locals and picks the sign of q0 inline; so does the
-        closure round of a constant digit set for each member."""
-        d, n = len(base) - 1, abs(base[0])
-        carry, position = digit_set.carry, digit_set.position
+        """The kernels of ``_kernel`` for d up to ``KERNEL_DEGREE`` and
+        x-digits of d basis coordinates, which fold into the carry tables;
+        else ``_build`` on ints."""
+        d = len(base) - 1
+        if d > KERNEL_DEGREE or offsets and any(len(o) != d for o in offsets.values()):
+            return self._generic(base, digit_set, offsets, reduce)
+        return _kernel("Z", d, base[0] > 0, bool(offsets))(self, base, digit_set, offsets, reduce)
+
+    def _generic(self, base: tuple, digit_set, offsets: dict, reduce, fast=None):
+        """``_build`` on ints: c = r + q*|p0| by ``divmod``, and q0 is q, or
+        -q for p0 < 0 (hence ``signed``)."""
+        n, carry = abs(base[0]), digit_set.carry
         weights = tuple(reversed(base[1:])) + (1,)
-        down = base[0] > 0
-        signed = operator.sub if down else operator.add
+        signed = operator.sub if base[0] > 0 else operator.add
 
         def head(v: tuple) -> tuple:
             q, r = divmod(sum(map(operator.mul, v, weights)), n)
             return r, signed(carry[r], q)
 
-        tables = _fold(carry, offsets, d, 0) if d <= 2 else None
-        shifted = bool(offsets)  # else no first table: the x-parts are all 0
-
-        def straight(generic, generic_grow, generic_run):
-            first, last = tables[0], tables[-1]
-            p1, p2 = base[1], base[-1]
-            if d == 1:
-                def step(v: tuple) -> tuple:
-                    if len(v) != 1:
-                        return generic(v)
-                    q, r = divmod(v[0] * p1, n)
-                    return r, (signed(last[r], q),)
-
-                def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
-                    if len(v) != 1:
-                        return generic_run(v, count, checkpoint, emit)
-                    (a,) = v
-                    # a checkpoint with a residue part equals no state here
-                    (c,) = checkpoint if len(checkpoint) == 1 else (None,)
-                    for k in range(1, count + 1):
-                        q, r = divmod(a * p1, n)
-                        emit(position[r])
-                        a = last[r] - q if down else last[r] + q
-                        if a == c or not a:
-                            return k, (a,)
-                    return count, (a,)
-            else:
-                def step(v: tuple) -> tuple:
-                    if len(v) != 2:
-                        return generic(v)
-                    a, b = v
-                    q, r = divmod(a * p2 + b * p1, n)
-                    return r, (b + first[r] if shifted else b, signed(last[r], q))
-
-                def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
-                    if len(v) != 2:
-                        return generic_run(v, count, checkpoint, emit)
-                    a, b = v
-                    ca, cb = checkpoint if len(checkpoint) == 2 else (None, None)
-                    for k in range(1, count + 1):
-                        q, r = divmod(a * p2 + b * p1, n)
-                        emit(position[r])
-                        a, b = b + first[r] if shifted else b, last[r] - q if down else last[r] + q
-                        if b == cb and a == ca or not b and not a:
-                            return k, (a, b)
-                    return count, (a, b)
-
-            def grow(source):
-                expand_one, rows = generic_grow(source), source.rows
-
-                def expand(frontier: list, members: set, succ: dict, cap: int) -> list:
-                    room, new = cap - len(members), []
-                    for v in frontier:
-                        if len(v) == d:
-                            if d == 1:
-                                front = ()
-                                q, r = divmod(v[0] * p1, n)
-                            else:
-                                a, b = v
-                                front = (b,)
-                                q, r = divmod(a * p2 + b * p1, n)
-                            deltas = rows.get(r)
-                            if deltas is not None:
-                                t = last[r] - q if down else last[r] + q
-                                w = succ[v] = front + (t,)
-                                if w not in members:
-                                    members.add(w)
-                                    new.append(w)
-                                    room -= 1
-                                    if room < 0:
-                                        return new
-                                for c in deltas:
-                                    w = front + (t + c,)
-                                    if w not in members:
-                                        members.add(w)
-                                        new.append(w)
-                                        room -= 1
-                                        if room < 0:
-                                            return new
-                                continue
-                        # a residue part, or a residue whose row is not built yet
-                        new += expand_one([v], members, succ, cap)
-                        room = cap - len(members)
-                        if room < 0:
-                            return new
-                    return new
-
-                return expand
-
-            # the rows of a digit set that is not constant are coordinate deltas
-            return step, generic_grow if shifted else grow, run
-
         return _build(
-            self, base, digit_set, offsets, head, operator.add, operator.sub, reduce,
-            None if tables is None else straight,
+            self, base, digit_set, offsets, head, operator.add, operator.sub, reduce, fast
         )
 
     def parse(self, text: str):
@@ -864,15 +942,18 @@ class GaussianIntegerRing(Ring):
         return tuple(map(_gaussian, atoms))
 
     def dynamics(self, base: tuple, digit_set, offsets: dict, reduce):
+        """The kernels of ``_kernel`` for a constant digit set and d up to
+        ``KERNEL_DEGREE``, else ``_build`` on int pairs."""
+        if len(base) - 1 > KERNEL_DEGREE or offsets:
+            return self._generic(base, digit_set, offsets, reduce)
+        return _kernel("Z[i]", len(base) - 1)(self, base, digit_set, offsets, reduce)
+
+    def _generic(self, base: tuple, digit_set, offsets: dict, reduce, fast=None):
         """``_build`` on int pairs (re, im): the dot product with the basis
         constants, the division by p0 (rounded as by ``divider``), the table
         lookups and the additions all unpack ints, and no GaussianInt is
-        built or compared per step.  With d = 1 and constant digits, a state
-        of one coordinate takes a straight-line step, and ``run`` a loop
-        that keeps its two ints in locals; with d = 1, 2 the closure round
-        of a constant digit set does the same for each member."""
-        d, (mr, mi) = len(base) - 1, base[0]
-        carry, position = digit_set.carry, digit_set.position
+        built or compared per step."""
+        (mr, mi), carry = base[0], digit_set.carry
         n = mr * mr + mi * mi
         bias, n2 = n - 1, 2 * n
         atoms, values = self.atoms, self.values
@@ -895,98 +976,9 @@ class GaussianIntegerRing(Ring):
         def sub(u: tuple, v: tuple) -> tuple:
             return (u[0] - v[0], u[1] - v[1])
 
-        def straight(generic, generic_grow, generic_run):
-            # the constant coefficients of w_0 and w_{d-1}: p_d and p_1
-            (pr, pi), (sr, si) = weights[0], weights[d - 1]
-            if d == 1:
-                def step(v: tuple) -> tuple:
-                    if len(v) != 1:
-                        return generic(v)
-                    ((a, b),) = v
-                    cr, ci = a * pr - b * pi, a * pi + b * pr
-                    qr = (2 * (cr * mr + ci * mi) + bias) // n2
-                    qi = (2 * (ci * mr - cr * mi) + bias) // n2
-                    r = (cr - qr * mr + qi * mi, ci - qr * mi - qi * mr)
-                    kr, ki = carry[r]
-                    return r, ((kr - qr, ki - qi),)
-
-                def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
-                    if len(v) != 1:
-                        return generic_run(v, count, checkpoint, emit)
-                    ((a, b),) = v
-                    # a checkpoint with a residue part equals no state here
-                    ((ca, cb),) = checkpoint if len(checkpoint) == 1 else ((None, None),)
-                    for k in range(1, count + 1):
-                        cr, ci = a * pr - b * pi, a * pi + b * pr
-                        qr = (2 * (cr * mr + ci * mi) + bias) // n2
-                        qi = (2 * (ci * mr - cr * mi) + bias) // n2
-                        r = (cr - qr * mr + qi * mi, ci - qr * mi - qi * mr)
-                        emit(position[r])
-                        kr, ki = carry[r]
-                        a, b = kr - qr, ki - qi
-                        if a == ca and b == cb or not a and not b:
-                            return k, ((a, b),)
-                    return count, ((a, b),)
-            else:
-                step, run = generic, generic_run
-
-            def grow(source):
-                expand_one, rows = generic_grow(source), source.rows
-
-                def expand(frontier: list, members: set, succ: dict, cap: int) -> list:
-                    room, new = cap - len(members), []
-                    for v in frontier:
-                        if len(v) == d:
-                            if d == 1:
-                                front = ()
-                                ((a, b),) = v
-                                cr, ci = a * pr - b * pi, a * pi + b * pr
-                            else:
-                                (a, b), low = v
-                                front = (low,)
-                                c, e = low
-                                cr = a * pr - b * pi + c * sr - e * si
-                                ci = a * pi + b * pr + c * si + e * sr
-                            qr = (2 * (cr * mr + ci * mi) + bias) // n2
-                            qi = (2 * (ci * mr - cr * mi) + bias) // n2
-                            r = (cr - qr * mr + qi * mi, ci - qr * mi - qi * mr)
-                            deltas = rows.get(r)
-                            if deltas is not None:
-                                kr, ki = carry[r]
-                                kr -= qr
-                                ki -= qi
-                                w = succ[v] = front + ((kr, ki),)
-                                if w not in members:
-                                    members.add(w)
-                                    new.append(w)
-                                    room -= 1
-                                    if room < 0:
-                                        return new
-                                for dr, di in deltas:
-                                    w = front + ((kr + dr, ki + di),)
-                                    if w not in members:
-                                        members.add(w)
-                                        new.append(w)
-                                        room -= 1
-                                        if room < 0:
-                                            return new
-                                continue
-                        # a residue part, or a residue whose row is not built yet
-                        new += expand_one([v], members, succ, cap)
-                        room = cap - len(members)
-                        if room < 0:
-                            return new
-                    return new
-
-                return expand
-
-            return step, grow, run
-
-        # x-parts over Z[i] are not folded: only constant sets go straight
         return _build(
-            self, base, digit_set, offsets, head, add, sub,
-            lambda q: atoms(reduce(values(q))),
-            straight if d <= 2 and not offsets else None,
+            self, base, digit_set, offsets, head, add, sub, lambda q: atoms(reduce(values(q))),
+            fast,
         )
 
     def parse(self, text: str):

@@ -102,14 +102,14 @@ def srs_to_cns(params: SrsParams) -> tuple[Poly, tuple[int, ...]]:
     coeffs[0] = p0
     # the entries are (p_d, p_{d-1}, ..., p_1) divided by p_0
     for i, ri in enumerate(params.r):
-        coeffs[d - i] = int(ri * p0)
+        coeffs[d - i] = ri.numerator * (p0 // ri.denominator)
     return Poly.make(Z, coeffs), epsilon_digit_set(p0, params.eps)
 
 
 def epsilon_digit_set(p0: int, eps: Fraction) -> tuple[int, ...]:
     """The |p0| consecutive integers in [-eps*|p0|, (1-eps)*|p0|)."""
     n = abs(p0)
-    start = math.ceil(-eps * n)
+    start = -(eps.numerator * n // eps.denominator)  # ceil(-eps*n)
     return tuple(range(start, start + n))
 
 

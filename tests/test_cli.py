@@ -151,9 +151,27 @@ class TestDecide:
             "--witness-cap", "100",
             "--json",
         )
-        assert code == 2  # closure diverges, fep unknown from the search
+        assert code == 2  # |p0| < |p_d|: fep unknown from the root stage
         report = json.loads(out)
         assert report["result"]["euclidean_necessary_check"]["answer"] == "no"
+        # the root stage builds no closure, so no cap was hit, and its
+        # certificate names the values it compared
+        assert report["cap_hit"] is False
+        for prop in ("fep", "pep"):
+            assert report["result"][prop]["certificate"] == {
+                "cap": 100, "mode": "brunotte", "root_inside": {"value_p0": 2, "value_pd": 3}
+            }
+
+    def test_cap_hit_only_when_a_closure_is_capped(self, capsys):
+        decide = ["decide", "--ring", "Z", "--poly", "3x^2-2x+5", "--digits", "0,1,2,3,4"]
+        for argv, want in (
+            ([*decide, "--witness-cap", "1"], (2, True)),
+            (decide, (0, False)),
+            (["srs", "--r", "3/2", "--witness-cap", "100"], (2, False)),  # the root stage
+            (["srs", "--r", "3/5,-2/5", "--witness-cap", "1"], (2, True)),
+        ):
+            code, out, _ = run(capsys, *argv, "--json")
+            assert (code, json.loads(out)["cap_hit"]) == want, argv
 
     def test_negative_witness_cap(self, capsys):
         system = ["--ring", "Z", "--poly", "3x+2", "--digits", "0,1"]

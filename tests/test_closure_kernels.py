@@ -1,9 +1,10 @@
 """The breadth-first round of every closure kernel against the element
 oracle: ``witness_closure`` runs the ``expand`` of ``Ring.dynamics`` (the
-straight-line loops of Z with d = 1, 2 and Z[i] with d = 1, 2, the generic
-loop otherwise), and ``support.full_row_closure`` steps elements.  Every
-cap below the closure's size is compared, so the cap is crossed at T(v),
-inside a row, and by the seeds alone."""
+generated straight-line kernels of Z and Z[i] with d up to
+``KERNEL_DEGREE``, the generic loop otherwise), and
+``support.full_row_closure`` steps elements.  Every cap below the
+closure's size is compared, so the cap is crossed at T(v), inside a row,
+and by the seeds alone."""
 
 import random
 
@@ -13,17 +14,18 @@ from digsys import (
     Fp, GaussianInt, Z, ZI, canonical_ff_digits, parse_poly, product_digit_set,
     validate_system, witness,
 )
-from digsys.rings import _clear_shared
+from digsys import rings
+from digsys.rings import KERNEL_DEGREE, _clear_shared
 
 from support import assert_closure_matches_full_rows, rand_quot
 
 F2, F3 = Fp(2), Fp(3)
 LISTED = ("0", "1", "x+2", "x+3", "2x+4", "2x+5")
 
-# (name, ring, base, digits: values, element literals, None for the
-# canonical F_p[y] digits, or "product" for the product digits of
-# (x+2)(x+3)); "straight" marks the shapes with inline loops, "long" one
-# whose members at cap 300 have quotients of more than two one-byte chunks
+# (name, ring, base, digits: values, element literals (in one string),
+# None for the canonical F_p[y] digits, or "product" for the product
+# digits of (x+2)(x+3)); "long" marks one whose members at cap 300 have
+# quotients of more than two one-byte chunks
 SHAPES = [
     ("Z-d1-straight", Z, "3x+2", [0, 1]),
     ("Z-d1-negative-p0-straight", Z, "2x-5", [0, 1, 2, 3, 4]),
@@ -35,6 +37,14 @@ SHAPES = [
     ("Zi-d2-monic-straight", ZI, "x^2+2x+(1+i)", [0, 1]),
     ("Z-d3", Z, "2x^3+x^2+x+3", range(3)),
     ("Z-d3-negative-p0", Z, "x^3+x^2+x-3", [0, 1, 2]),
+    ("Z-d4", Z, "2x^4+x^3-x^2+x+3", range(3)),
+    ("Z-d4-negative-p0", Z, "x^4+x^2+x-3", [0, 1, 2]),
+    ("Z-d8-limit", Z, "2x^8+x^5-x^2+x+3", range(-1, 2)),
+    ("Z-d9-generic", Z, "x^9+x^4+x+3", range(3)),
+    ("Zi-d3", ZI, "(1+i)x^3+x^2+x+(2+i)", ZI.residues(GaussianInt(2, 1))),
+    ("Zi-d3-monic", ZI, "x^3+i*x+(2+i)", ZI.residues(GaussianInt(2, 1))),
+    ("Z-d3-x-digits", Z, "x^3+x^2+2x+3", "0, x+1, x^2+2"),
+    ("Z-d2-x-digits-negative-p0", Z, "x^2+x-3", "0, x+1, x+2"),
     ("F2-d2", F2, "(y+1)x^2+y*x+(y^2+1)", [F2.parse(t) for t in ("1", "y", "y+1", "y^3+y")]),
     ("F2-d2-canonical", F2, "x^2+(y^2+y+1)", None),
     ("F3-d2-canonical", F3, "(y^2+1)x^2+y*x+(y+1)", None),
@@ -60,9 +70,18 @@ def build(name):
         return system
     if digits is None:
         digits = canonical_ff_digits(modulus)
+    elif isinstance(digits, str):
+        digits = [parse_poly(ring, t) for t in digits.split(",")]
     elif digits is LISTED:
         digits = [parse_poly(ring, t) for t in digits]
     return validate_system(ring, modulus, digits)
+
+
+def kernel(system):
+    """The file name of the generated kernel that steps ``system``, or None
+    when the generic ``_build`` does."""
+    name = system._step.__code__.co_filename
+    return name if name.startswith("<T kernel") else None
 
 
 def seed_sets(system, rng):
@@ -101,8 +120,11 @@ def test_matches_full_rows(name):
                 break
             kinds.add(crossing(system, seed, cap, closure))
         closure = assert_closure_matches_full_rows(system, seed, 300)
-        # the bound step, straight where the loops are, is T as well
-        assert all(system._step(v)[1] == w for v, w in closure.atom_succ.items()), name
+        # the bound step, generated where the shape has a kernel, is T on elements
+        q, ring = system.qring, system.ring
+        for v in closure.atoms:
+            x = q.from_coords(ring.values(v))
+            assert system._step(v)[1] == ring.atoms(q.coords(system.step(x))), name
         if name.endswith("-long"):
             longest = max([longest] + [a.bit_length() for v in closure.atoms for a in v])
     assert "seeds" in kinds and "T(v)" in kinds, name
@@ -115,13 +137,48 @@ def test_matches_full_rows(name):
 
 def test_straight_rounds_meet_residue_parts():
     # the power seeds of a base that is not monic have residue parts, so
-    # members of length != d take the generic path inside a straight round
+    # members of length != d take the generic path inside a generated round
     for name in NAMES:
-        if "straight" in name and "monic" not in name:
-            system = build(name)
+        system = build(name)
+        if kernel(system) and system.modulus.lead != system.ring.one:
             expanded = [
                 v
                 for seed in seed_sets(system, random.Random(1))
                 for v in witness.witness_closure(system, seed, 300, atoms=True).atom_succ
             ]
             assert any(len(v) != system.qring.d for v in expanded), name
+
+
+def test_each_shape_has_its_kernel():
+    # Z and Z[i] up to the degree limit are generated, per sign of p0 over Z
+    # and with x-digits folded; F_p[y] and larger d take the generic kernels
+    for name in NAMES:
+        system = build(name)
+        ring, d, p0 = system.ring, system.qring.d, system.qring.p0
+        if ring == Z and d <= KERNEL_DEGREE:
+            sign = "p0>0" if p0 > 0 else "p0<0"
+            folded = "" if system.digits_constant else " x-digits"
+            want = f"<T kernel Z d={d} {sign}{folded}>"
+        elif ring == ZI and d <= KERNEL_DEGREE:
+            want = f"<T kernel Z[i] d={d}>"
+        else:
+            want = None
+        assert kernel(system) == want, name
+        if want:
+            assert system._run.__code__.co_filename == want, name
+
+
+def test_one_code_object_per_shape():
+    a = validate_system(Z, parse_poly(Z, "3x^2-2x+5"), range(5))
+    b = validate_system(Z, parse_poly(Z, "x^2+7x+11"), range(11))
+    assert a._step.__code__ is b._step.__code__ and a._run.__code__ is b._run.__code__
+    c = validate_system(Z, parse_poly(Z, "3x^2-2x-5"), range(5))  # the other sign of p0
+    assert c._step.__code__ is not a._step.__code__
+    # the cache holds one compiled kernel per shape, however many systems
+    rings._kernel.cache_clear()
+    for d in range(1, KERNEL_DEGREE + 3):
+        for p0 in (3, -3, 5):
+            validate_system(Z, parse_poly(Z, f"x^{d}+{p0}"), range(abs(p0)))
+        for p0 in ("2+i", "1+2i"):
+            validate_system(ZI, parse_poly(ZI, f"x^{d}+({p0})"), range(5))
+    assert rings._kernel.cache_info().currsize == 3 * KERNEL_DEGREE

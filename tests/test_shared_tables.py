@@ -391,6 +391,16 @@ class TestSharedRows:
         assert table.get(Z, 7, tuple(range(7)), str) is not c
         assert table.get(Z, 3, (0, 1, 5), str) is not b
 
+    def test_empty_row_is_counted_once(self):
+        # every empty tuple is the one object (), so a second store of an
+        # empty row at the same residue must be told apart by the residue
+        table = _DigitSets(sets=4, entries=100)
+        a = table.get(Z, 5, tuple(range(5)), str)
+        assert table.size() == (1, 5)
+        table.store(a, 0, ())
+        table.store(a, 0, ())
+        assert table.size() == (1, 6) and a.rows == {0: ()}
+
 
 class TestSharedDividers:
     def test_one_divider_per_modulus(self):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from digsys import (
     tau_step,
     validate_system,
 )
+from digsys.srs import epsilon_digit_set
 
 
 def F(a, b=1):
@@ -73,6 +75,23 @@ class TestBridge:
             params = SrsParams(r)
             modulus, _ = srs_to_cns(params)
             assert cns_to_srs(modulus) == params.r
+
+    def test_integer_formulas_match_fractions(self):
+        # the coefficients r_i * p0 and the digit start ceil(-eps * p0) in
+        # Fraction arithmetic, against the integer formulas of srs_to_cns
+        rng = random.Random(11)
+        for _ in range(300):
+            d = rng.randint(1, 3)
+            r = tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d))
+            if r[0] == 0:
+                continue
+            eps = rng.choice((F(0), F(1, 2)))
+            modulus, digits = srs_to_cns(SrsParams(r, eps))
+            p0 = math.lcm(*(x.denominator for x in r))
+            assert modulus.coeffs == (p0,) + tuple(int(x * p0) for x in reversed(r))
+            start = math.ceil(-eps * p0)
+            assert digits == tuple(range(start, start + p0))
+            assert epsilon_digit_set(-p0, eps) == digits
 
     def test_roundtrip_from_poly(self):
         modulus, _ = srs_to_cns(SrsParams(cns_to_srs(parse_poly(Z, "6x+4"))))

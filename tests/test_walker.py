@@ -39,9 +39,10 @@ def ff(ring, base):
     return validate_system(ring, modulus, canonical_ff_digits(modulus))
 
 
-# every straight loop, the generic run, both signs of p0, residue parts,
-# x-digits folded into the straight tables or not, and orbits that end at
-# 0, in a cycle or at the cap
+# the generated run loops of Z and Z[i] up to the degree limit, the
+# generic run past it and over F_p[y], both signs of p0, residue parts,
+# x-digits folded into the carry tables or not, and orbits that end at 0,
+# in a cycle or at the cap
 SYSTEMS = [
     ("Z d=1 divergent", z("3x+2", [0, 1])),
     ("Z d=1 p0<0", z("3x-2", [0, 1])),
@@ -52,6 +53,12 @@ SYSTEMS = [
     ("Z d=2 negative lead", z("-2x^2+x+3", [0, 1, 2])),
     ("Z d=3", z("x^3+x^2+x+3", range(3))),
     ("Z d=3 p0<0", z("x^3+x-2", [0, 1])),
+    ("Z d=4", z("2x^4+x^3-x^2+x+3", range(3))),
+    ("Z d=4 p0<0", z("x^4+x^2+x-3", range(3))),
+    ("Z d=8 limit", z("x^8+x^5+x^2+x+3", range(-1, 2))),
+    ("Z d=9 generic", z("x^9+x^4+x+3", range(3))),
+    ("Z d=3 x-digits folded", z("x^3+x^2+2x+3", "0, x+1, x^2+2")),
+    ("Z d=2 x-digits p0<0", z("x^2+x-3", "0, x+1, x+2")),
     ("Z x-digits folded", z("x^2+5x+6", "0, 1, x+2, x+3, 2x+4, 2x+5")),
     ("Z x-digits residue", z("2x^2-x+5", "0, x^3+x^2+3x+6, x^2-x+2, x^2-x+3, 4")),
     ("Z d=1 x-digits", z("2x-3", "0, x+1, 2")),
@@ -61,6 +68,9 @@ SYSTEMS = [
     ("Z[i] d=1 cycles", zi("2x+(1+3i)", ZI.residues(GaussianInt(1, 3)))),
     ("Z[i] d=1 fixed points", zi("x+(1+2i)", range(5))),
     ("Z[i] d=2", zi("2x^2+x+(2+i)", range(5))),
+    ("Z[i] d=2 monic", zi("x^2+2x+(1+i)", [0, 1])),
+    ("Z[i] d=3", zi("(1+i)x^3+x^2+x+(2+i)", range(5))),
+    ("Z[i] d=3 monic", zi("x^3+i*x+(2+i)", range(5))),
     ("F2 d=2", example2()),
     ("F2 d=2 canonical", ff(F2, "(y^2+1)x^2+x+(y^2+y)")),
     ("F3 d=1", ff(F3, "y*x+(y^2+2)")),
@@ -215,9 +225,14 @@ RUN_SYSTEMS = [
     ("Z d=2 p0<0", z("x^2+3x-4", range(4))),
     ("Z d=2 x-digits", z("x^2+5x+6", "0, 1, x+2, x+3, 2x+4, 2x+5")),
     ("Z d=3", z("x^3+x^2+x+3", range(3))),
+    ("Z d=3 x-digits", z("x^3+x^2+2x+3", "0, x+1, x^2+2")),
+    ("Z d=4 p0<0", z("x^4+x^2+x-3", range(3))),
+    ("Z d=8", z("x^8+x^5+x^2+x+3", range(-1, 2))),
+    ("Z d=9", z("x^9+x^4+x+3", range(3))),
     ("Z[i] d=1", gauss_example()),
     ("Z[i] d=1 monic", zi("x+(1+2i)", range(5))),
     ("Z[i] d=2", zi("2x^2+x+(2+i)", range(5))),
+    ("Z[i] d=3", zi("(1+i)x^3+x^2+x+(2+i)", range(5))),
     ("F2 d=2", example2()),
 ]
 

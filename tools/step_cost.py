@@ -1,8 +1,8 @@
 """Print the CPU cost of one T step, in microseconds, for each shape of
 the dynamics.
 
-A shape is a coefficient ring and a base degree d: Z with d = 1, 2, 3,
-Z[i] with d = 1, 2, and F2[y], F3[y] and F131[y].  A second Z[i] shape
+A shape is a coefficient ring and a base degree d: Z with d = 1, 2, 3, 4,
+Z[i] with d = 1, 2, 3, and F2[y], F3[y] and F131[y].  A second Z[i] shape
 with d = 2 has the 17 residues of p0 = 4+i as digits, so its closure
 rows, one carry step of T per digit, are the longest.  A second Z shape
 with d = 2 ("x-dig") has digits that are not constant in x, so its
@@ -20,11 +20,13 @@ through ``digit_sequence`` (``us/walk step``).  Those walks step in
 segments of the ``run`` loop that ``Ring.dynamics`` binds beside the
 step, so the column times the run loops, plus the walker's checkpoint
 and the conversion of each start to coordinates and of the recorded
-digit positions to digits.  Z with d = 1, 2 and Z[i] with d = 1 have a
-straight-line step and a run loop that keeps the state in locals; these
-and Z[i] with d = 2 expand the members of a closure of a constant digit
-set in a straight-line loop.  The other shapes take the generic step,
-closure round and run loop.  The
+digit positions to digits.  Every Z and Z[i] shape here has the
+straight-line kernels that ``rings._kernel`` generates for its ring, d
+and sign of p0 (up to ``rings.KERNEL_DEGREE``): a step and a run loop
+that keep the state in locals and, for a constant digit set, a closure
+round with no call per member.  The x-digits of "x-dig" fold into its
+carry tables, and its closures take the generic round.  The F_p[y]
+shapes take the generic step, closure round and run loop.  The
 ``walk KB`` column is the tracemalloc peak of one walk of at most 10^4
 steps from the first start, less its digit tuple: the walk keeps two
 states and one byte per digit, so on the shapes whose orbits grow and
@@ -92,10 +94,12 @@ SHAPES = [
     ("Z d=1", Z, "3x+2", [0, 1]),
     ("Z d=2", Z, "3x^2-2x+5", range(5)),
     ("Z d=3", Z, "x^3+x^2+x+3", range(3)),
+    ("Z d=4", Z, "x^4+x^3+x^2+x+3", range(3)),
     ("Z[i] d=1", ZI, "(1+i)x+(1+2i)", range(5)),
     ("Z[i] d=1 wide", ZI, "(7+i)x+(3+2i)", ZI.residues(GaussianInt(3, 2))),
     ("Z[i] d=2", ZI, "x^2+2x+(1+i)", [0, 1]),
     ("Z[i] d=2 N17", ZI, "(1+i)x^2+x+(4+i)", ZI.residues(GaussianInt(4, 1))),
+    ("Z[i] d=3", ZI, "x^3+x^2+x+(1+2i)", ZI.residues(GaussianInt(1, 2))),
     ("F2[y] d=2", F2, "(y+1)x^2+y*x+(y^2+1)", None),
     ("F3[y] d=3", F3, "(y+1)x^3+2x+y", None),
     ("F3[y] d=1 grow", F3, "(y^2+1)x+(y+2)", None),
