@@ -480,9 +480,7 @@ class FpPolynomialRing(Ring):
                 if first:
                     raise sc.error("empty polynomial")
                 break
-            sign = sc.sign()
-            if not first and sign == 1 and sc.peek() not in "0123456789y":
-                raise sc.error("expected '+' or '-'")
+            sign = sc.sign(first)
             coeff = 1
             have_coeff = False
             if sc.peek().isdigit():

@@ -254,13 +254,17 @@ class _Scanner:
                 f"integer literal of {len(literal)} characters is too long", self.text, at
             ) from None
 
-    def sign(self) -> int:
+    def sign(self, first: bool) -> int:
+        """1 or -1 for a '+' or '-' taken; 1 with no sign only before the
+        first term, since terms must be joined by '+' or '-'."""
         if self.peek() == "+":
             self.take()
             return 1
         if self.peek() == "-":
             self.take()
             return -1
+        if not first:
+            raise self.error("expected '+' or '-'")
         return 1
 
 
@@ -990,9 +994,7 @@ class GaussianIntegerRing(Ring):
                 if first:
                     raise sc.error("empty Gaussian integer")
                 break
-            sign = sc.sign()
-            if not first and sign == 1 and sc.peek() not in "0123456789i":
-                raise sc.error("expected '+' or '-'")
+            sign = sc.sign(first)
             if sc.peek() == "i":
                 sc.take()
                 total = total + GaussianInt(0, sign)

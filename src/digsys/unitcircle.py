@@ -1,176 +1,100 @@
-"""Exact root counts about the unit circle for polynomials over Q(i).
+"""Where the roots of a polynomial over Z or Z[i] lie about the unit circle.
 
-A polynomial is split into square-free factors by Yun's algorithm, and
-each factor s is mapped by the Cayley transform z = (w - i)/(w + i),
-which sends the open unit disk to the upper half-plane and the unit
-circle, except z = 1, to the real line:
+The Cayley transform z = (w - i)/(w + i) sends the open unit disk to the
+upper half-plane and the unit circle, except z = 1, to the real line.
+For P of degree d with P(1) != 0,
 
-    q(w) = sum_k s_k (w - i)^k (w + i)^(n - k).
+    q(w) = conj(P(1)) * sum_k p_k (w - i)^k (w + i)^(d - k)
 
-With the leading coefficient of q made real, q = P + iQ for real
-polynomials P and Q with deg Q < deg P.  Their gcd D carries the real
-roots of q (roots of s on the circle) and its pairs of conjugate roots
-(pairs z, 1/conj(z) of roots of s); it is the Cayley image of
-gcd(s, s*), s*(z) = z^n conj(s(1/conj(z))).  Dividing it out leaves
-P/D + iQ/D with no real root, whose roots in the upper half-plane are
-counted by the Cauchy index of Q/P over the real line (Marden,
-*Geometry of Polynomials*, ch. X); real roots are counted by Sturm
-sequences.  Everything is exact in ``fractions.Fraction``.
+has degree d and the real leading coefficient |P(1)|^2, and its roots
+are the Cayley images of the roots of P.  Write q = A + iB with A, B over
+Z.  Their gcd D holds the real roots of q, which are roots of P on
+|z| = 1, and pairs w, conj(w) of roots of q, which are pairs z, 1/conj(z)
+of roots of P, one of them inside the circle.  With D constant, q has no
+real root and (d - Ind(B/A))/2 roots in the upper half-plane, where Ind
+is the Cauchy index over the real line (Marden, *Geometry of
+Polynomials*, ch. X); P then has every root outside exactly when
+Ind(B/A) = d.  The number of distinct real roots of D is Ind(D'/D).
+
+A Cauchy index is the count of sign variations at -inf less that at
++inf along a signed remainder sequence, which stays valid when each
+remainder is scaled by a positive constant.  So every remainder is a
+pseudo-remainder, scaled by a power of |lead| rather than of lead, and
+divided by its positive content: the primitive remainder sequence of
+Collins (*J. ACM* 14 (1967)), all on plain ints.  Its last member is
+the gcd D up to a constant.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
+
+# Polynomials are coefficient lists, lowest degree first; a real one has
+# no trailing zero, and [] is the zero polynomial.
 
 
-class GaussRational:
-    """An exact element re + im*i of Q(i)."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other: GaussRational) -> GaussRational:
-        return GaussRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: GaussRational) -> GaussRational:
-        return GaussRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> GaussRational:
-        return GaussRational(-self.re, -self.im)
-
-    def __mul__(self, other: GaussRational) -> GaussRational:
-        return GaussRational(
-            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
-        )
-
-    def __truediv__(self, other: GaussRational) -> GaussRational:
-        n = other.re * other.re + other.im * other.im
-        return self * GaussRational(other.re / n, -other.im / n)
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def conjugate(self) -> GaussRational:
-        return GaussRational(self.re, -self.im)
+def _times(poly: list, s: int) -> list:
+    """poly * (w + s*i) on (re, im) coefficient pairs, for s = 1 or -1."""
+    padded = [(0, 0), *poly, (0, 0)]
+    return [(a - s * y, b + s * x) for (a, b), (x, y) in zip(padded, padded[1:])]
 
 
-# Polynomials are coefficient lists, lowest degree first, with no
-# trailing zero; [] is the zero polynomial.
+def _remainder(a: list, b: list) -> list:
+    """-|lead(b)|^(deg a - deg b + 1) * (a mod b), divided by its
+    positive content; [] when b divides a."""
+    lead = b[-1]
+    scale, sign, n = abs(lead), (1 if lead > 0 else -1), len(b) - 1
+    for k in range(len(a) - 1, n - 1, -1):
+        c = sign * a[k]
+        a = [scale * x for x in a[:k]]
+        for j in range(n):
+            a[k - n + j] -= c * b[j]
+    while a and not a[-1]:
+        a.pop()
+    content = gcd(*a)
+    return [-x // content for x in a]
 
 
-def _trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
+def _cauchy_index(a: list, b: list) -> tuple[int, list]:
+    """Ind(b/a) over the real line, for real a != 0, and gcd(a, b) up to a
+    constant factor."""
+    seq = [a]
+    while b:
+        seq.append(b)
+        a, b = b, _remainder(a, b)
+    # signs at +inf and at -inf of the leading terms
+    plus = [p[-1] > 0 for p in seq]
+    minus = [(p[-1] > 0) != (len(p) % 2 == 0) for p in seq]
+
+    def variations(signs: list) -> int:
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return variations(minus) - variations(plus), seq[-1]
 
 
-def _sub(p: list, q: list) -> list:
-    zero = GaussRational()
-    n = max(len(p), len(q))
-    p, q = p + [zero] * (n - len(p)), q + [zero] * (n - len(q))
-    return _trim([a - b for a, b in zip(p, q)])
-
-
-def _mul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    out = [GaussRational()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _divmod(p: list, q: list) -> tuple[list, list]:
-    rem = list(p)
-    inv = GaussRational(1) / q[-1]
-    quo = [GaussRational()] * max(len(p) - len(q) + 1, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + len(q) - 1] * inv
-        quo[k] = c
-        for j, b in enumerate(q):
-            rem[k + j] = rem[k + j] - c * b
-    return _trim(quo), _trim(rem[: len(q) - 1])
-
-
-def _monic(p: list) -> list:
-    inv = GaussRational(1) / p[-1]
-    return [c * inv for c in p]
-
-
-def _gcd(p: list, q: list) -> list:
-    while q:
-        p, q = q, _divmod(p, q)[1]
-    return _monic(p)
-
-
-def _derivative(p: list) -> list:
-    return _trim([c * GaussRational(k) for k, c in enumerate(p)][1:])
-
-
-def squarefree_factors(f: list) -> list[tuple[list, int]]:
-    """Yun's decomposition of a nonzero f: pairs (s, k) of monic,
-    square-free, pairwise coprime s of degree >= 1 with f = lead(f) *
-    prod s^k."""
-    df = _derivative(f)
-    g = _gcd(f, df)
-    b, c = _divmod(f, g)[0], _divmod(df, g)[0]
-    out = []
-    k = 1
-    while len(b) > 1:
-        d = _sub(c, _derivative(b))
-        a = _gcd(b, d)
-        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
-        if len(a) > 1:
-            out.append((a, k))
-        k += 1
-    return out
-
-
-def _cauchy_index(p: list, q: list) -> int:
-    """Cauchy index of q/p over the real line, for real p != 0: sign
-    variations of the signed remainder sequence at -inf minus at +inf."""
-    leads = []
-    while q:
-        leads.append((p[-1].re, len(p) - 1))
-        p, q = q, [-c for c in _divmod(p, q)[1]]
-    leads.append((p[-1].re, len(p) - 1))
-
-    def variations(at_minus_inf: bool) -> int:
-        signs = [(c > 0) != (at_minus_inf and deg % 2 == 1) for c, deg in leads]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    return variations(True) - variations(False)
-
-
-def circle_counts(s: list) -> tuple[int, int, int]:
-    """Roots of a square-free s inside, on and outside the unit circle."""
-    degree = len(s) - 1
-    on = 0
-    if not sum(s, GaussRational()):  # s(1) = 0: z = 1 has no Cayley image
-        s = _divmod(s, [GaussRational(-1), GaussRational(1)])[0]
-        on = 1
-    n = len(s) - 1
-    minus, plus = [[GaussRational(1)]], [[GaussRational(1)]]
-    for _ in range(n):
-        minus.append(_mul(minus[-1], [GaussRational(0, -1), GaussRational(1)]))
-        plus.append(_mul(plus[-1], [GaussRational(0, 1), GaussRational(1)]))
-    # deg q = n, since its leading coefficient is s(1) != 0
-    q = [GaussRational()] * (n + 1)
-    for k, a in enumerate(s):
-        for j, c in enumerate(_mul(minus[k], plus[n - k])):
-            q[j] = q[j] + a * c
-    rot = q[-1].conjugate()
-    q = [c * rot for c in q]
-    re = _trim([GaussRational(c.re) for c in q])
-    im = _trim([GaussRational(c.im) for c in q])
-    common = _gcd(re, im)
-    real = _cauchy_index(common, _derivative(common))
-    re, im = _divmod(re, common)[0], _divmod(im, common)[0]
-    pairs = (len(common) - 1 - real) // 2
-    upper = (len(re) - 1 - _cauchy_index(re, im)) // 2
-    on += real
-    return pairs + upper, on, degree - pairs - upper - on
+def circle_status(coeffs: list) -> str:
+    """"borderline" when a root of the polynomial with the (re, im)
+    coefficient pairs ``coeffs`` (lowest degree first, degree >= 1) lies
+    on |z| = 1, else "not-expanding" when one lies inside, else
+    "expanding"."""
+    d = len(coeffs) - 1
+    sr, si = sum(re for re, _ in coeffs), sum(im for _, im in coeffs)
+    if not (sr or si):
+        return "borderline"
+    # Horner in w - i: q <- q * (w - i) + p_k (w + i)^(d - k), k = d-1..0
+    q, power = [coeffs[d]], [(1, 0)]
+    for pr, pi in reversed(coeffs[:d]):
+        power = _times(power, 1)
+        q = [
+            (a + pr * x - pi * y, b + pr * y + pi * x)
+            for (a, b), (x, y) in zip(_times(q, -1), power)
+        ]
+    real = [a * sr + b * si for a, b in q]
+    imag = [b * sr - a * si for a, b in q]
+    while imag and not imag[-1]:
+        imag.pop()
+    index, common = _cauchy_index(real, imag)
+    if len(common) > 1:
+        slope = [k * c for k, c in enumerate(common)][1:]
+        return "borderline" if _cauchy_index(common, slope)[0] else "not-expanding"
+    return "expanding" if index == d else "not-expanding"

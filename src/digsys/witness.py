@@ -567,11 +567,14 @@ def euclidean_necessary_check(system: DigitSystem) -> Verdict | None:
 def expanding_check(modulus: Poly) -> ExpandingReport:
     """Exact expanding test for base polynomials over Z or Z[i].
 
-    The roots inside, on and outside the unit circle are counted in
-    exact Q(i) arithmetic through the Cayley transform and Cauchy
-    indices, after dividing out the part of gcd(f, f*) that carries the
-    roots on the circle and the pairs z, 1/conj(z) (Marden, *Geometry of
-    Polynomials*, ch. X; see ``digsys.unitcircle``).
+    The Cayley transform z = (w - i)/(w + i) maps the roots of the base
+    P to those of q = A + iB, real A and B, of the same degree d (when
+    P(1) = 0, a root lies on the circle).  A real root of gcd(A, B) is a
+    root of P on |z| = 1; any other common root pairs a root inside with
+    one outside; else P has every root outside exactly when the Cauchy
+    index Ind(B/A) is d (Marden, *Geometry of Polynomials*, ch. X).  The
+    remainder sequences are the primitive ones of Collins (*J. ACM* 14
+    (1967)), on plain ints; see ``digsys.unitcircle``.
     """
     ring = modulus.ring
     if isinstance(ring, FpPolynomialRing):
@@ -579,14 +582,9 @@ def expanding_check(modulus: Poly) -> ExpandingReport:
     if modulus.degree < 1:
         raise ValueError("the polynomial must have degree at least 1")
     if ring == Z:
-        coeffs = [unitcircle.GaussRational(c) for c in modulus.coeffs]
+        coeffs = [(c, 0) for c in modulus.coeffs]
     else:
-        coeffs = [unitcircle.GaussRational(c.re, c.im) for c in modulus.coeffs]
-    inside = on = 0
-    for factor, k in unitcircle.squarefree_factors(coeffs):
-        factor_inside, factor_on, _ = unitcircle.circle_counts(factor)
-        inside += k * factor_inside
-        on += k * factor_on
+        coeffs = [(c.re, c.im) for c in modulus.coeffs]
     modulus_sq = None
     if modulus.degree == 1:
         p0, p1 = modulus.coeffs
@@ -594,10 +592,4 @@ def expanding_check(modulus: Poly) -> ExpandingReport:
             modulus_sq = Fraction(p0 * p0, p1 * p1)
         else:
             modulus_sq = Fraction(p0.norm(), p1.norm())
-    if on:
-        status = "borderline"
-    elif inside:
-        status = "not-expanding"
-    else:
-        status = "expanding"
-    return ExpandingReport(status, modulus_sq)
+    return ExpandingReport(unitcircle.circle_status(coeffs), modulus_sq)

@@ -583,3 +583,184 @@ def coupled_product_expand(
             "eventually-periodic", tuple(digits), steps=n, preperiod=hit, period=n - hit
         )
     return ProductExpansion("unknown", tuple(digits), steps=cap)
+
+
+# Root counts about the unit circle in exact Q(i) arithmetic: the route
+# ``expanding_check`` took before it computed the status on plain ints
+# (``digsys.unitcircle``), kept as its oracle.  A polynomial is split
+# into square-free factors by Yun's algorithm, and each factor s is
+# mapped by the Cayley transform z = (w - i)/(w + i) to q(w) = sum_k s_k
+# (w - i)^k (w + i)^(n - k).  With its leading coefficient made real, q =
+# P + iQ, and gcd(P, Q) carries the real roots of q (roots of s on the
+# circle) and its pairs of conjugate roots (pairs z, 1/conj(z) of roots
+# of s); dividing it out leaves a quotient whose roots in the upper
+# half-plane (|z| < 1) are counted by the Cauchy index of Q/P, and real
+# roots are counted by Sturm sequences.  Polynomials are coefficient
+# lists, lowest degree first, with no trailing zero; [] is the zero
+# polynomial.
+
+
+class GaussRational:
+    """An exact element re + im*i of Q(i)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other: GaussRational) -> GaussRational:
+        return GaussRational(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: GaussRational) -> GaussRational:
+        return GaussRational(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> GaussRational:
+        return GaussRational(-self.re, -self.im)
+
+    def __mul__(self, other: GaussRational) -> GaussRational:
+        return GaussRational(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    def __truediv__(self, other: GaussRational) -> GaussRational:
+        n = other.re * other.re + other.im * other.im
+        return self * GaussRational(other.re / n, -other.im / n)
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def conjugate(self) -> GaussRational:
+        return GaussRational(self.re, -self.im)
+
+
+def _qi_trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _qi_sub(p: list, q: list) -> list:
+    zero = GaussRational()
+    n = max(len(p), len(q))
+    p, q = p + [zero] * (n - len(p)), q + [zero] * (n - len(q))
+    return _qi_trim([a - b for a, b in zip(p, q)])
+
+
+def _qi_mul(p: list, q: list) -> list:
+    if not p or not q:
+        return []
+    out = [GaussRational()] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _qi_divmod(p: list, q: list) -> tuple[list, list]:
+    rem = list(p)
+    inv = GaussRational(1) / q[-1]
+    quo = [GaussRational()] * max(len(p) - len(q) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(q) - 1] * inv
+        quo[k] = c
+        for j, b in enumerate(q):
+            rem[k + j] = rem[k + j] - c * b
+    return _qi_trim(quo), _qi_trim(rem[: len(q) - 1])
+
+
+def _qi_monic(p: list) -> list:
+    inv = GaussRational(1) / p[-1]
+    return [c * inv for c in p]
+
+
+def _qi_gcd(p: list, q: list) -> list:
+    while q:
+        p, q = q, _qi_divmod(p, q)[1]
+    return _qi_monic(p)
+
+
+def _qi_derivative(p: list) -> list:
+    return _qi_trim([c * GaussRational(k) for k, c in enumerate(p)][1:])
+
+
+def squarefree_factors(f: list) -> list[tuple[list, int]]:
+    """Yun's decomposition of a nonzero f: pairs (s, k) of monic,
+    square-free, pairwise coprime s of degree >= 1 with f = lead(f) *
+    prod s^k."""
+    df = _qi_derivative(f)
+    g = _qi_gcd(f, df)
+    b, c = _qi_divmod(f, g)[0], _qi_divmod(df, g)[0]
+    out = []
+    k = 1
+    while len(b) > 1:
+        d = _qi_sub(c, _qi_derivative(b))
+        a = _qi_gcd(b, d)
+        b, c = _qi_divmod(b, a)[0], _qi_divmod(d, a)[0]
+        if len(a) > 1:
+            out.append((a, k))
+        k += 1
+    return out
+
+
+def _qi_cauchy_index(p: list, q: list) -> int:
+    """Cauchy index of q/p over the real line, for real p != 0: sign
+    variations of the signed remainder sequence at -inf minus at +inf."""
+    leads = []
+    while q:
+        leads.append((p[-1].re, len(p) - 1))
+        p, q = q, [-c for c in _qi_divmod(p, q)[1]]
+    leads.append((p[-1].re, len(p) - 1))
+
+    def variations(at_minus_inf: bool) -> int:
+        signs = [(c > 0) != (at_minus_inf and deg % 2 == 1) for c, deg in leads]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(True) - variations(False)
+
+
+def circle_counts(s: list) -> tuple[int, int, int]:
+    """Roots of a square-free s inside, on and outside the unit circle."""
+    degree = len(s) - 1
+    on = 0
+    if not sum(s, GaussRational()):  # s(1) = 0: z = 1 has no Cayley image
+        s = _qi_divmod(s, [GaussRational(-1), GaussRational(1)])[0]
+        on = 1
+    n = len(s) - 1
+    minus, plus = [[GaussRational(1)]], [[GaussRational(1)]]
+    for _ in range(n):
+        minus.append(_qi_mul(minus[-1], [GaussRational(0, -1), GaussRational(1)]))
+        plus.append(_qi_mul(plus[-1], [GaussRational(0, 1), GaussRational(1)]))
+    # deg q = n, since its leading coefficient is s(1) != 0
+    q = [GaussRational()] * (n + 1)
+    for k, a in enumerate(s):
+        for j, c in enumerate(_qi_mul(minus[k], plus[n - k])):
+            q[j] = q[j] + a * c
+    rot = q[-1].conjugate()
+    q = [c * rot for c in q]
+    re = _qi_trim([GaussRational(c.re) for c in q])
+    im = _qi_trim([GaussRational(c.im) for c in q])
+    common = _qi_gcd(re, im)
+    real = _qi_cauchy_index(common, _qi_derivative(common))
+    re, im = _qi_divmod(re, common)[0], _qi_divmod(im, common)[0]
+    pairs = (len(common) - 1 - real) // 2
+    upper = (len(re) - 1 - _qi_cauchy_index(re, im)) // 2
+    on += real
+    return pairs + upper, on, degree - pairs - upper - on
+
+
+def circle_counts_oracle(modulus: Poly) -> tuple[int, int, int]:
+    """Roots of a Z or Z[i] polynomial of degree >= 1 inside, on and
+    outside the unit circle, with multiplicity."""
+    coeffs = [GaussRational(*gaussian_rational(c)) for c in modulus.coeffs]
+    counts = [0, 0, 0]
+    for factor, k in squarefree_factors(coeffs):
+        for j, n in enumerate(circle_counts(factor)):
+            counts[j] += k * n
+    return tuple(counts)
+
+
+def expanding_status_oracle(modulus: Poly) -> str:
+    """``expanding_check``'s status from ``circle_counts_oracle``."""
+    inside, on, _ = circle_counts_oracle(modulus)
+    return "borderline" if on else "not-expanding" if inside else "expanding"

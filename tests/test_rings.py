@@ -330,6 +330,26 @@ class TestParseFormat:
             F3.parse("4y")
         assert "out of range" in str(exc.value)
 
+    def test_terms_need_an_operator(self):
+        # two terms with nothing between them are refused, not added;
+        # whitespace inside one term ("2 i", "2 y") is still skipped
+        for parse, text, pos in (
+            (ZI.parse, "1 2", 2),
+            (ZI.parse, "i2", 1),
+            (ZI.parse, "3i 4", 3),
+            (F3.parse, "y y", 2),
+            (F3.parse, "2y 1", 3),
+            (F2.parse, "y^2 1", 4),
+            (lambda t: parse_poly(ZI, t), "(1 2)x+3", 3),
+            (lambda t: parse_poly(F3, t), "(y 1)x+1", 3),
+        ):
+            with pytest.raises(ParseError, match="expected '\\+' or '-'") as exc:
+                parse(text)
+            assert exc.value.pos == pos, text
+        assert ZI.parse("+5 - i") == GaussianInt(5, -1)
+        assert ZI.parse("2 i") == GaussianInt(0, 2) and F3.parse("2 y") == fp(F3, 0, 2)
+        assert parse_poly(ZI, "(1+2i)x+3") == parse_poly(ZI, "(1 + 2i)*x + 3")
+
     def test_huge_exponent_rejected_before_allocation(self):
         start = time.perf_counter()
         with pytest.raises(ParseError, match="exponent"):

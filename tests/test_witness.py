@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import weakref
 
 import pytest
@@ -32,16 +33,21 @@ from digsys import (
 from digsys.polyquot import QuotRing
 
 from support import (
+    GaussRational,
     assert_closure_matches_bfs,
     assert_closure_matches_full_rows,
+    circle_counts,
     element_orbit_statuses,
     example1,
     example1_symmetric,
     example2,
+    expanding_status_oracle,
     gauss_example,
     gauss_paper_witnesses,
     images_of,
     rand_quot,
+    rand_ring_elem,
+    squarefree_factors,
 )
 
 
@@ -595,6 +601,43 @@ class TestOrbitGraph:
                     orbit_graph(system, [start], growth_cap=cap)
         assert orbit_graph(system, [system.qring.zero], growth_cap=0).nodes == (system.qring.zero,)
 
+    @staticmethod
+    def _grown_systems():
+        """(system, start elements) pairs whose start sets are not closed
+        under T, so ``orbit_graph`` has to grow them."""
+        z, zi = example1(), gauss_example()
+        return [
+            (z, [z.qring.parse("x+7")]),
+            (z, [z.qring.parse("-x^3+2"), z.qring.from_const(-9)]),
+            (zi, [zi.qring.from_const(GaussianInt(7, -5))]),
+            (zi, [zi.qring.from_const(GaussianInt(-6, 3)), zi.qring.parse("4+9i")]),
+        ]
+
+    @staticmethod
+    def _stepped(system, starts) -> set:
+        """The elements met by stepping each start until an element repeats."""
+        seen = set()
+        for v in starts:
+            while v not in seen:
+                seen.add(v)
+                v = system.step(v)
+        return seen
+
+    def test_growth_reaches_stepped_closure(self):
+        for system, starts in self._grown_systems():
+            nodes = self._stepped(system, starts)
+            assert len(nodes) > len(starts) + 1, system
+            graph = orbit_graph(system, starts)
+            assert graph.nodes == tuple(sorted(nodes, key=system.qring.format))
+            assert graph.succ == {v: system.step(v) for v in nodes}
+
+    def test_growth_cap_below_growth(self):
+        for system, starts in self._grown_systems():
+            growth = len(self._stepped(system, starts)) - len(starts)
+            with pytest.raises(ValueError, match="did not close within the growth cap"):
+                orbit_graph(system, starts, growth_cap=growth - 1)
+            assert len(orbit_graph(system, starts, growth_cap=growth).nodes) == growth + len(starts)
+
 
 class TestEuclideanCheck:
     def test_inconclusive_when_expanding(self):
@@ -678,8 +721,8 @@ class TestExactExpandingCheck:
         assert expanding_check(f).status == status
 
     def test_counts_with_multiplicity(self):
-        from digsys.unitcircle import GaussRational, circle_counts, squarefree_factors
-
+        # the counts come from the Q(i) oracle, since ``expanding_check``
+        # computes only the status
         f = _product(Z, [("x-1", 3), ("x+2", 2), ("3x-1", 1), ("x^2+1", 1)])
         factors = squarefree_factors([GaussRational(c) for c in f.coeffs])
         assert sorted((len(s) - 1, k) for s, k in factors) == [(1, 2), (1, 3), (3, 1)]
@@ -697,6 +740,58 @@ def _product(ring, factors):
         for _ in range(power):
             out = out * parse_poly(ring, text)
     return out
+
+
+class TestCircleStatusOracle:
+    """``expanding_check``'s status against the Q(i) oracle of
+    ``tests/support.py`` on seeded polynomials of degree <= 8: random
+    coefficients, and products with repeats of factors with roots on the
+    circle, at 0, at 1, and in pairs z, 1/conj(z)."""
+
+    FACTORS = ["x-1", "x+1", "x^2+1", "x^2+x+1", "2x^2-5x+2", "x", "x^4+1"]
+    GAUSS_FACTORS = ["x-i", "2x+(1+i)", "(3+4i)x-5"]
+
+    @staticmethod
+    def _random(rng, ring, degree):
+        size = rng.randint(1, 1000)
+        while True:
+            coeffs = [rand_ring_elem(rng, ring, size) for _ in range(degree + 1)]
+            if coeffs[-1] != ring.zero:
+                return Poly.make(ring, coeffs)
+
+    def _circle_product(self, rng, ring):
+        names = self.FACTORS + (self.GAUSS_FACTORS if ring == ZI else [])
+        f = Poly.make(ring, [rand_ring_elem(rng, ring, 5) or ring.one])
+        for _ in range(rng.randint(1, 4)):
+            g = parse_poly(ring, rng.choice(names))
+            if f.degree + g.degree <= 8:
+                f = f * g
+        if f.degree < 8 and rng.random() < 0.5:
+            f = f * self._random(rng, ring, rng.randint(1, min(2, 8 - f.degree)))
+        return f
+
+    def test_random_and_product_polynomials(self):
+        rng = random.Random(20261020)
+        seen = {}
+        for n in range(2000):
+            ring = (Z, ZI)[n % 2]
+            if n % 4 < 2:
+                f = self._random(rng, ring, rng.randint(1, 8))
+            else:
+                f = self._circle_product(rng, ring)
+            status = expanding_status_oracle(f)
+            assert expanding_check(f).status == status, f
+            seen[ring, status] = seen.get((ring, status), 0) + 1
+        assert len(seen) == 6 and min(seen.values()) >= 40, seen
+
+    def test_high_degree_is_fast(self):
+        # the Q(i) route took seconds on these; the integer one takes ms
+        rng = random.Random(7)
+        for ring, degree in [(Z, 60), (ZI, 40)]:
+            coeffs = [rand_ring_elem(rng, ring, 50) for _ in range(degree)] + [ring.one]
+            start = time.perf_counter()
+            expanding_check(Poly.make(ring, coeffs))
+            assert time.perf_counter() - start < 1.0, (ring, degree)
 
 
 class TestExpandingOracle:

@@ -7,9 +7,10 @@ stabilised and capped closures -- each as text and as ``--json``, and
 prints every exit code, stdout, stderr and DOT file.  Then it prints,
 through the library, the expansions of a few elements in Z[i] and F3[y]
 systems whose digits are not constant in x, which the CLI cannot
-express.  Two versions of the library print the same bytes
-exactly when their output agrees, so a change that must keep the output
-byte-identical is checked with
+express, and the ``expanding_check`` status of a dozen bases.  Two
+versions of the library print the same bytes exactly when their output
+agrees, so a change that must keep the output byte-identical is checked
+with
 
     PYTHONPATH=<old checkout>/src python3 tools/output_corpus.py > before.txt
     PYTHONPATH=src python3 tools/output_corpus.py > after.txt
@@ -40,7 +41,7 @@ import tempfile
 import traceback
 from pathlib import Path
 
-from digsys import ZI, Fp, parse_poly, validate_system
+from digsys import Z, ZI, Fp, expanding_check, parse_poly, validate_system
 from digsys.cli import main
 
 ZI_GAUSS = ["--ring", "Zi", "--poly", "(1+i)x+(1+2i)", "--digits", "0,1,2,3,4"]
@@ -144,6 +145,27 @@ LIBRARY = [
 ]
 
 
+# Bases whose ``expanding_check`` status is printed, with the exact
+# |root|^2 of the linear ones: each status over Z and over Z[i], a root at
+# 1 of multiplicity 3, a double root i, a pair z, 1/conj(z) (2 and 1/2)
+# and a 400-digit root.
+BASES = [
+    (Z, "3x^2-2x+5"),
+    (Z, "2x+1"),
+    (Z, "x^2+x+1"),
+    (Z, "x^2+3x-1"),
+    (Z, "x^4-x^3-3x^2+5x-2"),
+    (Z, "2x^2-5x+2"),
+    (Z, "x-" + "9" * 400),
+    (ZI, "(1+i)x+(1+2i)"),
+    (ZI, "2x+(1+i)"),
+    (ZI, "(3+4i)x-5"),
+    (ZI, "x^2+(2-i)x+(3+i)"),
+    (ZI, "x^2+2x+(1+i)"),
+    (ZI, "x^2+(-2i)x-1"),
+]
+
+
 def run(argv: list[str], dot: str | None) -> tuple[bool, str]:
     """One invocation in a fresh directory: (ok, printed record)."""
     out, err = io.StringIO(), io.StringIO()
@@ -190,6 +212,18 @@ def expansions(ring, poly: str, digits: str, elements: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def statuses() -> str:
+    """One line per base of ``BASES``: its ``expanding_check`` report."""
+    lines = []
+    for ring, poly in BASES:
+        report = expanding_check(parse_poly(ring, poly))
+        line = f"{ring.name} {poly}: {report.status}"
+        if report.modulus_sq is not None:
+            line += f", |root|^2 {report.modulus_sq}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def corpus_pass() -> tuple[str, int]:
     """The printed corpus, once, and the number of invocations that failed."""
     parts, failed = [], 0
@@ -206,6 +240,12 @@ def corpus_pass() -> tuple[str, int]:
         except Exception:
             parts.append(f"raised:\n{traceback.format_exc()}")
             failed += 1
+    parts.append(f"=== library expanding_check of {len(BASES)} bases\n")
+    try:
+        parts.append(statuses())
+    except Exception:
+        parts.append(f"raised:\n{traceback.format_exc()}")
+        failed += 1
     parts.append(f"=== {len(CORPUS)} invocations, text and --json, and {len(LIBRARY)} library "
                  f"systems; {failed} failed\n")
     return "".join(parts), failed
