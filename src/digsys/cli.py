@@ -213,6 +213,9 @@ def _run_witness(args) -> int:
 
 
 def _run_srs(args) -> int:
+    # Fraction would build 10**k in full for an exponent literal
+    if any(ch in "eE" for ch in args.r + args.eps):
+        raise ValueError("write --r and --eps without an exponent")
     rvec = tuple(Fraction(part) for part in args.r.split(","))
     eps = Fraction(args.eps)
     params = srs.SrsParams(rvec, eps)

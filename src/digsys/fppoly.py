@@ -37,7 +37,6 @@ from .rings import (
     _new,
     _Scanner,
     _build,
-    bounded_exponent,
 )
 
 
@@ -471,43 +470,19 @@ class FpPolynomialRing(Ring):
 
     # -- text ----------------------------------------------------------------
 
-    def parse(self, text: str):
-        sc = _Scanner(text)
-        total = self.zero
-        first = True
-        while True:
-            if sc.done():
-                if first:
-                    raise sc.error("empty polynomial")
-                break
-            sign = sc.sign(first)
-            coeff = 1
-            have_coeff = False
-            if sc.peek().isdigit():
-                at = sc.pos
-                coeff = sc.unsigned()
-                have_coeff = True
-                if coeff >= self.p:
-                    raise ParseError(
-                        f"coefficient {coeff} out of range for F_{self.p}", sc.text, at
-                    )
-                if sc.peek() == "*":
-                    sc.take()
-            if sc.peek() == "y":
-                sc.take()
-                k = 1
-                if sc.peek() == "^":
-                    sc.take()
-                    at = sc.pos
-                    k = bounded_exponent(sc.digits(), sc.text, at)
-                term = FpPoly.make(self.p, [0] * k + [coeff])
-            elif have_coeff:
-                term = FpPoly.make(self.p, (coeff,))
-            else:
-                raise sc.error("expected a coefficient or 'y'")
-            total = total + term if sign > 0 else total - term
-            first = False
-        return total
+    def read_term(self, sc: _Scanner):
+        """``[c[*]]y[^k]`` with c < p; a '*' is taken only when a 'y'
+        follows it."""
+        at, c = sc.pos, sc.unsigned()
+        if c is not None and c >= self.p:
+            raise ParseError(f"coefficient {c} out of range for F_{self.p}", sc.text, at)
+        star = sc.pos
+        if c is not None and sc.peek() == "*" and sc.take() and sc.peek() != "y":
+            sc.pos = star
+        k = sc.power("y")
+        if k is None:
+            return None if c is None else FpPoly.make(self.p, (c,))
+        return FpPoly.make(self.p, [0] * k + [1 if c is None else c])
 
     def format(self, a) -> str:
         return _format_fp(a)

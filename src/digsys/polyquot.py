@@ -11,6 +11,10 @@ The module also builds the shifted-coefficient basis w_0 = p_d,
 w_k = X*w_{k-1} + p_{d-k} and the unique decomposition of any element
 into basis coordinates plus a residue polynomial.
 
+``parse_poly`` reads the grammar of ring values (``digsys.rings``): a
+signed sum of ``[sign] (ring term | "(" ring value ")") [*] (x|X)[^k]``,
+the sign the coefficient's own and a '*' only before a variable.
+
 Everything here is an immutable value; all operations are pure.
 """
 
@@ -18,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
-from .rings import Ring, bounded_exponent
+from .errors import ValidationError
+from .rings import Ring, _Scanner
 
 
 @dataclass(frozen=True)
@@ -434,99 +438,34 @@ def format_poly(ring: Ring, coeffs, var: str = "x") -> str:
     return "".join(terms)
 
 
-def _split_terms(text: str) -> list[tuple[int, str, int]]:
-    """Split at top-level +/- into (sign, term, start_pos) triples."""
-    out = []
-    depth = 0
-    sign = 1
-    start = 0
-    cur_set = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses", text, i)
-        elif depth == 0 and ch in "+-":
-            prev = text[:i].rstrip()
-            if prev and prev[-1] not in "+-*^(":
-                out.append((sign, text[start:i], start))
-                sign = 1 if ch == "+" else -1
-                start = i + 1
-                i += 1
-                continue
-            if not prev and not cur_set:
-                sign = 1 if ch == "+" else -1
-                start = i + 1
-                cur_set = True
-                i += 1
-                continue
-        i += 1
-    if depth != 0:
-        raise ParseError("unbalanced parentheses", text, len(text))
-    out.append((sign, text[start:], start))
-    return out
-
-
 def parse_poly(ring: Ring, text: str) -> Poly:
-    """Parse a polynomial in x (or X) with coefficients in the ring."""
-    if not text.strip():
-        raise ParseError("empty polynomial", text, 0)
+    """Parse a polynomial in x (or X) with coefficients in the ring, in
+    the grammar of the module docstring."""
+    sc = _Scanner(text)
     coeffs: dict[int, object] = {}
-    for sign, term, offset in _split_terms(text):
-        body = term.strip()
-        if not body:
-            raise ParseError("empty term", text, offset)
-        # locate the variable at paren depth 0
-        depth = 0
-        var_at = None
-        for i, ch in enumerate(term):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif depth == 0 and ch in "xX":
-                var_at = i
-                break
-        if var_at is None:
-            k = 0
-            coef_src = term
-        else:
-            rest = term[var_at + 1 :].strip()
-            if rest.startswith("^"):
-                m = rest[1:].strip()
-                if not (m.isascii() and m.isdigit()):
-                    raise ParseError("expected an exponent", text, offset + var_at + 1)
-                k = bounded_exponent(m, text, offset + var_at + 1)
-            elif rest:
-                raise ParseError("unexpected text after the variable", text, offset + var_at + 1)
-            else:
-                k = 1
-            coef_src = term[:var_at].strip()
-            if coef_src.endswith("*"):
-                coef_src = coef_src[:-1]
-        # absolute start of the coefficient, for errors inside it
-        coef_at = offset + len(term) - len(term.lstrip())
-        coef_src = coef_src.strip()
-        if not coef_src:
-            c = ring.one
-        else:
-            if coef_src.startswith("(") and coef_src.endswith(")"):
-                coef_src = coef_src[1:-1]
-                coef_at += 1
-            try:
-                c = ring.parse(coef_src)
-            except ParseError as exc:
-                raise ParseError(exc.message, text, coef_at + exc.pos) from None
-        if sign < 0:
-            c = -c
-        if k in coeffs:
-            coeffs[k] = coeffs[k] + c
-        else:
-            coeffs[k] = c
-    top = max(coeffs) if coeffs else 0
-    dense = [coeffs.get(i, ring.zero) for i in range(top + 1)]
-    return Poly.make(ring, dense)
+    for sign, (k, c) in sc.terms(lambda sc: _x_term(ring, sc), "a term"):
+        c = c if sign > 0 else -c
+        coeffs[k] = coeffs[k] + c if k in coeffs else c
+    sc.end()
+    return Poly.make(ring, [coeffs.get(i, ring.zero) for i in range(max(coeffs) + 1)])
+
+
+def _x_term(ring: Ring, sc: _Scanner) -> tuple | None:
+    """``(k, c)`` for the term c*x^k at the cursor, or None where none
+    starts."""
+    negative = sc.sign() < 0
+    if sc.peek() == "(":
+        sc.take()
+        c = ring.read(sc)
+        if sc.peek() != ")":
+            raise sc.error("expected ')'")
+        sc.take()
+    else:
+        c = ring.read_term(sc)
+    star = c is not None and sc.peek() == "*" and sc.take()
+    k = sc.power("xX")
+    if star and k is None:
+        raise sc.error("expected 'x'")
+    if c is None:
+        return None if k is None else (k, -ring.one if negative else ring.one)
+    return (0 if k is None else k), (-c if negative else c)

@@ -13,8 +13,8 @@ equality.  A ring supplies only what depends on it:
 * complete residue systems for nonzero moduli, deterministic across
   runs (``{0}`` for a unit) and at most ``MAX_ENUMERATION`` long,
 * division, through ``divider(m)`` alone,
-* a whitespace-insensitive text grammar with ``parse``/``format``
-  round-tripping,
+* ``read_term``, the terms of its values in the one text grammar,
+  which ``format`` prints back,
 * the arithmetic of the map T of a digit system on the *atoms* of the
   values (``atoms``/``values``), ``dynamics``: the one T of ``_build``,
   or the straight-line kernels ``_kernel`` generates for the shapes of
@@ -25,6 +25,12 @@ equality.  A ring supplies only what depends on it:
 loops that divide by one modulus (a base's p0 or leading coefficient)
 skip that check, and ``Z[i]`` rounds on plain ints.  An exact quotient
 is the ``q`` of a zero ``r``; dividing by a unit always gives one.
+
+One whitespace-insensitive grammar reads every value and polynomial
+(``polyquot.parse_poly``): a signed sum of terms (``_Scanner.terms``), a
+term of Z an unsigned integer, of Z[i] ``digits[i]`` or ``i``, of F_p[y]
+``[c[*]]y[^k]`` with c < p.  Each ``ParseError`` points at the character
+it refuses.
 
 A Gaussian integer is the pair of ints ``(re, im)``, a ``tuple``
 subclass like :class:`FpPoly`: its hash is the C tuple hash, and its
@@ -100,14 +106,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def bounded_exponent(digits: str, text: str, pos: int) -> int:
-    """The value of a decimal exponent; ParseError above MAX_EXPONENT."""
-    value = digits.lstrip("0") or "0"
-    if len(value) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
-        raise ParseError(f"exponent above the maximum {MAX_EXPONENT}", text, pos)
-    return int(value)
 
 
 class GaussianInt(tuple):
@@ -197,7 +195,8 @@ def _format_gaussian(a: GaussianInt) -> str:
 
 
 class _Scanner:
-    """Whitespace-skipping cursor over a source string."""
+    """Whitespace-skipping cursor over a source string, with the pieces of
+    the one grammar: sums of terms, unsigned integers and powers."""
 
     def __init__(self, text: str):
         self.text = text
@@ -217,34 +216,29 @@ class _Scanner:
         self.skip()
         return ch
 
-    def done(self) -> bool:
-        return self.pos >= len(self.text)
+    def end(self) -> None:
+        # ``terms`` stops only at the end or at a ')'
+        if self.pos < len(self.text):
+            raise self.error("unmatched ')'")
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.text, self.pos)
 
-    def integer(self) -> int:
-        at = self.pos
-        m = _re.compile(r"-?\d+").match(self.text, at)
-        if not m:
-            raise self.error("expected an integer")
-        self.pos = m.end()
-        self.skip()
-        return self._int(m.group(), at)
-
-    def digits(self) -> str:
-        m = _re.compile(r"\d+").match(self.text, self.pos)
-        if not m:
-            raise self.error("expected digits")
+    def digits(self) -> str | None:
+        """The ASCII decimal digits at the cursor, taken, or None."""
+        m = _re.compile(r"[0-9]+").match(self.text, self.pos)
+        if m is None:
+            return None
         self.pos = m.end()
         self.skip()
         return m.group()
 
-    def unsigned(self) -> int:
+    def unsigned(self) -> int | None:
+        """The unsigned integer at the cursor, taken, or None."""
         at = self.pos
-        return self._int(self.digits(), at)
-
-    def _int(self, literal: str, at: int) -> int:
+        literal = self.digits()
+        if literal is None:
+            return None
         # int() refuses literals beyond the interpreter's digit limit
         # (sys.get_int_max_str_digits)
         try:
@@ -254,18 +248,49 @@ class _Scanner:
                 f"integer literal of {len(literal)} characters is too long", self.text, at
             ) from None
 
-    def sign(self, first: bool) -> int:
-        """1 or -1 for a '+' or '-' taken; 1 with no sign only before the
-        first term, since terms must be joined by '+' or '-'."""
-        if self.peek() == "+":
+    def sign(self) -> int:
+        """1 or -1 for a '+' or '-' taken, 0 when neither is there."""
+        ch = self.peek()
+        if ch == "+" or ch == "-":
             self.take()
+            return 1 if ch == "+" else -1
+        return 0
+
+    def power(self, names: str) -> int | None:
+        """The exponent k of a variable named in ``names`` and its optional
+        ``^k`` at the cursor, taken (1 without '^'), or None when no
+        variable is there; exponent errors point at the '^'."""
+        ch = self.peek()
+        if not ch or ch not in names:
+            return None
+        self.take()
+        if self.peek() != "^":
             return 1
-        if self.peek() == "-":
-            self.take()
-            return -1
-        if not first:
-            raise self.error("expected '+' or '-'")
-        return 1
+        at = self.pos
+        self.take()
+        # the bound is checked on the literal, before int() reads it
+        digits = self.digits()
+        k = digits and (digits.lstrip("0") or "0")
+        if not k or len(k) > len(str(MAX_EXPONENT)) or int(k) > MAX_EXPONENT:
+            raise ParseError(f"expected an exponent of at most {MAX_EXPONENT}", self.text, at)
+        return int(k)
+
+    def terms(self, term, what: str):
+        """The one signed-term loop: yields the ``(sign, term(self))`` pairs
+        of a sum, with an optional sign before the first term and '+' or
+        '-' between terms, up to the end or a ')'.  ``term`` returns None
+        where no term starts, which is an error: "expected <what>"."""
+        sign = self.sign() or 1
+        while True:
+            value = term(self)
+            if value is None:
+                raise self.error(f"expected {what}")
+            yield sign, value
+            if self.peek() in ("", ")"):
+                return
+            sign = self.sign()
+            if not sign:
+                raise self.error("expected '+' or '-'")
 
 
 class DigitSet:
@@ -371,7 +396,7 @@ SHARED_ENTRIES = 2**16
 _DIGIT_SETS = _DigitSets(SHARED_DIGIT_SETS, SHARED_ENTRIES)
 
 
-def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, fast=None):
+def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle):
     """T of a digit system on the atoms of flat coordinates
     v = (q_0, ..., q_{d-1}, r_0, r_1, ...), written once for every ring:
     ``Ring.dynamics`` binds it per system with its arithmetic on atoms.
@@ -387,11 +412,7 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, 
       X^0, divided by p0 as ``Ring.divider`` divides;
     * ``add`` and ``sub`` add and subtract two atoms;
     * ``settle`` takes coordinates whose residue part is a sum or a
-      difference of reduced ones to their reduced form;
-    * ``fast``, if given, is the step of a kernel of ``_kernel`` for
-      x-digits, which the round, the rows and ``run`` call in place of
-      the generic step: it takes states of exactly d coordinates itself
-      and passes the others to the generic step returned here.
+      difference of reduced ones to their reduced form.
 
     This is the generic form of T, for every ring and shape.  Over Z and
     Z[i] with d up to ``KERNEL_DEGREE`` the kernels of ``_kernel`` take
@@ -457,8 +478,6 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, 
             w = add_coords(w, offsets[r])
         return r, w
 
-    generic, step = step, fast or step
-
     def run(v: tuple, count: int, checkpoint: tuple, emit) -> tuple:
         for n in range(1, count + 1):
             r, v = step(v)
@@ -518,7 +537,7 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle, 
 
         return expand
 
-    return generic, grow, run
+    return step, grow, run
 
 
 # the largest base degree with straight-line kernels, past which (and for
@@ -546,7 +565,7 @@ def bind(ring, base, digit_set, offsets, reduce):
 
     def fallback():
         if not generic:
-            generic.extend(ring._generic(base, digit_set, offsets, reduce, offsets and step))
+            generic.extend(ring._generic(base, digit_set, offsets, reduce))
         return generic
 
     def step(v):
@@ -770,6 +789,20 @@ class Ring:
 
     # -- text ------------------------------------------------------------
     def parse(self, text: str):
+        sc = _Scanner(text)
+        value = self.read(sc)
+        sc.end()
+        return value
+
+    def read(self, sc: _Scanner):
+        """The signed sum of terms at the cursor, up to the end or a ')'."""
+        total = self.zero
+        for sign, term in sc.terms(self.read_term, f"a term of {self.name}"):
+            total = total + term if sign > 0 else total - term
+        return total
+
+    def read_term(self, sc: _Scanner):
+        """The unsigned term at the cursor, taken, or None."""
         raise NotImplementedError
 
     def format(self, a) -> str:
@@ -844,7 +877,7 @@ class IntegerRing(Ring):
             return self._generic(base, digit_set, offsets, reduce)
         return _kernel("Z", d, base[0] > 0, bool(offsets))(self, base, digit_set, offsets, reduce)
 
-    def _generic(self, base: tuple, digit_set, offsets: dict, reduce, fast=None):
+    def _generic(self, base: tuple, digit_set, offsets: dict, reduce):
         """``_build`` on ints: c = r + q*|p0| by ``divmod``, and q0 is q, or
         -q for p0 < 0 (hence ``signed``)."""
         n, carry = abs(base[0]), digit_set.carry
@@ -855,16 +888,9 @@ class IntegerRing(Ring):
             q, r = divmod(sum(map(operator.mul, v, weights)), n)
             return r, signed(carry[r], q)
 
-        return _build(
-            self, base, digit_set, offsets, head, operator.add, operator.sub, reduce, fast
-        )
+        return _build(self, base, digit_set, offsets, head, operator.add, operator.sub, reduce)
 
-    def parse(self, text: str):
-        sc = _Scanner(text)
-        value = sc.integer()
-        if not sc.done():
-            raise sc.error("trailing characters after integer")
-        return value
+    read_term = staticmethod(_Scanner.unsigned)
 
     def format(self, a) -> str:
         return str(a)
@@ -952,7 +978,7 @@ class GaussianIntegerRing(Ring):
             return self._generic(base, digit_set, offsets, reduce)
         return _kernel("Z[i]", len(base) - 1)(self, base, digit_set, offsets, reduce)
 
-    def _generic(self, base: tuple, digit_set, offsets: dict, reduce, fast=None):
+    def _generic(self, base: tuple, digit_set, offsets: dict, reduce):
         """``_build`` on int pairs (re, im): the dot product with the basis
         constants, the division by p0 (rounded as by ``divider``), the table
         lookups and the additions all unpack ints, and no GaussianInt is
@@ -981,34 +1007,16 @@ class GaussianIntegerRing(Ring):
             return (u[0] - v[0], u[1] - v[1])
 
         return _build(
-            self, base, digit_set, offsets, head, add, sub, lambda q: atoms(reduce(values(q))),
-            fast,
+            self, base, digit_set, offsets, head, add, sub, lambda q: atoms(reduce(values(q)))
         )
 
-    def parse(self, text: str):
-        sc = _Scanner(text)
-        total = GaussianInt(0, 0)
-        first = True
-        while True:
-            if sc.done():
-                if first:
-                    raise sc.error("empty Gaussian integer")
-                break
-            sign = sc.sign(first)
-            if sc.peek() == "i":
-                sc.take()
-                total = total + GaussianInt(0, sign)
-            else:
-                mag = sc.unsigned() if sc.peek().isdigit() else None
-                if mag is None:
-                    raise sc.error("expected digits or 'i'")
-                if sc.peek() == "i":
-                    sc.take()
-                    total = total + GaussianInt(0, sign * mag)
-                else:
-                    total = total + GaussianInt(sign * mag, 0)
-            first = False
-        return total
+    def read_term(self, sc: _Scanner):
+        """``digits``, ``digits i`` or ``i``."""
+        n = sc.unsigned()
+        if sc.peek() != "i":
+            return None if n is None else GaussianInt(n, 0)
+        sc.take()
+        return GaussianInt(0, 1 if n is None else n)
 
     def format(self, a) -> str:
         return _format_gaussian(a)

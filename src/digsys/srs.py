@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import witness
 from .digits import rotate, validate_system, walk
 from .polyquot import Poly
-from .rings import Z
+from .rings import MAX_ENUMERATION, Z
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,16 @@ def srs_to_cns(params: SrsParams) -> tuple[Poly, tuple[int, ...]]:
     """The integer polynomial and digit set matching the parameters.
 
     p_0 is the least common positive denominator; the digit set is the
-    |p_0| consecutive integers in [-eps*|p_0|, (1-eps)*|p_0|).
+    |p_0| consecutive integers in [-eps*|p_0|, (1-eps)*|p_0|); ValueError,
+    before any digit is built, when p_0 is above ``MAX_ENUMERATION``.
     """
     if all(x == 0 for x in params.r):
         raise ValueError("the zero parameter vector has no polynomial counterpart")
     if params.r[0] == 0:
         raise ValueError("a zero leading entry gives a degenerate polynomial")
     p0 = math.lcm(*(x.denominator for x in params.r))
+    if p0 > MAX_ENUMERATION:
+        raise ValueError(f"p0 = {p0} digits are above the enumeration limit {MAX_ENUMERATION}")
     d = params.d
     coeffs = [0] * (d + 1)
     coeffs[0] = p0

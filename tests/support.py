@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from digsys import (
-    Fp, FpPoly, GaussianInt, Poly, Z, ZI, parse_poly, seed_witnesses, validate_system, witness,
-    witness_closure,
+    Fp, FpPoly, GaussianInt, ParseError, Poly, Z, ZI, parse_poly, seed_witnesses,
+    validate_system, witness, witness_closure,
 )
 from digsys.digits import DigitSequence, PeriodicSetReport, ZeroCycle, rotate, walk
 from digsys.product import ProductExpansion, ProductSystem
+from digsys.rings import MAX_EXPONENT
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -764,3 +766,271 @@ def expanding_status_oracle(modulus: Poly) -> str:
     """``expanding_check``'s status from ``circle_counts_oracle``."""
     inside, on, _ = circle_counts_oracle(modulus)
     return "borderline" if on else "not-expanding" if inside else "expanding"
+
+
+# -- the two-technique parser, kept as the oracle of the one grammar -------
+# ``parse_poly`` split its text at top-level '+'/'-' by tracking the
+# parenthesis depth by hand (``_split_terms``) and passed each coefficient
+# to the value parser of its ring, each of which wrote its own signed-term
+# loop.  Kept unchanged apart from names; ``oracle_parse`` dispatches to the
+# three ring loops.
+
+
+class _OracleScanner:
+    """Whitespace-skipping cursor over a source string."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.skip()
+
+    def skip(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.pos += 1
+        self.skip()
+        return ch
+
+    def done(self) -> bool:
+        return self.pos >= len(self.text)
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.text, self.pos)
+
+    def integer(self) -> int:
+        at = self.pos
+        m = re.compile(r"-?\d+").match(self.text, at)
+        if not m:
+            raise self.error("expected an integer")
+        self.pos = m.end()
+        self.skip()
+        return self._int(m.group(), at)
+
+    def digits(self) -> str:
+        m = re.compile(r"\d+").match(self.text, self.pos)
+        if not m:
+            raise self.error("expected digits")
+        self.pos = m.end()
+        self.skip()
+        return m.group()
+
+    def unsigned(self) -> int:
+        at = self.pos
+        return self._int(self.digits(), at)
+
+    def _int(self, literal: str, at: int) -> int:
+        # int() refuses literals beyond the interpreter's digit limit
+        # (sys.get_int_max_str_digits)
+        try:
+            return int(literal)
+        except ValueError:
+            raise ParseError(
+                f"integer literal of {len(literal)} characters is too long", self.text, at
+            ) from None
+
+    def sign(self, first: bool) -> int:
+        """1 or -1 for a '+' or '-' taken; 1 with no sign only before the
+        first term, since terms must be joined by '+' or '-'."""
+        if self.peek() == "+":
+            self.take()
+            return 1
+        if self.peek() == "-":
+            self.take()
+            return -1
+        if not first:
+            raise self.error("expected '+' or '-'")
+        return 1
+
+
+def _oracle_parse_z(text: str):
+    sc = _OracleScanner(text)
+    value = sc.integer()
+    if not sc.done():
+        raise sc.error("trailing characters after integer")
+    return value
+
+
+def _oracle_parse_zi(text: str):
+    sc = _OracleScanner(text)
+    total = GaussianInt(0, 0)
+    first = True
+    while True:
+        if sc.done():
+            if first:
+                raise sc.error("empty Gaussian integer")
+            break
+        sign = sc.sign(first)
+        if sc.peek() == "i":
+            sc.take()
+            total = total + GaussianInt(0, sign)
+        else:
+            mag = sc.unsigned() if sc.peek().isdigit() else None
+            if mag is None:
+                raise sc.error("expected digits or 'i'")
+            if sc.peek() == "i":
+                sc.take()
+                total = total + GaussianInt(0, sign * mag)
+            else:
+                total = total + GaussianInt(sign * mag, 0)
+        first = False
+    return total
+
+
+def _oracle_parse_fp(self, text: str):
+    sc = _OracleScanner(text)
+    total = self.zero
+    first = True
+    while True:
+        if sc.done():
+            if first:
+                raise sc.error("empty polynomial")
+            break
+        sign = sc.sign(first)
+        coeff = 1
+        have_coeff = False
+        if sc.peek().isdigit():
+            at = sc.pos
+            coeff = sc.unsigned()
+            have_coeff = True
+            if coeff >= self.p:
+                raise ParseError(
+                    f"coefficient {coeff} out of range for F_{self.p}", sc.text, at
+                )
+            if sc.peek() == "*":
+                sc.take()
+        if sc.peek() == "y":
+            sc.take()
+            k = 1
+            if sc.peek() == "^":
+                sc.take()
+                at = sc.pos
+                k = bounded_exponent(sc.digits(), sc.text, at)
+            term = FpPoly.make(self.p, [0] * k + [coeff])
+        elif have_coeff:
+            term = FpPoly.make(self.p, (coeff,))
+        else:
+            raise sc.error("expected a coefficient or 'y'")
+        total = total + term if sign > 0 else total - term
+        first = False
+    return total
+
+
+def bounded_exponent(digits: str, text: str, pos: int) -> int:
+    """The value of a decimal exponent; ParseError above MAX_EXPONENT."""
+    value = digits.lstrip("0") or "0"
+    if len(value) > len(str(MAX_EXPONENT)) or int(value) > MAX_EXPONENT:
+        raise ParseError(f"exponent above the maximum {MAX_EXPONENT}", text, pos)
+    return int(value)
+
+
+def oracle_parse(ring, text: str):
+    """A ring value by the ring's own parser of the two-technique era."""
+    if ring == Z:
+        return _oracle_parse_z(text)
+    if ring == ZI:
+        return _oracle_parse_zi(text)
+    return _oracle_parse_fp(ring, text)
+
+
+def _split_terms(text: str) -> list[tuple[int, str, int]]:
+    """Split at top-level +/- into (sign, term, start_pos) triples."""
+    out = []
+    depth = 0
+    sign = 1
+    start = 0
+    cur_set = False
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced parentheses", text, i)
+        elif depth == 0 and ch in "+-":
+            prev = text[:i].rstrip()
+            if prev and prev[-1] not in "+-*^(":
+                out.append((sign, text[start:i], start))
+                sign = 1 if ch == "+" else -1
+                start = i + 1
+                i += 1
+                continue
+            if not prev and not cur_set:
+                sign = 1 if ch == "+" else -1
+                start = i + 1
+                cur_set = True
+                i += 1
+                continue
+        i += 1
+    if depth != 0:
+        raise ParseError("unbalanced parentheses", text, len(text))
+    out.append((sign, text[start:], start))
+    return out
+
+
+def oracle_parse_poly(ring, text: str) -> Poly:
+    """Parse a polynomial in x (or X) with coefficients in the ring."""
+    if not text.strip():
+        raise ParseError("empty polynomial", text, 0)
+    coeffs: dict[int, object] = {}
+    for sign, term, offset in _split_terms(text):
+        body = term.strip()
+        if not body:
+            raise ParseError("empty term", text, offset)
+        # locate the variable at paren depth 0
+        depth = 0
+        var_at = None
+        for i, ch in enumerate(term):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif depth == 0 and ch in "xX":
+                var_at = i
+                break
+        if var_at is None:
+            k = 0
+            coef_src = term
+        else:
+            rest = term[var_at + 1 :].strip()
+            if rest.startswith("^"):
+                m = rest[1:].strip()
+                if not (m.isascii() and m.isdigit()):
+                    raise ParseError("expected an exponent", text, offset + var_at + 1)
+                k = bounded_exponent(m, text, offset + var_at + 1)
+            elif rest:
+                raise ParseError("unexpected text after the variable", text, offset + var_at + 1)
+            else:
+                k = 1
+            coef_src = term[:var_at].strip()
+            if coef_src.endswith("*"):
+                coef_src = coef_src[:-1]
+        # absolute start of the coefficient, for errors inside it
+        coef_at = offset + len(term) - len(term.lstrip())
+        coef_src = coef_src.strip()
+        if not coef_src:
+            c = ring.one
+        else:
+            if coef_src.startswith("(") and coef_src.endswith(")"):
+                coef_src = coef_src[1:-1]
+                coef_at += 1
+            try:
+                c = oracle_parse(ring, coef_src)
+            except ParseError as exc:
+                raise ParseError(exc.message, text, coef_at + exc.pos) from None
+        if sign < 0:
+            c = -c
+        if k in coeffs:
+            coeffs[k] = coeffs[k] + c
+        else:
+            coeffs[k] = c
+    top = max(coeffs) if coeffs else 0
+    dense = [coeffs.get(i, ring.zero) for i in range(top + 1)]
+    return Poly.make(ring, dense)

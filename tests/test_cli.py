@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -311,6 +312,20 @@ class TestSrs:
         assert code == 0
         assert "in_D0 (orbits ultimately zero): yes" in out
 
+
+    def test_oversized_parameters_refused(self, capsys):
+        # an exponent literal is refused before Fraction builds 10**k, and a
+        # common denominator above the enumeration limit before its digits
+        start = time.perf_counter()
+        for argv in (
+            ("--r", "1e10000000"),
+            ("--r", "1/2,3E-9999999"),
+            ("--r", "1/2", "--eps", "1e-10000000"),
+            ("--r", "1/100000000"),
+        ):
+            code, out, err = run(capsys, "srs", *argv)
+            assert code == 1 and not out and err.startswith("error:"), argv
+        assert time.perf_counter() - start < 1.0
 
     def test_integer_parameters(self, capsys):
         code, out, _ = run(capsys, "srs", "--r", "2", "--json")

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from digsys import (
     tau_step,
     validate_system,
 )
+from digsys.rings import MAX_ENUMERATION
 from digsys.srs import epsilon_digit_set
 
 
@@ -101,6 +103,19 @@ class TestBridge:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             srs_to_cns(SrsParams((F(0), F(0))))
+
+    def test_digit_set_bounded_by_the_enumeration_limit(self):
+        # |p0| digits are listed, so a larger common denominator is refused
+        # before the digit tuple is built
+        _, digits = srs_to_cns(SrsParams((F(1, MAX_ENUMERATION),)))
+        assert len(digits) == MAX_ENUMERATION
+        start = time.perf_counter()
+        for r in ((F(1, MAX_ENUMERATION + 1),), (F(1, 10**8),), (F(1, 2**20), F(3, 2**20 - 1))):
+            with pytest.raises(ValueError, match="enumeration limit"):
+                srs_to_cns(SrsParams(r))
+            with pytest.raises(ValueError, match="enumeration limit"):
+                srs_classify(SrsParams(r))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDominantCondition:

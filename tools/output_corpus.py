@@ -127,6 +127,16 @@ CORPUS = [
     # input errors
     (["decide", "--ring", "Z", "--poly", "x-1", "--digits", "0"], None),
     (["expand", "--ring", "Zi", "--poly", "5", "--digits", "0", "--element", "1"], None),
+    # text the grammar refuses: a term after a power with no sign between,
+    # a '*' with no variable after it, an unclosed '(', a coefficient not
+    # below p, an exponent above MAX_EXPONENT, and an srs exponent literal
+    (["decide", "--ring", "Z", "--poly", "x^2 x+3", "--digits", "0,1,2"], None),
+    (["expand", "--ring", "Fp:3", "--poly", "x+(y+1)", "--digits", "0,1*-1,2",
+      "--element", "1"], None),
+    (["decide", "--ring", "Zi", "--poly", "(1+i)x+(1+2i", "--digits", "0,1,2,3,4"], None),
+    (["decide", "--ring", "Fp:2", "--poly", "x+(2y+1)", "--digits", "0,1"], None),
+    (["decide", "--ring", "Z", "--poly", "x^1000001+3", "--digits", "0,1,2"], None),
+    (["srs", "--r", "1e100000,1/2"], None),
 ]
 
 
