@@ -257,11 +257,12 @@ def convert_expansion(
             "unknown", (), 0, f"auxiliary expansion did not terminate: {base.status}"
         )
     b = [d.constant for d in base.digits]
-    rounds = 0
+    rounds = i = 0
     while True:
-        try:
-            i = next(j for j, v in enumerate(b) if not v)
-        except StopIteration:
+        # a rewrite at i leaves the digits before i nonzero and untouched,
+        # so the next lowest zero digit is at i or above
+        i = next((j for j in range(i, len(b)) if not b[j]), None)
+        if i is None:
             break
         if rounds >= cap:
             return ConvertResult("unknown", (), rounds, "rewriting cap exceeded")

@@ -14,10 +14,12 @@ two products and a difference.
 These kernels on packed ints (``_add``, ``_sub``, ``_mul``,
 ``_divider``) are the one F_p[y] arithmetic of the library: the
 operators of :class:`FpPoly` and ``FpPolynomialRing.divider`` wrap them,
-and ``FpPolynomialRing.dynamics`` calls them directly.  The atom of an
-F_p[y] value (``Ring.atoms``) is its packed int, ``FpPoly[1]``, since p
-is fixed per ring, so walks and closures over F_p[y] hash, compare and
-add plain ints and build no FpPoly per step.
+and ``FpPolynomialRing.dynamics`` calls them directly, or binds the
+straight-line kernels of ``rings._kernel``, which read them and write
+the inline division out.  The atom of an F_p[y] value (``Ring.atoms``)
+is its packed int, ``FpPoly[1]``, since p is fixed per ring, so walks
+and closures over F_p[y] hash, compare and add plain ints and build no
+FpPoly per step.
 
 ``digsys.rings`` re-exports :class:`FpPoly`, :class:`FpPolynomialRing`
 and :func:`Fp`.
@@ -30,10 +32,12 @@ import operator
 
 from .errors import ParseError
 from .rings import (
+    KERNEL_DEGREE,
     MAX_ENUMERATION,
     NEG_INF,
     Ring,
     _is_prime,
+    _kernel,
     _new,
     _Scanner,
     _build,
@@ -251,6 +255,10 @@ def _mul(p: int, a: int, b: int) -> int:
 # most dividers ``_divider`` keeps, least recently used out first
 SHARED_DIVIDERS = 256
 
+# _MASKS[n] keeps the low n one-byte slots, for n up to the longest inline
+# quotient (254 slots, over F2)
+_MASKS = tuple((1 << 8 * n) - 1 for n in range(256))
+
 
 @functools.lru_cache(maxsize=SHARED_DIVIDERS)
 def _divider(p: int, m: int):
@@ -273,10 +281,15 @@ def _divider(p: int, m: int):
     c of p at most 256 - p, are inline: no product with S or m carries a
     slot, so q is reversed by byte order and reduced by one ``translate``,
     as is a + c*(1, ..., 1) - q*m (p = 2: q*m masked and XORed into a).
-    Over F2 and F3 (L up to 254 and 63 slots) a longer quotient is divided
-    in chunks of L slots from the top, each an inline division of the top
-    slots whose remainder replaces them: no product spans the dividend,
-    and S stays under 2L slots.  For p >= 5 chunks of L <= 15 slots cost
+    S is extended to the bound L here, once, so an inline quotient of n
+    slots reads its prefix ``S & _MASKS[n]``.  The divider's ``inline``
+    attribute holds these constants, ``(m, deg m, L, S, c*(1, ..., 1),
+    (1, ..., 1), table, _MASKS)`` (L = 0 past one-byte slots), and the
+    straight-line F_p[y] kernels of ``rings._kernel`` write the inline
+    division out with them.  Over F2 and F3 (L up to 254 and 63 slots) a
+    longer quotient is divided in chunks of L slots from the top, each an
+    inline division of the top slots whose remainder replaces them: no
+    product spans the dividend.  For p >= 5 chunks of L <= 15 slots cost
     more than the two full products of the series, which it keeps."""
     w = _width(p)
     bits, dm = 8 * w, _slots(m, w) - 1
@@ -285,22 +298,10 @@ def _divider(p: int, m: int):
     c = (256 - p) // p * p
     short = c // (p - 1) ** 2 if w == 1 else 0
     ones = int.from_bytes(b"\x01" * (short + dm), "little") if short else 0
-    bias, table = c * ones, _plane(p, 0)
+    bias, table, shift = c * ones, _plane(p, 0), bits * dm
 
-    def divide(a: int) -> tuple:
-        n = -(-a.bit_length() // bits) - dm  # deg a - deg m + 1
-        if n <= 0:
-            return a, 0
-        if n > short and p < 5:
-            # chunks from the top: the remainder of a >> shift replaces it
-            q = 0
-            while n > short:
-                n -= short
-                shift = bits * n
-                r, top = divide(a >> shift)
-                a, q = r << shift | a & (1 << shift) - 1, q | top << shift
-            r, top = divide(a)
-            return r, q | top
+    def extend(n: int) -> int:
+        """S mod y^prec for some prec >= n."""
         s, prec = series[0]
         if prec < n:
             while prec < n:
@@ -309,19 +310,38 @@ def _divider(p: int, m: int):
                 fs = _mul(p, f & mask, s) & mask
                 s = _mul(p, s, _sub(p, two, fs)) & mask
             series[0] = s, prec
-        mask = (1 << bits * n) - 1
+        return s
+
+    inline = extend(short)
+
+    def divide(a: int) -> tuple:
+        n = -(-a.bit_length() // bits) - dm  # deg a - deg m + 1
+        if n <= 0:
+            return a, 0
         if n <= short:
-            top = int.from_bytes((a >> bits * dm).to_bytes(n, "big"), "little")
-            low = (top * (s & mask) & mask).to_bytes(n, "little")
+            top, mask = int.from_bytes((a >> shift).to_bytes(n, "big"), "little"), _MASKS[n]
+            low = (top * (inline & mask) & mask).to_bytes(n, "little")
             q = int.from_bytes(low.translate(table), "big")
             if p == 2:
                 return a ^ (q * m & ones), q
             r = (a + bias - q * m).to_bytes(short + dm, "little").translate(table)
             return int.from_bytes(r, "little"), q
-        top = _reverse(a >> bits * dm, n, w)
-        q = _reverse(_mul(p, top, s & mask) & mask, n, w)
+        if p < 5:
+            # chunks from the top: the remainder of a >> shift replaces it
+            q = 0
+            while n > short:
+                n -= short
+                at = bits * n
+                r, top = divide(a >> at)
+                a, q = r << at | a & (1 << at) - 1, q | top << at
+            r, top = divide(a)
+            return r, q | top
+        mask = (1 << bits * n) - 1
+        top = _reverse(a >> shift, n, w)
+        q = _reverse(_mul(p, top, extend(n) & mask) & mask, n, w)
         return _sub(p, a, _mul(p, q, m)), q
 
+    divide.inline = (m, dm, short, inline, bias, ones, table, _MASKS)
     return divide
 
 
@@ -426,10 +446,27 @@ class FpPolynomialRing(Ring):
         return tuple(_new(FpPoly, (p, n)) for n in atoms)
 
     def dynamics(self, base: tuple, digit_set, offsets: dict, reduce):
+        """The kernels of ``rings._kernel`` for a constant digit set, d up
+        to ``KERNEL_DEGREE`` and a carry dot product of one-byte slots,
+        one shape per d for p = 2 and one for odd p; else ``_build`` on
+        packed ints."""
+        d = len(base) - 1
+        if d > KERNEL_DEGREE or offsets or self._dot_width(base) > 1:
+            return self._generic(base, digit_set, offsets, reduce)
+        kind = "F2[y]" if self.p == 2 else "F_p[y]"
+        return _kernel(kind, d)(self, base, digit_set, offsets, reduce)
+
+    def _dot_width(self, base: tuple) -> int:
+        """Bytes per slot of the carry dot product of the coordinates with
+        the weights p_d, ..., p_1 and 1: its slots hold at most (p-1)^2 *
+        sum(slots(p_i)), so the width is picked once per system."""
+        p, width = self.p, _width(self.p)
+        return _kron_width(p, sum(_slots(x[1], width) for x in base[1:]) + 1)
+
+    def _generic(self, base: tuple, digit_set, offsets: dict, reduce):
         """``_build`` on packed ints.  The constant coefficient
-        c = sum(q_i p_{d-i}) + r_0 is one sum of int products, reduced once:
-        its slots hold at most (p-1)^2 * sum(slots(p_i)), so the slot width
-        is picked here, once per system, and the weights are spread to it.
+        c = sum(q_i p_{d-i}) + r_0 is one sum of int products, reduced once,
+        its slots ``_dot_width`` bytes wide, the weights spread to it.
         c is divided by -p0 (p0 itself over F2) with ``_divider`` on ints:
         the remainder r is that of p0 and the quotient q is -q0, so the new
         last coordinate carry[r] - q0 is carry[r] + q, and q itself, with
@@ -445,7 +482,7 @@ class FpPolynomialRing(Ring):
         sub = operator.xor if p == 2 else functools.partial(_sub, p)
         divide = _divider(p, _sub(p, 0, base[0][1]))  # by -p0: q = -q0
         weights = self.atoms(tuple(reversed(base[1:])) + (self.one,))
-        k = _kron_width(p, sum(_slots(x, width) for x in weights))
+        k = self._dot_width(base)
 
         if k == width:
             def head(v: tuple) -> tuple:

@@ -18,7 +18,8 @@ equality.  A ring supplies only what depends on it:
 * the arithmetic of the map T of a digit system on the *atoms* of the
   values (``atoms``/``values``), ``dynamics``: the one T of ``_build``,
   or the straight-line kernels ``_kernel`` generates for the shapes of
-  Z and Z[i], bound once per system, calls it on flat coordinates.
+  Z, Z[i] and F_p[y], bound once per system, calls it on flat
+  coordinates.
 
 ``Ring.divider(m)`` checks a nonzero modulus once and returns
 ``a -> (r, q)`` with ``a = r + q*m`` and ``r`` in ``residues(m)``, so
@@ -414,10 +415,10 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle):
     * ``settle`` takes coordinates whose residue part is a sum or a
       difference of reduced ones to their reduced form.
 
-    This is the generic form of T, for every ring and shape.  Over Z and
-    Z[i] with d up to ``KERNEL_DEGREE`` the kernels of ``_kernel`` take
-    states of exactly d coordinates in straight-line loops, and build
-    these only for the states and rows they pass on.
+    This is the generic form of T, for every ring and shape.  Over Z,
+    Z[i] and F_p[y] with d up to ``KERNEL_DEGREE`` the kernels of
+    ``_kernel`` take states of exactly d coordinates in straight-line
+    loops, and build these only for the states and rows they pass on.
 
     Returns ``(step, grow, run)``:
 
@@ -541,23 +542,26 @@ def _build(ring, base: tuple, digit_set, offsets: dict, head, add, sub, settle):
 
 
 # the largest base degree with straight-line kernels, past which (and for
-# F_p[y] and x-digits over Z[i]) ``_build`` serves: at d = 8 a generated
+# x-digits over Z[i] and F_p[y]) ``_build`` serves: at d = 8 a generated
 # round costs 0.6x the generic one per member over Z and 0.8x over Z[i]
 # (x^d + ... + x + 3 and x^d + ... + x + (1+2i) at cap 400, 2 vCPUs)
 KERNEL_DEGREE = 8
 
-# The straight-line T of one shape: the ring ("Z" or "Z[i]"), the base
-# degree d, the sign of p0 over Z, and over Z whether x-digits are folded
-# into the carry tables.  ``bind(ring, base, digit_set, offsets, reduce)``
-# returns one system's (step, grow, run) with the contract of ``_build``'s.
-# They keep a state's d coordinates in locals and read the carry, and the
-# x-parts folded into it, from one table per coordinate, so each step is a
-# dot product, one division and d lookups at most.  A state of another
-# length (a residue part), a member whose row is not built yet and the
-# closures of x-digits, whose rows are coordinate deltas, go to the generic
-# kernels, which ``ring._generic`` makes on first need.  Only d and the
-# shape flags are written into the source; every value of the system is
-# an argument of ``bind``.
+# The straight-line T of one shape: the ring ("Z", "Z[i]", or "F2[y]" and
+# "F_p[y]" for odd p), the base degree d, the sign of p0 over Z, and over
+# Z whether x-digits are folded into the carry tables.  ``bind(ring,
+# base, digit_set, offsets, reduce)`` returns one system's (step, grow,
+# run) with the contract of ``_build``'s.  They keep a state's d
+# coordinates in locals and read the carry, and the x-parts folded into
+# it, from one table per coordinate, so each step is a dot product, one
+# division and d lookups at most.  Over F_p[y] (one-byte slots) the
+# division is ``_divider``'s inline one, written out with the divider's
+# constants, and a quotient past its bound calls the divider.  A state of
+# another length (a residue part), a member whose row is not built yet
+# and the closures of x-digits, whose rows are coordinate deltas, go to
+# the generic kernels, which ``ring._generic`` makes on first need.  Only
+# d and the shape flags are written into the source; every value of the
+# system is an argument of ``bind``.
 _TEMPLATE = """\
 def bind(ring, base, digit_set, offsets, reduce):
 {prologue:4}
@@ -645,11 +649,12 @@ def _tuple(items: list) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
-@functools.cache  # bounded by the shapes: 4 * KERNEL_DEGREE over Z, KERNEL_DEGREE over Z[i]
+@functools.cache  # bounded by the shapes: 4 * KERNEL_DEGREE over Z, KERNEL_DEGREE each other kind
 def _kernel(kind: str, d: int, down: bool = True, folded: bool = False):
     """The compiled ``bind`` of one shape (see ``_TEMPLATE``), compiled on
     first use under a file name that names the shape."""
     idx = range(d)
+    namespace: dict = {}
     if kind == "Z":
         # coordinate i is a_i, with weight w_i = p_{d-i}
         flat = [f"a{i}" for i in idx]
@@ -668,7 +673,7 @@ def _kernel(kind: str, d: int, down: bool = True, folded: bool = False):
         last = f"last[r] {'-' if down else '+'} q"
         unpack, flat_moved = _tuple(flat), moved + [last]
         carry_out, delta, round_last, shift = f"t = {last}", "c", "t", "t + c"
-    else:
+    elif kind == "Z[i]":
         # coordinate i is u_i = (a_i, b_i), with weight (w_i_r, w_i_i) =
         # p_{d-i}; images hold the pairs u_i themselves, not copies
         flat = [x for i in idx for x in (f"a{i}", f"b{i}")]
@@ -691,6 +696,50 @@ def _kernel(kind: str, d: int, down: bool = True, folded: bool = False):
         carry_out, delta, round_last, shift = (
             "tr, ti = kr - qr, ki - qi", "dr, di", "(tr, ti)", "(tr + dr, ti + di)"
         )
+    else:
+        # coordinate i is the packed a_i, with weight w_i = p_{d-i}; the dot
+        # product of one-byte slots is reduced and divided by -p0 (q = -q0)
+        # as ``_divider`` divides inline, and past its bound by the divider;
+        # the kernels of ``fppoly`` are read when a system binds
+        from . import fppoly
+
+        namespace["fppoly"] = fppoly
+        odd = kind != "F2[y]"
+        flat = [f"a{i}" for i in idx]
+        prologue = _Lines([
+            f"p, carry, {_tuple([f'w{i}' for i in idx])} = ring.p, digit_set.carry, "
+            "ring.atoms(base[:0:-1])",
+            "add, fold = fppoly._add, fppoly._reduce",
+            "divide = fppoly._divider(p, fppoly._sub(p, 0, base[0][1]))",
+            "m, dm, short, series, bias, ones, table, masks = divide.inline",
+            "shift, span, frombytes = 8 * dm, short + dm, int.from_bytes",
+        ])
+        slots = "frombytes(dot.to_bytes({}, 'little').translate(table), 'little')"
+        top = "frombytes((dot >> shift).to_bytes(n, 'big'), 'little')"
+        divide = _Lines([
+            f"dot = {' + '.join(f'a{i} * w{i}' for i in idx)}",
+            "n = (dot.bit_length() + 7 >> 3) - dm",
+            "if n > short:",
+            "    r, q = divide(fold(dot, p, 1))",
+            "elif n > 0:",
+            "    " + (f"dot = {slots.format('n + dm')}" if odd else "dot &= ones"),
+            "    mask = masks[n]",
+            f"    q = ({top} * (series & mask) & mask).to_bytes(n, 'little')",
+            "    q = frombytes(q.translate(table), 'big')",
+            "    r = " + (
+                "frombytes((dot + bias - q * m).to_bytes(span, 'little').translate(table), "
+                "'little')" if odd else "dot ^ (q * m & ones)"
+            ),
+            "else:",
+            f"    r, q = {slots.format('dm') if odd else 'dot & ones'}, 0",
+        ])
+        if odd:
+            divide.append("k0 = carry[r]")
+        moved = [f"a{i + 1}" for i in idx[:-1]]
+        last = "add(p, k0, q) if k0 else q" if odd else "carry[r] ^ q"
+        unpack, flat_moved = _tuple(flat), moved + [last]
+        carry_out, delta, round_last = f"t = {last}", "c", "t"
+        shift = "add(p, t, c)" if odd else "t ^ c"
     marks = [f"m{j}" for j in range(len(flat))]
     source = _TEMPLATE.format(
         d=d, prologue=prologue, divide=divide, unpack=unpack, image=_tuple(moved + [last]),
@@ -701,15 +750,17 @@ def _kernel(kind: str, d: int, down: bool = True, folded: bool = False):
         at_mark=" and ".join(f"{a} == {m}" for a, m in reversed(list(zip(flat, marks)))),
         at_zero=" and ".join(f"not {a}" for a in reversed(flat)),
     )
-    shape = f"{kind} d={d}" + ("" if kind != "Z" else " p0>0" if down else " p0<0")
-    namespace: dict = {}
+    flag = {"Z": " p0>0" if down else " p0<0", "F_p[y]": " p>2"}.get(kind, "")
+    shape = f"{kind} d={d}{flag}"
     exec(compile(source, f"<T kernel {shape}{' x-digits' if folded else ''}>", "exec"), namespace)
     return namespace["bind"]
 
 
 def _state(kind: str, flat: list) -> str:
     """The flat names as a state: one per coordinate, a pair over Z[i]."""
-    return _tuple(flat if kind == "Z" else [f"({a}, {b})" for a, b in zip(flat[::2], flat[1::2])])
+    if kind != "Z[i]":
+        return _tuple(flat)
+    return _tuple([f"({a}, {b})" for a, b in zip(flat[::2], flat[1::2])])
 
 
 class Ring:
@@ -778,9 +829,9 @@ class Ring:
         """T of a digit system on the atoms of flat coordinates, bound once
         per system: the ``(step, grow, run)`` of ``_build`` with this
         ring's arithmetic on atoms, ``grow`` the breadth-first round of
-        closures and ``run`` the segment walker of single orbits; over Z
-        and Z[i] with d up to ``KERNEL_DEGREE`` the generated kernels of
-        the system's shape (``_kernel``), bound in one call.  ``base``
+        closures and ``run`` the segment walker of single orbits; with d
+        up to ``KERNEL_DEGREE`` the generated kernels of the system's
+        shape (``_kernel``), bound in one call, where the ring has one.  ``base``
         holds the coefficients p_0, ..., p_d of the base in ring values,
         ``digit_set`` is the system's ``DigitSet``, ``offsets`` is that
         of ``_build``, in atoms, and ``reduce`` takes coordinates with

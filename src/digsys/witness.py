@@ -23,8 +23,8 @@ the ``expand`` that the system's ``Ring.dynamics`` binds (``rings._build``
 writes it): one loop that, for each member v of the frontier, adds T(v)
 first, then each distinct T(v + e) != T(v) in digit order, skipping
 what the closure holds, as it would add the images of every digit; over
-Z and Z[i] with d up to ``rings.KERNEL_DEGREE`` the loop of a constant
-digit set is straight-line code generated for its shape
+Z, Z[i] and F_p[y] with d up to ``rings.KERNEL_DEGREE`` the loop of a
+constant digit set is straight-line code generated for its shape
 (``rings._kernel``), with no call per member.  Members are the flat
 standard-representation coordinates of ``QuotRing.coords``, for every
 digit set and seed, in the atom form of the ring (``Ring.atoms``: the

@@ -12,6 +12,7 @@ from digsys import (
     validate_system, witness, witness_closure,
 )
 from digsys.digits import DigitSequence, PeriodicSetReport, ZeroCycle, rotate, walk
+from digsys.ffds import ConvertResult
 from digsys.product import ProductExpansion, ProductSystem
 from digsys.rings import MAX_EXPONENT
 
@@ -299,6 +300,51 @@ def element_zero_cycle(system, cap):
             return None
         seen[cur] = True
     return None
+
+
+def rescanning_convert(system, element, aux_digits, cap):
+    """``ffds.convert_expansion`` as it searched for each lowest zero digit
+    from position 0 after every rewrite, quadratic in the expansion's
+    length: the oracle for the search that resumes at the last rewrite."""
+    ring = system.ring
+    aux = tuple(ring.coerce(a) for a in aux_digits)
+    aux_system = validate_system(ring, system.modulus, aux)
+    if isinstance(element, Poly):
+        element = system.qring.normalize(element)
+    if element.is_zero:
+        return ConvertResult("finite", (), 0)
+    zc = system.zero_cycle(cap)
+    if zc is None:
+        return ConvertResult("unknown", (), 0, f"no zero cycle found within {cap} steps")
+    zc_consts = tuple(d.constant for d in zc.digits)
+    alphabet = set(system.constant_digits()) | {ring.zero}
+    base = aux_system.expand(element, cap)
+    if base.status != "finite":
+        return ConvertResult(
+            "unknown", (), 0, f"auxiliary expansion did not terminate: {base.status}"
+        )
+    b = [d.constant for d in base.digits]
+    rounds = 0
+    while True:
+        try:
+            i = next(j for j, v in enumerate(b) if not v)
+        except StopIteration:
+            break
+        if rounds >= cap:
+            return ConvertResult("unknown", (), rounds, "rewriting cap exceeded")
+        if len(b) < i + len(zc_consts):
+            b.extend([ring.zero] * (i + len(zc_consts) - len(b)))
+        for j, z in enumerate(zc_consts):
+            s = b[i + j] + z
+            if s not in alphabet:
+                return ConvertResult(
+                    "unknown", (), rounds, f"sum {ring.format(s)} leaves the digit alphabet"
+                )
+            b[i + j] = s
+        while b and not b[-1]:
+            b.pop()
+        rounds += 1
+    return ConvertResult("finite", tuple(system.qring.from_const(v) for v in b), rounds)
 
 
 def element_periodic_set(system, seeds, cap):

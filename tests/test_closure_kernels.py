@@ -1,6 +1,6 @@
 """The breadth-first round of every closure kernel against the element
 oracle: ``witness_closure`` runs the ``expand`` of ``Ring.dynamics`` (the
-generated straight-line kernels of Z and Z[i] with d up to
+generated straight-line kernels of Z, Z[i] and F_p[y] with d up to
 ``KERNEL_DEGREE``, the generic loop otherwise), and
 ``support.full_row_closure`` steps elements.  Every cap below the
 closure's size is compared, so the cap is crossed at T(v), inside a row,
@@ -21,6 +21,9 @@ from support import assert_closure_matches_full_rows, rand_quot
 
 F2, F3 = Fp(2), Fp(3)
 LISTED = ("0", "1", "x+2", "x+3", "2x+4", "2x+5")
+# the digits r + y*p0 (r != 0) of p0 = y+2 over F3: every residue but 0
+# has the carry y, and every member has siblings
+F3_CARRIES = [r + F3.parse("y^2+2y") if r else r for r in F3.residues(F3.parse("y+2"))]
 
 # (name, ring, base, digits: values, element literals (in one string),
 # None for the canonical F_p[y] digits, or "product" for the product
@@ -50,6 +53,13 @@ SHAPES = [
     ("F3-d2-canonical", F3, "(y^2+1)x^2+y*x+(y+1)", None),
     ("F3-d3-canonical", F3, "(y+1)x^3+2x+y", None),
     ("F3-d1-canonical-long", F3, "(y^2+1)x+(y+2)", None),
+    ("F2-d1-canonical", F2, "(y+1)x+(y^2+y+1)", None),
+    ("F2-d3-canonical", F2, "x^3+y*x^2+x+(y^2+1)", None),
+    ("F2-d8-limit-canonical", F2, "x^8+y*x^5+x^2+(y+1)x+(y^2+y+1)", None),
+    ("F2-d9-generic-canonical", F2, "x^9+x^4+y*x+(y^2+y+1)", None),
+    ("F3-d1-canonical", F3, "y*x+(y^2+2)", None),
+    ("F3-d2-carries", F3, "(y^2+1)x^2+x+(y+2)", F3_CARRIES),
+    ("F3-d8-limit-canonical", F3, "x^8+2x^3+y*x+(y+2)", None),
     ("x2+5x+6-listed", Z, "x^2+5x+6", LISTED),
     ("x2+5x+6-product", Z, "x^2+5x+6", "product"),
 ]
@@ -149,9 +159,43 @@ def test_straight_rounds_meet_residue_parts():
             assert any(len(v) != system.qring.d for v in expanded), name
 
 
+def test_residue_parts_fall_back_mid_round():
+    # the power seeds of a lead that is not a unit have residue parts, and
+    # sorted among the basis seeds they sit between members of d
+    # coordinates in the first round of a generated F_p[y] closure; each
+    # round adds, in order, what the generic round of ``_build`` adds
+    inside = set()
+    for name in NAMES:
+        system = build(name)
+        if system.ring in (Z, ZI) or not kernel(system) or system.modulus.lead == system.ring.one:
+            continue
+        q, d = system.qring, system.qring.d
+        generic = system.ring._generic(
+            system.modulus.coeffs, system.digit_set, system._offsets,
+            lambda coords: q.coords(q.from_coords(coords)),
+        )[1](system.digit_set)
+        straight = witness._grow(system)
+        seeds = witness._seed_atoms(system, "power") + witness._seed_atoms(system, "brunotte")
+        frontier = sorted(set(seeds))
+        members, succ, twin, twin_succ = set(frontier), {}, set(frontier), {}
+        for _ in range(6):
+            lengths = [len(v) != d for v in frontier]
+            if any(lengths[1:-1]) and not all(lengths[1:-1]):
+                inside.add(name)
+            new = straight(frontier, members, succ, 200)
+            assert new == generic(frontier, twin, twin_succ, 200), name
+            assert members == twin and list(succ.items()) == list(twin_succ.items()), name
+            if not new or len(members) > 200:
+                break
+            frontier = new
+    assert {"F2-d2", "F3-d1-canonical-long", "F3-d2-carries"} <= inside, inside
+
+
 def test_each_shape_has_its_kernel():
-    # Z and Z[i] up to the degree limit are generated, per sign of p0 over Z
-    # and with x-digits folded; F_p[y] and larger d take the generic kernels
+    # Z, Z[i] and F_p[y] up to the degree limit are generated, per sign of
+    # p0 over Z and with x-digits folded, and over F_p[y] for a constant
+    # digit set, one shape for p = 2 and one for odd p; larger d take the
+    # generic kernels
     for name in NAMES:
         system = build(name)
         ring, d, p0 = system.ring, system.qring.d, system.qring.p0
@@ -161,6 +205,10 @@ def test_each_shape_has_its_kernel():
             want = f"<T kernel Z d={d} {sign}{folded}>"
         elif ring == ZI and d <= KERNEL_DEGREE:
             want = f"<T kernel Z[i] d={d}>"
+        elif ring == F2 and d <= KERNEL_DEGREE:
+            want = f"<T kernel F2[y] d={d}>"
+        elif ring == F3 and d <= KERNEL_DEGREE:
+            want = f"<T kernel F_p[y] d={d} p>2>"
         else:
             want = None
         assert kernel(system) == want, name
@@ -181,4 +229,8 @@ def test_one_code_object_per_shape():
             validate_system(Z, parse_poly(Z, f"x^{d}+{p0}"), range(abs(p0)))
         for p0 in ("2+i", "1+2i"):
             validate_system(ZI, parse_poly(ZI, f"x^{d}+({p0})"), range(5))
-    assert rings._kernel.cache_info().currsize == 3 * KERNEL_DEGREE
+        for ring, p0s in ((F2, ("y+1", "y^2+y+1")), (F3, ("y+2", "2y^2+1"))):
+            for p0 in p0s:
+                modulus = parse_poly(ring, f"x^{d}+({p0})")
+                validate_system(ring, modulus, canonical_ff_digits(modulus))
+    assert rings._kernel.cache_info().currsize == 5 * KERNEL_DEGREE

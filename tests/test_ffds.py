@@ -5,6 +5,7 @@ import pytest
 
 from digsys import (
     Fp,
+    Poly,
     Z,
     canonical_ff_digits,
     convert_expansion,
@@ -19,7 +20,7 @@ from digsys import (
 from digsys.ffds import _PhiRewriter
 from digsys.rings import MAX_ENUMERATION
 
-from support import example2, rand_poly
+from support import example2, rand_poly, rand_ring_elem, rescanning_convert
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -287,6 +288,30 @@ class TestConvert:
             assert out.status == "finite"
             assert system.evaluate(out.digits) == a
             assert all(d in target for d in out.digits)
+
+
+    def test_matches_rescanning_oracle(self):
+        # seeded F2 and F3 elements of x-degree up to 400, whose
+        # expansions run past 200 digits, and a cap that stops rewriting:
+        # the search from the last rewrite gives what the search from
+        # position 0 gives
+        f3_system = validate_system(
+            F3, parse_poly(F3, "(y+1)x^2+x+(y^2+2)"),
+            [F3.parse(t) for t in "1,2,y,y+1,y+2,2y,2y+1,2y+2,y^3+2y".split(",")],
+        )
+        rng = random.Random(43)
+        longest, kinds = 0, set()
+        for system in (example2(), f3_system):
+            canonical = canonical_ff_digits(system.modulus)
+            for degree in [0, 1, 3, 40] + [rng.randint(150, 400) for _ in range(12)]:
+                coeffs = [rand_ring_elem(rng, system.ring) for _ in range(degree)]
+                f = Poly.make(system.ring, coeffs + [system.ring.one])
+                for cap in (5, 400):
+                    out = convert_expansion(system, f, canonical, cap=cap)
+                    assert out == rescanning_convert(system, f, canonical, cap), (system, degree)
+                    longest = max(longest, len(out.digits))
+                    kinds.add(out.status)
+        assert longest >= 200 and kinds == {"finite", "unknown"}, (longest, kinds)
 
 
 class TestCrossOracle:

@@ -34,15 +34,18 @@ def zi(base, digits):
     return validate_system(ZI, parse_poly(ZI, base), digits)
 
 
-def ff(ring, base):
+def ff(ring, base, digits=None):
     modulus = parse_poly(ring, base)
-    return validate_system(ring, modulus, canonical_ff_digits(modulus))
+    return validate_system(ring, modulus, digits or canonical_ff_digits(modulus))
 
 
-# the generated run loops of Z and Z[i] up to the degree limit, the
-# generic run past it and over F_p[y], both signs of p0, residue parts,
-# x-digits folded into the carry tables or not, and orbits that end at 0,
-# in a cycle or at the cap
+# the digits r + y*p0 (r != 0) of p0 = y+2 over F3, each with a carry
+F3_CARRIES = [r + F3.parse("y^2+2y") if r else r for r in F3.residues(F3.parse("y+2"))]
+
+# the generated run loops of Z, Z[i] and F_p[y] up to the degree limit,
+# the generic run past it, both signs of p0, residue parts, x-digits
+# folded into the carry tables or not, F_p[y] quotients past the inline
+# bound, and orbits that end at 0, in a cycle or at the cap
 SYSTEMS = [
     ("Z d=1 divergent", z("3x+2", [0, 1])),
     ("Z d=1 p0<0", z("3x-2", [0, 1])),
@@ -75,6 +78,14 @@ SYSTEMS = [
     ("F2 d=2 canonical", ff(F2, "(y^2+1)x^2+x+(y^2+y)")),
     ("F3 d=1", ff(F3, "y*x+(y^2+2)")),
     ("F3 d=3", ff(F3, "(y+1)x^3+2x+y")),
+    ("F2 d=1", ff(F2, "(y+1)x+(y^2+y+1)")),
+    ("F2 d=3", ff(F2, "x^3+y*x^2+x+(y^2+1)")),
+    ("F2 d=8 limit", ff(F2, "x^8+y*x^5+x^2+(y+1)x+(y^2+y+1)")),
+    ("F2 d=9 generic", ff(F2, "x^9+x^4+y*x+(y^2+y+1)")),
+    ("F3 d=1 long quotients", ff(F3, "(y^2+1)x+(y+2)")),
+    ("F3 d=2", ff(F3, "(y^2+1)x^2+y*x+(y+1)")),
+    ("F3 d=2 carries", ff(F3, "(y^2+1)x^2+x+(y+2)", F3_CARRIES)),
+    ("F3 d=8 limit", ff(F3, "x^8+2x^3+y*x+(y+2)")),
 ]
 
 
@@ -234,6 +245,15 @@ RUN_SYSTEMS = [
     ("Z[i] d=2", zi("2x^2+x+(2+i)", range(5))),
     ("Z[i] d=3", zi("(1+i)x^3+x^2+x+(2+i)", range(5))),
     ("F2 d=2", example2()),
+    ("F2 d=1", ff(F2, "(y+1)x+(y^2+y+1)")),
+    ("F2 d=3", ff(F2, "x^3+y*x^2+x+(y^2+1)")),
+    ("F2 d=8", ff(F2, "x^8+y*x^5+x^2+(y+1)x+(y^2+y+1)")),
+    ("F2 d=9", ff(F2, "x^9+x^4+y*x+(y^2+y+1)")),
+    ("F3 d=1", ff(F3, "y*x+(y^2+2)")),
+    ("F3 d=1 long quotients", ff(F3, "(y^2+1)x+(y+2)")),
+    ("F3 d=2 carries", ff(F3, "(y^2+1)x^2+x+(y+2)", F3_CARRIES)),
+    ("F3 d=3", ff(F3, "(y+1)x^3+2x+y")),
+    ("F3 d=8", ff(F3, "x^8+2x^3+y*x+(y+2)")),
 ]
 
 

@@ -1,6 +1,6 @@
 """Print the CLI output of a fixed corpus of invocations.
 
-Runs about fifty ``digsys.cli.main`` invocations over all seven
+Runs about sixty ``digsys.cli.main`` invocations over all seven
 subcommands -- Z, Z[i], F2[y], F3[y] and F131[y]; monic and non-monic
 bases; constant digit sets and the non-constant ones of ``product``;
 stabilised and capped closures -- each as text and as ``--json``, and
@@ -137,6 +137,15 @@ CORPUS = [
     (["decide", "--ring", "Fp:2", "--poly", "x+(2y+1)", "--digits", "0,1"], None),
     (["decide", "--ring", "Z", "--poly", "x^1000001+3", "--digits", "0,1,2"], None),
     (["srs", "--r", "1e100000,1/2"], None),
+    # F_p[y] straight-line kernels: the lead y^2+1 over p0 = y+2 grows the
+    # quotients of F3[y] past the 63 slots it divides inline, so they are
+    # divided in chunks; and F2[y] with d = 3
+    (["expand", "--ring", "Fp:3", "--poly", "(y^2+1)x+(y+2)", "--digits", "0,1,2",
+      "--element", "(2y^2+1)x+y^3", "--cap", "300"], None),
+    (["decide", "--ring", "Fp:3", "--poly", "(y^2+1)x+(y+2)", "--digits", "0,1,2",
+      "--witness-cap", "300"], None),
+    (["decide", "--ring", "Fp:2", "--poly", "x^3+y*x^2+x+(y^2+1)",
+      "--digits", "0,1,y,y+1"], None),
 ]
 
 

@@ -20,13 +20,20 @@ through ``digit_sequence`` (``us/walk step``).  Those walks step in
 segments of the ``run`` loop that ``Ring.dynamics`` binds beside the
 step, so the column times the run loops, plus the walker's checkpoint
 and the conversion of each start to coordinates and of the recorded
-digit positions to digits.  Every Z and Z[i] shape here has the
-straight-line kernels that ``rings._kernel`` generates for its ring, d
-and sign of p0 (up to ``rings.KERNEL_DEGREE``): a step and a run loop
-that keep the state in locals and, for a constant digit set, a closure
-round with no call per member.  The x-digits of "x-dig" fold into its
-carry tables, and its closures take the generic round.  The F_p[y]
-shapes take the generic step, closure round and run loop.  The
+digit positions to digits.  Every Z, Z[i], F2[y] and F3[y] shape here
+has the straight-line kernels that ``rings._kernel`` generates for its
+ring (over F_p[y], for p = 2 or odd p), d and sign of p0 (up to
+``rings.KERNEL_DEGREE``): a step and a run loop that keep the state in
+locals and, for a constant digit set, a closure round with no call per
+member.  Over F2[y] and F3[y] the division by -p0 is the divider's
+inline one, written out; the quotients of "grow" past its bound call
+the divider, which divides them in chunks.  The x-digits of "x-dig"
+fold into its carry tables, and its closures take the generic round.
+F131[y], whose slots are two bytes wide, takes the generic step,
+closure round and run loop.  The ``spread`` columns beside
+``us/step`` and ``us/member`` are the largest of the five passes over
+the least: a change between two runs smaller than the spread of either
+is noise.  The
 ``walk KB`` column is the tracemalloc peak of one walk of at most 10^4
 steps from the first start, less its digit tuple: the walk keeps two
 states and one byte per digit, so on the shapes whose orbits grow and
@@ -117,10 +124,10 @@ def _start(rng: random.Random, ring):
 
 
 def measure(ring, base: str, digits, seed: int = 1) -> tuple:
-    """(states, us per step, us per walk step, KB of a long walk,
-    closure members expanded, us per member with the shared tables emptied
-    and with them warm, us per system set-up emptied and warm, us per
-    decision warm) of one shape."""
+    """(states, us per step and its spread, us per walk step, KB of a long
+    walk, closure members expanded, us per member with the shared tables
+    emptied and its spread, and with them warm, us per system set-up
+    emptied and warm, us per decision warm) of one shape."""
     modulus = parse_poly(ring, base)
     if digits is None:
         digits = canonical_ff_digits(modulus)
@@ -162,18 +169,20 @@ def measure(ring, base: str, digits, seed: int = 1) -> tuple:
         _clear_shared()
         system = validate()
 
-    per_step, per_walk = _best(steps) / len(states) * 1e6, _best(walks) / len(states) * 1e6
+    (per_step, step_spread), (per_walk, _) = _passes(steps), _passes(walks)
+    per_step, per_walk = per_step / len(states) * 1e6, per_walk / len(states) * 1e6
     tracemalloc.start()
     try:
         seq = system.digit_sequence(starts[0], WALK_CAP)
         walk_kb = (tracemalloc.get_traced_memory()[1] - sys.getsizeof(seq.digits)) / 1024
     finally:
         tracemalloc.stop()
-    cold = _best(closure, before=fresh) / members * 1e6
+    cold, cold_spread = _passes(closure, before=fresh)
+    cold = cold / members * 1e6
     closure()
-    warm = _best(closure) / members * 1e6
-    setup_cold = _best(validate, before=_clear_shared) * 1e6
-    setup_warm = _best(validate) * 1e6
+    warm = _passes(closure)[0] / members * 1e6
+    setup_cold = _passes(validate, before=_clear_shared)[0] * 1e6
+    setup_warm = _passes(validate)[0] * 1e6
 
     def decisions():
         for _ in range(DECISIONS):
@@ -182,16 +191,16 @@ def measure(ring, base: str, digits, seed: int = 1) -> tuple:
             decide_pep(decided, closure_cap=DECISION_CAP)
 
     decisions()  # fills the rows the decisions share
-    per_decision = _best(decisions) / DECISIONS * 1e6
+    per_decision = _passes(decisions)[0] / DECISIONS * 1e6
     return (
-        len(states), per_step, per_walk, walk_kb, members, cold, warm, setup_cold, setup_warm,
-        per_decision,
+        len(states), per_step, step_spread, per_walk, walk_kb, members, cold, cold_spread,
+        warm, setup_cold, setup_warm, per_decision,
     )
 
 
-def _best(run, before=None) -> float:
-    """The least CPU time of PASSES calls of ``run``, in seconds; ``before``,
-    if given, is called untimed ahead of each."""
+def _passes(run, before=None) -> tuple:
+    """The least CPU time of PASSES calls of ``run``, in seconds, and the
+    largest over it; ``before``, if given, is called untimed ahead of each."""
     times = []
     for _ in range(PASSES):
         if before is not None:
@@ -199,23 +208,24 @@ def _best(run, before=None) -> float:
         t0 = time.thread_time()
         run()
         times.append(time.thread_time() - t0)
-    return min(times)
+    return min(times), max(times) / max(min(times), 1e-9)
 
 
 def main() -> None:
     print(
-        f"{'shape':<14} {'base':<24} {'states':>6} {'us/step':>8} {'us/walk step':>12}"
-        f" {'walk KB':>7} {'members':>7} {'us/member':>9} {'warm':>6} {'us/system':>9}"
-        f" {'warm':>6} {'us/decision':>11}"
+        f"{'shape':<14} {'base':<24} {'states':>6} {'us/step':>8} {'spread':>6}"
+        f" {'us/walk step':>12} {'walk KB':>7} {'members':>7} {'us/member':>9} {'spread':>6}"
+        f" {'warm':>6} {'us/system':>9} {'warm':>6} {'us/decision':>11}"
     )
     for shape, ring, base, digits in SHAPES:
-        n, per_step, per_walk, walk_kb, members, cold, warm, setup, setup_warm, decision = (
-            measure(ring, base, digits)
-        )
+        (
+            n, per_step, step_spread, per_walk, walk_kb, members, cold, cold_spread, warm,
+            setup, setup_warm, decision,
+        ) = measure(ring, base, digits)
         print(
-            f"{shape:<14} {base:<24} {n:>6} {per_step:>8.2f} {per_walk:>12.2f}"
-            f" {walk_kb:>7.1f} {members:>7} {cold:>9.2f} {warm:>6.2f} {setup:>9.2f}"
-            f" {setup_warm:>6.2f} {decision:>11.2f}"
+            f"{shape:<14} {base:<24} {n:>6} {per_step:>8.2f} {step_spread:>6.2f}"
+            f" {per_walk:>12.2f} {walk_kb:>7.1f} {members:>7} {cold:>9.2f} {cold_spread:>6.2f}"
+            f" {warm:>6.2f} {setup:>9.2f} {setup_warm:>6.2f} {decision:>11.2f}"
         )
 
 
