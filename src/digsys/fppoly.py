@@ -15,11 +15,10 @@ These kernels on packed ints (``_add``, ``_sub``, ``_mul``,
 ``_divider``) are the one F_p[y] arithmetic of the library: the
 operators of :class:`FpPoly` and ``FpPolynomialRing.divider`` wrap them,
 and ``FpPolynomialRing.dynamics`` calls them directly, or binds the
-straight-line kernels of ``rings._kernel``, which read them and write
-the inline division out.  The atom of an F_p[y] value (``Ring.atoms``)
-is its packed int, ``FpPoly[1]``, since p is fixed per ring, so walks
-and closures over F_p[y] hash, compare and add plain ints and build no
-FpPoly per step.
+straight-line kernels of ``rings._kernel``, which call them.  The atom
+of an F_p[y] value (``Ring.atoms``) is its packed int, ``FpPoly[1]``,
+since p is fixed per ring, so walks and closures over F_p[y] hash,
+compare and add plain ints and build no FpPoly per step.
 
 ``digsys.rings`` re-exports :class:`FpPoly`, :class:`FpPolynomialRing`
 and :func:`Fp`.
@@ -282,14 +281,10 @@ def _divider(p: int, m: int):
     slot, so q is reversed by byte order and reduced by one ``translate``,
     as is a + c*(1, ..., 1) - q*m (p = 2: q*m masked and XORed into a).
     S is extended to the bound L here, once, so an inline quotient of n
-    slots reads its prefix ``S & _MASKS[n]``.  The divider's ``inline``
-    attribute holds these constants, ``(m, deg m, L, S, c*(1, ..., 1),
-    (1, ..., 1), table, _MASKS)`` (L = 0 past one-byte slots), and the
-    straight-line F_p[y] kernels of ``rings._kernel`` write the inline
-    division out with them.  Over F2 and F3 (L up to 254 and 63 slots) a
-    longer quotient is divided in chunks of L slots from the top, each an
-    inline division of the top slots whose remainder replaces them: no
-    product spans the dividend.  For p >= 5 chunks of L <= 15 slots cost
+    slots reads its prefix ``S & _MASKS[n]``.  Over F2 and F3 (L up to
+    254 and 63 slots) a longer quotient is divided in chunks of L slots
+    from the top, each an inline division of the top slots whose
+    remainder replaces them: no product spans the dividend.  For p >= 5 chunks of L <= 15 slots cost
     more than the two full products of the series, which it keeps."""
     w = _width(p)
     bits, dm = 8 * w, _slots(m, w) - 1
@@ -341,7 +336,6 @@ def _divider(p: int, m: int):
         q = _reverse(_mul(p, top, extend(n) & mask) & mask, n, w)
         return _sub(p, a, _mul(p, q, m)), q
 
-    divide.inline = (m, dm, short, inline, bias, ones, table, _MASKS)
     return divide
 
 

@@ -554,14 +554,13 @@ KERNEL_DEGREE = 8
 # run) with the contract of ``_build``'s.  They keep a state's d
 # coordinates in locals and read the carry, and the x-parts folded into
 # it, from one table per coordinate, so each step is a dot product, one
-# division and d lookups at most.  Over F_p[y] (one-byte slots) the
-# division is ``_divider``'s inline one, written out with the divider's
-# constants, and a quotient past its bound calls the divider.  A state of
-# another length (a residue part), a member whose row is not built yet
-# and the closures of x-digits, whose rows are coordinate deltas, go to
-# the generic kernels, which ``ring._generic`` makes on first need.  Only
-# d and the shape flags are written into the source; every value of the
-# system is an argument of ``bind``.
+# division and d lookups at most; over F_p[y] (one-byte slots) the
+# division is one call of ``_divider``.  A state of another length (a
+# residue part), a member whose row is not built yet and the closures of
+# x-digits, whose rows are coordinate deltas, go to the generic kernels,
+# which ``ring._generic`` makes on first need.  Only d and the shape
+# flags are written into the source; every value of the system is an
+# argument of ``bind``.
 _TEMPLATE = """\
 def bind(ring, base, digit_set, offsets, reduce):
 {prologue:4}
@@ -699,8 +698,8 @@ def _kernel(kind: str, d: int, down: bool = True, folded: bool = False):
     else:
         # coordinate i is the packed a_i, with weight w_i = p_{d-i}; the dot
         # product of one-byte slots is reduced and divided by -p0 (q = -q0)
-        # as ``_divider`` divides inline, and past its bound by the divider;
-        # the kernels of ``fppoly`` are read when a system binds
+        # with ``_divider``; the kernels of ``fppoly`` are read when a
+        # system binds
         from . import fppoly
 
         namespace["fppoly"] = fppoly
@@ -711,28 +710,8 @@ def _kernel(kind: str, d: int, down: bool = True, folded: bool = False):
             "ring.atoms(base[:0:-1])",
             "add, fold = fppoly._add, fppoly._reduce",
             "divide = fppoly._divider(p, fppoly._sub(p, 0, base[0][1]))",
-            "m, dm, short, series, bias, ones, table, masks = divide.inline",
-            "shift, span, frombytes = 8 * dm, short + dm, int.from_bytes",
         ])
-        slots = "frombytes(dot.to_bytes({}, 'little').translate(table), 'little')"
-        top = "frombytes((dot >> shift).to_bytes(n, 'big'), 'little')"
-        divide = _Lines([
-            f"dot = {' + '.join(f'a{i} * w{i}' for i in idx)}",
-            "n = (dot.bit_length() + 7 >> 3) - dm",
-            "if n > short:",
-            "    r, q = divide(fold(dot, p, 1))",
-            "elif n > 0:",
-            "    " + (f"dot = {slots.format('n + dm')}" if odd else "dot &= ones"),
-            "    mask = masks[n]",
-            f"    q = ({top} * (series & mask) & mask).to_bytes(n, 'little')",
-            "    q = frombytes(q.translate(table), 'big')",
-            "    r = " + (
-                "frombytes((dot + bias - q * m).to_bytes(span, 'little').translate(table), "
-                "'little')" if odd else "dot ^ (q * m & ones)"
-            ),
-            "else:",
-            f"    r, q = {slots.format('dm') if odd else 'dot & ones'}, 0",
-        ])
+        divide = _Lines([f"r, q = divide(fold({' + '.join(f'a{i} * w{i}' for i in idx)}, p, 1))"])
         if odd:
             divide.append("k0 = carry[r]")
         moved = [f"a{i + 1}" for i in idx[:-1]]

@@ -25,9 +25,9 @@ has the straight-line kernels that ``rings._kernel`` generates for its
 ring (over F_p[y], for p = 2 or odd p), d and sign of p0 (up to
 ``rings.KERNEL_DEGREE``): a step and a run loop that keep the state in
 locals and, for a constant digit set, a closure round with no call per
-member.  Over F2[y] and F3[y] the division by -p0 is the divider's
-inline one, written out; the quotients of "grow" past its bound call
-the divider, which divides them in chunks.  The x-digits of "x-dig"
+member.  Over F2[y] and F3[y] the division by -p0 is one call of the
+divider, which divides the quotients of "grow" past its inline bound
+in chunks.  The x-digits of "x-dig"
 fold into its carry tables, and its closures take the generic round.
 F131[y], whose slots are two bytes wide, takes the generic step,
 closure round and run loop.  The ``spread`` columns beside
