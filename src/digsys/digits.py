@@ -15,10 +15,11 @@ running through the cycle of 0) is available separately via
 Single orbits (digit sequences, expansions, product expansions and the
 zero cycle) are followed by :meth:`DigitSystem._orbit`, which keeps a
 checkpoint instead of every state and steps in segments of the ``run``
-loop that ``Ring.dynamics`` binds.  Orbits that run into a set of known
-states (the periodic set, closure orbit statuses, shift-radix orbits and
-window chains) are followed by :func:`walk`, and cycles are put in
-canonical order by :func:`rotate`.
+loop that ``Ring.dynamics`` binds.  Orbits of a map on a finite set (the
+periodic set, closure orbit statuses, shift-radix orbits, window chains
+and the zero-cycle window proof) are settled by one pass,
+:func:`orbit_statuses`, and cycles are put in canonical order by
+:func:`rotate`.
 
 Digit sequences, expansions (product expansions too), the zero cycle,
 the periodic set and witness closures run T on the flat coordinates
@@ -58,33 +59,49 @@ from .rings import _DIGIT_SETS, DigitSet, Ring
 DEFAULT_STEP_CAP = 10**6
 
 
-def walk(start, step, known, cap: int | None = None) -> tuple:
-    """Follow ``start`` under ``step`` until a state lies in ``known``,
-    repeats, or ``cap`` steps were taken (None: no cap), checked in that
-    order at every state, the one reached after ``cap`` steps included;
-    a negative ``cap`` raises ValueError.
+def orbit_statuses(starts, step, status: dict, cap: int | None = None) -> list:
+    """Settle the orbit of each start under ``step``, in order: each state
+    on it gets ``status`` ``(True, n)`` when it reaches a stop in n steps,
+    or ``(False, k)`` when it enters a cycle of length k.  The caller marks
+    its stops as ``(True, 0)``.  Returns the new cycles, each a list of
+    states from the one where its path entered it.
 
-    Returns ``(kind, path, hit)``: ``path`` maps the ``len(path)`` states
-    stepped from to their step index, in order; ``kind`` is "known" (``hit``
-    the known state), "cycle" (``hit`` the index where the cycle starts)
-    or "cap" (``hit`` None)."""
+    One pass: from each start, mark every state on the path with its step
+    index (an int, where a settled state holds a tuple) until a state is
+    settled, marked, or ``cap`` steps were taken (None: no cap), checked in
+    that order, the state reached after ``cap`` steps included; a negative
+    ``cap`` raises ValueError.  A settled state gives the path its
+    statuses; a marked one closes a new cycle from its index on, and the
+    path's tail into it reports the cycle's length.  A path that reaches
+    the cap is unmarked, so its start gets no status."""
     if cap is not None and cap < 0:
         raise ValueError("cap must be at least 0")
-    path: dict = {}
     limit = -1 if cap is None else cap
-    state = start
-    n = 0
-    while state not in known:
-        # one lookup both detects a repeat and records a new state
-        hit = path.setdefault(state, n)
-        if hit != n:
-            return "cycle", path, hit
-        if n == limit:
-            path.popitem()
-            return "cap", path, None
-        state = step(state)
-        n += 1
-    return "known", path, state
+    cycles: list[list] = []
+    for v in starts:
+        path = []
+        while v not in status:
+            if len(path) == limit:
+                for u in path:
+                    del status[u]
+                break
+            status[v] = len(path)
+            path.append(v)
+            v = step(v)
+        else:
+            hit = status[v]
+            if hit.__class__ is int:
+                cycles.append(path[hit:])
+                hit = (False, len(path) - hit)
+            if hit[0]:
+                steps = hit[1] + len(path)
+                for u in path:
+                    status[u] = (True, steps)
+                    steps -= 1
+            else:
+                for u in path:
+                    status[u] = hit
+    return cycles
 
 
 def _cycle_start(record, t: int, period: int) -> int:
@@ -360,31 +377,31 @@ class DigitSystem:
         """
         if cap < 0:
             raise ValueError("cap must be at least 0")
-        qring, ring, carry_step = self.qring, self.ring, self._step
+        qring, carry_step = self.qring, self._step
 
         def step(v):
             return carry_step(v)[1]
 
-        resolved: set[tuple] = set()
+        status: dict = {}
         cycles: list[tuple] = []
         capped = False
         for seed in sorted(seeds, key=qring.sort_key):
-            kind, path, hit = walk(ring.atoms(qring.coords(seed)), step, resolved, cap)
-            if kind == "cap":
-                capped = True
-                continue
-            if kind == "cycle":
-                cycle = [qring.from_coords(ring.values(v)) for v in list(path)[hit:]]
-                cycles.append(rotate(cycle, qring.sort_key))
-            resolved.update(path)
-        cycles.sort(key=lambda c: self.qring.sort_key(c[0]))
-        zero = self.qring.zero
+            v = self.ring.atoms(qring.coords(seed))
+            cycles += map(self._cycle, orbit_statuses((v,), step, status, cap))
+            capped = capped or v not in status
+        cycles.sort(key=lambda c: qring.sort_key(c[0]))
+        zero = qring.zero
         return PeriodicSetReport(
             elements=frozenset(v for c in cycles for v in c),
             orbits=tuple(cycles),
             contains_zero=any(zero in c for c in cycles),
             capped=capped,
         )
+
+    def _cycle(self, states) -> tuple:
+        """A cycle of atom states as elements, from its least ``sort_key``."""
+        qring, values = self.qring, self.ring.values
+        return rotate([qring.from_coords(values(v)) for v in states], qring.sort_key)
 
     # -- the coordinate form of the dynamics -----------------------------
 

@@ -11,7 +11,10 @@ position.  Once the rewriting front passes the top of the expansion,
 its effect on the most significant window of length (zero period - 1)
 is a self-map; if every window over N' eventually reaches the all-zero
 window, the rewriting terminates for every element and the system has
-the finite expansion property.
+the finite expansion property.  The proof and ``phi_chain`` settle the
+window orbits with ``digits.orbit_statuses``, the all-zero window their
+stop; the proof takes one start at a time in window order, so the first
+cycle or alphabet escape decides its answer.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .digits import DEFAULT_STEP_CAP, DigitSystem, validate_system, walk
+from .digits import DEFAULT_STEP_CAP, DigitSystem, orbit_statuses, validate_system
 from .polyquot import Poly, base_violation, p0_violation
 from .rings import MAX_ENUMERATION, FpPolynomialRing
 
@@ -114,29 +117,32 @@ class _PhiRewriter:
         return tuple(out)
 
 
-def phi_window_map(system: DigitSystem, zero_cycle, state: tuple) -> tuple:
-    """One step of the window dynamics for the given zero cycle."""
+def _window(system: DigitSystem, zero_cycle, state) -> tuple:
+    """The rewriter of the zero cycle, and ``state`` as one of its windows:
+    its length checked, its entries coerced to ring values."""
     rewriter = _PhiRewriter(system, _cycle_constants(system.ring, zero_cycle))
     if len(state) != rewriter.window:
         raise ValueError(f"expected a window of length {rewriter.window}")
-    return rewriter.step(tuple(system.ring.coerce(c) for c in state))
+    return rewriter, tuple(system.ring.coerce(c) for c in state)
+
+
+def phi_window_map(system: DigitSystem, zero_cycle, state: tuple) -> tuple:
+    """One step of the window dynamics for the given zero cycle."""
+    rewriter, state = _window(system, zero_cycle, state)
+    return rewriter.step(state)
 
 
 def phi_chain(system: DigitSystem, zero_cycle, start: tuple, cap: int = 10**4) -> list:
     """Window states from ``start`` to the all-zero window, inclusive;
     raises ValueError when the chain cycles or exceeds ``cap`` steps, and
     for a start window whose length is not the window length."""
-    ring = system.ring
-    rewriter = _PhiRewriter(system, _cycle_constants(ring, zero_cycle))
-    if len(start) != rewriter.window:
-        raise ValueError(f"expected a window of length {rewriter.window}")
-    zero = (ring.zero,) * rewriter.window
-    kind, path, hit = walk(tuple(ring.coerce(c) for c in start), rewriter.step, (zero,), cap)
-    if kind == "cycle":
+    rewriter, start = _window(system, zero_cycle, start)
+    status = {(system.ring.zero,) * rewriter.window: (True, 0)}
+    if orbit_statuses((start,), rewriter.step, status, cap):
         raise ValueError("window chain cycles without reaching the zero window")
-    if kind == "cap":
+    if start not in status:
         raise ValueError("window chain did not reach the zero window within the cap")
-    return list(path) + [hit]
+    return sorted(status, key=lambda w: status[w][1], reverse=True)
 
 
 def prove_fep_via_zero_cycle(
@@ -192,11 +198,11 @@ def prove_fep_via_zero_cycle(
             zero_cycle=zc_consts,
             window_length=ell,
         )
-    status = {tuple([ring.zero] * ell): 0}
+    status = {(ring.zero,) * ell: (True, 0)}
     reach = {}
     for start in itertools.product(sorted(aux, key=ring.sort_key), repeat=ell):
         try:
-            kind, path, hit = walk(start, rewriter.step, status)
+            cycles = orbit_statuses((start,), rewriter.step, status)
         except ValueError as exc:
             return PhiVerdict(
                 "unknown",
@@ -204,18 +210,15 @@ def prove_fep_via_zero_cycle(
                 zero_cycle=zc_consts,
                 window_length=ell,
             )
-        if kind == "cycle":
+        if cycles:
             return PhiVerdict(
                 "no",
                 "a window orbit cycles without reaching the zero window",
                 zero_cycle=zc_consts,
                 window_length=ell,
-                cycle=tuple(path)[hit:],
+                cycle=tuple(cycles[0]),
             )
-        n, known = len(path), status[hit]
-        for u, i in path.items():
-            status[u] = known + n - i
-        reach[start] = status[start]
+        reach[start] = status[start][1]
     return PhiVerdict(
         "yes",
         "every auxiliary window reaches the zero window",

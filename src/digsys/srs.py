@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import witness
-from .digits import rotate, validate_system, walk
+from .digits import orbit_statuses, rotate, validate_system
 from .polyquot import Poly
 from .rings import MAX_ENUMERATION, Z
 
@@ -67,12 +67,12 @@ def tau_step(params: SrsParams, z) -> tuple[int, ...]:
 def tau_orbit(params: SrsParams, z, cap: int = 10**6) -> tuple[str, tuple]:
     """Classify one orbit: ("zero", steps) / ("cycle", cycle) / ("unknown", ())."""
     start = tuple(z)
-    zero = (0,) * len(start)
-    kind, path, hit = walk(start, lambda v: tau_step(params, v), (zero,), cap)
-    if kind == "known":
-        return "zero", (len(path),)
-    if kind == "cycle":
-        return "cycle", rotate(list(path)[hit:])
+    status = {(0,) * len(start): (True, 0)}
+    cycles = orbit_statuses((start,), lambda v: tau_step(params, v), status, cap)
+    if cycles:
+        return "cycle", rotate(cycles[0])
+    if start in status:
+        return "zero", (status[start][1],)
     return "unknown", ()
 
 

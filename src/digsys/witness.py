@@ -50,8 +50,9 @@ and ring-value coordinates only when ``members`` or ``succ`` is.
 
 The closure records the e = 0 image T(v) of every member it expands
 (``WitnessClosure.atom_succ``), so the orbit statuses behind the finite
-expansion decision come from one pass over that functional graph instead
-of stepping T again, and convert only the cycles they report.
+expansion decision come from one ``digits.orbit_statuses`` pass over that
+functional graph, with 0 as its stop, instead of stepping T again, and
+convert only the cycles they report.
 ``decide_fep``, ``decide_pep`` and the CLI share one cached closure per
 system: the most recent (system, mode, cap) closure is kept, so deciding
 both properties, or listing the closure beside them, builds it once.
@@ -70,7 +71,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import unitcircle
-from .digits import DigitSystem, rotate
+from .digits import DigitSystem, orbit_statuses
 from .polyquot import Poly, QuotRing
 from .rings import GaussianInt, GaussianIntegerRing, FpPolynomialRing, Z
 
@@ -329,46 +330,12 @@ def _orbit_statuses(system: DigitSystem, closure: WitnessClosure) -> tuple[dict,
     orbit under ``closure.atom_succ`` reaches 0 and in how many steps (for
     orbits that do not, the length of the cycle they enter); also the
     cycles found, as elements rotated to start at their least
-    ``sort_key``.  Neither depends on the order in which members are
-    visited.
-
-    One pass over the functional graph: from each member not yet settled,
-    follow ``atom_succ``, marking every state on the path with its index
-    (an int, where a settled state holds a tuple), until a state is
-    settled or marked.  A settled one (0 first of all) gives the path its
-    statuses; a marked one closes a new cycle from its index on, and the
-    path's tail into it reports the cycle's length, as its members do."""
-    qring, ring = system.qring, system.ring
-    zero = ring.atoms((ring.zero,) * qring.d)
-    succ = closure.atom_succ
-    status: dict = {zero: (True, 0)}
-    cycles: list[tuple] = []
-    for v in closure.atoms:
-        if v in status:
-            continue
-        path = [v]
-        status[v] = 0
-        n = 1
-        w = succ[v]
-        while w not in status:
-            status[w] = n
-            n += 1
-            path.append(w)
-            w = succ[w]
-        hit = status[w]
-        if hit.__class__ is int:
-            cyc = path[hit:]
-            cycles.append(rotate([qring.from_coords(ring.values(u)) for u in cyc], qring.sort_key))
-            hit = (False, n - hit)
-        elif hit[0]:
-            steps = hit[1] + n
-            for u in path:
-                status[u] = (True, steps)
-                steps -= 1
-            continue
-        for u in path:
-            status[u] = hit
-    return status, cycles
+    ``sort_key``: one ``orbit_statuses`` pass with 0 as its stop.  Neither
+    depends on the order in which members are visited."""
+    ring = system.ring
+    status = {ring.atoms((ring.zero,) * system.qring.d): (True, 0)}
+    cycles = orbit_statuses(closure.atoms, closure.atom_succ.__getitem__, status)
+    return status, [system._cycle(c) for c in cycles]
 
 
 def _root_inside(system: DigitSystem, prop: str, mode: str, cap: int) -> Verdict | None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from digsys import (
     Fp, FpPoly, GaussianInt, ParseError, Poly, Z, ZI, parse_poly, seed_witnesses,
     validate_system, witness, witness_closure,
 )
-from digsys.digits import DigitSequence, PeriodicSetReport, ZeroCycle, rotate, walk
+from digsys.digits import DigitSequence, PeriodicSetReport, ZeroCycle, rotate
 from digsys.ffds import ConvertResult
 from digsys.product import ProductExpansion, ProductSystem
 from digsys.rings import MAX_EXPONENT
@@ -259,6 +260,40 @@ def rand_ff_modulus(rng: random.Random, ring, max_dx: int = 3, max_dy: int = 3) 
         lead = rand_c(1)
     coeffs.append(lead)
     return Poly.make(ring, coeffs)
+
+
+# ``digits.walk``, the per-orbit walker the library used before one
+# ``digits.orbit_statuses`` pass settled every orbit of a finite map; kept
+# verbatim on purpose as the oracle of that pass and of the routes below.
+
+
+def walk(start, step, known, cap: int | None = None) -> tuple:
+    """Follow ``start`` under ``step`` until a state lies in ``known``,
+    repeats, or ``cap`` steps were taken (None: no cap), checked in that
+    order at every state, the one reached after ``cap`` steps included;
+    a negative ``cap`` raises ValueError.
+
+    Returns ``(kind, path, hit)``: ``path`` maps the ``len(path)`` states
+    stepped from to their step index, in order; ``kind`` is "known" (``hit``
+    the known state), "cycle" (``hit`` the index where the cycle starts)
+    or "cap" (``hit`` None)."""
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be at least 0")
+    path: dict = {}
+    limit = -1 if cap is None else cap
+    state = start
+    n = 0
+    while state not in known:
+        # one lookup both detects a repeat and records a new state
+        hit = path.setdefault(state, n)
+        if hit != n:
+            return "cycle", path, hit
+        if n == limit:
+            path.popitem()
+            return "cap", path, None
+        state = step(state)
+        n += 1
+    return "known", path, state
 
 
 # Element-stepping oracles: every orbit walk and closure of the library
@@ -515,7 +550,7 @@ def element_orbit_statuses(system, elements):
 
 def walk_orbit_statuses(system, closure):
     """``witness._orbit_statuses`` as it ran before its single pass: one
-    ``digits.walk`` of ``closure.atom_succ``, with a fresh path dict, from
+    ``walk`` of ``closure.atom_succ``, with a fresh path dict, from
     every member whose status is not yet known; kept as its oracle."""
     qring, ring = system.qring, system.ring
     zero = ring.atoms((ring.zero,) * qring.d)
@@ -767,6 +802,17 @@ def _qi_cauchy_index(p: list, q: list) -> int:
     return variations(True) - variations(False)
 
 
+@functools.cache
+def _cayley_terms(n: int) -> tuple:
+    """(w - i)^k (w + i)^(n - k) for k = 0, ..., n, built once per n and
+    shared by every factor of degree n (the values are never mutated)."""
+    minus, plus = [[GaussRational(1)]], [[GaussRational(1)]]
+    for _ in range(n):
+        minus.append(_qi_mul(minus[-1], [GaussRational(0, -1), GaussRational(1)]))
+        plus.append(_qi_mul(plus[-1], [GaussRational(0, 1), GaussRational(1)]))
+    return tuple(tuple(_qi_mul(minus[k], plus[n - k])) for k in range(n + 1))
+
+
 def circle_counts(s: list) -> tuple[int, int, int]:
     """Roots of a square-free s inside, on and outside the unit circle."""
     degree = len(s) - 1
@@ -775,14 +821,10 @@ def circle_counts(s: list) -> tuple[int, int, int]:
         s = _qi_divmod(s, [GaussRational(-1), GaussRational(1)])[0]
         on = 1
     n = len(s) - 1
-    minus, plus = [[GaussRational(1)]], [[GaussRational(1)]]
-    for _ in range(n):
-        minus.append(_qi_mul(minus[-1], [GaussRational(0, -1), GaussRational(1)]))
-        plus.append(_qi_mul(plus[-1], [GaussRational(0, 1), GaussRational(1)]))
     # deg q = n, since its leading coefficient is s(1) != 0
     q = [GaussRational()] * (n + 1)
-    for k, a in enumerate(s):
-        for j, c in enumerate(_qi_mul(minus[k], plus[n - k])):
+    for a, term in zip(s, _cayley_terms(n)):
+        for j, c in enumerate(term):
             q[j] = q[j] + a * c
     rot = q[-1].conjugate()
     q = [c * rot for c in q]

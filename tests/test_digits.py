@@ -4,7 +4,7 @@ import random
 import pytest
 
 from digsys import Fp, GaussianInt, ValidationError, Z, ZI, parse_poly, validate_system
-from digsys.digits import rotate, walk
+from digsys.digits import orbit_statuses, rotate
 from digsys.ffds import canonical_ff_digits
 
 from support import (
@@ -16,6 +16,7 @@ from support import (
     gauss_example,
     gauss_paper_witnesses,
     rand_quot,
+    walk,
 )
 
 F2 = Fp(2)
@@ -248,51 +249,125 @@ class TestZeroCycle:
 
 
 class TestWalk:
-    # a hand-built map: 1 -> 2 -> 3 -> 0 (known), 4 -> 5 -> 6 -> 7 -> 5, 8 -> 8
+    """``orbit_statuses`` on a hand-built map, and against ``walk``, the
+    per-orbit walker it replaced, on random maps."""
+
+    # a hand-built map: 1 -> 2 -> 3 -> 0 (a stop), 4 -> 5 -> 6 -> 7 -> 5, 8 -> 8
     MAP = {1: 2, 2: 3, 3: 0, 4: 5, 5: 6, 6: 7, 7: 5, 8: 8}
 
-    def follow(self, start, known=(0,), cap=None):
-        kind, path, hit = walk(start, self.MAP.__getitem__, known, cap)
-        return kind, list(path), hit
+    def settle(self, *starts, stops=(0,), cap=None, settled=()):
+        """The statuses the starts gain, beyond those given, and the cycles."""
+        status = {s: (True, 0) for s in stops}
+        status.update(settled)
+        given = dict(status)
+        cycles = orbit_statuses(starts, self.MAP.__getitem__, status, cap)
+        return {v: s for v, s in status.items() if v not in given}, cycles
 
     def test_tail_into_known_state(self):
-        assert self.follow(1) == ("known", [1, 2, 3], 0)
+        assert self.settle(1) == ({1: (True, 3), 2: (True, 2), 3: (True, 1)}, [])
 
     def test_tail_into_cycle(self):
-        assert self.follow(4) == ("cycle", [4, 5, 6, 7], 1)
+        looped = (False, 3)
+        assert self.settle(4) == ({4: looped, 5: looped, 6: looped, 7: looped}, [[5, 6, 7]])
 
     def test_self_loop(self):
-        assert self.follow(8) == ("cycle", [8], 0)
+        assert self.settle(8) == ({8: (False, 1)}, [[8]])
 
-    def test_path_holds_step_indices(self):
-        _, path, _ = walk(4, self.MAP.__getitem__, (), None)
-        assert path == {4: 0, 5: 1, 6: 2, 7: 3}
+    def test_statuses_count_steps_to_the_stop(self):
+        # a later path adds its steps to those of the settled state it meets,
+        # and a settled start is skipped
+        status, cycles = self.settle(2, 1, 4, 6, 8)
+        assert status == {
+            2: (True, 2), 3: (True, 1), 1: (True, 3),
+            4: (False, 3), 5: (False, 3), 6: (False, 3), 7: (False, 3), 8: (False, 1),
+        }
+        assert cycles == [[5, 6, 7], [8]]
 
     def test_start_in_known(self):
-        assert self.follow(3, known={3: "x"}) == ("known", [], 3)
+        assert self.settle(3, stops=(3,)) == ({}, [])
+        assert self.settle(5, settled={5: (False, 3)}) == ({}, [])
+        # a tail into a settled cycle takes its status and finds no new cycle
+        assert self.settle(4, settled={5: (False, 3)}) == ({4: (False, 3)}, [])
 
     def test_cap_zero(self):
-        assert self.follow(1, cap=0) == ("cap", [], None)
-        assert self.follow(0, cap=0) == ("known", [], 0)
-        assert self.follow(8, cap=0) == ("cap", [], None)
+        assert self.settle(1, cap=0) == ({}, [])
+        assert self.settle(0, cap=0) == ({}, [])
+        assert self.settle(8, cap=0) == ({}, [])
 
     def test_negative_cap_raises(self):
-        with pytest.raises(ValueError, match="cap must be at least 0"):
-            self.follow(0, cap=-1)
+        for starts in ((0,), ()):
+            with pytest.raises(ValueError, match="cap must be at least 0"):
+                self.settle(*starts, cap=-1)
 
     def test_known_state_reached_at_exactly_cap(self):
         # 1 reaches 0 after 3 steps; the state after cap steps is examined
-        assert self.follow(1, cap=2) == ("cap", [1, 2], None)
-        assert self.follow(1, cap=3) == ("known", [1, 2, 3], 0)
-        assert self.follow(1, cap=4) == ("known", [1, 2, 3], 0)
+        reached = {1: (True, 3), 2: (True, 2), 3: (True, 1)}
+        assert self.settle(1, cap=2) == ({}, [])
+        assert self.settle(1, cap=3) == (reached, [])
+        assert self.settle(1, cap=4) == (reached, [])
 
     def test_repeat_found_at_exactly_cap(self):
-        # 4 repeats 5 after 4 steps
-        assert self.follow(4, cap=3) == ("cap", [4, 5, 6], None)
-        assert self.follow(4, cap=4) == ("cycle", [4, 5, 6, 7], 1)
+        # 4 repeats 5 after 4 steps; a capped path leaves no mark behind
+        assert self.settle(4, cap=3) == ({}, [])
+        assert self.settle(4, 5, cap=3) == ({5: (False, 3), 6: (False, 3), 7: (False, 3)},
+                                            [[5, 6, 7]])
+        looped = (False, 3)
+        assert self.settle(4, cap=4) == ({4: looped, 5: looped, 6: looped, 7: looped},
+                                         [[5, 6, 7]])
 
     def test_known_is_checked_before_repeat(self):
-        assert self.follow(4, known={5}) == ("known", [4], 5)
+        assert self.settle(4, stops=(5,)) == ({4: (True, 1)}, [])
+
+    @staticmethod
+    def walk_statuses(starts, step, status, cap):
+        """The statuses by one ``walk`` per start, as the library's callers
+        built them from its paths; returns the cycles and capped starts."""
+        cycles, capped = [], []
+        for v in starts:
+            if v in status:
+                continue
+            kind, path, hit = walk(v, step, status, cap)
+            if kind == "cap":
+                capped.append(v)
+                continue
+            if kind == "cycle":
+                cycles.append(list(path)[hit:])
+                reaches, steps = False, len(path) - hit
+            else:
+                reaches, steps = status[hit]
+            n = len(path)
+            for u, i in path.items():
+                status[u] = (reaches, steps + n - i if reaches else steps)
+        return cycles, capped
+
+    def test_matches_walk_on_random_maps(self):
+        rng = random.Random(20261022)
+        seen = {"stop": 0, "cycle": 0, "capped": 0}
+        for _ in range(600):
+            size = rng.randint(1, 50)
+            step = {v: rng.randrange(size) for v in range(size)}.__getitem__
+            stops = rng.sample(range(size), rng.randint(0, min(3, size)))
+            cap = rng.choice([None, 0, 1, 2, 3, 5, 8, 20, 50])
+            starts = [rng.randrange(size) for _ in range(rng.randint(1, 20))]
+            expected = {s: (True, 0) for s in stops}
+            want_cycles, want_capped = self.walk_statuses(starts, step, expected, cap)
+            # one start at a time, so a capped start is seen before a later
+            # path can settle it
+            status = {s: (True, 0) for s in stops}
+            cycles, capped = [], []
+            for v in starts:
+                cycles += orbit_statuses((v,), step, status, cap)
+                if v not in status:
+                    capped.append(v)
+            assert (status, cycles, capped) == (expected, want_cycles, want_capped)
+            # one call over every start settles the same states
+            status = {s: (True, 0) for s in stops}
+            assert orbit_statuses(starts, step, status, cap) == cycles
+            assert status == expected
+            seen["stop"] += any(s[0] and s[1] for s in status.values())
+            seen["cycle"] += bool(cycles)
+            seen["capped"] += bool(capped)
+        assert min(seen.values()) >= 50, seen
 
     def test_rotate(self):
         assert rotate([6, 7, 5]) == (5, 6, 7)
