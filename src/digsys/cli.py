@@ -1,10 +1,15 @@
 """Command line front end.
 
 Subcommands: expand, decide, zero-cycle, witness, srs, product, ff.
-Reports are printed human-readable by default; --json switches to a
-stable-field-order JSON document.  Exit codes: 0 for a definitive
-verdict or successful computation, 2 when a cap was hit or an answer
-is unknown, 1 for input errors.
+Each ``_run_*`` computes its answer and returns (system, result,
+cap_hit, lines, exit code); ``main`` alone prints it: the text lines by
+default, or with --json one report whose keys are, in this order,
+"command", "system", "result" and "cap_hit".  ``cap_hit`` is true only
+when a step or closure cap stopped the run: an "unknown" of the root
+stage builds no closure and never sets it (``witness`` still builds the
+closure it lists).  Exit codes: 0 for a definitive verdict or successful
+computation, 2 when a cap was hit or an answer is unknown, 1 for input
+errors, a file that cannot be written included.
 """
 
 from __future__ import annotations
@@ -67,15 +72,7 @@ def _cap_hit(*verdicts) -> bool:
     return any(v and v.answer == "unknown" and "root_inside" not in v.certificate for v in verdicts)
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _run_expand(args) -> int:
+def _run_expand(args) -> tuple:
     system = _system_from_args(args)
     element = system.qring.normalize(parse_poly(system.ring, args.element))
     seq = system.digit_sequence(element, cap=args.cap)
@@ -87,13 +84,6 @@ def _run_expand(args) -> int:
         "preperiod": seq.preperiod,
         "period": seq.period,
         "steps": seq.steps,
-    }
-    report = {
-        "command": "expand",
-        "system": _system_json(system),
-        "result": result,
-        "steps_used": len(seq.digits),
-        "cap_hit": seq.kind == "unknown",
     }
     lines = [
         f"element: {result['element']}",
@@ -107,27 +97,19 @@ def _run_expand(args) -> int:
         )
     else:
         lines.append(f"class: unknown (cap {seq.cap} exhausted)")
-    _emit(args, report, lines)
-    return EXIT_UNKNOWN if seq.kind == "unknown" else EXIT_OK
+    unknown = seq.kind == "unknown"
+    return _system_json(system), result, unknown, lines, EXIT_UNKNOWN if unknown else EXIT_OK
 
 
-def _run_decide(args) -> int:
+def _run_decide(args) -> tuple:
     system = _system_from_args(args)
     fep = witness.decide_fep(system, closure_cap=args.witness_cap, mode=args.mode)
     pep = witness.decide_pep(system, closure_cap=args.witness_cap, mode=args.mode)
     early = witness.euclidean_necessary_check(system)
-    report = {
-        "command": "decide",
-        "system": _system_json(system),
-        "result": {
-            "fep": _verdict_json(system, fep),
-            "pep": _verdict_json(system, pep),
-            "euclidean_necessary_check": (
-                None if early is None else _verdict_json(system, early)
-            ),
-        },
-        "steps_used": fep.witnesses,
-        "cap_hit": _cap_hit(fep, pep),
+    result = {
+        "fep": _verdict_json(system, fep),
+        "pep": _verdict_json(system, pep),
+        "euclidean_necessary_check": None if early is None else _verdict_json(system, early),
     }
     lines = [
         f"fep: {fep.answer} ({fep.reason})",
@@ -135,11 +117,11 @@ def _run_decide(args) -> int:
     ]
     if early is not None:
         lines.append(f"euclidean check: fep is {early.answer} ({early.reason})")
-    _emit(args, report, lines)
-    return EXIT_UNKNOWN if "unknown" in (fep.answer, pep.answer) else EXIT_OK
+    code = EXIT_UNKNOWN if "unknown" in (fep.answer, pep.answer) else EXIT_OK
+    return _system_json(system), result, _cap_hit(fep, pep), lines, code
 
 
-def _run_zero_cycle(args) -> int:
+def _run_zero_cycle(args) -> tuple:
     system = _system_from_args(args)
     cycle = system.zero_cycle(cap=args.cap)
     fmt = system.qring.format
@@ -148,13 +130,6 @@ def _run_zero_cycle(args) -> int:
         "digits": [fmt(d) for d in cycle.digits] if cycle else None,
         "period": cycle.period if cycle else None,
     }
-    report = {
-        "command": "zero-cycle",
-        "system": _system_json(system),
-        "result": result,
-        "steps_used": cycle.period if cycle else args.cap,
-        "cap_hit": cycle is None,
-    }
     if cycle:
         lines = [
             f"zero cycle: {', '.join(result['digits'])}",
@@ -162,11 +137,10 @@ def _run_zero_cycle(args) -> int:
         ]
     else:
         lines = [f"no zero cycle within {args.cap} steps"]
-    _emit(args, report, lines)
-    return EXIT_OK if cycle else EXIT_UNKNOWN
+    return _system_json(system), result, cycle is None, lines, EXIT_OK if cycle else EXIT_UNKNOWN
 
 
-def _run_witness(args) -> int:
+def _run_witness(args) -> tuple:
     system = _system_from_args(args)
     mode = args.mode or witness.default_mode(system)
     closure = witness._closure(system, mode, args.witness_cap)
@@ -181,21 +155,15 @@ def _run_witness(args) -> int:
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(dot_text)
-    report = {
-        "command": "witness",
-        "system": _system_json(system),
-        "result": {
-            "mode": mode,
-            "seeds": sorted(fmt(s) for s in seeds),
-            "closure_size": len(closure),
-            "stabilized": closure.stabilized,
-            "rounds": closure.rounds,
-            "elements": sorted(fmt(v) for v in closure.elements),
-            "fep": _verdict_json(system, fep),
-            "pep": _verdict_json(system, pep),
-        },
-        "steps_used": len(closure),
-        "cap_hit": not closure.stabilized,
+    result = {
+        "mode": mode,
+        "seeds": sorted(fmt(s) for s in seeds),
+        "closure_size": len(closure),
+        "stabilized": closure.stabilized,
+        "rounds": closure.rounds,
+        "elements": sorted(fmt(v) for v in closure.elements),
+        "fep": _verdict_json(system, fep),
+        "pep": _verdict_json(system, pep),
     }
     lines = [
         f"mode: {mode}",
@@ -206,13 +174,12 @@ def _run_witness(args) -> int:
     ]
     if args.dot and dot_text is not None:
         lines.append(f"orbit graph written to {args.dot}")
-    _emit(args, report, lines)
-    if not closure.stabilized or "unknown" in (fep.answer, pep.answer):
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    unknown = not closure.stabilized or "unknown" in (fep.answer, pep.answer)
+    code = EXIT_UNKNOWN if unknown else EXIT_OK
+    return _system_json(system), result, not closure.stabilized, lines, code
 
 
-def _run_srs(args) -> int:
+def _run_srs(args) -> tuple:
     # Fraction would build 10**k in full for an exponent literal
     if any(ch in "eE" for ch in args.r + args.eps):
         raise ValueError("write --r and --eps without an exponent")
@@ -230,13 +197,6 @@ def _run_srs(args) -> int:
         "tau_cycle": [list(v) for v in verdict.tau_cycle] if verdict.tau_cycle else None,
         "note": verdict.note,
     }
-    report = {
-        "command": "srs",
-        "system": {"ring": "Z", "poly": result["bridge_poly"], "digits": result["bridge_digits"]},
-        "result": result,
-        "steps_used": verdict.fep.witnesses if verdict.fep else 0,
-        "cap_hit": _cap_hit(verdict.fep, verdict.pep),
-    }
     lines = [
         f"r: ({', '.join(result['r'])}), eps: {result['eps']}",
         f"in_D0 (orbits ultimately zero): {verdict.in_d0}",
@@ -246,11 +206,12 @@ def _run_srs(args) -> int:
         lines.append(f"bridge: P = {verdict.modulus}, digits {result['bridge_digits']}")
     if verdict.tau_cycle:
         lines.append(f"tau cycle: {result['tau_cycle']}")
-    _emit(args, report, lines)
-    return EXIT_UNKNOWN if verdict.in_d0 == "unknown" else EXIT_OK
+    system = {"ring": "Z", "poly": result["bridge_poly"], "digits": result["bridge_digits"]}
+    code = EXIT_UNKNOWN if verdict.in_d0 == "unknown" else EXIT_OK
+    return system, result, _cap_hit(verdict.fep, verdict.pep), lines, code
 
 
-def _run_product(args) -> int:
+def _run_product(args) -> tuple:
     ring = ring_from_name(args.ring)
     factors = []
     for part in args.factors.split(";"):
@@ -287,22 +248,11 @@ def _run_product(args) -> int:
         lines.append(f"digits: {', '.join(fmt(d) for d in pe.digits) or '(empty)'}")
         if pe.status == "unknown":
             exit_code = EXIT_UNKNOWN
-    report = {
-        "command": "product",
-        "system": {
-            "ring": ring.name,
-            "poly": result["combined_poly"],
-            "digits": result["digit_set"],
-        },
-        "result": result,
-        "steps_used": 0,
-        "cap_hit": exit_code == EXIT_UNKNOWN,
-    }
-    _emit(args, report, lines)
-    return exit_code
+    system = {"ring": ring.name, "poly": result["combined_poly"], "digits": result["digit_set"]}
+    return system, result, exit_code == EXIT_UNKNOWN, lines, exit_code
 
 
-def _run_ff(args) -> int:
+def _run_ff(args) -> tuple:
     ring = Fp(args.p)
     modulus = parse_poly(ring, args.poly)
     crit = ffds.ff_criterion(modulus)
@@ -364,21 +314,11 @@ def _run_ff(args) -> int:
         )
         if conv.status == "unknown":
             exit_code = EXIT_UNKNOWN
-    report = {
-        "command": "ff",
-        "system": {
-            "ring": ring.name,
-            "poly": str(modulus),
-            "digits": result["canonical_digits"]
-            if system is None
-            else [system.qring.format(d) for d in system.digits],
-        },
-        "result": result,
-        "steps_used": 0,
-        "cap_hit": exit_code == EXIT_UNKNOWN,
-    }
-    _emit(args, report, lines)
-    return exit_code
+    if system is None:
+        described = {"ring": ring.name, "poly": str(modulus), "digits": result["canonical_digits"]}
+    else:
+        described = _system_json(system)
+    return described, result, exit_code == EXIT_UNKNOWN, lines, exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,10 +424,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (ParseError, ValidationError, ValueError, ZeroDivisionError) as exc:
+        system, result, cap_hit, lines, code = args.func(args)
+    except (ParseError, ValidationError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.json:
+        report = {"command": args.command, "system": system, "result": result, "cap_hit": cap_hit}
+        print(json.dumps(report, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -325,10 +325,6 @@ class QuotRing:
             residue.pop()
         return StandardRep(tuple(q), tuple(residue))
 
-    def reconstruct(self, rep: StandardRep) -> QuotElem:
-        """Inverse of standard_representation."""
-        return self.from_coords(rep.q + rep.residue)
-
     def coords(self, a: QuotElem) -> tuple:
         """The standard representation as one flat tuple
         (q_0, ..., q_{d-1}, r_0, r_1, ...): d basis coordinates, then the

@@ -53,7 +53,10 @@ The closure records the e = 0 image T(v) of every member it expands
 expansion decision come from one ``digits.orbit_statuses`` pass over that
 functional graph, with 0 as its stop, instead of stepping T again, and
 convert only the cycles they report.
-``decide_fep``, ``decide_pep`` and the CLI share one cached closure per
+``decide_fep`` and ``decide_pep`` run one search, ``_search``: the cap
+and mode checks, the root stage, the cached closure and the capped
+"unknown" are written once, and each decision adds only its answer on a
+stabilised closure.  They and the CLI share one cached closure per
 system: the most recent (system, mode, cap) closure is kept, so deciding
 both properties, or listing the closure beside them, builds it once.
 
@@ -142,9 +145,6 @@ class OrbitGraph:
     system: DigitSystem
     nodes: tuple
     succ: dict
-
-    def edges(self):
-        return tuple((v, self.succ[v]) for v in self.nodes)
 
     def to_dot(self) -> str:
         fmt = self.system.qring.format
@@ -338,9 +338,10 @@ def _orbit_statuses(system: DigitSystem, closure: WitnessClosure) -> tuple[dict,
     return status, [system._cycle(c) for c in cycles]
 
 
-def _root_inside(system: DigitSystem, prop: str, mode: str, cap: int) -> Verdict | None:
-    """The "unknown" of a search that cannot stabilise, answered before any
-    closure is built, or None when the search must run.
+def _root_inside(system: DigitSystem) -> dict | None:
+    """The ``{"value_p0", "value_pd"}`` certificate of a search that cannot
+    stabilise, found before any closure is built, or None when the search
+    must run.
 
     Over Z and Z[i], if E(p0) < E(p_d) for the Euclidean value E (|.| over
     Z, the norm over Z[i]), the product p0/p_d of the roots of P, up to
@@ -355,8 +356,7 @@ def _root_inside(system: DigitSystem, prop: str, mode: str, cap: int) -> Verdict
     reduction theorem), so the closure is infinite and exceeds every cap
     (cf. Akiyama, Borbely, Brunotte, Petho and Thuswaldner, Acta Math.
     Hungar. 108 (2005)).  Over F_p[y] no finite set generates the module
-    additively, so the search always runs there.  The certificate records
-    both values."""
+    additively, so the search always runs there."""
     ring = system.ring
     if isinstance(ring, FpPolynomialRing):
         return None
@@ -364,42 +364,34 @@ def _root_inside(system: DigitSystem, prop: str, mode: str, cap: int) -> Verdict
     value_p0, value_pd = value(system.qring.p0), value(system.qring.pd)
     if value_p0 >= value_pd:
         return None
-    return Verdict(
-        prop,
-        "unknown",
-        "|p0| < |p_d| puts a root of P inside the unit circle, where orbits grow "
-        "without bound, so by the reduction theorem no witness closure stabilises "
-        "at any cap; the search was skipped",
-        witnesses=0,
-        stabilized=False,
-        certificate={
-            "cap": cap,
-            "mode": mode,
-            "root_inside": {"value_p0": value_p0, "value_pd": value_pd},
-        },
-    )
+    return {"value_p0": value_p0, "value_pd": value_pd}
 
 
-def _decision_mode(system: DigitSystem, mode: str | None, cap: int) -> str:
-    """The seed mode of a decision, after the checks its closure makes: a
-    negative cap or a mode without seeds raises ValueError before any
-    stage runs."""
+def _search(system: DigitSystem, prop: str, cap: int, mode: str | None, answer) -> Verdict:
+    """The stages that ``decide_fep`` and ``decide_pep`` share: a negative
+    cap or a mode without seeds raises ValueError; the root stage
+    (``_root_inside``) and a capped closure answer "unknown"; a stabilised
+    closure is answered by ``answer(closure, mode)``.  ``prop`` only labels
+    the "unknown", and each call builds a fresh ``Verdict``."""
     if cap < 0:
         raise ValueError("cap must be at least 0")
     mode = mode or default_mode(system)
     _check_mode(system, mode)
-    return mode
-
-
-def _capped(prop: str, closure: WitnessClosure, mode: str) -> Verdict:
-    return Verdict(
-        prop,
-        "unknown",
-        f"witness closure exceeded {closure.cap} elements",
-        witnesses=len(closure),
-        stabilized=False,
-        certificate={"cap": closure.cap, "mode": mode},
-    )
+    inside = _root_inside(system)
+    if inside is None:
+        closure = _closure(system, mode, cap)
+        if closure.stabilized:
+            return answer(closure, mode)
+        reason, witnesses = f"witness closure exceeded {cap} elements", len(closure)
+        certificate = {"cap": cap, "mode": mode}
+    else:
+        reason = (
+            "|p0| < |p_d| puts a root of P inside the unit circle, where orbits grow "
+            "without bound, so by the reduction theorem no witness closure stabilises "
+            "at any cap; the search was skipped"
+        )
+        witnesses, certificate = 0, {"cap": cap, "mode": mode, "root_inside": inside}
+    return Verdict(prop, "unknown", reason, witnesses, False, certificate)
 
 
 def decide_fep(
@@ -415,32 +407,31 @@ def decide_fep(
     shows that it would exceed every cap (``_root_inside``), so none is built.
     A negative cap or a mode without seeds raises ValueError first.
     """
-    mode = _decision_mode(system, mode, closure_cap)
-    inside = _root_inside(system, "fep", mode, closure_cap)
-    if inside:
-        return inside
-    closure = _closure(system, mode, closure_cap)
-    if not closure.stabilized:
-        return _capped("fep", closure, mode)
-    status, cycles = _orbit_statuses(system, closure)
-    if cycles:
-        cycle = min(cycles, key=lambda c: system.qring.sort_key(c[0]))
+
+    def answer(closure: WitnessClosure, mode: str) -> Verdict:
+        status, cycles = _orbit_statuses(system, closure)
+        if cycles:
+            cycle = min(cycles, key=lambda c: system.qring.sort_key(c[0]))
+            return Verdict(
+                "fep",
+                "no",
+                "a witness orbit enters a cycle that avoids 0",
+                witnesses=len(closure),
+                stabilized=True,
+                certificate={"cycle": cycle, "mode": mode},
+            )
         return Verdict(
             "fep",
-            "no",
-            "a witness orbit enters a cycle that avoids 0",
+            "yes",
+            "every witness orbit reaches 0" + _generation_caveat(system),
             witnesses=len(closure),
             stabilized=True,
-            certificate={"cycle": cycle, "mode": mode},
+            certificate={
+                "orbit_steps": _OrbitSteps(closure, status), "mode": mode, "closure": closure
+            },
         )
-    return Verdict(
-        "fep",
-        "yes",
-        "every witness orbit reaches 0" + _generation_caveat(system),
-        witnesses=len(closure),
-        stabilized=True,
-        certificate={"orbit_steps": _OrbitSteps(closure, status), "mode": mode, "closure": closure},
-    )
+
+    return _search(system, "fep", closure_cap, mode, answer)
 
 
 def decide_pep(
@@ -453,22 +444,19 @@ def decide_pep(
     never answers no, since non-periodicity has no finite certificate.
     unknown: as for ``decide_fep``, the closure exceeded its cap, or
     |p0| < |p_d| over Z and Z[i] shows that it would exceed every cap."""
-    mode = _decision_mode(system, mode, closure_cap)
-    inside = _root_inside(system, "pep", mode, closure_cap)
-    if inside:
-        return inside
-    closure = _closure(system, mode, closure_cap)
-    if not closure.stabilized:
-        return _capped("pep", closure, mode)
-    return Verdict(
-        "pep",
-        "yes",
-        "the witness closure is finite, so every orbit is eventually periodic"
-        + _generation_caveat(system),
-        witnesses=len(closure),
-        stabilized=True,
-        certificate={"rounds": closure.rounds, "mode": mode, "closure": closure},
-    )
+
+    def answer(closure: WitnessClosure, mode: str) -> Verdict:
+        return Verdict(
+            "pep",
+            "yes",
+            "the witness closure is finite, so every orbit is eventually periodic"
+            + _generation_caveat(system),
+            witnesses=len(closure),
+            stabilized=True,
+            certificate={"rounds": closure.rounds, "mode": mode, "closure": closure},
+        )
+
+    return _search(system, "pep", closure_cap, mode, answer)
 
 
 def orbit_graph(system: DigitSystem, elements, growth_cap: int = 100_000) -> OrbitGraph:

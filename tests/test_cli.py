@@ -298,6 +298,21 @@ class TestWitness:
         assert calls["step"] - calls["at_closure"] == 0
 
 
+    def test_dot_into_missing_directory(self, capsys, tmp_path):
+        # a DOT file that cannot be opened is an input error, not a traceback
+        dot = tmp_path / "missing" / "dir" / "g.dot"
+        code, out, err = run(
+            capsys,
+            "witness",
+            "--ring", "Z",
+            "--poly", "3x^2-2x+5",
+            "--digits", "0,1,2,3,4",
+            "--dot", str(dot),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and str(dot) in err
+
+
 class TestSrs:
     def test_memberships(self, capsys):
         code, out, _ = run(capsys, "srs", "--r", "3/5,-2/5", "--eps", "1/2", "--json")
@@ -421,6 +436,33 @@ class TestFf:
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == ""
             assert "has 1099511627776 members, more than the enumeration limit 65536" in err
+
+
+# one invocation of each subcommand, the system flags included
+SUBCOMMANDS = [
+    ["expand", "--ring", "Z", "--poly", "3x^2-2x+5", "--digits", "0,1,2,3,4", "--element", "-1"],
+    ["decide", "--ring", "Z", "--poly", "3x+2", "--digits", "0,1", "--witness-cap", "100"],
+    ["zero-cycle", "--ring", "Fp:2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits",
+     "1,y,y+1,y^3+y"],
+    ["witness", "--ring", "Zi", "--poly", "(1+i)x+(1+2i)", "--digits", "0,1,2,3,4"],
+    ["srs", "--r", "3/5,-2/5", "--eps", "1/2"],
+    ["product", "--factors", "x+2:0,1;x+3:0,1,2", "--element", "5x+7", "--cap", "3"],
+    ["ff", "--p", "2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits", "1,y,y+1,y^3+y",
+     "--prove-fep"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[argv[0] for argv in SUBCOMMANDS])
+def test_json_report_envelope(capsys, argv):
+    """Every --json report has the same four keys, in this order, and the
+    text run of the same arguments exits alike."""
+    code, out, _ = run(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert list(report) == ["command", "system", "result", "cap_hit"]
+    assert report["command"] == argv[0]
+    assert isinstance(report["cap_hit"], bool)
+    text_code, text, _ = run(capsys, *argv)
+    assert text_code == code and text and not text.startswith("{")
 
 
 def test_import_loads_no_numpy():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import itertools
@@ -470,6 +471,21 @@ class TestClosureCache:
             assert modes[0].witnesses != modes[1].witnesses
             assert decide_pep(system, 5).answer == "unknown"
 
+    def test_every_call_returns_a_fresh_verdict(self):
+        # the closure is shared, the verdicts are not: a caller may mutate
+        # the one it gets; the "unknown" of the root stage and of a capped
+        # closure differ between the properties only in their label
+        root = validate_system(Z, parse_poly(Z, "3x+2"), [0, 1])
+        for system, cap in ((example1(), 500), (example1_symmetric(), 500), (example1(), 5),
+                            (root, 100)):
+            for decide in (decide_fep, decide_pep):
+                first, again = decide(system, cap), decide(system, cap)
+                assert first == again and first is not again
+                assert first.certificate is not again.certificate
+            fep, pep = decide_fep(system, cap), decide_pep(system, cap)
+            if fep.answer == "unknown":
+                assert dataclasses.replace(fep, prop="pep") == pep
+
     def test_holds_at_most_one_closure(self):
         first = example1()
         decide_fep(first)
@@ -559,7 +575,7 @@ class TestOrbitGraph:
         closure = witness_closure(system, seed_witnesses(system, "brunotte"), 1000)
         graph = orbit_graph(system, closure.elements)
         fmt = system.qring.format
-        succ = {fmt(v): fmt(w) for v, w in graph.edges()}
+        succ = {fmt(v): fmt(w) for v, w in graph.succ.items()}
         assert succ["-4+2i"] == "2-2i"
         assert succ["2-2i"] == "1+i"
         assert succ["1+i"] == "1-i"

@@ -53,6 +53,8 @@ Z_SYM = ["--ring", "Z", "--poly", "3x^2-2x+5", "--digits", "-2,-1,0,1,2"]
 F2_EX2 = ["--ring", "Fp:2", "--poly", "(y+1)x^2+y*x+(y^2+1)", "--digits", "1,y,y+1,y^3+y"]
 F3_SYS = ["--ring", "Fp:3", "--poly", "(y+1)x^2+x+(y^2+2)",
           "--digits", "1,2,y,y+1,y+2,2y,2y+1,2y+2,y^3+2y"]
+F2_FIXED = ["--ring", "Fp:2", "--poly", "x+(y^2+y)", "--digits", "0,1,y^3+y^2+y,y^3+1"]
+F3_CIRCLE = ["--ring", "Fp:3", "--poly", "y*x+(y+1)", "--digits", "y+1,2y,2"]
 # p0 = 3y+7 over F131: the 131 constants are its residues, and
 # coefficients take two-byte slots
 F131_DIGITS = ["--digits", ",".join(map(str, range(131)))]
@@ -99,6 +101,8 @@ CORPUS = [
     (["witness", *F2_EX2], "f2.dot"),
     (["witness", *F3_SYS, "--mode", "power"], "f3.dot"),
     (["witness", *F3_SYS, "--witness-cap", "10"], "f3cap.dot"),
+    # a DOT file in a directory that does not exist: an input error
+    (["witness", *Z_EX1], "missing/dir/g.dot"),
     # srs
     (["srs", "--r", "3/5,-2/5", "--eps", "1/2"], None),
     (["srs", "--r", "1/2,3/4"], None),
@@ -146,6 +150,14 @@ CORPUS = [
       "--witness-cap", "300"], None),
     (["decide", "--ring", "Fp:2", "--poly", "x^3+y*x^2+x+(y^2+1)",
       "--digits", "0,1,y,y+1"], None),
+    # digit sets that are not canonical over F_p[y], where the search
+    # answers "fep: yes" and an expansion ends in a cycle that avoids 0:
+    # an expanding base, with the fixed point y+1, and a base with a root
+    # on the circle, with a cycle of period 6
+    (["decide", *F2_FIXED], None),
+    (["expand", *F2_FIXED, "--element", "y+1"], None),
+    (["decide", *F3_CIRCLE], None),
+    (["expand", *F3_CIRCLE, "--element", "2y^3+2y^2+2"], None),
 ]
 
 
